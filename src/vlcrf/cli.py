@@ -85,6 +85,7 @@ def _cmd_solve(args) -> int:
     print(f"objective_bits: {result.objective!r}")
     print(f"iterations: {result.iterations}")
     print(f"kkt_residual: {result.kkt_residual!r}")
+    print(f"gap_bits: {result.gap_bits!r}")
     alloc = result.allocation
     for k in range(alloc.K):
         print(f"user {k}: tau_dl={float(alloc.tau_dl[k])!r} tau_ul={float(alloc.tau_ul[k])!r}")

@@ -1,19 +1,38 @@
-"""Difference-of-concave solver for the time-slot allocation problem.
+"""Certified concave solver for the time-slot allocation problem.
 
-The objective sum_k (u_k - v_k) is maximized over the polytope
+The paper maximizes sum_k (u_k - v_k) over the polytope
 
     sum(tau_dl) <= 1,  sum(tau_ul) <= 1,  tau >= 0,  c . tau_dl >= r_min
 
-by iteratively linearizing the concave subtrahend v at the current iterate
-and maximizing the resulting concave surrogate u(x) - <grad v, x> with a
-projected gradient ascent.  Once the outer steps are small, one SLSQP solve
-of the true objective jumps to the nearby critical point, which the strict
-DCA steps then confirm.  Projections onto the polytope are exact: the
-constraint set separates into a downlink block (simplex budget plus the
-minimum-rate halfspace) and an uplink block (floored simplex budget), each
-with a finite-breakpoint closed-form projection.
+by DCA: linearize the concave subtrahend v, maximize the concave surrogate
+u - <grad v, x>, repeat.  Here u_k and v_k are the perspectives
+tau_ul log2(1 + a (1 - tau_dl) / tau_ul) with the user's and the
+eavesdropper's SNR constants a_k and aE_k.
 
-Every uplink fraction is kept at or above a small floor so the perspective
+Concave reduction.  For a user with a_k <= aE_k the term u_k - v_k is <= 0
+everywhere and exactly 0 at tau_ul = 0, and giving up its uplink share only
+frees budget for the others, so such a user is switched off: tau_ul = 0,
+and its downlink share carries rate at no cost.  For every other user
+u_k - v_k is the perspective of the concave s -> log2((1 + a s) / (1 + aE s)),
+hence jointly concave in (tau_dl, tau_ul).  The reduced problem is a concave
+programme over a polytope, and one SLSQP solve of it, put back on the
+polytope by the exact projections below, replaces the DCA iteration.  DCA
+with the decomposition (f, 0) of this concave f is exactly that: its
+surrogate is f itself, so one step reaches the optimum and the next is a
+fixed point.  ``solve_subproblem`` keeps the paper's DCA step (the argmax of
+u - <y, x>) as a call of the same engine.
+
+Certificate.  For concave f over a polytope P the Frank-Wolfe duality gap
+
+    gap(x) = max_{y in P} grad f(x) . (y - x)  >=  f* - f(x)
+
+bounds the distance from the optimum in bits.  The maximum splits over the
+two blocks and is taken over their vertices in closed form (``_dl_support``
+and the best UL vertex).  It is the engine's only exit test: a start whose
+gap is at most ``epsilon`` is returned as it is, and a solve ends
+``converged`` iff the gap of its answer is at most ``epsilon``.
+
+Active users keep tau_ul at or above a small floor so the perspective
 gradients stay defined; downlink fractions may reach 0 exactly.
 """
 
@@ -21,17 +40,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, nnls
 
 from vlcrf.link_budget import (
-    LN2,
     Allocation,
     ScenarioChannels,
-    _objective_and_gradient_lists,
-    dl_rate_coefficients,
     perspective_grads,
     perspective_value,
 )
@@ -42,24 +58,7 @@ STATUS_INFEASIBLE = "infeasible"
 
 SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
 FACE_SLACK = 1e-12          # relative overshoot of a budget / rate face a projection may leave
-ARMIJO_SIGMA = 1e-4
-MIN_STEP = 1e-18
-PROX_RHO = 1e-3             # proximal damping of the DCA subproblems
-STAGNATION_WINDOW = 40      # inner iterations between progress checks
-STAGNATION_GAIN = 1e-6      # window gain per unit of accumulated gain
-STRICT_STEP = 1e-2          # outer step that starts the refinement and the strict phase
-STATIONARY_MOVE = 1e-12     # projected-gradient move below which the refinement is skipped
-STALL_WINDOW = 20           # outer steps without progress that end a run as stalled
-STALL_GAIN = 1e-15          # relative objective gain that still counts as progress
-
-
-class SubproblemError(RuntimeError):
-    """Inner solve hit its iteration cap; carries the best iterate found."""
-
-    def __init__(self, message: str, best_dl: list, best_ul: list):
-        super().__init__(message)
-        self.best_dl = best_dl
-        self.best_ul = best_ul
+SLSQP_FTOL = 1e-16          # below any objective's ulp: SLSQP stops on its own line search
 
 
 @dataclass(frozen=True)
@@ -90,24 +89,14 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class DcaSettings:
-    epsilon: float = 1e-8                 # max-norm iterate change at convergence
-    max_iterations: int = 500
-    subproblem_tolerance: float = 1e-9    # projected-gradient residual bound
-    restarts: int = 5                     # total starts; the first is deterministic
-    seed: int = 0                         # stream for the random restarts
-    max_inner_iterations: int = 2000
+    epsilon: float = 1e-8                 # bound on the certificate gap, bits
+    max_iterations: int = 500             # SLSQP iteration cap
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.subproblem_tolerance <= 0:
-            raise ValueError("subproblem_tolerance must be > 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_inner_iterations < 1:
-            raise ValueError("max_inner_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,8 @@ class DcaResult:
     status: str
     trace: tuple
     kkt_residual: float
-    raw_allocation: Allocation | None = None  # converged iterate before snapping
+    raw_allocation: Allocation | None = None  # solver iterate before snapping
+    gap_bits: float = math.nan                # certificate: objective >= optimum - gap_bits
 
 
 def check_feasibility(fs: FeasibleSet) -> bool:
@@ -392,363 +382,144 @@ def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inner solve: projected gradient ascent on the concave surrogate
+# the engine: one certified solve of the concave programme
 # ---------------------------------------------------------------------------
 
-def _pgd_maximize(
-    a: list,
-    y_dl: list,
-    y_ul: list,
-    fs_c: list,
-    r_min: float,
-    floor: float,
-    start_dl: list,
-    start_ul: list,
-    tolerance: float,
-    max_iterations: int,
-    rho: float = 0.0,
-    strict: bool = True,
-    center: tuple | None = None,
-) -> tuple[list, list, int]:
-    """Maximize u(x) - <y, x> - rho/2 |x - start|^2 over the polytope.
+def _dl_support(g: np.ndarray, c: np.ndarray, r_min: float) -> float:
+    """max g . y over {y >= 0, sum(y) <= 1, c . y >= r_min}, by the vertices.
 
-    Monotone ascent with Armijo backtracking along the projection arc;
-    stops when the unit-step projected-gradient residual (max-norm) drops
-    below ``tolerance``.  Never returns a point with a lower surrogate
-    value than the warm start.  A positive ``rho`` (proximal damping
-    against the warm start) makes the surrogate strongly concave: the
-    perspective terms are scale-invariant along per-user rays, and without
-    damping the argmax wanders freely along those flat directions.
-
-    The Levenberg-Marquardt damping of the block-Newton step starts at
-    ``rho`` and relaxes back to it after each accepted step; with
-    ``rho = 0`` (``solve_subproblem``) that floor is 1e-12, so the trial
-    x + d reaches 1e11-3e12 from stiff corners.  The projections keep such
-    trials inside the frame (``project_onto_feasible``).
+    A vertex has K active constraints among y_k = 0, the budget and the
+    rate face: the origin (only when r_min = 0), e_k (c_k >= r_min),
+    (r_min / c_k) e_k (the rate face alone) and, with both faces active,
+    the point of the edge [e_i, e_j] with c_i > r_min > c_j on the rate face.
     """
-    K = len(a)
-    if center is None:
-        c_dl = list(start_dl)
-        c_ul = list(start_ul)
-    else:
-        c_dl = list(center[0])
-        c_ul = list(center[1])
-    damp_floor = rho if rho > 0.0 else 1e-12
+    if r_min <= 0.0:
+        return max(0.0, float(g.max()))
+    reach = c >= r_min
+    best = max(float(g[reach].max()), float((g[reach] * (r_min / c[reach])).max()))
+    above = c > r_min
+    below = c < r_min
+    if above.any() and below.any():
+        c_i = c[above][:, None]
+        c_j = c[below][None, :]
+        lam = (r_min - c_j) / (c_i - c_j)
+        edge = lam * g[above][:, None] + (1.0 - lam) * g[below][None, :]
+        best = max(best, float(edge.max()))
+    return best
 
-    def surrogate(dl: list, ul: list) -> float:
-        tot = 0.0
-        for k in range(K):
-            tot += perspective_value(a[k], 1.0 - dl[k], ul[k]) - y_dl[k] * dl[k] - y_ul[k] * ul[k]
-            if rho:
-                tot -= 0.5 * rho * ((dl[k] - c_dl[k]) ** 2 + (ul[k] - c_ul[k]) ** 2)
-        return tot
 
-    def grad_and_newton(dl: list, ul: list, damp: float):
-        """Gradient plus the damped per-user 2x2 Newton direction.
+@dataclass(frozen=True)
+class _Concave:
+    """max sum_{k on} (u_k - v_k) - y . x over the polytope, tau_ul = 0 off ``on``.
 
-        The perspective curvature spans many orders of magnitude (it
-        behaves like 1/tau_ul near switched-off users) and its 2x2 blocks
-        are exactly rank one, so neither a scalar step nor a diagonal
-        scaling works: the first crawls through the stiff region, the
-        second overshoots across the perfectly correlated ridge.  The
-        damped block solve (-H_u + damp*I)^-1 g handles both; its
-        determinant is evaluated through the rank-one identity
-        A'C' = B'^2, which dodges the catastrophic cancellation of the
-        naive 2x2 formula.
+    ``a_e`` is 0 and ``on`` all True for the DCA subproblem; the secrecy
+    problem has y = 0 and switches off the users with a_k <= aE_k.
+    """
+
+    a: np.ndarray
+    a_e: np.ndarray
+    y_dl: np.ndarray
+    y_ul: np.ndarray
+    on: np.ndarray
+    fs: FeasibleSet
+
+    def project(self, dl, ul_on) -> tuple[np.ndarray, np.ndarray]:
+        """The exact projection, with the switched-off users' tau_ul at 0."""
+        fs = self.fs
+        ul = np.zeros(fs.K)
+        ul[self.on] = _project_ul([float(t) for t in ul_on], fs.tau_floor)
+        dl = _project_dl([float(d) for d in dl], [float(c) for c in fs.rate_coeffs], fs.r_min)
+        return np.array(dl), ul
+
+    def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        on = self.on
+        w = 1.0 - dl[on]
+        t = ul[on]
+        a = self.a[on]
+        a_e = self.a_e[on]
+        value = float(np.sum(perspective_value(a, w, t) - perspective_value(a_e, w, t)))
+        value -= float(self.y_dl @ dl) + float(self.y_ul @ ul)
+        du_dl, du_ul = perspective_grads(a, w, t)
+        dv_dl, dv_ul = perspective_grads(a_e, w, t)
+        g_dl = -self.y_dl
+        g_dl[on] += du_dl - dv_dl
+        g_ul = -self.y_ul
+        g_ul[on] += du_ul - dv_ul
+        return value, g_dl, g_ul
+
+    def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> float:
+        """Frank-Wolfe gap: the UL block's best vertex is 0 or one active user's e_k."""
+        g_on = g_ul[self.on]
+        ul_best = max(0.0, float(g_on.max())) if g_on.size else 0.0
+        dl_best = _dl_support(g_dl, self.fs.rate_coeffs, self.fs.r_min)
+        return ul_best + dl_best - float(g_on @ ul[self.on]) - float(g_dl @ dl)
+
+    def slsqp(self, dl: np.ndarray, ul: np.ndarray, max_iterations: int) -> np.ndarray | None:
+        """SLSQP from (dl, ul) over z = [tau_dl, active tau_ul]; None on a failure.
+
+        The point may sit slightly outside the polytope: the caller projects
+        it.  SLSQP's own success flag is not used: it reports failure at
+        points the certificate accepts.
         """
-        g_dl = [0.0] * K
-        g_ul = [0.0] * K
-        d_dl = [0.0] * K
-        d_ul = [0.0] * K
-        for k in range(K):
-            w = 1.0 - dl[k]
-            t = ul[k]
-            du_dl, du_ul = perspective_grads(a[k], w, t)
-            gd = du_dl - y_dl[k]
-            gu = du_ul - y_ul[k]
-            if rho:
-                gd -= rho * (dl[k] - c_dl[k])
-                gu -= rho * (ul[k] - c_ul[k])
-            g_dl[k] = gd
-            g_ul[k] = gu
-            prod = a[k] * w
-            denom = t + prod
-            scale = denom * denom * LN2
-            aa = a[k] * a[k] * t / scale          # -d2u/d(tau_dl)^2
-            bb = a[k] * prod / scale              # -d2u cross term
-            cc = prod * prod / (t * scale)        # -d2u/d(tau_ul)^2
-            det = damp * (aa + cc + damp)
-            d_dl[k] = ((cc + damp) * gd - bb * gu) / det
-            d_ul[k] = ((aa + damp) * gu - bb * gd) / det
-        return g_dl, g_ul, d_dl, d_ul
+        fs = self.fs
+        K = fs.K
+        m = int(self.on.sum())
+        c = fs.rate_coeffs
 
-    x_dl = _project_dl(start_dl, fs_c, r_min)
-    x_ul = _project_ul(start_ul, floor)
-    f = surrogate(x_dl, x_ul)
-    alpha_plain = 1.0
-    f_start = f
-    f_window = f
-    lm = damp_floor
-    for it in range(max_iterations):
-        if not strict and it % STAGNATION_WINDOW == 0:
-            # Loose phase: give up polishing when a window contributes a
-            # negligible fraction of the gain accumulated so far; the
-            # point is a valid warm-start improvement even if the
-            # residual target is out of reach.  The floor term keeps the
-            # test meaningful when the warm start was already optimal.
-            if it > 0:
-                floor_gain = 1e-18 * (1.0 + abs(f))
-                if f - f_window <= max(floor_gain, STAGNATION_GAIN * (f - f_start)):
-                    return x_dl, x_ul, it
-            f_window = f
-        g_dl, g_ul, d_dl, d_ul = grad_and_newton(x_dl, x_ul, lm)
-        probe_dl = _project_dl([x_dl[k] + g_dl[k] for k in range(K)], fs_c, r_min)
-        probe_ul = _project_ul([x_ul[k] + g_ul[k] for k in range(K)], floor)
-        newton_dl = _project_dl([x_dl[k] + d_dl[k] for k in range(K)], fs_c, r_min)
-        newton_ul = _project_ul([x_ul[k] + d_ul[k] for k in range(K)], floor)
-        # Stationarity holds iff either projected mapping is a fixed point,
-        # so the smaller move serves as the residual.  The plain mapping is
-        # stiffness-amplified (curvature ~1/tau_ul at the floor corners
-        # puts its target out of reach at any representable distance from
-        # the optimum) while the damped-Newton mapping measures distance.
-        resid = 0.0
-        for k in range(K):
-            resid = max(resid, abs(probe_dl[k] - x_dl[k]), abs(probe_ul[k] - x_ul[k]))
-        resid_newton = 0.0
-        for k in range(K):
-            resid_newton = max(
-                resid_newton, abs(newton_dl[k] - x_dl[k]), abs(newton_ul[k] - x_ul[k])
-            )
-        if min(resid, resid_newton) <= tolerance:
-            return x_dl, x_ul, it
+        def neg(z):
+            full = np.zeros(K)
+            full[self.on] = z[K:]
+            f, g_dl, g_ul = self.value_and_grad(z[:K], full)
+            return -f, -np.concatenate([g_dl, g_ul[self.on]])
 
-        def try_step(cand_dl, cand_ul):
-            gd = 0.0
-            for k in range(K):
-                gd += g_dl[k] * (cand_dl[k] - x_dl[k]) + g_ul[k] * (cand_ul[k] - x_ul[k])
-            if gd <= 0.0:
-                return None
-            f_cand = surrogate(cand_dl, cand_ul)
-            if f_cand >= f + ARMIJO_SIGMA * gd:
-                return f_cand
+        budget_dl = np.concatenate([-np.ones(K), np.zeros(m)])
+        cons = [{"type": "ineq", "fun": lambda z: 1.0 - z[:K].sum(), "jac": lambda z: budget_dl}]
+        if m:
+            budget_ul = np.concatenate([np.zeros(K), -np.ones(m)])
+            cons.append({"type": "ineq", "fun": lambda z: 1.0 - z[K:].sum(), "jac": lambda z: budget_ul})
+        if fs.r_min > 0.0:
+            rate = np.concatenate([c, np.zeros(m)])
+            cons.append({"type": "ineq", "fun": lambda z: float(c @ z[:K]) - fs.r_min, "jac": lambda z: rate})
+        bounds = [(0.0, 1.0)] * K + [(fs.tau_floor, 1.0)] * m
+        try:
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sol = minimize(
+                    neg, np.concatenate([dl, ul[self.on]]), jac=True, method="SLSQP", bounds=bounds,
+                    constraints=cons, options={"maxiter": max_iterations, "ftol": SLSQP_FTOL},
+                )
+        except (ValueError, ArithmeticError):
             return None
-
-        accepted = False
-        # 1) damped block-Newton step with Levenberg-Marquardt adaptation:
-        #    a rejection (overshoot, or ascent flipped by budget
-        #    redistribution under the projection) raises the damping so
-        #    the next direction is shorter and more gradient-like; an
-        #    acceptance relaxes it back toward the proximal floor
-        f_cand = try_step(newton_dl, newton_ul)
-        if f_cand is not None:
-            x_dl, x_ul, f = newton_dl, newton_ul, f_cand
-            lm = max(lm / 3.0, damp_floor)
-            accepted = True
-        else:
-            lm = min(lm * 8.0, 1e12)
-        if not accepted:
-            # 2) unit plain step: the residual probe is already computed,
-            #    so the large move is always explored at no extra cost
-            f_cand = try_step(probe_dl, probe_ul)
-            if f_cand is not None:
-                x_dl, x_ul, f = probe_dl, probe_ul, f_cand
-                alpha_plain = 1.0
-                accepted = True
-        if not accepted and K > 1:
-            # 3) pairwise exchange along an active budget face: projection
-            #    arcs cannot trade mass between coordinates once a budget
-            #    binds, which is exactly where they crawl
-            for block in (0, 1):
-                g_blk = g_dl if block == 0 else g_ul
-                x_blk = x_dl if block == 0 else x_ul
-                hi = max(range(K), key=lambda k: g_blk[k])
-                lo = min(range(K), key=lambda k: g_blk[k])
-                if hi == lo or g_blk[hi] - g_blk[lo] <= 0.0:
-                    continue
-                if block == 0:
-                    room = min(1.0 - x_blk[hi], x_blk[lo])
-                    if r_min > 0.0 and fs_c[lo] > fs_c[hi]:
-                        slack = _rate_dot(fs_c, x_dl) - r_min
-                        room = min(room, max(0.0, slack) / (fs_c[lo] - fs_c[hi]))
-                else:
-                    room = min(1.0 - x_blk[hi], x_blk[lo] - floor)
-                delta = room
-                for _trial in range(20):
-                    if delta <= 0.0 or delta * (g_blk[hi] - g_blk[lo]) < 1e-16 * (1.0 + abs(f)):
-                        break
-                    cand_blk = list(x_blk)
-                    cand_blk[hi] += delta
-                    cand_blk[lo] -= delta
-                    if block == 0:
-                        f_cand = try_step(cand_blk, x_ul)
-                    else:
-                        f_cand = try_step(x_dl, cand_blk)
-                    if f_cand is not None:
-                        if block == 0:
-                            x_dl = cand_blk
-                        else:
-                            x_ul = cand_blk
-                        f = f_cand
-                        accepted = True
-                        break
-                    delta *= 0.5
-                if accepted:
-                    break
-        if not accepted:
-            # 4) backtracking plain-gradient arc from the carried step;
-            #    moves below ~1e-9 are not worth grinding (the block-Newton
-            #    branch already resolves the stiff floor corners), so treat
-            #    their absence as numerical stationarity
-            gmax = 0.0
-            for k in range(K):
-                gmax = max(gmax, abs(g_dl[k]), abs(g_ul[k]))
-            alpha_min = max(MIN_STEP, 1e-9 / (1.0 + gmax))
-            alpha = min(alpha_plain * 4.0, 0.5)
-            while alpha >= alpha_min:
-                cand_dl = _project_dl([x_dl[k] + alpha * g_dl[k] for k in range(K)], fs_c, r_min)
-                cand_ul = _project_ul([x_ul[k] + alpha * g_ul[k] for k in range(K)], floor)
-                f_cand = try_step(cand_dl, cand_ul)
-                if f_cand is not None:
-                    x_dl, x_ul, f = cand_dl, cand_ul, f_cand
-                    alpha_plain = alpha
-                    accepted = True
-                    break
-                alpha *= 0.5
-        if not accepted:
-            # no useful ascent step is representable: numerically stationary
-            return x_dl, x_ul, it
-    raise SubproblemError(
-        f"inner solver exceeded {max_iterations} iterations", x_dl, x_ul
-    )
+        return sol.x if np.all(np.isfinite(sol.x)) else None
 
 
-def _slsqp_maximize(neg_obj, neg_grad, start: list, c: list, r_min: float, floor: float,
-                    maxiter: int, ftol: float) -> list | None:
-    """SLSQP over the polytope from ``start``; the raw point, or None on a failure.
+def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
+    """One certified solve from ``start``: (tau_dl, tau_ul, objective, gap, trace).
 
-    The point may sit slightly outside the polytope: callers project it
-    and keep it only if it improves on what they have.
+    The start is projected onto the polytope first (switched-off users lose
+    their uplink share, which never lowers the objective).  A start whose gap
+    is at most ``epsilon`` is returned as it is; otherwise one SLSQP pass
+    runs, and its point, projected, replaces the start when its objective is
+    at least as high, so the answer never falls below the start.  The trace
+    holds (objective, max-norm move) per pass, after the start's (f, 0).
     """
-    K = len(c)
-    c_arr = np.array(c)
-    jac_dl = np.concatenate([-np.ones(K), np.zeros(K)])
-    jac_ul = np.concatenate([np.zeros(K), -np.ones(K)])
-    cons = [
-        {"type": "ineq", "fun": lambda z: 1.0 - z[:K].sum(), "jac": lambda z: jac_dl},
-        {"type": "ineq", "fun": lambda z: 1.0 - z[K:].sum(), "jac": lambda z: jac_ul},
-    ]
-    if r_min > 0.0:
-        jac_rate = np.concatenate([c_arr, np.zeros(K)])
-        cons.append(
-            {"type": "ineq", "fun": lambda z: float(np.dot(c_arr, z[:K])) - r_min,
-             "jac": lambda z: jac_rate}
-        )
-    bounds = [(0.0, 1.0)] * K + [(floor, 1.0)] * K
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sol = minimize(
-                neg_obj, np.array(start), jac=neg_grad, method="SLSQP", bounds=bounds,
-                constraints=cons, options={"maxiter": maxiter, "ftol": ftol},
-            )
-    except (ValueError, ArithmeticError):
-        return None
-    z = [float(v) for v in sol.x]
-    return z if all(math.isfinite(v) for v in z) else None
-
-
-def _surrogate_argmax(
-    a: list,
-    y_dl: list,
-    y_ul: list,
-    fs_c: list,
-    r_min: float,
-    floor: float,
-    start_dl: list,
-    start_ul: list,
-    tolerance: float,
-    max_iterations: int,
-    rho: float,
-    strict: bool,
-    polish_cap: int | None = None,
-    use_sqp: bool = True,
-) -> tuple[list, list, int]:
-    """Argmax of the (possibly prox-damped) surrogate over the polytope.
-
-    A sequential-quadratic pass does the heavy lifting: the feasible set
-    mixes stiff perspective corners with a near-parallel pair of budget
-    and rate constraints, a wedge along which first-order projection arcs
-    zigzag with a contraction factor arbitrarily close to one.  The
-    projected-gradient loop then verifies (and if needed polishes) the
-    point, which keeps the residual semantics and the monotone-ascent
-    guarantee against the warm start: a candidate that fails to improve
-    on the warm start is discarded before polishing.
-    """
-    K = len(a)
-    x0_dl = _project_dl(list(start_dl), fs_c, r_min)
-    x0_ul = _project_ul(list(start_ul), floor)
-    center_dl = list(x0_dl)
-    center_ul = list(x0_ul)
-    cap = max_iterations if polish_cap is None else min(max_iterations, polish_cap)
-    cap_fast = min(60, max_iterations)
-
-    # fast path: a warm start near the argmax (the common case once the
-    # outer loop is underway) resolves in a handful of projected steps
-    # without invoking the sequential-quadratic machinery at all
-    try:
-        return _pgd_maximize(
-            a, y_dl, y_ul, fs_c, r_min, floor,
-            x0_dl, x0_ul, tolerance, cap_fast, rho=rho, strict=strict,
-            center=(center_dl, center_ul),
-        )
-    except SubproblemError as err:
-        if not use_sqp:
-            # loose phase: the partial ascent is good enough, the next
-            # outer linearization moves the target anyway
-            return err.best_dl, err.best_ul, cap_fast
-        x0_dl, x0_ul = err.best_dl, err.best_ul
-
-    def f_warm(dl, ul):
-        tot = 0.0
-        for k in range(K):
-            tot += perspective_value(a[k], 1.0 - dl[k], ul[k]) - y_dl[k] * dl[k] - y_ul[k] * ul[k]
-            if rho:
-                tot -= 0.5 * rho * ((dl[k] - center_dl[k]) ** 2 + (ul[k] - center_ul[k]) ** 2)
-        return tot
-
-    def neg_obj(z):
-        val = f_warm(list(z[:K]), list(z[K:]))
-        return -val
-
-    def neg_grad(z):
-        g = np.empty(2 * K)
-        for k in range(K):
-            du_dl, du_ul = perspective_grads(a[k], 1.0 - z[k], z[K + k])
-            g[k] = du_dl - y_dl[k]
-            g[K + k] = du_ul - y_ul[k]
-            if rho:
-                g[k] -= rho * (z[k] - center_dl[k])
-                g[K + k] -= rho * (z[K + k] - center_ul[k])
-        return -g
-
-    z = _slsqp_maximize(neg_obj, neg_grad, x0_dl + x0_ul, fs_c, r_min, floor, maxiter=25, ftol=1e-14)
+    x_dl, x_ul = prob.project(start.tau_dl, start.tau_ul[prob.on])
+    f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
+    gap = prob.gap(x_dl, x_ul, g_dl, g_ul)
+    trace = [(f, 0.0)]
+    if gap <= settings.epsilon:
+        return x_dl, x_ul, f, gap, tuple(trace)
+    step = 0.0
+    z = prob.slsqp(x_dl, x_ul, settings.max_iterations)
     if z is not None:
-        cand_dl = _project_dl(z[:K], fs_c, r_min)
-        cand_ul = _project_ul(z[K:], floor)
-        if f_warm(cand_dl, cand_ul) >= f_warm(x0_dl, x0_ul):
-            x0_dl, x0_ul = cand_dl, cand_ul
-    try:
-        return _pgd_maximize(
-            a, y_dl, y_ul, fs_c, r_min, floor,
-            x0_dl, x0_ul, tolerance, cap, rho=rho, strict=strict,
-            center=(center_dl, center_ul),
-        )
-    except SubproblemError as err:
-        if polish_cap is None:
-            raise
-        # the bounded polish ran out; the point is still a monotone
-        # improvement over the warm start
-        return err.best_dl, err.best_ul, cap
+        n_dl, n_ul = prob.project(z[: prob.fs.K], z[prob.fs.K :])
+        f_n, gn_dl, gn_ul = prob.value_and_grad(n_dl, n_ul)
+        if f_n >= f:
+            step = float(max(np.abs(n_dl - x_dl).max(), np.abs(n_ul - x_ul).max()))
+            x_dl, x_ul, f = n_dl, n_ul, f_n
+            gap = prob.gap(x_dl, x_ul, gn_dl, gn_ul)
+    trace.append((f, step))
+    return x_dl, x_ul, f, gap, tuple(trace)
 
 
 def solve_subproblem(
@@ -758,10 +529,12 @@ def solve_subproblem(
     start: Allocation | None = None,
     settings: DcaSettings = DcaSettings(),
 ) -> Allocation:
-    """One linearized step: argmax of u(x) - <y, x> over the polytope.
+    """One DCA step: argmax of u(x) - <y, x> over the polytope.
 
     ``y`` is the 2K linearization gradient ordered [dl block, ul block].
-    Raises SubproblemError (carrying the best iterate) on the iteration cap.
+    The surrogate is concave in every user, so the engine runs with no user
+    switched off; the answer is never below ``start`` (default
+    initial_allocation) on the surrogate.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (2 * fs.K,):
@@ -772,191 +545,9 @@ def solve_subproblem(
         raise ValueError("feasible set is empty for this rate target")
     if start is None:
         start = initial_allocation(fs)
-    dl, ul, _ = _surrogate_argmax(
-        [float(x) for x in s.a_user()],
-        [float(v) for v in y[: fs.K]],
-        [float(v) for v in y[fs.K :]],
-        [float(x) for x in fs.rate_coeffs],
-        fs.r_min,
-        fs.tau_floor,
-        [float(x) for x in start.tau_dl],
-        [float(x) for x in start.tau_ul],
-        settings.subproblem_tolerance,
-        settings.max_inner_iterations,
-        rho=0.0,
-        strict=True,
-    )
-    return Allocation(np.array(dl), np.array(ul))
-
-
-# ---------------------------------------------------------------------------
-# outer DCA loop with deterministic multi-start
-# ---------------------------------------------------------------------------
-
-def _objective_lists(a: list, a_e: list, dl: list, ul: list) -> float:
-    tot = 0.0
-    for k in range(len(a)):
-        w = 1.0 - dl[k]
-        tot += perspective_value(a[k], w, ul[k]) - perspective_value(a_e[k], w, ul[k])
-    return tot
-
-
-def _v_gradient_lists(a_e: list, dl: list, ul: list) -> tuple[list, list]:
-    g_dl = [0.0] * len(a_e)
-    g_ul = [0.0] * len(a_e)
-    for k in range(len(a_e)):
-        g_dl[k], g_ul[k] = perspective_grads(a_e[k], 1.0 - dl[k], ul[k])
-    return g_dl, g_ul
-
-
-def _refine(a: list, a_e: list, c: list, fs: FeasibleSet, x_dl: list, x_ul: list, f: float):
-    """Jump to the nearby critical point by SLSQP on the true objective.
-
-    DCA contracts only linearly here (by about 0.63 a step on the
-    two-user fixed-point test scenario, 24 steps from 1e-4 to 1e-8), and a
-    step of 1e-8 can still leave the objective 1e-8 short.  SLSQP on
-    u - v converges superlinearly from a point this close.  A point that a
-    unit projected-gradient step of u - v moves by less than
-    STATIONARY_MOVE is returned as it is: most warm-started solves of a
-    sweep chain begin at such a point, and there the SLSQP set-up would
-    be the whole cost of the solve.
-
-    The polytope is the product of its DL and UL blocks, so the blocks of
-    the SLSQP point (projected) and of the incoming point can be mixed
-    freely; the best of the combinations is kept, and the incoming point
-    unless a combination raises the objective, so the DCA ascent and the
-    run's monotone trace stand.  The mix matters at a switched-off user
-    (tau_ul at the floor, a_k < aE_k): its term is -floor log2(aE_k / a_k)
-    unless its DL leftover is within about the floor of 0, a cliff the
-    quasi-Newton model does not see, so SLSQP can give up a DL vertex the
-    DCA iterate held while it improves the UL block.
-    """
-    K = len(a)
-    floor = fs.tau_floor
-    _, g_dl, g_ul = _objective_and_gradient_lists(a, a_e, x_dl, x_ul)
-    p_dl = _project_dl([x_dl[k] + g_dl[k] for k in range(K)], c, fs.r_min)
-    p_ul = _project_ul([x_ul[k] + g_ul[k] for k in range(K)], floor)
-    if _max_move(x_dl, x_ul, p_dl, p_ul) < STATIONARY_MOVE:
-        return x_dl, x_ul, f
-
-    def neg_obj(z):
-        return -_objective_lists(a, a_e, z[:K], [t if t > floor else floor for t in z[K:]])
-
-    def neg_grad(z):
-        _, g_dl, g_ul = _objective_and_gradient_lists(
-            a, a_e, [float(t) for t in z[:K]], [float(t) if t > floor else floor for t in z[K:]]
-        )
-        return -np.concatenate([g_dl, g_ul])
-
-    z = _slsqp_maximize(neg_obj, neg_grad, x_dl + x_ul, c, fs.r_min, floor, maxiter=100, ftol=1e-16)
-    if z is None:
-        return x_dl, x_ul, f
-    r_dl = _project_dl(z[:K], c, fs.r_min)
-    r_ul = _project_ul(z[K:], floor)
-    best = (f, x_dl, x_ul)
-    for dl, ul in ((r_dl, r_ul), (x_dl, r_ul), (r_dl, x_ul)):
-        f_c = _objective_lists(a, a_e, dl, ul)
-        if f_c > best[0]:
-            best = (f_c, dl, ul)
-    return best[1], best[2], best[0]
-
-
-def _dca_single(a, a_e, c, fs: FeasibleSet, start_dl, start_ul, settings: DcaSettings):
-    """One DCA run: loose inner solves while the steps are large, then strict.
-
-    Early subproblems only need enough accuracy to keep the ascent moving,
-    so they may exit on stagnation.  The first step of at most STRICT_STEP
-    (or 100 epsilon, if larger) hands the iterate to ``_refine`` and makes
-    every later subproblem strict.  The run ends in one of four ways:
-
-    - ``converged``: a strict subproblem moved the iterate by at most
-      ``epsilon``, confirming a fixed point;
-    - ``max_iterations``, stalled: for STALL_WINDOW iterations in a row
-      the step has not fallen below its smallest earlier value and the
-      objective has not gained more than STALL_GAIN (relative), so the
-      iterates have stopped both contracting and ascending (steps that
-      still shrink, however slowly, never end the run);
-    - ``max_iterations``, inner budget: the subproblems have used
-      25 * ``max_inner_iterations`` inner iterations in all (a strict one
-      counts 400 more for its sequential-quadratic pass), the bound on
-      the cost of scenarios where the residual target is numerically out
-      of reach;
-    - ``max_iterations``: ``settings.max_iterations`` outer steps ran.
-
-    The step recorded in the trace is the max-norm move of the iterate
-    over the whole iteration, the refinement included.
-    """
-    x_dl = _project_dl(list(start_dl), c, fs.r_min)
-    x_ul = _project_ul(list(start_ul), fs.tau_floor)
-    f = _objective_lists(a, a_e, x_dl, x_ul)
-    trace = [(f, 0.0)]
-    status = STATUS_MAX_ITERATIONS
-    iterations = settings.max_iterations
-    budget = 25 * settings.max_inner_iterations
-    strict = False
-    smallest = math.inf  # smallest step so far
-    f_mark = f           # objective at the last sign of progress
-    since_progress = 0   # iterations without a new smallest step or an objective gain
-    for n in range(1, settings.max_iterations + 1):
-        if budget <= 0:
-            iterations = n - 1
-            break
-        y_dl, y_ul = _v_gradient_lists(a_e, x_dl, x_ul)
-        try:
-            n_dl, n_ul, used = _surrogate_argmax(
-                a, y_dl, y_ul, c, fs.r_min, fs.tau_floor,
-                x_dl, x_ul,
-                settings.subproblem_tolerance,
-                min(settings.max_inner_iterations, budget),
-                rho=PROX_RHO,
-                strict=strict,
-                polish_cap=60,
-                use_sqp=strict,
-            )
-            if strict:
-                used += 400  # accounts for the sequential-quadratic pass
-        except SubproblemError as err:
-            n_dl, n_ul = err.best_dl, err.best_ul
-            used = min(settings.max_inner_iterations, budget)
-        budget -= max(used, 1)
-        f_new = _objective_lists(a, a_e, n_dl, n_ul)
-        was_strict = strict
-        if not strict and _max_move(x_dl, x_ul, n_dl, n_ul) <= max(STRICT_STEP, 100.0 * settings.epsilon):
-            strict = True
-            n_dl, n_ul, f_new = _refine(a, a_e, c, fs, n_dl, n_ul, f_new)
-        step = _max_move(x_dl, x_ul, n_dl, n_ul)
-        x_dl, x_ul, f = n_dl, n_ul, f_new
-        trace.append((f, step))
-        if was_strict and step <= settings.epsilon:
-            status = STATUS_CONVERGED
-            iterations = n
-            break
-        if step < smallest or f - f_mark > STALL_GAIN * max(1.0, abs(f)):
-            smallest = min(smallest, step)
-            f_mark, since_progress = f, 0
-        else:
-            since_progress += 1
-            if since_progress >= STALL_WINDOW:
-                iterations = n
-                break
-    return f, x_dl, x_ul, trace, status, iterations
-
-
-def _max_move(x_dl: list, x_ul: list, n_dl: list, n_ul: list) -> float:
-    step = 0.0
-    for k in range(len(x_dl)):
-        step = max(step, abs(n_dl[k] - x_dl[k]), abs(n_ul[k] - x_ul[k]))
-    return step
-
-
-def _random_feasible_start(fs: FeasibleSet, index: int, seed: int) -> tuple[list, list]:
-    rng = np.random.default_rng([abs(int(seed)), int(index)])
-    raw_dl = rng.exponential(1.0, fs.K)
-    raw_ul = rng.exponential(1.0, fs.K)
-    dl = list(raw_dl / raw_dl.sum() * rng.uniform(0.1, 1.0))
-    ul = list(raw_ul / raw_ul.sum() * rng.uniform(0.1, 1.0))
-    c = [float(x) for x in fs.rate_coeffs]
-    return _project_dl(dl, c, fs.r_min), _project_ul(ul, fs.tau_floor)
+    prob = _Concave(s.a_user(), np.zeros(fs.K), y[: fs.K], y[fs.K :], np.ones(fs.K, dtype=bool), fs)
+    dl, ul, _, _, _ = _maximize(prob, start, settings)
+    return Allocation(dl, ul)
 
 
 def _snap_reported(dl: list, ul: list, c: list, r_min: float) -> tuple[np.ndarray, np.ndarray]:
@@ -978,13 +569,14 @@ def dca_solve(
     settings: DcaSettings = DcaSettings(),
     initial: Allocation | None = None,
 ) -> DcaResult:
-    """Best-of-multistart DCA solve of the secrecy maximization problem.
+    """Certified solve of the secrecy maximization problem.
 
-    The first start is ``initial`` when given, otherwise the deterministic
-    initial_allocation; the remaining ``settings.restarts - 1`` starts are
-    seeded random feasible points.  The reported trace, iteration count and
-    status belong to the best run.  Infeasible rate targets short-circuit
-    with status "infeasible".
+    Users with a_k <= aE_k are switched off (tau_ul = 0) and the concave
+    rest is solved once from ``initial`` (default initial_allocation).  The
+    objective is never below that of the start.  ``gap_bits`` bounds the
+    distance from the optimum; the status is "converged" iff it is at most
+    ``settings.epsilon``.  ``iterations`` counts SLSQP passes (0 or 1).
+    Infeasible rate targets short-circuit with status "infeasible".
     """
     if fs.K != s.K:
         raise ValueError("feasible set and scenario disagree on the user count")
@@ -997,30 +589,24 @@ def dca_solve(
             trace=(),
             kkt_residual=float("nan"),
         )
-    a = [float(x) for x in s.a_user()]
-    a_e = [float(x) for x in s.a_eve()]
-    c = [float(x) for x in fs.rate_coeffs]
-    first = initial if initial is not None else initial_allocation(fs)
-    starts = [([float(x) for x in first.tau_dl], [float(x) for x in first.tau_ul])]
-    for r in range(1, settings.restarts):
-        starts.append(_random_feasible_start(fs, r, settings.seed))
-    best = None
-    for sd, su in starts:
-        run = _dca_single(a, a_e, c, fs, sd, su, settings)
-        if best is None or run[0] > best[0]:
-            best = run
-    f_best, x_dl, x_ul, trace, status, iterations = best
-    raw = Allocation(np.array(x_dl), np.array(x_ul))
-    kkt = kkt_residual(s, fs, raw)
-    dl_s, ul_s = _snap_reported(x_dl, x_ul, c, fs.r_min)
+    a = s.a_user()
+    a_e = s.a_eve()
+    prob = _Concave(a, a_e, np.zeros(fs.K), np.zeros(fs.K), a > a_e, fs)
+    start = initial if initial is not None else initial_allocation(fs)
+    dl, ul, f, gap, trace = _maximize(prob, start, settings)
+    raw = Allocation(dl, ul)
+    dl_s, ul_s = _snap_reported(
+        [float(x) for x in dl], [float(x) for x in ul], [float(x) for x in fs.rate_coeffs], fs.r_min
+    )
     return DcaResult(
         allocation=Allocation(dl_s, ul_s),
-        objective=f_best,
-        iterations=iterations,
-        status=status,
-        trace=tuple(trace),
-        kkt_residual=kkt,
+        objective=f,
+        iterations=len(trace) - 1,
+        status=STATUS_CONVERGED if gap <= settings.epsilon else STATUS_MAX_ITERATIONS,
+        trace=trace,
+        kkt_residual=kkt_residual(s, fs, raw),
         raw_allocation=raw,
+        gap_bits=gap,
     )
 
 
@@ -1039,14 +625,9 @@ def kkt_residual(s: ScenarioChannels, fs: FeasibleSet, alloc: Allocation) -> flo
     K = s.K
     tau_dl = np.asarray(alloc.tau_dl, dtype=np.float64)
     tau_ul = np.maximum(np.asarray(alloc.tau_ul, dtype=np.float64), fs.tau_floor)
-    _, g_dl, g_ul = _objective_and_gradient_lists(
-        [float(x) for x in s.a_user()],
-        [float(x) for x in s.a_eve()],
-        [float(x) for x in tau_dl],
-        [float(x) for x in tau_ul],
-    )
-    grad = np.concatenate([g_dl, g_ul])
-
+    du_dl, du_ul = perspective_grads(s.a_user(), 1.0 - tau_dl, tau_ul)
+    dv_dl, dv_ul = perspective_grads(s.a_eve(), 1.0 - tau_dl, tau_ul)
+    grad = np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
     atol = 1e-7
     rows = []
     for k in range(K):

@@ -1,9 +1,15 @@
 """Seeded experiment harness: config files, scenario generation, sweeps.
 
-Configs are flat ``key = value`` text files with dotted section names (see
-config_schema.txt at the repository root for every key and default).  All
-randomness derives from the mandatory seed plus the trial index, so any
-run is reproducible byte for byte: identical configs produce identical
+Configs are flat ``key = value`` text files with dotted section names;
+``KNOWN_KEYS`` lists every key and ``build_config`` holds the defaults.
+Five keys are accepted, parsed and range-checked but set nothing:
+``solver.restarts``, ``solver.seed``, ``solver.subproblem_tolerance`` and
+``solver.max_inner_iterations`` belonged to the multi-start DCA solver that
+the certified concave solve replaced, and ``noise.eve_dl`` has no use
+because no downlink secrecy is modeled.
+
+All randomness derives from the mandatory seed plus the trial index, so
+any run is reproducible byte for byte: identical configs produce identical
 CSVs regardless of worker count.
 
 Minimum-rate sweeps walk each trial from the highest target downward and
@@ -83,7 +89,6 @@ class ExperimentConfig:
     ap_position: Vec3
     noise_user_dl: float
     noise_user_ul: float
-    noise_eve_dl: float             # accepted for completeness; no DL secrecy is modeled
     noise_eve_ul: float
     eta: float
     users_count: int
@@ -328,17 +333,16 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         solver = DcaSettings(
             epsilon=_parse_float(raw.get("solver.epsilon", "1e-8"), "solver.epsilon"),
             max_iterations=_parse_int(raw.get("solver.max_iterations", "500"), "solver.max_iterations"),
-            subproblem_tolerance=_parse_float(
-                raw.get("solver.subproblem_tolerance", "1e-9"), "solver.subproblem_tolerance"
-            ),
-            restarts=_parse_int(raw.get("solver.restarts", "5"), "solver.restarts"),
-            seed=_parse_int(raw.get("solver.seed", "0"), "solver.seed"),
-            max_inner_iterations=_parse_int(
-                raw.get("solver.max_inner_iterations", "2000"), "solver.max_inner_iterations"
-            ),
         )
     except ValueError as err:
         raise ConfigError(f"solver: {err}") from None
+    # accepted and checked, but ignored (see the module docstring)
+    _parse_int(raw.get("solver.seed", "0"), "solver.seed")
+    if _parse_float(raw.get("solver.subproblem_tolerance", "1e-9"), "solver.subproblem_tolerance") <= 0:
+        raise ConfigError("solver: subproblem_tolerance must be > 0")
+    for key in ("solver.restarts", "solver.max_inner_iterations"):
+        if _parse_int(raw.get(key, "1"), key) < 1:
+            raise ConfigError(f"solver: {key.split('.')[1]} must be >= 1")
     try:
         oracle_spec = GridSpec(
             resolution=_parse_int(raw.get("oracle.resolution", "256"), "oracle.resolution"),
@@ -373,7 +377,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         ap_position=ap_position,
         noise_user_dl=noise["user_dl"],
         noise_user_ul=noise["user_ul"],
-        noise_eve_dl=noise["eve_dl"],
         noise_eve_ul=noise["eve_ul"],
         eta=eta,
         users_count=users_count,
@@ -417,7 +420,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "sweep.stop": "0.95",
         "sweep.points": "20",
         "users.list": "1,2,4",
-        "solver.restarts": "2",
         "rf.los_reference_gain": "0.1",
     },
     # per-user slot allocation report for a single seeded 4-user scenario
@@ -585,17 +587,14 @@ def _rmin_chain_rows(cfg: ExperimentConfig, users: int, trial: int) -> list[dict
     bound = float(np.max(base_fs.rate_coeffs))
     rows = []
     chain: Allocation | None = None
-    chained_solver = dataclasses.replace(cfg.solver, restarts=1)
     order = sorted(range(len(cfg.sweep_values)), key=lambda i: -cfg.sweep_values[i])
     for idx in order:
         value = cfg.sweep_values[idx]
         r_min = value * bound if cfg.sweep_kind == SWEEP_RMIN_FRACTION else value
         fs = FeasibleSet(base_fs.rate_coeffs, r_min)
-        # the tightest target gets the full multi-start; relaxed targets
-        # continue from the previous optimum, which both guarantees the
-        # per-trial monotone curve and keeps the sweep affordable
-        solver = cfg.solver if chain is None else chained_solver
-        result = dca_solve(scenario, fs, solver, initial=chain)
+        # relaxed targets continue from the previous optimum, which both
+        # guarantees the per-trial monotone curve and keeps the sweep cheap
+        result = dca_solve(scenario, fs, cfg.solver, initial=chain)
         if result.status == STATUS_INFEASIBLE:
             rows.append((idx, _infeasible_row(value, users, trial, r_min)))
             continue

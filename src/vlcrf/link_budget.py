@@ -168,22 +168,29 @@ def dl_sum_rate(s: ScenarioChannels, alloc: Allocation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar perspective-term helpers shared by the public API and the solver
+# the perspective-term kernel shared by the public API and the solver
 # ---------------------------------------------------------------------------
 
-def perspective_value(a: float, leftover: float, tau_ul: float) -> float:
-    """tau_ul * log2(1 + a * leftover / tau_ul), extended with 0 at tau_ul = 0."""
-    if tau_ul <= 0.0:
-        return 0.0
-    return tau_ul * math.log1p(a * leftover / tau_ul) / LN2
+def perspective_value(a, leftover, tau_ul):
+    """tau_ul * log2(1 + a * leftover / tau_ul), extended with 0 at tau_ul = 0.
+
+    Scalars or broadcastable arrays; a scalar result is a numpy float.
+    """
+    t = np.asarray(tau_ul, dtype=np.float64)
+    positive = t > 0.0
+    safe_t = np.where(positive, t, 1.0)
+    return np.where(positive, t * np.log1p(a * leftover / safe_t) / LN2, 0.0)[()]
 
 
-def perspective_grads(a: float, leftover: float, tau_ul: float) -> tuple[float, float]:
-    """(d/dtau_dl, d/dtau_ul) of the perspective term; needs tau_ul > 0."""
+def perspective_grads(a, leftover, tau_ul):
+    """(d/dtau_dl, d/dtau_ul) of the perspective term; needs tau_ul > 0.
+
+    Scalars or broadcastable arrays, like ``perspective_value``.
+    """
     prod = a * leftover
     denom = tau_ul + prod
     d_dl = -a * tau_ul / (LN2 * denom)
-    d_ul = math.log1p(prod / tau_ul) / LN2 - prod / (LN2 * denom)
+    d_ul = np.log1p(prod / tau_ul) / LN2 - prod / (LN2 * denom)
     return d_dl, d_ul
 
 
@@ -209,16 +216,10 @@ def objective_value(s: ScenarioChannels, alloc: Allocation) -> float:
     """Sum of per-user secrecy capacities (continuous extension at tau_ul=0)."""
     if alloc.K != s.K:
         raise ValueError("allocation size does not match scenario")
-    a = s.a_user()
-    a_e = s.a_eve()
-    total = 0.0
-    for k in range(s.K):
-        leftover = 1.0 - float(alloc.tau_dl[k])
-        t = float(alloc.tau_ul[k])
-        total += perspective_value(float(a[k]), leftover, t) - perspective_value(
-            float(a_e[k]), leftover, t
-        )
-    return total
+    leftover = 1.0 - alloc.tau_dl
+    u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
+    v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
+    return float(np.sum(u - v))
 
 
 def objective_and_gradient(s: ScenarioChannels, alloc: Allocation) -> tuple[float, np.ndarray]:
@@ -235,32 +236,10 @@ def objective_and_gradient(s: ScenarioChannels, alloc: Allocation) -> tuple[floa
         raise ValueError("allocation size does not match scenario")
     if np.any(alloc.tau_ul <= 0.0):
         raise ValueError("gradient undefined at tau_ul = 0; keep iterates above the floor")
-    value, grad_dl, grad_ul = _objective_and_gradient_lists(
-        [float(x) for x in s.a_user()],
-        [float(x) for x in s.a_eve()],
-        [float(x) for x in alloc.tau_dl],
-        [float(x) for x in alloc.tau_ul],
-    )
-    return value, np.concatenate([grad_dl, grad_ul])
-
-
-def _objective_and_gradient_lists(
-    a: list[float], a_e: list[float], tau_dl: list[float], tau_ul: list[float]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    value = 0.0
-    grad_dl = np.empty(len(a))
-    grad_ul = np.empty(len(a))
-    for k in range(len(a)):
-        w = 1.0 - tau_dl[k]
-        t = tau_ul[k]
-        u = perspective_value(a[k], w, t)
-        v = perspective_value(a_e[k], w, t)
-        du_dl, du_ul = perspective_grads(a[k], w, t)
-        dv_dl, dv_ul = perspective_grads(a_e[k], w, t)
-        value += u - v
-        grad_dl[k] = du_dl - dv_dl
-        grad_ul[k] = du_ul - dv_ul
-    return value, grad_dl, grad_ul
+    leftover = 1.0 - alloc.tau_dl
+    du_dl, du_ul = perspective_grads(s.a_user(), leftover, alloc.tau_ul)
+    dv_dl, dv_ul = perspective_grads(s.a_eve(), leftover, alloc.tau_ul)
+    return objective_value(s, alloc), np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
 
 
 def _perspective_hessian(a: float, tau_dl: float, tau_ul: float) -> np.ndarray:
@@ -308,17 +287,13 @@ def clamped_secrecy_sum(s: ScenarioChannels, alloc: Allocation) -> float:
 
 
 def objective_batch(s: ScenarioChannels, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """Vectorized objective over rows of (N, K) allocation matrices.
+    """Objective of each row of (N, K) allocation matrices.
 
-    Used by the grid oracle; tau_ul = 0 entries take the continuous
-    extension.  Feasibility of the rows is the caller's business.
+    tau_ul = 0 entries take the continuous extension.  Feasibility of the
+    rows is the caller's business.
     """
-    tau_dl = np.asarray(tau_dl, dtype=np.float64)
-    tau_ul = np.asarray(tau_ul, dtype=np.float64)
-    a = s.a_user()[None, :]
-    a_e = s.a_eve()[None, :]
-    leftover = 1.0 - tau_dl
-    safe_t = np.where(tau_ul > 0.0, tau_ul, 1.0)
-    u = np.where(tau_ul > 0.0, tau_ul * np.log1p(a * leftover / safe_t) / LN2, 0.0)
-    v = np.where(tau_ul > 0.0, tau_ul * np.log1p(a_e * leftover / safe_t) / LN2, 0.0)
+    leftover = 1.0 - np.asarray(tau_dl, dtype=np.float64)
+    t = np.asarray(tau_ul, dtype=np.float64)
+    u = perspective_value(s.a_user(), leftover, t)
+    v = perspective_value(s.a_eve(), leftover, t)
     return np.sum(u - v, axis=1)

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from vlcrf.dc_solver import (
     DcaSettings,
     FeasibleSet,
-    SubproblemError,
     allocation_violation,
     check_feasibility,
     dca_solve,
@@ -24,6 +25,7 @@ from vlcrf.link_budget import (
     dl_rate_coefficients,
     objective_and_gradient,
     objective_value,
+    secrecy_capacity_user,
 )
 
 
@@ -267,15 +269,6 @@ class TestSubproblem:
         with pytest.raises(ValueError):
             solve_subproblem(s, FeasibleSet(np.array([1.0]), 2.0), np.zeros(2))
 
-    def test_iteration_cap_carries_best_iterate(self):
-        s = scenario_with_a([120.0, 7.0], [2.0, 90.0])
-        fs = fs_for(s, 3.0)
-        tight = DcaSettings(max_inner_iterations=1, subproblem_tolerance=1e-16)
-        with pytest.raises(SubproblemError) as err:
-            solve_subproblem(s, fs, np.full(4, 3.0), settings=tight)
-        assert len(err.value.best_dl) == 2
-        assert len(err.value.best_ul) == 2
-
 
 class TestDcaSolve:
     def test_no_eavesdropper_matches_closed_form(self):
@@ -287,7 +280,7 @@ class TestDcaSolve:
             s = scenario_with_a([a], [1e-15])
             c = float(dl_rate_coefficients(s)[0])
             r_min = float(rng.uniform(0.0, 0.9)) * c
-            res = dca_solve(s, fs_for(s, r_min), DcaSettings(restarts=3))
+            res = dca_solve(s, fs_for(s, r_min), DcaSettings())
             a_actual = float(s.a_user()[0])
             leftover = 1.0 - r_min / c
             expected = math.log2(1.0 + a_actual * leftover)
@@ -295,7 +288,7 @@ class TestDcaSolve:
 
     def test_identical_channels_zero_in_two_iterations(self):
         s = scenario_with_a([10.0, 4.0], [10.0, 4.0])
-        res = dca_solve(s, fs_for(s, 1.0), DcaSettings(restarts=2))
+        res = dca_solve(s, fs_for(s, 1.0), DcaSettings())
         assert res.objective == 0.0
         assert res.status == "converged"
         assert res.iterations <= 2
@@ -305,7 +298,7 @@ class TestDcaSolve:
         c = float(dl_rate_coefficients(s)[0])
         objs = []
         for frac in np.linspace(0.0, 0.9, 7):
-            res = dca_solve(s, fs_for(s, frac * c), DcaSettings(restarts=3))
+            res = dca_solve(s, fs_for(s, frac * c), DcaSettings())
             objs.append(res.objective)
         assert all(objs[i] >= objs[i + 1] - 1e-6 for i in range(len(objs) - 1))
 
@@ -323,7 +316,7 @@ class TestDcaSolve:
             k = [1, 2, 4, 8][trial % 4]
             s = scenario_with_a(rng.uniform(0.2, 200.0, k), rng.uniform(0.2, 200.0, k))
             fs = fs_for(s, rng.uniform(0, 0.8) * dl_rate_coefficients(s).max())
-            res = dca_solve(s, fs, DcaSettings(restarts=1))
+            res = dca_solve(s, fs, DcaSettings())
             objs = [t[0] for t in res.trace]
             assert all(objs[i + 1] >= objs[i] - 1e-9 for i in range(len(objs) - 1))
             assert allocation_violation(fs, res.allocation) <= 1e-8
@@ -331,15 +324,15 @@ class TestDcaSolve:
     def test_fixed_point_restart(self):
         s = scenario_with_a([60.0, 25.0], [2.0, 1.0])
         fs = fs_for(s, 1.5)
-        first = dca_solve(s, fs, DcaSettings(restarts=3))
+        first = dca_solve(s, fs, DcaSettings())
         assert first.status == "converged"
-        again = dca_solve(s, fs, DcaSettings(restarts=1), initial=first.allocation)
+        again = dca_solve(s, fs, DcaSettings(), initial=first.allocation)
         assert again.iterations <= 2
         assert again.objective == pytest.approx(first.objective, abs=1e-8)
 
     def test_eavesdropper_dominance_nonpositive(self):
         s = scenario_with_a([1.0, 2.0], [30.0, 18.0])
-        res = dca_solve(s, fs_for(s, 0.5), DcaSettings(restarts=2))
+        res = dca_solve(s, fs_for(s, 0.5), DcaSettings())
         assert res.objective <= 1e-9
 
     def test_snapping_keeps_rate_feasible(self):
@@ -349,14 +342,14 @@ class TestDcaSolve:
             s = scenario_with_a(rng.uniform(0.5, 80.0, k), rng.uniform(0.5, 80.0, k))
             c = dl_rate_coefficients(s)
             fs = fs_for(s, rng.uniform(0.3, 0.9) * c.max())
-            res = dca_solve(s, fs, DcaSettings(restarts=2))
+            res = dca_solve(s, fs, DcaSettings())
             assert float(np.dot(c, res.allocation.tau_dl)) >= fs.r_min - 1e-6
             small = res.allocation.tau_ul[(res.allocation.tau_ul > 0) & (res.allocation.tau_ul < 1e-6)]
             assert small.size == 0  # reporting snap removed the slivers
 
     def test_trace_records_steps(self):
         s = scenario_with_a([60.0], [2.0])
-        res = dca_solve(s, fs_for(s, 1.0), DcaSettings(restarts=1))
+        res = dca_solve(s, fs_for(s, 1.0), DcaSettings())
         assert res.trace[0][1] == 0.0
         assert len(res.trace) == res.iterations + 1
 
@@ -365,7 +358,7 @@ class TestKktResidual:
     def test_near_zero_at_verified_optimum(self):
         s = scenario_with_a([45.0], [1.5])
         fs = fs_for(s, 2.0)
-        res = dca_solve(s, fs, DcaSettings(restarts=3))
+        res = dca_solve(s, fs, DcaSettings())
         assert res.kkt_residual < 1e-4
 
     def test_large_at_initial_allocation(self):
@@ -382,3 +375,96 @@ class TestKktResidual:
         alloc = Allocation([0.2, 0.1], [0.3, 0.25])
         _, grad = objective_and_gradient(s, alloc)
         assert kkt_residual(s, fs, alloc) == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
+
+
+class TestSwitchedOffUsers:
+    def test_switched_off_user_gets_no_uplink(self):
+        # user 1 has a_k < aE_k: its term is <= 0 everywhere and 0 at tau_ul = 0
+        s = scenario_with_a([40.0, 2.0], [3.0, 9.0])
+        fs = fs_for(s, 0.5 * float(dl_rate_coefficients(s).max()))
+        res = dca_solve(s, fs)
+        raw = res.raw_allocation
+        assert raw.tau_ul[1] == 0.0
+        assert res.allocation.tau_ul[1] == 0.0
+        active = secrecy_capacity_user(s, 0, float(raw.tau_dl[0]), float(raw.tau_ul[0]))
+        assert res.objective == active
+
+    def test_every_user_switched_off(self):
+        s = scenario_with_a([1.0, 2.0, 0.5], [30.0, 18.0, 0.5])
+        res = dca_solve(s, fs_for(s, 1.0))
+        assert res.objective == 0.0
+        assert res.status == "converged"
+        assert np.all(res.raw_allocation.tau_ul == 0.0)
+
+
+class TestCertificate:
+    def test_gap_bounds_the_distance_from_the_closed_form(self):
+        # K = 1, a > aE: f* = log2(1 + a w) - log2(1 + aE w) at w = 1 - r_min / c.
+        # A huge epsilon returns the start itself with its gap.
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a = float(rng.uniform(2.0, 300.0))
+            s = scenario_with_a([a], [float(rng.uniform(0.05, 0.9)) * a])
+            c = float(dl_rate_coefficients(s)[0])
+            fs = fs_for(s, float(rng.uniform(0.0, 0.9)) * c)
+            w = 1.0 - fs.r_min / c
+            best = math.log2(1.0 + float(s.a_user()[0]) * w) - math.log2(1.0 + float(s.a_eve()[0]) * w)
+            start = dca_solve(s, fs, DcaSettings(epsilon=1e9))
+            res = dca_solve(s, fs)
+            for out in (start, res):
+                assert best - out.objective <= out.gap_bits + 1e-12
+            assert res.status == "converged" and res.gap_bits <= 1e-8
+
+    def test_certified_start_returned_unchanged(self):
+        s = scenario_with_a([60.0, 25.0], [2.0, 1.0])
+        fs = fs_for(s, 1.5)
+        first = dca_solve(s, fs)
+        again = dca_solve(s, fs, initial=first.raw_allocation)
+        assert first.status == again.status == "converged"
+        assert again.iterations == 0
+        assert again.objective == first.objective
+        assert np.array_equal(again.raw_allocation.tau_dl, first.raw_allocation.tau_dl)
+
+
+@st.composite
+def _adversarial_problem(draw):
+    """SNR constants log-uniform in [1e-6, 1e12], ties a_k = aE_k, zero VLC
+    gains, r_min at 0, inside the range or at max c_k, and K up to 64."""
+    k = draw(st.integers(1, 64))
+    exponent = st.floats(-6.0, 12.0)
+    a = np.array([10.0 ** draw(exponent) for _ in range(k)])
+    a_e = np.array([10.0 ** draw(exponent) for _ in range(k)])
+    tie = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    a_e[tie] = a[tie]
+    g = np.array([10.0 ** draw(st.floats(-7.5, -5.0)) for _ in range(k)])
+    g[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
+    # a = eta I^2 g^2 h^2 / sigma^2 with eta I^2 = 1.76 and sigma^2 = 1e-14
+    safe_g = np.where(g > 0.0, g, 1.0)
+    s = ScenarioChannels(
+        g=g, h=np.sqrt(a * 1e-14 / 1.76) / safe_g, h_e=np.sqrt(a_e * 1e-14 / 1.76) / safe_g,
+        sigma2_dl=np.full(k, 1e-14), sigma2_ul=np.full(k, 1e-14), sigma2_e=1e-14,
+        eta=0.44, i_d=2.0, p_led=1.0,
+    )
+    c = dl_rate_coefficients(s)
+    share = draw(st.sampled_from([0.0, None, 1.0]))
+    if share is None:
+        share = draw(st.floats(0.01, 0.99))
+    return s, FeasibleSet(c, share * float(c.max()))
+
+
+class TestAdversarialProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_adversarial_problem())
+    def test_solver_invariants(self, problem):
+        s, fs = problem
+        res = dca_solve(s, fs)
+        assert allocation_violation(fs, res.raw_allocation) <= 1e-8
+        assert allocation_violation(fs, res.allocation) <= 1e-8
+        start = objective_value(s, initial_allocation(fs))
+        assert res.objective >= start - 1e-12 * max(1.0, abs(start))
+        assert res.gap_bits >= -1e-12
+        if res.status == "converged":
+            assert res.gap_bits <= DcaSettings().epsilon
+        off = s.a_user() <= s.a_eve()
+        assert np.all(res.raw_allocation.tau_ul[off] == 0.0)
+        assert np.all(res.allocation.tau_ul[off] == 0.0)

@@ -66,6 +66,21 @@ class TestConfigParsing:
         assert cfg.solver.epsilon == 1e-8
         assert cfg.solver.max_iterations == 500
 
+    def test_ignored_keys_still_checked(self):
+        # five keys are parsed and range-checked but set no field
+        base = build_config({"seed": "1"})
+        bad_values = {
+            "solver.restarts": "0",
+            "solver.seed": "x",
+            "solver.subproblem_tolerance": "0",
+            "solver.max_inner_iterations": "0",
+            "noise.eve_dl": "0",
+        }
+        for key, bad in bad_values.items():
+            assert build_config({"seed": "1", key: "3"}) == base
+            with pytest.raises(ConfigError, match=key.split(".")[1]):
+                build_config({"seed": "1", key: bad})
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="led.wattage"):
             build_config({"seed": "1", "led.wattage": "3"})
@@ -322,6 +337,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "objective_bits" in out
+        lines = out.splitlines()
+        kkt = next(i for i, line in enumerate(lines) if line.startswith("kkt_residual: "))
+        assert lines[kkt + 1].startswith("gap_bits: ")
+        assert float(lines[kkt + 1].split(": ")[1]) <= 1e-8
 
     def test_config_error_exit_two(self, capsys):
         code = cli_main(["solve", "--config", "/nonexistent.txt"])

@@ -1,11 +1,13 @@
 """Grid-oracle checks: accuracy against closed forms and the solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vlcrf.dc_solver import DcaResult, DcaSettings, FeasibleSet, allocation_violation, dca_solve
+from vlcrf.experiment import PRESETS, build_config, generate_scenario
 from vlcrf.link_budget import ScenarioChannels, dl_rate_coefficients
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 
@@ -103,7 +105,7 @@ class TestTwoUsers:
             s = scenario_with_a(rng.uniform(1.0, 80.0, 2), rng.uniform(0.1, 20.0, 2))
             c = dl_rate_coefficients(s)
             fs = fs_for(s, float(rng.uniform(0.0, 0.7)) * float(c.max()))
-            res = dca_solve(s, fs, DcaSettings(restarts=5))
+            res = dca_solve(s, fs, DcaSettings())
             _, oracle_obj = grid_search(s, fs, GridSpec(resolution=64, refine_rounds=3))
             assert compare(res, oracle_obj, rel_tol=1e-3).passed
             # two-sided sanity: the feasible grid point cannot beat the
@@ -120,6 +122,23 @@ class TestTwoUsers:
         c = float(dl_rate_coefficients(s)[0])
         with pytest.raises(ValueError):
             grid_search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
+
+
+class TestCertificateCrossCheck:
+    def test_grid_never_beats_the_certified_bound(self):
+        # the grid value is a feasible lower bound on the optimum and
+        # objective + gap_bits an upper bound, at the start (a huge epsilon
+        # returns it unsolved) and at the answer; panel: fig4 at K = 1, 2
+        for users in (1, 2):
+            for seed in range(10):
+                raw = dict(PRESETS["fig4"], seed=str(seed))
+                raw["users.count"] = str(users)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    s, fs = generate_scenario(build_config(raw), 0)
+                _, grid = grid_search(s, fs, GridSpec(resolution=32, refine_rounds=3))
+                for res in (dca_solve(s, fs, DcaSettings(epsilon=1e9)), dca_solve(s, fs)):
+                    assert grid <= res.objective + res.gap_bits + 1e-12
 
 
 class TestCompare:

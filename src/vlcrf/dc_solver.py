@@ -15,12 +15,11 @@ frees budget for the others, so such a user is switched off: tau_ul = 0,
 and its downlink share carries rate at no cost.  For every other user
 u_k - v_k is the perspective of the concave s -> log2((1 + a s) / (1 + aE s)),
 hence jointly concave in (tau_dl, tau_ul).  The reduced problem is a concave
-programme over a polytope, and one SLSQP solve of it, put back on the
-polytope by the exact projections below, replaces the DCA iteration.  DCA
-with the decomposition (f, 0) of this concave f is exactly that: its
-surrogate is f itself, so one step reaches the optimum and the next is a
-fixed point.  ``solve_subproblem`` keeps the paper's DCA step (the argmax of
-u - <y, x>) as a call of the same engine.
+programme over a polytope, and one SLSQP solve of it replaces the DCA
+iteration.  DCA with the decomposition (f, 0) of this concave f is exactly
+that: its surrogate is f itself, so one step reaches the optimum and the
+next is a fixed point.  ``solve_subproblem`` keeps the paper's DCA step
+(the argmax of u - <y, x>) as a call of the same engine.
 
 Certificate.  For concave f over a polytope P the Frank-Wolfe duality gap
 
@@ -32,8 +31,13 @@ and the best UL vertex).  It is the engine's only exit test: a start whose
 gap is at most ``epsilon`` is returned as it is, and a solve ends
 ``converged`` iff the gap of its answer is at most ``epsilon``.
 
-Active users keep tau_ul at or above a small floor so the perspective
-gradients stay defined; downlink fractions may reach 0 exactly.
+Back on the polytope.  The start and the SLSQP point are put back on the
+polytope block by block: the UL block by its Euclidean projection, the DL
+block by a feasibility repair that is not a projection.  Both return a
+feasible point unchanged; the engine keeps a point by its objective and
+certifies it by its gap, so neither needs the closest feasible point.
+Active users keep tau_ul >= TAU_FLOOR so the perspective gradients stay
+defined; downlink fractions may reach 0 exactly.
 """
 
 from __future__ import annotations
@@ -41,24 +45,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import minimize
 
-from vlcrf.link_budget import (
-    Allocation,
-    ScenarioChannels,
-    perspective_grads,
-    perspective_value,
-)
+from vlcrf.link_budget import Allocation, ScenarioChannels, perspective_grads, perspective_value
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
 SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
-FACE_SLACK = 1e-12          # relative overshoot of a budget / rate face a projection may leave
 SLSQP_FTOL = 1e-16          # below any objective's ulp: SLSQP stops on its own line search
+TAU_FLOOR = 1e-9            # lower bound on an active user's tau_ul
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class FeasibleSet:
 
     rate_coeffs: np.ndarray
     r_min: float
-    tau_floor: float = 1e-9
+    tau_floor: ClassVar[float] = TAU_FLOOR  # read-only, not a constructor field
 
     def __post_init__(self):
         c = np.asarray(self.rate_coeffs, dtype=np.float64).copy()
@@ -79,8 +79,6 @@ class FeasibleSet:
         object.__setattr__(self, "rate_coeffs", c)
         if self.r_min < 0:
             raise ValueError(f"r_min must be >= 0, got {self.r_min!r}")
-        if not 0.0 < self.tau_floor < 1e-3:
-            raise ValueError(f"tau_floor must be a small positive number, got {self.tau_floor!r}")
 
     @property
     def K(self) -> int:
@@ -137,233 +135,73 @@ def initial_allocation(fs: FeasibleSet) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# exact projections onto the two constraint blocks (plain-Python hot path)
+# putting a point back on the polytope
 # ---------------------------------------------------------------------------
 
-def _simplex_theta(w: list, budget: float) -> float:
-    """Threshold t with sum(max(w - t, 0)) = budget, for budget > 0."""
-    u = sorted(w, reverse=True)
-    css = 0.0
-    theta = 0.0
-    for j, uj in enumerate(u, start=1):
-        css += uj
-        t = (css - budget) / j
-        if uj - t > 0.0:
-            theta = t
-    return theta
+def _onto_simplex(w: np.ndarray, budget: float) -> np.ndarray:
+    """Projection onto {x >= 0, sum(x) = budget > 0} by the sorted threshold
+    (Duchi et al., ICML 2008)."""
+    u = np.sort(w)[::-1]
+    t = (np.cumsum(u) - budget) / np.arange(1, u.size + 1)
+    below = t[u - t > 0.0]
+    theta = below[-1] if below.size else 0.0
+    return np.maximum(w - theta, 0.0)
 
 
-def _simplex_project(w: list, budget: float) -> list:
-    """Projection of w onto {x >= 0, sum(x) = budget}, exact under large shifts.
+def _project_ul(t: np.ndarray, floor: float) -> np.ndarray:
+    """Euclidean projection onto {x >= floor, sum(x) <= 1}.
 
-    The projection does not change when a constant is added to every entry,
-    so the entries are first shifted to put the largest at 0.  The active
-    entries then lie within ``budget`` of 0 (the shift is exact for them),
-    every later subtraction is between numbers of order ``budget``, and the
-    result sums to ``budget`` within a few ulps however large the input.
+    With the budget binding it is floor + the simplex projection of
+    t - floor.  That form leaves the sum over the budget by about the ulp of
+    the largest entry (1 + 2e-9 at 1e11), so a result over it by more than
+    1e-15 is recomputed on the shift-invariant t - max(t), whose active
+    entries lie near 0: the sum then misses 1 by a few ulps of 1, and a
+    second projection moves no entry by more than 1e-15.
     """
-    top = max(w)
-    shifted = [wi - top for wi in w]
-    theta = _simplex_theta(shifted, budget)
-    return [max(si - theta, 0.0) for si in shifted]
-
-
-def _over_budget(x: list, budget: float) -> bool:
-    """True when sum(x) exceeds ``budget`` by more than FACE_SLACK."""
-    return sum(x) > budget * (1.0 + FACE_SLACK)
-
-
-def _project_ul(v: list, floor: float) -> list:
-    """Project onto {x >= floor, sum(x) <= 1}.
-
-    When the budget binds the result is floor + the projection of v - floor
-    onto the simplex of size 1 - n floor.  The direct threshold form loses
-    the floor and the budget in rounding once the entries reach about 1e11
-    (sum(x) came out 1 + 2e-9).  A result over the budget by more than
-    FACE_SLACK is recomputed in shifted form (``_simplex_project``), so
-    sum(x) <= 1 + FACE_SLACK and x >= floor for any finite input.
-    """
-    x = [vi if vi > floor else floor for vi in v]
-    if sum(x) <= 1.0:
+    x = np.maximum(t, floor)
+    if x.sum() <= 1.0:
         return x
-    n = len(v)
-    budget = 1.0 - n * floor
-    theta = _simplex_theta([vi - floor for vi in v], budget)
-    x = [max(vi - floor - theta, 0.0) + floor for vi in v]
-    if _over_budget(x, 1.0):
-        x = [wi + floor for wi in _simplex_project(v, budget)]
+    budget = 1.0 - t.size * floor
+    x = _onto_simplex(t - floor, budget) + floor
+    if x.sum() > 1.0 + 1e-15:
+        x = _onto_simplex(t - t.max(), budget) + floor
     return x
 
 
-def _rate_dot(c: list, x: list) -> float:
-    total = 0.0
-    for ci, xi in zip(c, x):
-        total += ci * xi
-    return total
+def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: float) -> np.ndarray:
+    """A point of {x >= 0, sum(x) <= 1, c . x >= r_min} near d, not the closest.
 
-
-def _mu_for_rate(v: list, c: list, r_min: float) -> float:
-    """Smallest mu >= 0 with c . max(v + mu c, 0) = r_min (piecewise-linear scan)."""
-    s1 = 0.0  # sum of c_i v_i over active entries
-    s2 = 0.0  # sum of c_i^2 over active entries
-    future = []
-    for vi, ci in zip(v, c):
-        if ci <= 0.0:
-            continue
-        if vi > 0.0:
-            s1 += ci * vi
-            s2 += ci * ci
-        else:
-            future.append((-vi / ci, vi, ci))
-    future.sort()
-    mu_cur = 0.0
-    idx = 0
-    while True:
-        nxt = future[idx][0] if idx < len(future) else math.inf
-        if s2 > 0.0:
-            mu_need = (r_min - s1) / s2
-            if mu_need <= nxt:
-                return max(mu_need, mu_cur)
-        if idx >= len(future):
-            raise RuntimeError("rate target unreachable in projection; feasibility not checked")
-        _, vi, ci = future[idx]
-        s1 += ci * vi
-        s2 += ci * ci
-        mu_cur = nxt
-        idx += 1
-
-
-def _project_dl_both_active(v: list, c: list, r_min: float) -> list:
-    """Projection with both the unit budget and the rate constraint active.
-
-    The achieved rate c . x(mu) along the budget-projected path x(mu) =
-    P(v + mu c) is piecewise linear and nondecreasing in the rate
-    multiplier mu, so a bracketed Newton walk on its segments lands on the
-    root in a few evaluations (each segment's slope follows from the
-    active support statistics).
+    Clip at 0, scale onto the budget, then, short of r_min, move toward the
+    best-user vertex e_j (feasible as r_min <= max c) until c . x = r_min, a
+    convex combination that keeps both budgets.  A feasible d comes back
+    unchanged, and the result is feasible for any finite d.
     """
-    n = len(v)
-
-    def eval_mu(mu: float):
-        w = [v[i] + mu * c[i] for i in range(n)]
-        theta = _simplex_theta(w, 1.0)
-        x = [0.0] * n
-        rate = 0.0
-        s_c = 0.0
-        s_cc = 0.0
-        m = 0
-        for i in range(n):
-            xi = w[i] - theta
-            if xi > 0.0:
-                x[i] = xi
-                rate += c[i] * xi
-                s_c += c[i]
-                s_cc += c[i] * c[i]
-                m += 1
-        slope = s_cc - s_c * s_c / m if m else 0.0
-        return x, rate, slope
-
-    lo = 0.0
-    hi = None
-    x_hi = None
-    x, rate, slope = eval_mu(0.0)
-    if rate >= r_min:
-        return x
-    mu = 0.0
-    tol = 1e-12 * max(1.0, r_min)
-    for _ in range(200):
-        if slope > 1e-300:
-            mu_next = mu + (r_min - rate) / slope
-        else:
-            mu_next = mu * 2.0 + 1.0
-        if hi is not None and not (lo < mu_next < hi):
-            mu_next = 0.5 * (lo + hi)
-        elif hi is None and mu_next <= lo:
-            mu_next = lo * 2.0 + 1.0
-        if mu_next > 1e18:
-            # the target sits at the best-user vertex, which the path
-            # reaches only in the limit; the point at mu = 1e18 has lost v
-            # in rounding, and _restore_dl puts it back on the faces
-            return eval_mu(1e18)[0]
-        x_n, rate_n, slope_n = eval_mu(mu_next)
-        if rate_n >= r_min:
-            hi, x_hi = mu_next, x_n
-            if rate_n - r_min <= tol:
-                return x_n
-        else:
-            lo = mu_next
-        mu, rate, slope = mu_next, rate_n, slope_n
-        if hi is not None and hi - lo <= 1e-15 * max(1.0, hi):
-            return x_hi
-    return x_hi if x_hi is not None else x
-
-
-def _restore_dl(x: list, c: list, r_min: float) -> list:
-    """Put a DL point that rounding moved off the frame back onto its faces.
-
-    The threshold and the rate multiplier meet the entries in sums like
-    v - theta and v + mu c, which lose the budget and the rate target in
-    rounding once the entries reach about 1e11.  A point over the budget by
-    more than FACE_SLACK is re-projected onto it in shifted form; a point
-    short of r_min by more than FACE_SLACK (relative) then moves toward the
-    best-user vertex e_j (feasible whenever r_min <= max c) just far enough
-    that c . x = r_min.  That convex combination keeps x >= 0 and
-    sum(x) <= 1.  Smaller deviations, which the direct forms leave at
-    ordinary input sizes (up to 2.3e-13 on the budget), are kept as they
-    are.
-    """
-    if _over_budget(x, 1.0):
-        x = _simplex_project(x, 1.0)
-    if r_min <= 0.0:
-        return x
-    rate = _rate_dot(c, x)
-    if rate >= r_min * (1.0 - FACE_SLACK):
-        return x
-    j = max(range(len(c)), key=c.__getitem__)
-    lam = (r_min - rate) / (c[j] - rate)
-    x = [(1.0 - lam) * xi for xi in x]
-    x[j] += lam
-    return x
-
-
-def _project_dl(v: list, c: list, r_min: float) -> list:
-    """Project onto {x >= 0, sum(x) <= 1, c . x >= r_min} (exact, case analysis).
-
-    The result meets the budget and the rate target to FACE_SLACK for any
-    finite input: a point that rounding moved further off either face goes
-    through ``_restore_dl``.
-    """
-    x = [vi if vi > 0.0 else 0.0 for vi in v]
-    sum_ok = sum(x) <= 1.0
-    rate_ok = r_min <= 0.0 or _rate_dot(c, x) >= r_min
-    if sum_ok and rate_ok:
-        return x
-    if not sum_ok:
-        theta = _simplex_theta(v, 1.0)
-        x = [max(vi - theta, 0.0) for vi in v]
-        if r_min <= 0.0 or _rate_dot(c, x) >= r_min:
-            return _restore_dl(x, c, r_min)
-        return _restore_dl(_project_dl_both_active(v, c, r_min), c, r_min)
-    mu = _mu_for_rate(v, c, r_min)
-    x = [max(vi + mu * ci, 0.0) for vi, ci in zip(v, c)]
-    if sum(x) <= 1.0:
-        return _restore_dl(x, c, r_min)
-    return _restore_dl(_project_dl_both_active(v, c, r_min), c, r_min)
+    d = np.maximum(d, 0.0)
+    total = d.sum()
+    if total > 1.0:
+        d = d / total
+    rate = float(c @ d)
+    if rate < r_min:
+        j = int(np.argmax(c))
+        lam = (r_min - rate) / (float(c[j]) - rate)
+        d = (1.0 - lam) * d
+        d[j] += lam
+    return d
 
 
 def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
-    """Euclidean projection onto the feasible polytope (both blocks).
+    """Put both blocks back on the feasible polytope, as two lists.
 
-    Exact up to rounding, and for any finite input both budgets and the
-    rate target hold to FACE_SLACK (relative), with tau_ul >= floor and
-    tau_dl >= 0 exactly.  Entries of order 1e11 and beyond carry the
-    answer only to about their own ulp; there the result is within that
-    distance of the exact projection.
+    UL: the Euclidean projection onto {tau_ul >= TAU_FLOOR, sum <= 1}.  DL:
+    the feasibility repair ``_repair_dl``, not a projection.  A feasible
+    input comes back unchanged; for any finite input the budgets and the
+    rate target hold up to rounding, tau_ul >= TAU_FLOOR and tau_dl >= 0.
     """
-    c = [float(x) for x in fs.rate_coeffs]
-    dl = _project_dl([float(x) for x in tau_dl], c, fs.r_min)
-    ul = _project_ul([float(x) for x in tau_ul], fs.tau_floor)
-    return dl, ul
+    if not check_feasibility(fs):
+        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
+    dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64), fs.rate_coeffs, fs.r_min)
+    ul = _project_ul(np.asarray(tau_ul, dtype=np.float64), TAU_FLOOR)
+    return dl.tolist(), ul.tolist()
 
 
 def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
@@ -376,9 +214,8 @@ def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
     ul = alloc.tau_ul
     viol = max(0.0, float(-dl.min()), float(-ul.min()))
     viol = max(viol, float(dl.sum()) - 1.0, float(ul.sum()) - 1.0)
-    rate = _rate_dot([float(x) for x in fs.rate_coeffs], [float(x) for x in dl])
-    viol = max(viol, (fs.r_min - rate) / max(1.0, fs.r_min))
-    return viol
+    rate = float(fs.rate_coeffs @ dl)
+    return max(viol, (fs.r_min - rate) / max(1.0, fs.r_min))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +260,12 @@ class _Concave:
     on: np.ndarray
     fs: FeasibleSet
 
-    def project(self, dl, ul_on) -> tuple[np.ndarray, np.ndarray]:
-        """The exact projection, with the switched-off users' tau_ul at 0."""
+    def project(self, dl: np.ndarray, ul_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """DL repair, UL projection of the active users' ``ul_on``; 0 for the rest."""
         fs = self.fs
         ul = np.zeros(fs.K)
-        ul[self.on] = _project_ul([float(t) for t in ul_on], fs.tau_floor)
-        dl = _project_dl([float(d) for d in dl], [float(c) for c in fs.rate_coeffs], fs.r_min)
-        return np.array(dl), ul
+        ul[self.on] = _project_ul(ul_on, TAU_FLOOR)
+        return _repair_dl(dl, fs.rate_coeffs, fs.r_min), ul
 
     def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         on = self.on
@@ -457,8 +293,8 @@ class _Concave:
     def slsqp(self, dl: np.ndarray, ul: np.ndarray, max_iterations: int) -> np.ndarray | None:
         """SLSQP from (dl, ul) over z = [tau_dl, active tau_ul]; None on a failure.
 
-        The point may sit slightly outside the polytope: the caller projects
-        it.  SLSQP's own success flag is not used: it reports failure at
+        The point may sit slightly outside the polytope: the caller puts it
+        back (``project``).  SLSQP's own success flag is not used: it reports failure at
         points the certificate accepts.
         """
         fs = self.fs
@@ -480,7 +316,7 @@ class _Concave:
         if fs.r_min > 0.0:
             rate = np.concatenate([c, np.zeros(m)])
             cons.append({"type": "ineq", "fun": lambda z: float(c @ z[:K]) - fs.r_min, "jac": lambda z: rate})
-        bounds = [(0.0, 1.0)] * K + [(fs.tau_floor, 1.0)] * m
+        bounds = [(0.0, 1.0)] * K + [(TAU_FLOOR, 1.0)] * m
         try:
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -496,12 +332,13 @@ class _Concave:
 def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
     """One certified solve from ``start``: (tau_dl, tau_ul, objective, gap, trace).
 
-    The start is projected onto the polytope first (switched-off users lose
+    The start is put back on the polytope first (switched-off users lose
     their uplink share, which never lowers the objective).  A start whose gap
     is at most ``epsilon`` is returned as it is; otherwise one SLSQP pass
-    runs, and its point, projected, replaces the start when its objective is
-    at least as high, so the answer never falls below the start.  The trace
-    holds (objective, max-norm move) per pass, after the start's (f, 0).
+    runs, and its point, put back on the polytope, replaces the start when
+    its objective is at least as high, so the answer never falls below the
+    start.  The trace holds (objective, max-norm move) per pass, after the
+    start's (f, 0).
     """
     x_dl, x_ul = prob.project(start.tau_dl, start.tau_ul[prob.on])
     f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
@@ -550,17 +387,23 @@ def solve_subproblem(
     return Allocation(dl, ul)
 
 
-def _snap_reported(dl: list, ul: list, c: list, r_min: float) -> tuple[np.ndarray, np.ndarray]:
+def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero out fractions below the reporting threshold.
 
     Downlink snapping is skipped wholesale if it would break the minimum
     rate; uplink snapping only removes floor-level slivers and is safe.
     """
-    ul_s = np.array([0.0 if x < SNAP_THRESHOLD else x for x in ul])
-    dl_s = np.array([0.0 if x < SNAP_THRESHOLD else x for x in dl])
-    if r_min > 0.0 and _rate_dot(c, list(dl_s)) < r_min - 1e-9:
-        dl_s = np.array(dl)
+    ul_s = np.where(ul < SNAP_THRESHOLD, 0.0, ul)
+    dl_s = np.where(dl < SNAP_THRESHOLD, 0.0, dl)
+    if r_min > 0.0 and float(c @ dl_s) < r_min - 1e-9:
+        dl_s = dl
     return dl_s, ul_s
+
+
+def _secrecy_problem(s: ScenarioChannels, fs: FeasibleSet) -> _Concave:
+    """The secrecy objective with the users a_k <= aE_k switched off."""
+    a, a_e = s.a_user(), s.a_eve()
+    return _Concave(a, a_e, np.zeros(fs.K), np.zeros(fs.K), a > a_e, fs)
 
 
 def dca_solve(
@@ -575,86 +418,42 @@ def dca_solve(
     rest is solved once from ``initial`` (default initial_allocation).  The
     objective is never below that of the start.  ``gap_bits`` bounds the
     distance from the optimum; the status is "converged" iff it is at most
-    ``settings.epsilon``.  ``iterations`` counts SLSQP passes (0 or 1).
+    ``settings.epsilon``.  ``kkt_residual`` holds the same gap (see
+    ``kkt_residual``).  ``iterations`` counts SLSQP passes (0 or 1).
     Infeasible rate targets short-circuit with status "infeasible".
     """
     if fs.K != s.K:
         raise ValueError("feasible set and scenario disagree on the user count")
     if not check_feasibility(fs):
-        return DcaResult(
-            allocation=None,
-            objective=float("nan"),
-            iterations=0,
-            status=STATUS_INFEASIBLE,
-            trace=(),
-            kkt_residual=float("nan"),
-        )
-    a = s.a_user()
-    a_e = s.a_eve()
-    prob = _Concave(a, a_e, np.zeros(fs.K), np.zeros(fs.K), a > a_e, fs)
+        return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE,
+                         trace=(), kkt_residual=math.nan)
     start = initial if initial is not None else initial_allocation(fs)
-    dl, ul, f, gap, trace = _maximize(prob, start, settings)
-    raw = Allocation(dl, ul)
-    dl_s, ul_s = _snap_reported(
-        [float(x) for x in dl], [float(x) for x in ul], [float(x) for x in fs.rate_coeffs], fs.r_min
-    )
+    dl, ul, f, gap, trace = _maximize(_secrecy_problem(s, fs), start, settings)
+    dl_s, ul_s = _snap_reported(dl, ul, fs.rate_coeffs, fs.r_min)
     return DcaResult(
         allocation=Allocation(dl_s, ul_s),
         objective=f,
         iterations=len(trace) - 1,
         status=STATUS_CONVERGED if gap <= settings.epsilon else STATUS_MAX_ITERATIONS,
         trace=trace,
-        kkt_residual=kkt_residual(s, fs, raw),
-        raw_allocation=raw,
+        kkt_residual=gap,
+        raw_allocation=Allocation(dl, ul),
         gap_bits=gap,
     )
 
 
 def kkt_residual(s: ScenarioChannels, fs: FeasibleSet, alloc: Allocation) -> float:
-    """Norm of the objective gradient projected onto the tangent cone.
+    """Frank-Wolfe gap of the secrecy problem at ``alloc``, in bits.
 
-    Active constraints at the point define a polyhedral tangent cone; by
-    Moreau decomposition the projection of the gradient onto it equals the
-    gradient minus its nonnegative-least-squares fit on the active outward
-    normals.  Near-zero at stationary points; equals the plain gradient
-    norm at unconstrained interior points.  Uplink fractions are lifted to
-    the solver floor before differentiation.
+    For a feasible ``alloc``, f* - f(alloc) <= gap.  f switches off the users
+    with a_k <= aE_k as ``dca_solve`` does (their tau_ul is not read), so it
+    is the secrecy objective wherever they get no uplink, as in every solver
+    answer, where the gap equals ``gap_bits``.  The other users' tau_ul is
+    lifted to TAU_FLOOR first so the gradient is defined.
     """
     if fs.K != s.K or alloc.K != s.K:
         raise ValueError("scenario, feasible set and allocation sizes disagree")
-    K = s.K
-    tau_dl = np.asarray(alloc.tau_dl, dtype=np.float64)
-    tau_ul = np.maximum(np.asarray(alloc.tau_ul, dtype=np.float64), fs.tau_floor)
-    du_dl, du_ul = perspective_grads(s.a_user(), 1.0 - tau_dl, tau_ul)
-    dv_dl, dv_ul = perspective_grads(s.a_eve(), 1.0 - tau_dl, tau_ul)
-    grad = np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
-    atol = 1e-7
-    rows = []
-    for k in range(K):
-        if tau_dl[k] <= atol:
-            row = np.zeros(2 * K)
-            row[k] = -1.0
-            rows.append(row)
-    for k in range(K):
-        if tau_ul[k] <= fs.tau_floor + atol:
-            row = np.zeros(2 * K)
-            row[K + k] = -1.0
-            rows.append(row)
-    if tau_dl.sum() >= 1.0 - atol:
-        row = np.zeros(2 * K)
-        row[:K] = 1.0
-        rows.append(row)
-    if tau_ul.sum() >= 1.0 - atol:
-        row = np.zeros(2 * K)
-        row[K:] = 1.0
-        rows.append(row)
-    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
-    if float(np.dot(c, tau_dl)) <= fs.r_min + atol * max(1.0, fs.r_min):
-        row = np.zeros(2 * K)
-        row[:K] = -c
-        rows.append(row)
-    if not rows:
-        return float(np.linalg.norm(grad))
-    a_mat = np.array(rows).T  # (2K, m)
-    coeffs, _ = nnls(a_mat, grad)
-    return float(np.linalg.norm(grad - a_mat @ coeffs))
+    prob = _secrecy_problem(s, fs)
+    ul = np.maximum(alloc.tau_ul, TAU_FLOOR)
+    _, g_dl, g_ul = prob.value_and_grad(alloc.tau_dl, ul)
+    return prob.gap(alloc.tau_dl, ul, g_dl, g_ul)

@@ -8,7 +8,7 @@ Five keys are accepted, parsed and range-checked but set nothing:
 the certified concave solve replaced, and ``noise.eve_dl`` has no use
 because no downlink secrecy is modeled.
 
-All randomness derives from the mandatory seed plus the trial index, so
+All randomness derives from the mandatory seed (>= 0) plus the trial index, so
 any run is reproducible byte for byte: identical configs produce identical
 CSVs regardless of worker count.
 
@@ -196,6 +196,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if "seed" not in raw:
         raise ConfigError("seed: mandatory for reproducibility, none given")
     seed = _parse_int(raw["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     width = _parse_float(raw.get("room.width", "5.0"), "room.width")
     depth = _parse_float(raw.get("room.depth", "5.0"), "room.depth")
@@ -461,7 +463,7 @@ def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChanne
     """
     if trial < 0:
         raise ValueError("trial index must be >= 0")
-    ss = np.random.SeedSequence([abs(cfg.seed), trial])
+    ss = np.random.SeedSequence([cfg.seed, trial])
     geom_rng, eve_rng, fading_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     width, depth, height = cfg.room
 

@@ -284,16 +284,3 @@ def clamped_secrecy_sum(s: ScenarioChannels, alloc: Allocation) -> float:
     for k in range(s.K):
         total += max(0.0, secrecy_capacity_user(s, k, float(alloc.tau_dl[k]), float(alloc.tau_ul[k])))
     return total
-
-
-def objective_batch(s: ScenarioChannels, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """Objective of each row of (N, K) allocation matrices.
-
-    tau_ul = 0 entries take the continuous extension.  Feasibility of the
-    rows is the caller's business.
-    """
-    leftover = 1.0 - np.asarray(tau_dl, dtype=np.float64)
-    t = np.asarray(tau_ul, dtype=np.float64)
-    u = perspective_value(s.a_user(), leftover, t)
-    v = perspective_value(s.a_eve(), leftover, t)
-    return np.sum(u - v, axis=1)

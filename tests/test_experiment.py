@@ -354,6 +354,12 @@ class TestCli:
         code = cli_main(["solve", "--config", str(path)])
         assert code == 2
 
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        # SeedSequence takes no negative entropy, so the config rejects the seed up front
+        code = cli_main(["solve", "--preset", "fig4", "--seed", "-12", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_sweep_writes_files(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("\n".join(f"{k} = {v}" for k, v in SMALL_SWEEP.items()) + "\n")

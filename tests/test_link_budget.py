@@ -15,7 +15,6 @@ from vlcrf.link_budget import (
     hessian_u,
     hessian_v,
     objective_and_gradient,
-    objective_batch,
     objective_value,
     perspective_value,
     secrecy_capacity_user,
@@ -342,16 +341,3 @@ class TestPerspectiveStructure:
             mid = perspective_value(a, lam * w1 + (1 - lam) * w2, lam * t1 + (1 - lam) * t2)
             chord = lam * perspective_value(a, w1, t1) + (1 - lam) * perspective_value(a, w2, t2)
             assert mid >= chord - 1e-9
-
-
-class TestBatchEvaluator:
-    def test_matches_scalar_path(self):
-        rng = np.random.default_rng(6)
-        s = scenario_with_a([12.0, 0.3, 90.0], [1.0, 4.0, 2.0])
-        tdl = rng.uniform(0.0, 0.33, (64, 3))
-        tul = rng.uniform(0.0, 0.33, (64, 3))
-        tul[0, :] = 0.0  # continuous extension row
-        batch = objective_batch(s, tdl, tul)
-        for i in range(64):
-            ref = objective_value(s, Allocation(tdl[i], tul[i]))
-            assert batch[i] == pytest.approx(ref, rel=1e-12, abs=1e-15)

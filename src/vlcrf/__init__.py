@@ -28,8 +28,6 @@ from vlcrf.link_budget import (
     secrecy_capacity_user,
     objective_value,
     objective_and_gradient,
-    hessian_u,
-    hessian_v,
 )
 from vlcrf.dc_solver import (
     FeasibleSet,
@@ -37,7 +35,6 @@ from vlcrf.dc_solver import (
     DcaResult,
     check_feasibility,
     initial_allocation,
-    solve_subproblem,
     dca_solve,
     kkt_residual,
 )

@@ -15,25 +15,59 @@ frees budget for the others, so such a user is switched off: tau_ul = 0,
 and its downlink share carries rate at no cost.  For every other user
 u_k - v_k is the perspective of the concave s -> log2((1 + a s) / (1 + aE s)),
 hence jointly concave in (tau_dl, tau_ul).  The reduced problem is a concave
-programme over a polytope, and one SLSQP solve of it replaces the DCA
-iteration.  DCA with the decomposition (f, 0) of this concave f is exactly
-that: its surrogate is f itself, so one step reaches the optimum and the
-next is a fixed point.  ``solve_subproblem`` keeps the paper's DCA step
-(the argmax of u - <y, x>) as a call of the same engine.
+programme over a polytope.  DCA with the decomposition (f, 0) of this
+concave f reaches the optimum in one step (its surrogate is f itself), so
+the engine solves the concave programme directly.
+
+The UL-budget dual.  Write phi_k(s) = log2((1 + a_k s) / (1 + aE_k s)) and
+w_k = 1 - tau_dl_k; an active user's term is tau_ul_k phi_k(w_k / tau_ul_k).
+Only the UL budget is dualised, with the multiplier lambda:
+
+    D(lambda) = lambda + max_{tau_dl} sum_k max_{tau_ul_k >= 0}
+                [tau_ul_k phi_k(w_k / tau_ul_k) - lambda tau_ul_k].
+
+* Per-user response.  The inner maximum sits at tau_ul_k = w_k / s_k with
+  psi_k(s_k) = lambda, psi_k(s) = phi_k(s) - s phi_k'(s), which rises from 0
+  to log2(a_k / aE_k).  A user with lambda at or above that limit is
+  saturated: its best share is 0 (the engine gives it TAU_FLOOR).  In
+  y = ln((1 + a s) / (1 + aE s)) the equation psi = lambda is convex and
+  increasing, so Newton's method from the right of the root descends to it
+  monotonically (``_respond``).
+* The DL block.  The inner maximum is w_k q_k with q_k = phi_k'(s_k), the
+  price of a unit of user k's DL time (0 for switched-off and saturated
+  users).  What is left over tau_dl is the LP min q . tau_dl over
+  {tau_dl >= 0, sum <= 1, c . tau_dl >= r_min}, optimal at one of the
+  vertices ``_dl_vertices`` lists; ties go to the earlier row, so the
+  lowest-index switched-off user that can carry r_min alone does.
+* The lambda search.  D is convex, and by the envelope theorem
+  dD/dlambda = 1 - sum_k tau_ul_k: the UL-budget residual.  Its root is
+  found by a bracketed Newton iteration warm-started from the start's
+  largest active UL gradient (``_dual_solve``).  The answer is
+  tau_ul_k = w_k / s_k(lambda*) at the optimal DL vertex, after one
+  linearised lambda step taken on the shares: near saturation a share
+  moves by 1e-6 and more per ulp of lambda, so no double lambda may give
+  sum tau_ul = 1.
+* Kinks.  Where the optimal vertex changes, D has a kink, and its root may
+  sit there.  The search then steps to the lambda where the two vertices'
+  costs tie and mixes them so that sum tau_ul = 1 exactly: every point of
+  the optimal face with sum tau_ul = 1 is optimal, and tau_ul is linear in
+  tau_dl at fixed lambda.
+* One active user takes the whole UL frame and the DL vertex with the
+  least of its own DL time; K = 1 gives tau_dl = r_min / c, tau_ul = 1.
 
 Certificate.  For concave f over a polytope P the Frank-Wolfe duality gap
 
     gap(x) = max_{y in P} grad f(x) . (y - x)  >=  f* - f(x)
 
 bounds the distance from the optimum in bits.  The maximum splits over the
-two blocks and is taken over their vertices in closed form (``_dl_support``
+two blocks and is taken over their vertices in closed form (``_dl_vertices``
 and the best UL vertex).  It is the engine's only exit test: a start whose
 gap is at most ``epsilon`` is returned as it is, and a solve ends
 ``converged`` iff the gap of its answer is at most ``epsilon``.
 
-Back on the polytope.  The start and the SLSQP point are put back on the
-polytope block by block: the UL block by its Euclidean projection, the DL
-block by a feasibility repair that is not a projection.  Both return a
+Back on the polytope.  The start and the dual solve's point are put back on
+the polytope block by block: the UL block by its Euclidean projection, the
+DL block by a feasibility repair that is not a projection.  Both return a
 feasible point unchanged; the engine keeps a point by its objective and
 certifies it by its gap, so neither needs the closest feasible point.
 Active users keep tau_ul >= TAU_FLOOR so the perspective gradients stay
@@ -43,22 +77,24 @@ defined; downlink fractions may reach 0 exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (unused; bench/tracing.py patches dc_solver.minimize by name)
 
-from vlcrf.link_budget import Allocation, ScenarioChannels, perspective_grads, perspective_value
+from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_grads, perspective_value
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
 SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
-SLSQP_FTOL = 1e-16          # below any objective's ulp: SLSQP stops on its own line search
 TAU_FLOOR = 1e-9            # lower bound on an active user's tau_ul
+BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
+TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
+RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
 
 
 @dataclass(frozen=True)
@@ -88,7 +124,7 @@ class FeasibleSet:
 @dataclass(frozen=True)
 class DcaSettings:
     epsilon: float = 1e-8                 # bound on the certificate gap, bits
-    max_iterations: int = 500             # SLSQP iteration cap
+    max_iterations: int = 500             # cap on the steps of the UL-multiplier search
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -101,7 +137,7 @@ class DcaSettings:
 class DcaResult:
     allocation: Allocation | None
     objective: float
-    iterations: int
+    iterations: int                           # engine passes: 0 (certified start) or 1 (dual solve)
     status: str
     trace: tuple
     kkt_residual: float
@@ -152,18 +188,19 @@ def _project_ul(t: np.ndarray, floor: float) -> np.ndarray:
     """Euclidean projection onto {x >= floor, sum(x) <= 1}.
 
     With the budget binding it is floor + the simplex projection of
-    t - floor.  That form leaves the sum over the budget by about the ulp of
-    the largest entry (1 + 2e-9 at 1e11), so a result over it by more than
-    1e-15 is recomputed on the shift-invariant t - max(t), whose active
-    entries lie near 0: the sum then misses 1 by a few ulps of 1, and a
-    second projection moves no entry by more than 1e-15.
+    t - floor.  That form misses the budget, over or under, by about the ulp
+    of the largest entry (1 + 2e-9 at 1e11), so a result whose sum is more
+    than 1e-15 off 1 is recomputed on the shift-invariant t - max(t), whose
+    active entries lie near 0: the sum then misses 1 by a few ulps of 1, each
+    entry lies within about 1e-15 of the exact projection, and a second
+    projection moves no entry by more than 1e-15.
     """
     x = np.maximum(t, floor)
     if x.sum() <= 1.0:
         return x
     budget = 1.0 - t.size * floor
     x = _onto_simplex(t - floor, budget) + floor
-    if x.sum() > 1.0 + 1e-15:
+    if abs(x.sum() - 1.0) > 1e-15:
         x = _onto_simplex(t - t.max(), budget) + floor
     return x
 
@@ -222,43 +259,48 @@ def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
 # the engine: one certified solve of the concave programme
 # ---------------------------------------------------------------------------
 
-def _dl_support(g: np.ndarray, c: np.ndarray, r_min: float) -> float:
-    """max g . y over {y >= 0, sum(y) <= 1, c . y >= r_min}, by the vertices.
+def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
+    """Vertices of {y >= 0, sum(y) <= 1, c . y >= r_min}, one per row.
 
     A vertex has K active constraints among y_k = 0, the budget and the
-    rate face: the origin (only when r_min = 0), e_k (c_k >= r_min),
-    (r_min / c_k) e_k (the rate face alone) and, with both faces active,
-    the point of the edge [e_i, e_j] with c_i > r_min > c_j on the rate face.
+    rate face.  With r_min = 0 the rows are the origin and then each e_k.
+    Otherwise they are, in this order: (r_min / c_k) e_k (the rate face
+    alone) and then e_k, for each c_k >= r_min, and, with both faces active,
+    the point of the edge [e_i, e_j] with c_i > r_min > c_j on the rate
+    face.  A cost q >= 0 is never lower at e_k than at (r_min / c_k) e_k, so
+    taking the first of the cheapest rows prefers the rate face and then the
+    lowest user index.
     """
+    K = c.size
     if r_min <= 0.0:
-        return max(0.0, float(g.max()))
-    reach = c >= r_min
-    best = max(float(g[reach].max()), float((g[reach] * (r_min / c[reach])).max()))
-    above = c > r_min
-    below = c < r_min
-    if above.any() and below.any():
-        c_i = c[above][:, None]
-        c_j = c[below][None, :]
-        lam = (r_min - c_j) / (c_i - c_j)
-        edge = lam * g[above][:, None] + (1.0 - lam) * g[below][None, :]
-        best = max(best, float(edge.max()))
-    return best
+        return np.eye(K + 1, K, -1)
+    cs = c.tolist()  # K is small: Python scalars beat numpy's per-call cost here
+    reach = [k for k, ck in enumerate(cs) if ck >= r_min]
+    edges = [(i, j, (r_min - cj) / (ci - cj)) for i, ci in enumerate(cs) if ci > r_min
+             for j, cj in enumerate(cs) if cj < r_min]
+    n = len(reach)
+    out = np.zeros((2 * n + len(edges), K))
+    for row, k in enumerate(reach):
+        out[row, k] = r_min / cs[k]
+        out[n + row, k] = 1.0
+    for row, (i, j, lam) in enumerate(edges, 2 * n):
+        out[row, i] = lam
+        out[row, j] = 1.0 - lam
+    return out
 
 
 @dataclass(frozen=True)
 class _Concave:
-    """max sum_{k on} (u_k - v_k) - y . x over the polytope, tau_ul = 0 off ``on``.
-
-    ``a_e`` is 0 and ``on`` all True for the DCA subproblem; the secrecy
-    problem has y = 0 and switches off the users with a_k <= aE_k.
-    """
+    """max sum_{k on} (u_k - v_k) over the polytope, tau_ul = 0 off ``on``."""
 
     a: np.ndarray
     a_e: np.ndarray
-    y_dl: np.ndarray
-    y_ul: np.ndarray
     on: np.ndarray
     fs: FeasibleSet
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return _dl_vertices(self.fs.rate_coeffs, self.fs.r_min)
 
     def project(self, dl: np.ndarray, ul_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """DL repair, UL projection of the active users' ``ul_on``; 0 for the rest."""
@@ -274,59 +316,134 @@ class _Concave:
         a = self.a[on]
         a_e = self.a_e[on]
         value = float(np.sum(perspective_value(a, w, t) - perspective_value(a_e, w, t)))
-        value -= float(self.y_dl @ dl) + float(self.y_ul @ ul)
         du_dl, du_ul = perspective_grads(a, w, t)
         dv_dl, dv_ul = perspective_grads(a_e, w, t)
-        g_dl = -self.y_dl
-        g_dl[on] += du_dl - dv_dl
-        g_ul = -self.y_ul
-        g_ul[on] += du_ul - dv_ul
+        g_dl = np.zeros(self.fs.K)
+        g_dl[on] = du_dl - dv_dl
+        g_ul = np.zeros(self.fs.K)
+        g_ul[on] = du_ul - dv_ul
         return value, g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> float:
         """Frank-Wolfe gap: the UL block's best vertex is 0 or one active user's e_k."""
         g_on = g_ul[self.on]
         ul_best = max(0.0, float(g_on.max())) if g_on.size else 0.0
-        dl_best = _dl_support(g_dl, self.fs.rate_coeffs, self.fs.r_min)
+        dl_best = float((self.vertices @ g_dl).max())
         return ul_best + dl_best - float(g_on @ ul[self.on]) - float(g_dl @ dl)
 
-    def slsqp(self, dl: np.ndarray, ul: np.ndarray, max_iterations: int) -> np.ndarray | None:
-        """SLSQP from (dl, ul) over z = [tau_dl, active tau_ul]; None on a failure.
 
-        The point may sit slightly outside the polytope: the caller puts it
-        back (``project``).  SLSQP's own success flag is not used: it reports failure at
-        points the certificate accepts.
-        """
-        fs = self.fs
-        K = fs.K
-        m = int(self.on.sum())
-        c = fs.rate_coeffs
+def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
+    """The active users' responses to the UL price ``lam`` (nats, > 0).
 
-        def neg(z):
-            full = np.zeros(K)
-            full[self.on] = z[K:]
-            f, g_dl, g_ul = self.value_and_grad(z[:K], full)
-            return -f, -np.concatenate([g_dl, g_ul[self.on]])
+    ``a`` holds their SNR constants and ``rho`` = aE / a.  Returns
+    (y, 1/s, q, d(1/s)/dlam), with q = phi'(s) in nats.  Newton's method
+    solves F(y) = lam for F(y) = y - (1 + rho - e^-y - rho e^y) / (1 - rho),
+    the nats form of psi in y = ln((1 + a s) / (1 + aE s)).  F is convex and
+    increasing on [0, y_max], y_max = ln(1 / rho), and
+    y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
+    right of the root and descends to it; ``y_right`` is the response at a
+    larger price, or inf.  Saturated users (lam >= y_max) get y = inf and
+    1/s = q = 0: their best share is 0.
+    """
+    y = np.full(a.size, np.inf)
+    inv_s, q, d_inv_s = np.zeros(a.size), np.zeros(a.size), np.zeros(a.size)
+    with np.errstate(divide="ignore"):
+        y_max = -np.log(rho)                 # inf where aE = 0: never saturated
+    free = lam < y_max
+    a, rho, root = a[free], rho[free], np.sqrt(rho[free])
+    z = np.minimum(np.minimum(y_right[free], lam + (1.0 - root) / (1.0 + root)), y_max[free])
+    for _ in range(RESPONSE_STEPS):
+        e_p, e_m = np.expm1(z), np.expm1(-z)
+        slope = (rho * e_p - e_m) / (1.0 - rho)
+        step = (z + (e_m + rho * e_p) / (1.0 - rho) - lam) / slope
+        z = z - step
+        if not np.any(np.abs(step) > 1e-15 * z):
+            break
+    e_p = np.expm1(z)
+    slope = (rho * e_p - np.expm1(-z)) / (1.0 - rho)
+    share = 1.0 - rho - rho * e_p            # 1 - rho e^y
+    y[free] = z
+    inv_s[free] = a * share / e_p
+    q[free] = a * share * share / ((1.0 + e_p) * (1.0 - rho))
+    d_inv_s[free] = -a * (1.0 + e_p) * (1.0 - rho) / (e_p * e_p * slope)
+    return y, inv_s, q, d_inv_s
 
-        budget_dl = np.concatenate([-np.ones(K), np.zeros(m)])
-        cons = [{"type": "ineq", "fun": lambda z: 1.0 - z[:K].sum(), "jac": lambda z: budget_dl}]
-        if m:
-            budget_ul = np.concatenate([np.zeros(K), -np.ones(m)])
-            cons.append({"type": "ineq", "fun": lambda z: 1.0 - z[K:].sum(), "jac": lambda z: budget_ul})
-        if fs.r_min > 0.0:
-            rate = np.concatenate([c, np.zeros(m)])
-            cons.append({"type": "ineq", "fun": lambda z: float(c @ z[:K]) - fs.r_min, "jac": lambda z: rate})
-        bounds = [(0.0, 1.0)] * K + [(TAU_FLOOR, 1.0)] * m
-        try:
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sol = minimize(
-                    neg, np.concatenate([dl, ul[self.on]]), jac=True, method="SLSQP", bounds=bounds,
-                    constraints=cons, options={"maxiter": max_iterations, "ftol": SLSQP_FTOL},
-                )
-        except (ValueError, ArithmeticError):
-            return None
-        return sol.x if np.all(np.isfinite(sol.x)) else None
+
+def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau_dl, active tau_ul) maximizing the concave programme, via lambda.
+
+    ``lam`` (bits) is the warm start.  Each step evaluates every user's
+    response and every DL vertex's cost q . v and UL use
+    U_v = sum_k max((1 - v_k) / s_k, TAU_FLOOR) at lambda.  The vertices
+    whose cost ties with the least give the sub-differential
+    [1 - max U, 1 - min U] of D; when it holds 0, the two vertices with the
+    largest and the least U are mixed to sum(tau_ul) = 1.  Otherwise the
+    bracket on lambda shrinks and lambda takes a Newton step on ln U along
+    the vertex that stays optimal in the direction of travel, cut at the
+    first vertex whose linearised cost overtakes it there (the kink), or the
+    bracket's midpoint when the step leaves the bracket.  The search stops
+    there, when lambda stalls, or after ``max_steps`` steps; the caller
+    projects and certifies the answer.
+    """
+    on = prob.on
+    vertices = prob.vertices
+    v_on = vertices[:, on]
+    if on.sum() == 1:
+        # one active user: the whole UL frame, and the least of its DL time
+        return vertices[int(np.argmin(v_on[:, 0]))], np.ones(1)
+    a = prob.a[on]
+    rho = prob.a_e[on] / a
+    with np.errstate(divide="ignore"):
+        lo, hi = 0.0, float(-np.log(rho.min()))    # above hi every user is saturated
+    lam *= LN2
+    if not 0.0 < lam < hi:
+        lam = 0.5 * hi if math.isfinite(hi) else 1.0
+    y_right = np.full(a.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_steps):
+            y, inv_s, q, d_inv_s = _respond(a, rho, lam, y_right)
+            cost = v_on @ q
+            used = v_on @ inv_s                      # -d cost / d lambda
+            shares = (1.0 - v_on) * inv_s
+            U = np.maximum(shares, TAU_FLOOR).sum(axis=1)
+            tied = np.flatnonzero(cost <= cost.min() + TIE_TOL * q.max())
+            big = int(tied[np.argmax(U[tied])])
+            small = int(tied[np.argmin(U[tied])])
+            if U[big] >= 1.0 - BUDGET_TOL and U[small] <= 1.0 + BUDGET_TOL:
+                break
+            rising = U[small] > 1.0                  # every optimal vertex overspends: raise lambda
+            if rising:
+                lo, p = lam, small
+            else:
+                hi, p, y_right = lam, big, y
+            d_U = ((1.0 - v_on[p]) * d_inv_s)[shares[p] > TAU_FLOOR].sum()
+            nxt = lam - np.log(U[p]) * U[p] / d_U
+            cross = lam + (cost - cost[p]) / (used - used[p])   # where cost_v meets cost_p, linearised
+            ahead = cross[(used > used[p]) if rising else (used < used[p])]
+            ahead = ahead[(ahead > lam) if rising else (ahead < lam)]
+            if ahead.size:
+                nxt = min(nxt, ahead.min()) if rising else max(nxt, ahead.max())
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
+            if nxt == lam or not lo < nxt < hi:
+                break
+            lam = nxt
+    if U[big] > U[small]:
+        theta = min(1.0, max(0.0, (1.0 - U[small]) / (U[big] - U[small])))
+    else:
+        theta = 1.0
+    dl = theta * vertices[big] + (1.0 - theta) * vertices[small]
+    w = 1.0 - dl[on]
+    ul, d_ul = w * inv_s, w * d_inv_s
+    # Near saturation tau_ul moves by 1e-6 and more per ulp of lambda, so
+    # sum(tau_ul) = 1 may lie between two doubles.  One linearised lambda
+    # step, taken on the shares themselves, closes the budget: it goes to
+    # the users whose shares move fastest, whose UL gradients are flat.
+    free = ul > TAU_FLOOR
+    slope = d_ul[free].sum()
+    if slope < 0.0:
+        ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, TAU_FLOOR).sum()) / slope)
+    return dl, np.maximum(ul, TAU_FLOOR)
 
 
 def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
@@ -334,11 +451,11 @@ def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
 
     The start is put back on the polytope first (switched-off users lose
     their uplink share, which never lowers the objective).  A start whose gap
-    is at most ``epsilon`` is returned as it is; otherwise one SLSQP pass
-    runs, and its point, put back on the polytope, replaces the start when
-    its objective is at least as high, so the answer never falls below the
-    start.  The trace holds (objective, max-norm move) per pass, after the
-    start's (f, 0).
+    is at most ``epsilon`` is returned as it is; otherwise the dual solve
+    runs, warm-started from the start's largest active UL gradient, and its
+    point, put back on the polytope, replaces the start when its objective
+    is at least as high, so the answer never falls below the start.  The
+    trace holds (objective, max-norm move) per pass, after the start's (f, 0).
     """
     x_dl, x_ul = prob.project(start.tau_dl, start.tau_ul[prob.on])
     f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
@@ -347,44 +464,14 @@ def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
     if gap <= settings.epsilon:
         return x_dl, x_ul, f, gap, tuple(trace)
     step = 0.0
-    z = prob.slsqp(x_dl, x_ul, settings.max_iterations)
-    if z is not None:
-        n_dl, n_ul = prob.project(z[: prob.fs.K], z[prob.fs.K :])
-        f_n, gn_dl, gn_ul = prob.value_and_grad(n_dl, n_ul)
-        if f_n >= f:
-            step = float(max(np.abs(n_dl - x_dl).max(), np.abs(n_ul - x_ul).max()))
-            x_dl, x_ul, f = n_dl, n_ul, f_n
-            gap = prob.gap(x_dl, x_ul, gn_dl, gn_ul)
+    n_dl, n_ul = prob.project(*_dual_solve(prob, float(g_ul[prob.on].max()), settings.max_iterations))
+    f_n, gn_dl, gn_ul = prob.value_and_grad(n_dl, n_ul)
+    if f_n >= f:
+        step = float(max(np.abs(n_dl - x_dl).max(), np.abs(n_ul - x_ul).max()))
+        x_dl, x_ul, f = n_dl, n_ul, f_n
+        gap = prob.gap(x_dl, x_ul, gn_dl, gn_ul)
     trace.append((f, step))
     return x_dl, x_ul, f, gap, tuple(trace)
-
-
-def solve_subproblem(
-    s: ScenarioChannels,
-    fs: FeasibleSet,
-    y: np.ndarray,
-    start: Allocation | None = None,
-    settings: DcaSettings = DcaSettings(),
-) -> Allocation:
-    """One DCA step: argmax of u(x) - <y, x> over the polytope.
-
-    ``y`` is the 2K linearization gradient ordered [dl block, ul block].
-    The surrogate is concave in every user, so the engine runs with no user
-    switched off; the answer is never below ``start`` (default
-    initial_allocation) on the surrogate.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (2 * fs.K,):
-        raise ValueError(f"y must have shape ({2 * fs.K},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("linearization gradient must be finite")
-    if not check_feasibility(fs):
-        raise ValueError("feasible set is empty for this rate target")
-    if start is None:
-        start = initial_allocation(fs)
-    prob = _Concave(s.a_user(), np.zeros(fs.K), y[: fs.K], y[fs.K :], np.ones(fs.K, dtype=bool), fs)
-    dl, ul, _, _, _ = _maximize(prob, start, settings)
-    return Allocation(dl, ul)
 
 
 def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +490,7 @@ def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: float) 
 def _secrecy_problem(s: ScenarioChannels, fs: FeasibleSet) -> _Concave:
     """The secrecy objective with the users a_k <= aE_k switched off."""
     a, a_e = s.a_user(), s.a_eve()
-    return _Concave(a, a_e, np.zeros(fs.K), np.zeros(fs.K), a > a_e, fs)
+    return _Concave(a, a_e, a > a_e, fs)
 
 
 def dca_solve(
@@ -419,7 +506,8 @@ def dca_solve(
     objective is never below that of the start.  ``gap_bits`` bounds the
     distance from the optimum; the status is "converged" iff it is at most
     ``settings.epsilon``.  ``kkt_residual`` holds the same gap (see
-    ``kkt_residual``).  ``iterations`` counts SLSQP passes (0 or 1).
+    ``kkt_residual``).  ``iterations`` counts engine passes: 0 for a
+    certified start, else 1.
     Infeasible rate targets short-circuit with status "infeasible".
     """
     if fs.K != s.K:

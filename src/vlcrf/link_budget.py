@@ -242,45 +242,16 @@ def objective_and_gradient(s: ScenarioChannels, alloc: Allocation) -> tuple[floa
     return objective_value(s, alloc), np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
 
 
-def _perspective_hessian(a: float, tau_dl: float, tau_ul: float) -> np.ndarray:
-    """2x2 Hessian of a perspective term, variable order (tau_dl, tau_ul).
-
-    Entries (with w = 1 - tau_dl, denom = tau_ul + a w):
-
-        d2/dtau_dl^2   = -a^2 tau_ul / (denom^2 ln2)
-        d2 cross       = -a^2 w / (denom^2 ln2)
-        d2/dtau_ul^2   =  a w / (denom^2 ln2) - a w / (tau_ul denom ln2)
-
-    The matrix is rank one and negative semidefinite on the interior.
-    """
-    if tau_ul <= 0.0 or tau_dl >= 1.0:
-        raise ValueError(
-            f"Hessian requires an interior point (tau_ul > 0, tau_dl < 1), "
-            f"got tau_dl = {tau_dl!r}, tau_ul = {tau_ul!r}"
-        )
-    w = 1.0 - tau_dl
-    denom = tau_ul + w * a
-    h_dd = -(a**2) * tau_ul / (denom**2 * LN2)
-    h_cross = -(a**2) * w / (denom**2 * LN2)
-    h_uu = w * a / (denom**2 * LN2) - w * a / (tau_ul * denom * LN2)
-    return np.array([[h_dd, h_cross], [h_cross, h_uu]])
-
-
-def hessian_u(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> np.ndarray:
-    """Hessian of the legitimate-user term u_k, variable order (tau_dl, tau_ul)."""
-    _check_index(s, k)
-    return _perspective_hessian(float(s.a_user()[k]), tau_dl_k, tau_ul_k)
-
-
-def hessian_v(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> np.ndarray:
-    """Hessian of the eavesdropper term v_k, variable order (tau_dl, tau_ul)."""
-    _check_index(s, k)
-    return _perspective_hessian(float(s.a_eve()[k]), tau_dl_k, tau_ul_k)
-
-
 def clamped_secrecy_sum(s: ScenarioChannels, alloc: Allocation) -> float:
     """Reporting-side sum of max(C_S_k, 0); the optimizer never clamps."""
+    if alloc.K != s.K:
+        raise ValueError("allocation size does not match scenario")
+    if np.any(alloc.tau_dl > 1.0):
+        raise ValueError("tau_dl entries must lie in [0, 1]")
+    leftover = 1.0 - alloc.tau_dl
+    u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
+    v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
     total = 0.0
-    for k in range(s.K):
-        total += max(0.0, secrecy_capacity_user(s, k, float(alloc.tau_dl[k]), float(alloc.tau_ul[k])))
+    for term in np.maximum(u - v, 0.0).tolist():  # summed in user order: the CSV bytes depend on it
+        total += term
     return total

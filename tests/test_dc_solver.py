@@ -1,13 +1,14 @@
-"""Solver checks: projections, subproblem, DCA loop, stationarity."""
+"""Solver checks: projections, the dual engine, certificates, sweep chains."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import minimize as scipy_minimize
 
 from vlcrf.dc_solver import (
     DcaSettings,
@@ -18,8 +19,8 @@ from vlcrf.dc_solver import (
     initial_allocation,
     kkt_residual,
     project_onto_feasible,
-    solve_subproblem,
 )
+from vlcrf.experiment import generate_scenario, preset_config
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
@@ -146,28 +147,25 @@ class TestProjection:
             assert float(np.dot(fs.rate_coeffs, dl)) >= fs.r_min * (1.0 - 1e-12)
 
     def test_large_inputs_match_reference_qp(self):
-        # distance cross-check at large magnitudes, in the expanded form
-        # |z|^2 / 2 - v . z (same argmin, no 1e26-sized squares), kept
-        # only where the generic solver reports convergence
-        checked = 0
+        # the UL block against the exact projection, at 1e6-1e13
+        for fs, _, v in self._large_cases(17):
+            _, ul = project_onto_feasible(fs, np.zeros(fs.K), v)
+            assert _distance(ul, _exact_ul_projection(v, fs.tau_floor)) <= 4e-15
+
+    def test_large_inputs_dl_repair_stops_at_the_rate_face(self):
+        # the DL block is a feasibility repair, not a projection: clipped and
+        # scaled onto the budget, a point short of r_min moves toward the
+        # best-user vertex just until it reaches the rate face
         for fs, v, _ in self._large_cases(17):
-            k, c, r_min = fs.K, fs.rate_coeffs, fs.r_min
-            dl, _ = project_onto_feasible(fs, v.tolist(), [0.1] * k)
-            cons = [{"type": "ineq", "fun": lambda z: 1.0 - z.sum(), "jac": lambda z: -np.ones(k)}]
-            if r_min > 0.0:
-                cons.append({"type": "ineq", "fun": lambda z: np.dot(c, z) - r_min, "jac": lambda z: c})
-            start = np.clip(v, 0.0, 1.0)
-            ref = scipy_minimize(
-                lambda z: 0.5 * np.dot(z, z) - np.dot(v, z), start / max(1.0, start.sum()),
-                jac=lambda z: z - v, method="SLSQP", bounds=[(0.0, None)] * k,
-                constraints=cons, options={"maxiter": 500, "ftol": 1e-16},
-            )
-            if ref.success:
-                checked += 1
-                mine = 0.5 * np.dot(dl, dl) - np.dot(v, dl)
-                theirs = 0.5 * np.dot(ref.x, ref.x) - np.dot(v, ref.x)
-                assert mine <= theirs + 1e-12 * np.abs(v).sum()
-        assert checked > 0
+            c, r_min = fs.rate_coeffs, fs.r_min
+            dl, _ = project_onto_feasible(fs, v, np.full(fs.K, 0.1))
+            assert sum(dl) <= 1.0 + 1e-12 and min(dl) >= 0.0
+            clipped = np.maximum(v, 0.0)
+            clipped /= max(1.0, clipped.sum())
+            if float(c @ clipped) < r_min:
+                assert float(c @ np.asarray(dl)) == pytest.approx(r_min, rel=1e-12)
+            else:
+                assert dl == clipped.tolist()
 
     def test_single_user_large_inputs_exact(self):
         # K = 1: the exact projections are the budget (UL) and r_min / c (DL)
@@ -180,6 +178,29 @@ class TestProjection:
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError):
             project_onto_feasible(FeasibleSet(np.array([2.0, 1.0]), 2.5), [0.5, 0.5], [0.5, 0.5])
+
+
+def _exact_ul_projection(t, floor) -> list[Fraction]:
+    """Euclidean projection onto {x >= floor, sum(x) <= 1}, exact in rationals:
+    the sorted threshold (Duchi et al., ICML 2008) on t - floor."""
+    t = [Fraction(float(x)) for x in t]
+    floor = Fraction(floor)
+    lifted = [max(x, floor) for x in t]
+    if sum(lifted) <= 1:
+        return lifted
+    budget = 1 - len(t) * floor
+    shifted = [x - floor for x in t]
+    total, theta = Fraction(0), None
+    for i, x in enumerate(sorted(shifted, reverse=True), 1):
+        total += x
+        if x > (total - budget) / i:
+            theta = (total - budget) / i
+    return [max(x - theta, Fraction(0)) + floor for x in shifted]
+
+
+def _distance(values, exact) -> float:
+    """Largest |value - exact| over the entries, computed exactly."""
+    return float(max(abs(Fraction(float(x)) - e) for x, e in zip(values, exact)))
 
 
 @st.composite
@@ -225,86 +246,11 @@ class TestProjectionProperties:
         assert project_onto_feasible(fs, dl, ul) == (dl.tolist(), ul.tolist())
 
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(_projection_problem(exponents=(-3.0, 0.5)))
+    @given(_projection_problem())
     def test_ul_block_matches_reference_qp(self, problem):
         fs, _, v = problem
-        floor, k = fs.tau_floor, fs.K
-        _, ul = project_onto_feasible(fs, np.zeros(k), v)
-        ref = scipy_minimize(
-            lambda z: 0.5 * np.dot(z - v, z - v), np.full(k, 1.0 / k), jac=lambda z: z - v,
-            method="SLSQP", bounds=[(floor, None)] * k,
-            constraints=[{"type": "ineq", "fun": lambda z: 1.0 - z.sum(), "jac": lambda z: -np.ones(k)}],
-            options={"maxiter": 500, "ftol": 1e-16},
-        )
-        if ref.success:
-            assert np.abs(np.subtract(ul, ref.x)).max() <= 1e-9
-            assert np.dot(ul - v, ul - v) <= np.dot(ref.x - v, ref.x - v) + 1e-12
-
-
-class TestSubproblem:
-    def test_zero_tilt_maximizes_u_alone(self):
-        s = scenario_with_a([10.0], [1.0])
-        fs = fs_for(s, 0.0)
-        alloc = solve_subproblem(s, fs, np.zeros(2))
-        # u is decreasing in tau_dl and increasing in tau_ul along the
-        # budget, confirmed by a coarse grid below
-        assert float(alloc.tau_dl[0]) <= 1e-8
-        assert float(alloc.tau_ul[0]) == pytest.approx(1.0, abs=1e-9)
-        grid = [
-            (td, tu)
-            for td in np.linspace(0, 1, 41)
-            for tu in np.linspace(0, 1, 41)
-        ]
-        vals = [objective_value(s, Allocation([td], [tu])) for td, tu in grid]
-        best_td, best_tu = grid[int(np.argmax(vals))]
-        assert best_td == 0.0 and best_tu == 1.0
-
-    def test_warm_start_at_optimum_unchanged(self):
-        s = scenario_with_a([10.0], [1.0])
-        fs = fs_for(s, 0.0)
-        first = solve_subproblem(s, fs, np.zeros(2))
-        again = solve_subproblem(s, fs, np.zeros(2), start=first)
-        move = max(
-            np.abs(again.tau_dl - first.tau_dl).max(),
-            np.abs(again.tau_ul - first.tau_ul).max(),
-        )
-        assert move <= 1e-8
-
-    def test_result_feasible(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            k = int(rng.integers(1, 5))
-            s = scenario_with_a(rng.uniform(0.5, 50.0, k), rng.uniform(0.5, 50.0, k))
-            fs = fs_for(s, rng.uniform(0, 0.8) * dl_rate_coefficients(s).max())
-            y = rng.standard_normal(2 * k)
-            alloc = solve_subproblem(s, fs, y)
-            assert allocation_violation(fs, alloc) <= 1e-8
-
-    def test_surrogate_never_below_warm_start(self):
-        rng = np.random.default_rng(4)
-        s = scenario_with_a([20.0, 3.0], [1.0, 9.0])
-        fs = fs_for(s, 2.0)
-        for _ in range(20):
-            y = rng.standard_normal(4) * 5.0
-            start = initial_allocation(fs)
-            out = solve_subproblem(s, fs, y, start=start)
-
-            def surrogate(al):
-                u = objective_value(scenario_with_a([20.0, 3.0], [1e-15, 1e-15]), al)
-                return u - float(np.dot(y[:2], al.tau_dl)) - float(np.dot(y[2:], al.tau_ul))
-
-            assert surrogate(out) >= surrogate(start) - 1e-9
-            assert allocation_violation(fs, out) <= 1e-8
-
-    def test_bad_inputs_rejected(self):
-        s = scenario_with_a([10.0], [1.0])
-        fs = fs_for(s, 0.0)
-        with pytest.raises(ValueError):
-            solve_subproblem(s, fs, np.zeros(3))
-        with pytest.raises(ValueError):
-            solve_subproblem(s, fs, np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            solve_subproblem(s, FeasibleSet(np.array([1.0]), 2.0), np.zeros(2))
+        _, ul = project_onto_feasible(fs, np.zeros(fs.K), v)
+        assert _distance(ul, _exact_ul_projection(v, fs.tau_floor)) <= 4e-15
 
 
 class TestDcaSolve:
@@ -455,6 +401,51 @@ class TestCertificate:
         assert again.iterations == 0
         assert again.objective == first.objective
         assert np.array_equal(again.raw_allocation.tau_dl, first.raw_allocation.tau_dl)
+
+
+def _fig3_problem(users, trial, index):
+    """Scenario and feasible set of one fig3 sweep row, built as the sweep builds them."""
+    cfg = preset_config("fig3")
+    sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
+    s, fs = generate_scenario(sub, trial)
+    c = fs.rate_coeffs
+    return s, FeasibleSet(c, cfg.sweep_values[index] * float(c.max()))
+
+
+class TestDualEngine:
+    # cold fig3 solves, with the objective the earlier SLSQP engine reached
+    @pytest.mark.parametrize("users, trial, index, earlier", [
+        (2, 17, 12, 0.6205658419291258),    # r_min at 0.6: a kink, two DL vertices mixed
+        (4, 185, 19, 0.22509868789485088),  # r_min at 0.95: the DL optimum on the budget edge
+        (4, 151, 10, 1.7553263014818),      # r_min at 0.5: a saturated user at the UL floor
+    ])
+    def test_cold_fig3_solves_certified(self, users, trial, index, earlier):
+        s, fs = _fig3_problem(users, trial, index)
+        res = dca_solve(s, fs)
+        assert res.status == "converged"
+        assert res.gap_bits <= 1e-8
+        assert res.objective >= earlier - 1e-12 * max(1.0, abs(earlier))
+
+    def test_lowest_switched_off_user_carries_the_rate(self):
+        # one active user of three, equal c: every switched-off user's DL time
+        # is free, and the lowest index takes the whole rate target
+        s = scenario_with_a([40.0, 2.0, 1.0], [3.0, 9.0, 5.0])
+        c = dl_rate_coefficients(s)
+        assert c[0] == c[1] == c[2]
+        fs = fs_for(s, 0.4 * float(c[0]))
+        raw = dca_solve(s, fs).raw_allocation
+        assert raw.tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
+        assert raw.tau_ul.tolist() == [1.0, 0.0, 0.0]
+
+    def test_single_user_closed_form(self):
+        # K = 1: tau_dl = r_min / c and tau_ul = 1, with no search
+        s = scenario_with_a([80.0], [3.0])
+        c = float(dl_rate_coefficients(s)[0])
+        fs = fs_for(s, 0.5 * c)
+        res = dca_solve(s, fs)
+        assert res.raw_allocation.tau_ul.tolist() == [1.0]
+        assert res.raw_allocation.tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
+        assert res.status == "converged" and res.iterations == 1
 
 
 @st.composite

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from vlcrf import experiment
 from vlcrf.cli import main as cli_main
 from vlcrf.dc_solver import FeasibleSet, allocation_violation
 from vlcrf.experiment import (
@@ -302,6 +303,35 @@ class TestRunSweep:
         cfg = build_config({"seed": "1"})
         with pytest.raises(ConfigError, match="sweep.kind"):
             run_sweep(cfg, out_dir=str(tmp_path))
+
+
+class TestChainConcavity:
+    def test_fig3_chains_are_monotone_and_concave(self, monkeypatch):
+        # the rate target enters the concave programme through one linear
+        # constraint, so the optimum V(r_min) is concave and non-increasing;
+        # with f <= V <= f + gap per row a chain's second differences are at
+        # most 2 gap: an optimality check at any K without the grid oracle
+        cfg = preset_config("fig3", {"trials": "10"})
+        solve = experiment.dca_solve
+        chain = []
+
+        def recorded(s, fs, settings, initial=None):
+            res = solve(s, fs, settings, initial=initial)
+            chain.append((fs.r_min, res.objective, res.gap_bits))
+            return res
+
+        monkeypatch.setattr(experiment, "dca_solve", recorded)
+        for users in (2, 4):
+            for trial in range(10):
+                chain.clear()
+                experiment._rmin_chain_rows(cfg, users, trial)
+                chain.sort()
+                f = [obj for _, obj, _ in chain]
+                assert len(f) == len(cfg.sweep_values)
+                assert all(f[i + 1] <= f[i] for i in range(len(f) - 1))
+                for i in range(1, len(f) - 1):
+                    gap = chain[i][2]
+                    assert f[i - 1] - 2.0 * f[i] + f[i + 1] <= 2.0 * gap + 1e-12 * max(1.0, abs(f[i]))
 
 
 class TestReportAndSolve:

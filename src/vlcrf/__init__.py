@@ -27,7 +27,6 @@ from vlcrf.link_budget import (
     dl_sum_rate,
     secrecy_capacity_user,
     objective_value,
-    objective_and_gradient,
 )
 from vlcrf.dc_solver import (
     FeasibleSet,

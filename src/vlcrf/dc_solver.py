@@ -66,8 +66,10 @@ gap is at most ``epsilon`` is returned as it is, and a solve ends
 ``converged`` iff the gap of its answer is at most ``epsilon``.
 
 Back on the polytope.  The start and the dual solve's point are put back on
-the polytope block by block: the UL block by its Euclidean projection, the
-DL block by a feasibility repair that is not a projection.  Both return a
+the polytope block by block, each by a feasibility repair that is not a
+projection: the UL block is lifted to TAU_FLOOR and, over the budget,
+scaled onto it above the floor (``_repair_ul``); the DL block is clipped,
+scaled and moved toward the rate face (``_repair_dl``).  Both return a
 feasible point unchanged; the engine keeps a point by its objective and
 certifies it by its gap, so neither needs the closest feasible point.
 Active users keep tau_ul >= TAU_FLOOR so the perspective gradients stay
@@ -82,7 +84,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  (unused; bench/tracing.py patches dc_solver.minimize by name)
 
 from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_grads, perspective_value
 
@@ -95,6 +96,8 @@ TAU_FLOOR = 1e-9            # lower bound on an active user's tau_ul
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
+
+minimize = None  # unused: bench/tracing.py wraps dc_solver.minimize by name until that span is repointed
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class DcaSettings:
     max_iterations: int = 500             # cap on the steps of the UL-multiplier search
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # nan too: it would fail every certificate
             raise ValueError("epsilon must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -139,8 +142,6 @@ class DcaResult:
     objective: float
     iterations: int                           # engine passes: 0 (certified start) or 1 (dual solve)
     status: str
-    trace: tuple
-    kkt_residual: float
     raw_allocation: Allocation | None = None  # solver iterate before snapping
     gap_bits: float = math.nan                # certificate: objective >= optimum - gap_bits
 
@@ -174,34 +175,19 @@ def initial_allocation(fs: FeasibleSet) -> Allocation:
 # putting a point back on the polytope
 # ---------------------------------------------------------------------------
 
-def _onto_simplex(w: np.ndarray, budget: float) -> np.ndarray:
-    """Projection onto {x >= 0, sum(x) = budget > 0} by the sorted threshold
-    (Duchi et al., ICML 2008)."""
-    u = np.sort(w)[::-1]
-    t = (np.cumsum(u) - budget) / np.arange(1, u.size + 1)
-    below = t[u - t > 0.0]
-    theta = below[-1] if below.size else 0.0
-    return np.maximum(w - theta, 0.0)
+def _repair_ul(t: np.ndarray) -> np.ndarray:
+    """A point of {x >= TAU_FLOOR, sum(x) <= 1} near t, not the closest.
 
-
-def _project_ul(t: np.ndarray, floor: float) -> np.ndarray:
-    """Euclidean projection onto {x >= floor, sum(x) <= 1}.
-
-    With the budget binding it is floor + the simplex projection of
-    t - floor.  That form misses the budget, over or under, by about the ulp
-    of the largest entry (1 + 2e-9 at 1e11), so a result whose sum is more
-    than 1e-15 off 1 is recomputed on the shift-invariant t - max(t), whose
-    active entries lie near 0: the sum then misses 1 by a few ulps of 1, each
-    entry lies within about 1e-15 of the exact projection, and a second
-    projection moves no entry by more than 1e-15.
+    Lift every entry to the floor, then, over the budget, scale the part
+    above the floor onto what the floor leaves of it.  A feasible t comes
+    back unchanged; for any finite t the result is feasible up to a few ulps
+    of the budget, so a second repair moves no entry by more than that.
     """
-    x = np.maximum(t, floor)
-    if x.sum() <= 1.0:
-        return x
-    budget = 1.0 - t.size * floor
-    x = _onto_simplex(t - floor, budget) + floor
-    if abs(x.sum() - 1.0) > 1e-15:
-        x = _onto_simplex(t - t.max(), budget) + floor
+    x = np.maximum(t, TAU_FLOOR)
+    total = x.sum()
+    if total > 1.0:
+        held = x.size * TAU_FLOOR
+        x = TAU_FLOOR + (x - TAU_FLOOR) * ((1.0 - held) / (total - held))
     return x
 
 
@@ -229,15 +215,15 @@ def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: float) -> np.ndarray:
 def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
     """Put both blocks back on the feasible polytope, as two lists.
 
-    UL: the Euclidean projection onto {tau_ul >= TAU_FLOOR, sum <= 1}.  DL:
-    the feasibility repair ``_repair_dl``, not a projection.  A feasible
-    input comes back unchanged; for any finite input the budgets and the
-    rate target hold up to rounding, tau_ul >= TAU_FLOOR and tau_dl >= 0.
+    UL: the feasibility repair ``_repair_ul``, DL: ``_repair_dl``; neither
+    is a projection.  A feasible input comes back unchanged; for any finite
+    input the budgets and the rate target hold up to rounding,
+    tau_ul >= TAU_FLOOR and tau_dl >= 0.
     """
     if not check_feasibility(fs):
         raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
     dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64), fs.rate_coeffs, fs.r_min)
-    ul = _project_ul(np.asarray(tau_ul, dtype=np.float64), TAU_FLOOR)
+    ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64))
     return dl.tolist(), ul.tolist()
 
 
@@ -302,11 +288,11 @@ class _Concave:
     def vertices(self) -> np.ndarray:
         return _dl_vertices(self.fs.rate_coeffs, self.fs.r_min)
 
-    def project(self, dl: np.ndarray, ul_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """DL repair, UL projection of the active users' ``ul_on``; 0 for the rest."""
+    def repair(self, dl: np.ndarray, ul_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both repairs; ``ul_on`` holds the active users' tau_ul, 0 for the rest."""
         fs = self.fs
         ul = np.zeros(fs.K)
-        ul[self.on] = _project_ul(ul_on, TAU_FLOOR)
+        ul[self.on] = _repair_ul(ul_on)
         return _repair_dl(dl, fs.rate_coeffs, fs.r_min), ul
 
     def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -383,7 +369,7 @@ def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray,
     first vertex whose linearised cost overtakes it there (the kink), or the
     bracket's midpoint when the step leaves the bracket.  The search stops
     there, when lambda stalls, or after ``max_steps`` steps; the caller
-    projects and certifies the answer.
+    repairs and certifies the answer.
     """
     on = prob.on
     vertices = prob.vertices
@@ -447,31 +433,27 @@ def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray,
 
 
 def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
-    """One certified solve from ``start``: (tau_dl, tau_ul, objective, gap, trace).
+    """One certified solve from ``start``: (tau_dl, tau_ul, objective, gap, passes).
 
     The start is put back on the polytope first (switched-off users lose
     their uplink share, which never lowers the objective).  A start whose gap
-    is at most ``epsilon`` is returned as it is; otherwise the dual solve
-    runs, warm-started from the start's largest active UL gradient, and its
-    point, put back on the polytope, replaces the start when its objective
-    is at least as high, so the answer never falls below the start.  The
-    trace holds (objective, max-norm move) per pass, after the start's (f, 0).
+    is at most ``epsilon`` is returned as it is, after 0 passes; otherwise the
+    dual solve runs once, warm-started from the start's largest active UL
+    gradient, and its point, put back on the polytope, replaces the start
+    when its objective is at least as high, so the answer never falls below
+    the start.
     """
-    x_dl, x_ul = prob.project(start.tau_dl, start.tau_ul[prob.on])
+    x_dl, x_ul = prob.repair(start.tau_dl, start.tau_ul[prob.on])
     f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
     gap = prob.gap(x_dl, x_ul, g_dl, g_ul)
-    trace = [(f, 0.0)]
     if gap <= settings.epsilon:
-        return x_dl, x_ul, f, gap, tuple(trace)
-    step = 0.0
-    n_dl, n_ul = prob.project(*_dual_solve(prob, float(g_ul[prob.on].max()), settings.max_iterations))
+        return x_dl, x_ul, f, gap, 0
+    n_dl, n_ul = prob.repair(*_dual_solve(prob, float(g_ul[prob.on].max()), settings.max_iterations))
     f_n, gn_dl, gn_ul = prob.value_and_grad(n_dl, n_ul)
     if f_n >= f:
-        step = float(max(np.abs(n_dl - x_dl).max(), np.abs(n_ul - x_ul).max()))
         x_dl, x_ul, f = n_dl, n_ul, f_n
         gap = prob.gap(x_dl, x_ul, gn_dl, gn_ul)
-    trace.append((f, step))
-    return x_dl, x_ul, f, gap, tuple(trace)
+    return x_dl, x_ul, f, gap, 1
 
 
 def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
@@ -505,26 +487,23 @@ def dca_solve(
     rest is solved once from ``initial`` (default initial_allocation).  The
     objective is never below that of the start.  ``gap_bits`` bounds the
     distance from the optimum; the status is "converged" iff it is at most
-    ``settings.epsilon``.  ``kkt_residual`` holds the same gap (see
-    ``kkt_residual``).  ``iterations`` counts engine passes: 0 for a
-    certified start, else 1.
+    ``settings.epsilon``; ``kkt_residual`` recomputes the same gap from an
+    allocation.  ``iterations`` counts engine passes: 0 for a certified
+    start, else 1.
     Infeasible rate targets short-circuit with status "infeasible".
     """
     if fs.K != s.K:
         raise ValueError("feasible set and scenario disagree on the user count")
     if not check_feasibility(fs):
-        return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE,
-                         trace=(), kkt_residual=math.nan)
+        return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE)
     start = initial if initial is not None else initial_allocation(fs)
-    dl, ul, f, gap, trace = _maximize(_secrecy_problem(s, fs), start, settings)
+    dl, ul, f, gap, passes = _maximize(_secrecy_problem(s, fs), start, settings)
     dl_s, ul_s = _snap_reported(dl, ul, fs.rate_coeffs, fs.r_min)
     return DcaResult(
         allocation=Allocation(dl_s, ul_s),
         objective=f,
-        iterations=len(trace) - 1,
+        iterations=passes,
         status=STATUS_CONVERGED if gap <= settings.epsilon else STATUS_MAX_ITERATIONS,
-        trace=trace,
-        kkt_residual=gap,
         raw_allocation=Allocation(dl, ul),
         gap_bits=gap,
     )

@@ -15,8 +15,8 @@ CSVs regardless of worker count.
 Minimum-rate sweeps walk each trial from the highest target downward and
 warm-start every solve from the previous (tighter) solution, which makes
 the per-trial objective curve monotone by construction: the previous
-optimum stays feasible once the constraint relaxes and ascent does the
-rest.
+answer stays feasible once the constraint relaxes, and the solver keeps
+the better of its start and its own answer.
 """
 
 from __future__ import annotations
@@ -110,9 +110,12 @@ class ExperimentConfig:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, key: str) -> int:

@@ -185,6 +185,11 @@ def perspective_value(a, leftover, tau_ul):
 def perspective_grads(a, leftover, tau_ul):
     """(d/dtau_dl, d/dtau_ul) of the perspective term; needs tau_ul > 0.
 
+    With w = 1 - tau_dl and t = tau_ul:
+
+        d/dtau_ul = log2(1 + a w / t) - a w / (ln2 (t + a w))
+        d/dtau_dl = -a t / (ln2 (t + a w))
+
     Scalars or broadcastable arrays, like ``perspective_value``.
     """
     prod = a * leftover
@@ -198,8 +203,9 @@ def secrecy_capacity_user(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k
     """Secrecy capacity of user k's uplink, bits/s/Hz (may be negative).
 
     Returns u_k - v_k; at tau_ul = 0 the continuous extension 0 is used.
-    The value is not clamped at zero: clamping would destroy the
-    difference-of-concave structure the solver relies on.
+    The value is not clamped at zero: the solver maximizes the unclamped
+    sum, which is concave once the users with a_k <= aE_k are switched off;
+    only the reporting side clamps (``clamped_secrecy_sum``).
     """
     _check_index(s, k)
     if not 0.0 <= tau_dl_k <= 1.0:
@@ -220,26 +226,6 @@ def objective_value(s: ScenarioChannels, alloc: Allocation) -> float:
     u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
     v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
     return float(np.sum(u - v))
-
-
-def objective_and_gradient(s: ScenarioChannels, alloc: Allocation) -> tuple[float, np.ndarray]:
-    """Objective and its gradient, ordered [d/dtau_dl_1..K, d/dtau_ul_1..K].
-
-    The gradient of each perspective term is
-
-        d/dtau_ul = log2(1 + a w / t) - a w / (ln2 (t + a w))
-        d/dtau_dl = -a t / (ln2 (t + a w))        with w = 1 - tau_dl.
-
-    Requires every tau_ul > 0 so the derivatives are defined.
-    """
-    if alloc.K != s.K:
-        raise ValueError("allocation size does not match scenario")
-    if np.any(alloc.tau_ul <= 0.0):
-        raise ValueError("gradient undefined at tau_ul = 0; keep iterates above the floor")
-    leftover = 1.0 - alloc.tau_dl
-    du_dl, du_ul = perspective_grads(s.a_user(), leftover, alloc.tau_ul)
-    dv_dl, dv_ul = perspective_grads(s.a_eve(), leftover, alloc.tau_ul)
-    return objective_value(s, alloc), np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
 
 
 def clamped_secrecy_sum(s: ScenarioChannels, alloc: Allocation) -> float:

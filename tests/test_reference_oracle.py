@@ -145,7 +145,7 @@ class TestCompare:
     def _result(self, objective):
         return DcaResult(
             allocation=None, objective=objective, iterations=1,
-            status="converged", trace=(), kkt_residual=0.0,
+            status="converged",
         )
 
     def test_within_tolerance_passes(self):

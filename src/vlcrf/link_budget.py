@@ -73,11 +73,13 @@ class ScenarioChannels:
             if np.any(getattr(self, name) < 0) or not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"ScenarioChannels.{name} entries must be finite and >= 0")
         for name in ("sigma2_dl", "sigma2_ul"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"ScenarioChannels.{name} entries must be > 0")
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"ScenarioChannels.{name} entries must be finite and > 0")
         for name in ("sigma2_e", "eta", "i_d", "p_led"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ScenarioChannels.{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"ScenarioChannels.{name} must be finite and > 0")
 
     @property
     def K(self) -> int:

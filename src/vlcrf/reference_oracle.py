@@ -2,10 +2,21 @@
 
 Exhaustively evaluates the secrecy objective on a feasibility-filtered
 grid over the time-slot box, then refines locally around the incumbent.
-For K = 2 the per-user value tables are combined across the downlink and
-uplink pair sets, which keeps the sweep at millions rather than billions
-of evaluations.  The oracle is one-sided: it produces a certified feasible
-lower bound on the optimum.
+For K = 2 the objective is w1[d1, u1] + w2[d2, u2], one value table per
+user, and the search runs over the feasible downlink pairs times the user-1
+uplink levels only.  The uplink levels ascend and float addition is
+monotone, so the user-2 levels admitted next to level j1 (u1 + u2 <= 1,
+the same test on the same sums) form a prefix 0..m(j1), and
+
+    max over j2 <= m(j1) of (w1 + w2[d2, j2])  ==  w1 + R2[d2, m(j1)]
+
+holds bit for bit with R2 the running maximum of w2 along the uplink axis.
+That is exactly the maximum over the full cross product of downlink and
+uplink pairs, at |DL pairs| x resolution work per round instead of
+|DL pairs| x |UL pairs|.  Ties go to the lowest downlink pair, then the
+lowest user-1 level, then the lowest user-2 level: j2 is the first prefix
+index whose recomputed sum equals the maximum.  The oracle is one-sided: it
+produces a certified feasible lower bound on the optimum.
 """
 
 from __future__ import annotations
@@ -106,27 +117,33 @@ def _search_k2(s, fs, spec, windows):
     i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
     if i1.size == 0:
         return None
-    su = u1[:, None] + u2[None, :]
-    j1, j2 = np.nonzero(su <= 1.0)
-    if j1.size == 0:
+    # the admitted user-2 levels of each user-1 level form a prefix 0..m[j1]
+    m = np.count_nonzero(u1[:, None] + u2[None, :] <= 1.0, axis=1) - 1
+    js = np.flatnonzero(m >= 0)
+    if js.size == 0:
         return None
 
     w1 = _pair_table(float(a[0]), float(a_e[0]), d1, u1)
     w2 = _pair_table(float(a[1]), float(a_e[1]), d2, u2)
-    # combine the per-user tables over the two feasible pair sets in chunks
-    # so the cross matrix never exceeds a few million entries at once
+    # user 1 at level js[q] plus the best admitted user-2 level
+    left = w1[:, js]
+    right = np.maximum.accumulate(w2, axis=1)[:, m[js]]
     best = -np.inf
     best_p = best_q = 0
-    chunk = max(1, 2_000_000 // max(1, j1.size))
+    chunk = max(1, 2_000_000 // js.size)
     for lo in range(0, i1.size, chunk):
         sl = slice(lo, lo + chunk)
-        block = w1[i1[sl][:, None], j1[None, :]] + w2[i2[sl][:, None], j2[None, :]]
+        block = left[i1[sl]] + right[i2[sl]]
         p, q = np.unravel_index(np.argmax(block), block.shape)
         if block[p, q] > best:
             best = float(block[p, q])
             best_p, best_q = lo + p, q
-    dl = (float(d1[i1[best_p]]), float(d2[i2[best_p]]))
-    ul = (float(u1[j1[best_q]]), float(u2[j2[best_q]]))
+    k1, k2, j1 = i1[best_p], i2[best_p], js[best_q]
+    # first user-2 level reaching the maximum; the sum is recomputed because
+    # rounding can lift w1 + w2[j2] to best while w2[j2] is below the prefix max
+    j2 = int(np.argmax(w1[k1, j1] + w2[k2, : m[j1] + 1] == best))
+    dl = (float(d1[k1]), float(d2[k2]))
+    ul = (float(u1[j1]), float(u2[j2]))
     return best, dl, ul
 
 

@@ -409,6 +409,20 @@ class TestCli:
         assert lines[kkt + 1].startswith("gap_bits: ")
         assert float(lines[kkt + 1].split(": ")[1]) <= 1e-8
 
+    def test_solve_oracle_at_default_resolution(self, tmp_path, capsys):
+        # oracle.resolution stays at its default of 256; seed 0 has a
+        # positive objective, so the grid has something to match
+        path = tmp_path / "c.txt"
+        path.write_text("users.count = 2\n")
+        code = cli_main([
+            "solve", "--oracle", "--preset", "fig4", "--config", str(path), "--seed", "0",
+            "--out", str(tmp_path / "o"),
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert float(next(ln for ln in lines if ln.startswith("objective_bits: ")).split(": ")[1]) > 0
+        assert any(ln.startswith("oracle: ") and ln.endswith("-> pass") for ln in lines)
+
     def test_config_error_exit_two(self, capsys):
         code = cli_main(["solve", "--config", "/nonexistent.txt"])
         err = capsys.readouterr().err

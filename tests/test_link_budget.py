@@ -70,6 +70,17 @@ class TestScenarioChannels:
                 eta=0.44, i_d=2.0, p_led=1.0,
             )
 
+    @pytest.mark.parametrize("field", ["sigma2_dl", "sigma2_ul", "sigma2_e", "eta", "i_d", "p_led"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, field, value):
+        kwargs = dict(
+            g=[1e-6], h=[1e-3], h_e=[1e-3], sigma2_dl=[1e-14], sigma2_ul=[1e-14],
+            sigma2_e=1e-14, eta=0.44, i_d=2.0, p_led=1.0,
+        )
+        kwargs[field] = [value] if isinstance(kwargs[field], list) else value
+        with pytest.raises(ValueError, match=field):
+            ScenarioChannels(**kwargs)
+
     def test_arrays_read_only(self):
         s = scenario([1e-6], 1e-3, 1e-3)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from vlcrf.dc_solver import DcaResult, DcaSettings, FeasibleSet, allocation_violation, dca_solve
 from vlcrf.experiment import PRESETS, build_config, generate_scenario
 from vlcrf.link_budget import ScenarioChannels, dl_rate_coefficients
+from vlcrf import reference_oracle
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 
 
@@ -124,6 +125,112 @@ class TestTwoUsers:
             grid_search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
 
 
+def cross_product_search_k2(s, fs, spec, windows):
+    """Reference K = 2 search: every feasible DL pair against every UL pair.
+
+    The prefix-max search in reference_oracle must return the same maximum
+    and the same argmax bits (lowest DL pair, then user-1 level, then
+    user-2 level).
+    """
+    a = s.a_user()
+    a_e = s.a_eve()
+    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
+    (d1lo, d1hi), (d2lo, d2hi), (u1lo, u1hi), (u2lo, u2hi) = windows
+    d1 = reference_oracle._levels(d1lo, d1hi, spec.resolution)
+    d2 = reference_oracle._levels(d2lo, d2hi, spec.resolution)
+    if fs.r_min > 0.0:
+        if c[1] > 0.0:
+            cand = (fs.r_min - c[0] * d1) / c[1]
+            d2 = np.unique(np.concatenate([d2, cand[(cand >= d2lo) & (cand <= d2hi)]]))
+        if c[0] > 0.0:
+            cand = (fs.r_min - c[1] * d2) / c[0]
+            d1 = np.unique(np.concatenate([d1, cand[(cand >= d1lo) & (cand <= d1hi)]]))
+    u1 = reference_oracle._levels(u1lo, u1hi, spec.resolution)
+    u2 = reference_oracle._levels(u2lo, u2hi, spec.resolution)
+
+    i1, i2 = reference_oracle._feasible_dl_pairs(c, fs.r_min, d1, d2)
+    if i1.size == 0:
+        return None
+    j1, j2 = np.nonzero(u1[:, None] + u2[None, :] <= 1.0)
+    if j1.size == 0:
+        return None
+    w1 = reference_oracle._pair_table(float(a[0]), float(a_e[0]), d1, u1)
+    w2 = reference_oracle._pair_table(float(a[1]), float(a_e[1]), d2, u2)
+    best = -np.inf
+    best_p = best_q = 0
+    chunk = max(1, 2_000_000 // j1.size)
+    for lo in range(0, i1.size, chunk):
+        sl = slice(lo, lo + chunk)
+        block = w1[i1[sl][:, None], j1[None, :]] + w2[i2[sl][:, None], j2[None, :]]
+        p, q = np.unravel_index(np.argmax(block), block.shape)
+        if block[p, q] > best:
+            best = float(block[p, q])
+            best_p, best_q = lo + p, q
+    dl = (float(d1[i1[best_p]]), float(d2[i2[best_p]]))
+    ul = (float(u1[j1[best_q]]), float(u2[j2[best_q]]))
+    return best, dl, ul
+
+
+def _bits(alloc, objective):
+    return (
+        np.float64(objective).tobytes(),
+        np.asarray(alloc.tau_dl, dtype=np.float64).tobytes(),
+        np.asarray(alloc.tau_ul, dtype=np.float64).tobytes(),
+    )
+
+
+def _equivalence_panel():
+    """Two-user problems: fig4 draws plus adversarial SNR constants.
+
+    The adversarial draws span SNR constants 1e-6 to 1e12, ties a = aE on
+    one or both users, a zero gain for user 2, and rate targets of 0, a
+    random fraction and the best-user vertex c_max.  The last problem is a
+    weak link whose value tables are so flat that w1 + w2[j2] rounds to the
+    maximum one user-2 level below the largest w2 of the admitted prefix,
+    so the argmax tie rule decides its tau_ul.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(30):
+            raw = dict(PRESETS["fig4"], seed=str(seed))
+            raw["users.count"] = "2"
+            raw["rate.min_fraction"] = repr((0.0, 0.3, 0.6, 0.9, 0.99)[seed % 5])
+            s, fs = generate_scenario(build_config(raw), 0)
+            yield s, fs, GridSpec(resolution=(16, 24, 32)[seed % 3], refine_rounds=seed % 4)
+    rng = np.random.default_rng(20261018)
+    for case in range(200):
+        a = 10.0 ** rng.uniform(-6.0, 12.0, 2)
+        ae = 10.0 ** rng.uniform(-6.0, 12.0, 2)
+        kind = case % 5
+        if kind == 1:
+            ae[0] = a[0]
+        elif kind == 2:
+            ae[:] = a
+        s = scenario_with_a(a, ae)
+        if kind == 3:
+            s = ScenarioChannels(
+                g=np.array([1.0, 0.0]), h=s.h, h_e=s.h_e, sigma2_dl=s.sigma2_dl,
+                sigma2_ul=s.sigma2_ul, sigma2_e=s.sigma2_e, eta=s.eta, i_d=s.i_d, p_led=s.p_led,
+            )
+        c_max = float(dl_rate_coefficients(s).max())
+        r_min = (0.0, float(rng.uniform(0.0, 1.0)) * c_max, c_max)[case % 3]
+        spec = GridSpec(resolution=int(rng.integers(16, 41)), refine_rounds=int(rng.integers(0, 4)))
+        yield s, fs_for(s, r_min), spec
+    s = scenario_with_a([6.5e-15, 2e-15], [2.2e-15, 1.7e-16])
+    yield s, fs_for(s, 0.65 * float(dl_rate_coefficients(s).max())), GridSpec(resolution=36, refine_rounds=1)
+
+
+class TestPrefixMaxSearch:
+    def test_matches_the_cross_product_bit_for_bit(self, monkeypatch):
+        panel = list(_equivalence_panel())
+        assert len(panel) >= 200
+        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
+        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        for i, (got, want) in enumerate(zip(fast, slow)):
+            assert got == want, f"problem {i}"
+
+
 class TestCertificateCrossCheck:
     def test_grid_never_beats_the_certified_bound(self):
         # the grid value is a feasible lower bound on the optimum and
@@ -136,7 +243,7 @@ class TestCertificateCrossCheck:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     s, fs = generate_scenario(build_config(raw), 0)
-                _, grid = grid_search(s, fs, GridSpec(resolution=32, refine_rounds=3))
+                _, grid = grid_search(s, fs, GridSpec(resolution=128, refine_rounds=3))
                 for res in (dca_solve(s, fs, DcaSettings(epsilon=1e9)), dca_solve(s, fs)):
                     assert grid <= res.objective + res.gap_bits + 1e-12
 

@@ -60,10 +60,21 @@ Certificate.  For concave f over a polytope P the Frank-Wolfe duality gap
     gap(x) = max_{y in P} grad f(x) . (y - x)  >=  f* - f(x)
 
 bounds the distance from the optimum in bits.  The maximum splits over the
-two blocks and is taken over their vertices in closed form (``_dl_vertices``
-and the best UL vertex).  It is the engine's only exit test: a start whose
-gap is at most ``epsilon`` is returned as it is, and a solve ends
-``converged`` iff the gap of its answer is at most ``epsilon``.
+two blocks and is taken over their vertices in closed form (the rate face,
+corners and edges ``_dl_vertices`` lists, and the best UL vertex).  It is
+the engine's only exit test: a start whose gap is at most ``epsilon`` is
+returned as it is, and a solve ends ``converged`` iff the gap of its answer
+is at most ``epsilon``.
+
+Rows.  The certificate kernels (both repairs, value and gradient, gap and
+the reporting snap) are row-batched: they take (N, K) arrays, one problem
+with its own channels, rate coefficients and r_min per row.
+``dca_solve`` and ``kkt_residual`` pass one row; ``solve_rows`` passes
+many, as the r_min sweep does for a block of trials at one rate target.
+Only the dual solve runs row by row, for the rows the gap does not
+certify.  Each row reduction adds a row's terms exactly as a 1-D
+reduction of that row alone would (``_reduce_on``), so a row's answer does
+not depend on the rows solved beside it.
 
 Back on the polytope.  The start and the dual solve's point are put back on
 the polytope block by block, each by a feasibility repair that is not a
@@ -80,7 +91,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -116,8 +126,9 @@ class FeasibleSet:
             raise ValueError("rate_coeffs must be finite and >= 0")
         c.flags.writeable = False
         object.__setattr__(self, "rate_coeffs", c)
-        if self.r_min < 0:
-            raise ValueError(f"r_min must be >= 0, got {self.r_min!r}")
+        # nan passes a plain r_min < 0 test and then reads as an infeasible target
+        if not (math.isfinite(self.r_min) and self.r_min >= 0):
+            raise ValueError(f"r_min must be finite and >= 0, got {self.r_min!r}")
 
     @property
     def K(self) -> int:
@@ -130,10 +141,12 @@ class DcaSettings:
     max_iterations: int = 500             # cap on the steps of the UL-multiplier search
 
     def __post_init__(self):
-        if not self.epsilon > 0:  # nan too: it would fail every certificate
-            raise ValueError("epsilon must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # nan would fail every certificate and inf pass any gap as converged
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
+        steps = self.max_iterations
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"max_iterations must be an int >= 1, got {steps!r}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +157,24 @@ class DcaResult:
     status: str
     raw_allocation: Allocation | None = None  # solver iterate before snapping
     gap_bits: float = math.nan                # certificate: objective >= optimum - gap_bits
+
+
+@dataclass(frozen=True)
+class RowSolutions:
+    """What ``dca_solve`` returns, for N problems at once: (N, K) and (N,) arrays.
+
+    No ``Allocation`` is built; a caller that emits the fractions runs
+    ``link_budget.check_fractions`` on them.
+    """
+
+    tau_dl: np.ndarray        # reported fractions, snapped
+    tau_ul: np.ndarray
+    raw_tau_dl: np.ndarray    # the solver's point before snapping: the next warm start
+    raw_tau_ul: np.ndarray
+    objective: np.ndarray
+    gap_bits: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray     # gap_bits <= epsilon: status "converged", else "max_iterations"
 
 
 def check_feasibility(fs: FeasibleSet) -> bool:
@@ -172,43 +203,75 @@ def initial_allocation(fs: FeasibleSet) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
+# row reductions
+# ---------------------------------------------------------------------------
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=1)
+
+
+def _reduce_on(on: np.ndarray, reduce, *arrays: np.ndarray) -> np.ndarray:
+    """``reduce`` of each row's entries at its active users ``on`` (0 where none is).
+
+    The active entries are gathered in user order, and the rows with one
+    active count are reduced together as one C-contiguous block, whose
+    row-wise ``sum`` and ``np.vecdot`` add a row exactly as the 1-D
+    ``np.sum`` and ``@`` of its active entries do.  Zeros in place of the
+    inactive users would not: from 8 terms on the sum is pairwise, and
+    padding moves its split.
+    """
+    out = np.empty(on.shape[0])
+    count = on.sum(axis=1)
+    for n in set(count.tolist()):
+        rows = np.flatnonzero(count == n)
+        mask = on[rows]
+        out[rows] = reduce(*(x[rows][mask].reshape(rows.size, n) for x in arrays))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # putting a point back on the polytope
 # ---------------------------------------------------------------------------
 
-def _repair_ul(t: np.ndarray) -> np.ndarray:
-    """A point of {x >= TAU_FLOOR, sum(x) <= 1} near t, not the closest.
+def _repair_ul(t: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per row, a point of {x >= TAU_FLOOR on ``on``, 0 off it, sum(x) <= 1} near t.
 
-    Lift every entry to the floor, then, over the budget, scale the part
-    above the floor onto what the floor leaves of it.  A feasible t comes
-    back unchanged; for any finite t the result is feasible up to a few ulps
-    of the budget, so a second repair moves no entry by more than that.
+    Not the closest point: lift every active entry to the floor, then, over
+    the budget, scale the part above the floor onto what the floor leaves
+    of it.  A feasible row comes back unchanged; for any finite row the
+    result is feasible up to a few ulps of the budget, so a second repair
+    moves no entry by more than that.
     """
-    x = np.maximum(t, TAU_FLOOR)
-    total = x.sum()
-    if total > 1.0:
-        held = x.size * TAU_FLOOR
-        x = TAU_FLOOR + (x - TAU_FLOOR) * ((1.0 - held) / (total - held))
+    x = np.where(on, np.maximum(t, TAU_FLOOR), 0.0)
+    total = _reduce_on(on, _row_sum, x)
+    over = np.flatnonzero(total > 1.0)
+    if over.size:
+        held = on[over].sum(axis=1) * TAU_FLOOR
+        scale = (1.0 - held) / (total[over] - held)
+        x[over] = np.where(on[over], TAU_FLOOR + (x[over] - TAU_FLOOR) * scale[:, None], 0.0)
     return x
 
 
-def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: float) -> np.ndarray:
-    """A point of {x >= 0, sum(x) <= 1, c . x >= r_min} near d, not the closest.
+def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> np.ndarray:
+    """Per row, a point of {x >= 0, sum(x) <= 1, c . x >= r_min} near d.
 
-    Clip at 0, scale onto the budget, then, short of r_min, move toward the
-    best-user vertex e_j (feasible as r_min <= max c) until c . x = r_min, a
-    convex combination that keeps both budgets.  A feasible d comes back
-    unchanged, and the result is feasible for any finite d.
+    Not the closest point: clip at 0, scale onto the budget, then, short of
+    r_min, move toward the best-user vertex e_j (feasible as r_min <= max c)
+    until c . x = r_min, a convex combination that keeps both budgets.  A
+    feasible row comes back unchanged, and the result is feasible for any
+    finite d.
     """
     d = np.maximum(d, 0.0)
-    total = d.sum()
-    if total > 1.0:
-        d = d / total
-    rate = float(c @ d)
-    if rate < r_min:
-        j = int(np.argmax(c))
-        lam = (r_min - rate) / (float(c[j]) - rate)
-        d = (1.0 - lam) * d
-        d[j] += lam
+    total = d.sum(axis=1)
+    over = total > 1.0
+    d[over] /= total[over, None]
+    rate = np.vecdot(c, d)
+    short = np.flatnonzero(rate < r_min)
+    if short.size:
+        j = np.argmax(c[short], axis=1)
+        lam = (r_min[short] - rate[short]) / (c[short, j] - rate[short])
+        d[short] *= (1.0 - lam)[:, None]
+        d[short, j] += lam
     return d
 
 
@@ -222,27 +285,33 @@ def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
     """
     if not check_feasibility(fs):
         raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
-    dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64), fs.rate_coeffs, fs.r_min)
-    ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64))
-    return dl.tolist(), ul.tolist()
+    dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64)[None], fs.rate_coeffs[None], np.array([fs.r_min]))
+    ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64)[None], np.ones((1, fs.K), dtype=bool))
+    return dl[0].tolist(), ul[0].tolist()
+
+
+def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """Worst constraint violation of each row's allocation (0 when feasible).
+
+    (N, K) rate coefficients and fractions, (N,) rate targets.  The
+    minimum-rate slack is normalized by max(1, r_min) so the measure is
+    comparable across rate scales.
+    """
+    rate = np.vecdot(rate_coeffs, tau_dl)
+    return np.fmax.reduce([
+        np.zeros(r_min.shape), -tau_dl.min(axis=1), -tau_ul.min(axis=1),
+        tau_dl.sum(axis=1) - 1.0, tau_ul.sum(axis=1) - 1.0,
+        (r_min - rate) / np.maximum(1.0, r_min),
+    ])
 
 
 def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
-    """Worst constraint violation of an allocation (0 when feasible).
-
-    The minimum-rate slack is normalized by max(1, r_min) so the measure is
-    comparable across rate scales.
-    """
-    dl = alloc.tau_dl
-    ul = alloc.tau_ul
-    viol = max(0.0, float(-dl.min()), float(-ul.min()))
-    viol = max(viol, float(dl.sum()) - 1.0, float(ul.sum()) - 1.0)
-    rate = float(fs.rate_coeffs @ dl)
-    return max(viol, (fs.r_min - rate) / max(1.0, fs.r_min))
+    """Worst constraint violation of an allocation (0 when feasible), as ``violation_rows``."""
+    return float(violation_rows(fs.rate_coeffs[None], np.array([fs.r_min]), alloc.tau_dl[None], alloc.tau_ul[None])[0])
 
 
 # ---------------------------------------------------------------------------
-# the engine: one certified solve of the concave programme
+# the engine: certified solves of the concave programme
 # ---------------------------------------------------------------------------
 
 def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
@@ -275,47 +344,62 @@ def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
     return out
 
 
+def _dl_best(c: np.ndarray, r_min: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per row, the largest g . v over the vertices v that ``_dl_vertices`` lists.
+
+    In closed form: (r_min / c_k) g_k (0 at r_min = 0, the origin) and g_k
+    for each c_k >= r_min, and lam g_i + (1 - lam) g_j on each edge with
+    c_i > r_min > c_j, lam = (r_min - c_j) / (c_i - c_j).
+    """
+    r = r_min[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        face = np.where(r > 0.0, r / c, 0.0) * g
+        best = np.where(c >= r, np.maximum(face, g), -np.inf).max(axis=1)
+        c_i, c_j, r = c[:, :, None], c[:, None, :], r[:, :, None]
+        edge = (c_i > r) & (c_j < r)
+        if edge.any():
+            lam = (r - c_j) / (c_i - c_j)
+            on_edge = lam * g[:, :, None] + (1.0 - lam) * g[:, None, :]
+            best = np.maximum(best, np.where(edge, on_edge, -np.inf).max(axis=(1, 2)))
+    return best
+
+
 @dataclass(frozen=True)
 class _Concave:
-    """max sum_{k on} (u_k - v_k) over the polytope, tau_ul = 0 off ``on``."""
+    """Per row, max sum_{k on} (u_k - v_k) over the polytope, tau_ul = 0 off ``on``.
+
+    ``a``, ``a_e``, ``on`` and the rate coefficients ``c`` are (N, K),
+    ``r_min`` is (N,): one problem per row.
+    """
 
     a: np.ndarray
     a_e: np.ndarray
     on: np.ndarray
-    fs: FeasibleSet
+    c: np.ndarray
+    r_min: np.ndarray
 
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        return _dl_vertices(self.fs.rate_coeffs, self.fs.r_min)
+    def take(self, rows: np.ndarray) -> "_Concave":
+        return _Concave(self.a[rows], self.a_e[rows], self.on[rows], self.c[rows], self.r_min[rows])
 
-    def repair(self, dl: np.ndarray, ul_on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both repairs; ``ul_on`` holds the active users' tau_ul, 0 for the rest."""
-        fs = self.fs
-        ul = np.zeros(fs.K)
-        ul[self.on] = _repair_ul(ul_on)
-        return _repair_dl(dl, fs.rate_coeffs, fs.r_min), ul
+    def repair(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both repairs; ``ul`` is read at the active users only."""
+        return _repair_dl(dl, self.c, self.r_min), _repair_ul(ul, self.on)
 
-    def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Objective per row and its gradients, 0 off ``on``; needs ul > 0 on ``on``."""
         on = self.on
-        w = 1.0 - dl[on]
-        t = ul[on]
-        a = self.a[on]
-        a_e = self.a_e[on]
-        value = float(np.sum(perspective_value(a, w, t) - perspective_value(a_e, w, t)))
-        du_dl, du_ul = perspective_grads(a, w, t)
-        dv_dl, dv_ul = perspective_grads(a_e, w, t)
-        g_dl = np.zeros(self.fs.K)
-        g_dl[on] = du_dl - dv_dl
-        g_ul = np.zeros(self.fs.K)
-        g_ul[on] = du_ul - dv_ul
-        return value, g_dl, g_ul
+        w = 1.0 - dl
+        t = np.where(on, ul, 1.0)  # any t > 0 off ``on`` keeps the kernels defined; those terms are dropped
+        value = _reduce_on(on, _row_sum, perspective_value(self.a, w, t) - perspective_value(self.a_e, w, t))
+        du_dl, du_ul = perspective_grads(self.a, w, t)
+        dv_dl, dv_ul = perspective_grads(self.a_e, w, t)
+        return value, np.where(on, du_dl - dv_dl, 0.0), np.where(on, du_ul - dv_ul, 0.0)
 
-    def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> float:
-        """Frank-Wolfe gap: the UL block's best vertex is 0 or one active user's e_k."""
-        g_on = g_ul[self.on]
-        ul_best = max(0.0, float(g_on.max())) if g_on.size else 0.0
-        dl_best = float((self.vertices @ g_dl).max())
-        return ul_best + dl_best - float(g_on @ ul[self.on]) - float(g_dl @ dl)
+    def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
+        """Frank-Wolfe gap per row: the UL block's best vertex is 0 or one active user's e_k."""
+        ul_best = np.fmax(0.0, np.where(self.on, g_ul, -np.inf).max(axis=1))
+        dl_best = _dl_best(self.c, self.r_min, g_dl)
+        return ul_best + dl_best - _reduce_on(self.on, np.vecdot, g_ul, ul) - np.vecdot(g_dl, dl)
 
 
 def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
@@ -355,8 +439,8 @@ def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
     return y, inv_s, q, d_inv_s
 
 
-def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tau_dl, active tau_ul) maximizing the concave programme, via lambda.
+def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau_dl, tau_ul) maximizing row ``row`` of the concave programme, via lambda.
 
     ``lam`` (bits) is the warm start.  Each step evaluates every user's
     response and every DL vertex's cost q . v and UL use
@@ -371,14 +455,16 @@ def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray,
     there, when lambda stalls, or after ``max_steps`` steps; the caller
     repairs and certifies the answer.
     """
-    on = prob.on
-    vertices = prob.vertices
+    on = prob.on[row]
+    vertices = _dl_vertices(prob.c[row], float(prob.r_min[row]))
     v_on = vertices[:, on]
+    out = np.zeros(on.size)
     if on.sum() == 1:
         # one active user: the whole UL frame, and the least of its DL time
-        return vertices[int(np.argmin(v_on[:, 0]))], np.ones(1)
-    a = prob.a[on]
-    rho = prob.a_e[on] / a
+        out[on] = 1.0
+        return vertices[int(np.argmin(v_on[:, 0]))], out
+    a = prob.a[row, on]
+    rho = prob.a_e[row, on] / a
     with np.errstate(divide="ignore"):
         lo, hi = 0.0, float(-np.log(rho.min()))    # above hi every user is saturated
     lam *= LN2
@@ -429,50 +515,84 @@ def _dual_solve(prob: _Concave, lam: float, max_steps: int) -> tuple[np.ndarray,
     slope = d_ul[free].sum()
     if slope < 0.0:
         ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, TAU_FLOOR).sum()) / slope)
-    return dl, np.maximum(ul, TAU_FLOOR)
+    out[on] = np.maximum(ul, TAU_FLOOR)
+    return dl, out
 
 
-def _maximize(prob: _Concave, start: Allocation, settings: DcaSettings):
-    """One certified solve from ``start``: (tau_dl, tau_ul, objective, gap, passes).
+def _maximize(prob: _Concave, dl: np.ndarray, ul: np.ndarray, settings: DcaSettings):
+    """Certified solves from the starts (dl, ul), one per row: (tau_dl, tau_ul, objective, gap, passes).
 
-    The start is put back on the polytope first (switched-off users lose
-    their uplink share, which never lowers the objective).  A start whose gap
-    is at most ``epsilon`` is returned as it is, after 0 passes; otherwise the
-    dual solve runs once, warm-started from the start's largest active UL
-    gradient, and its point, put back on the polytope, replaces the start
-    when its objective is at least as high, so the answer never falls below
-    the start.
+    Each start is put back on the polytope first (switched-off users lose
+    their uplink share, which never lowers the objective).  A start whose
+    gap is at most ``epsilon`` is returned as it is, after 0 passes; for
+    every other row the dual solve runs once, warm-started from the start's
+    largest active UL gradient, and its point, put back on the polytope,
+    replaces the start when its objective is at least as high, so no answer
+    falls below its start.
     """
-    x_dl, x_ul = prob.repair(start.tau_dl, start.tau_ul[prob.on])
+    x_dl, x_ul = prob.repair(dl, ul)
     f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
     gap = prob.gap(x_dl, x_ul, g_dl, g_ul)
-    if gap <= settings.epsilon:
-        return x_dl, x_ul, f, gap, 0
-    n_dl, n_ul = prob.repair(*_dual_solve(prob, float(g_ul[prob.on].max()), settings.max_iterations))
-    f_n, gn_dl, gn_ul = prob.value_and_grad(n_dl, n_ul)
-    if f_n >= f:
-        x_dl, x_ul, f = n_dl, n_ul, f_n
-        gap = prob.gap(x_dl, x_ul, gn_dl, gn_ul)
-    return x_dl, x_ul, f, gap, 1
+    passes = np.zeros(f.size, dtype=np.int64)
+    todo = np.flatnonzero(~(gap <= settings.epsilon))
+    if todo.size:
+        sub = prob.take(todo)
+        lam = np.where(sub.on, g_ul[todo], -np.inf).max(axis=1)
+        points = [_dual_solve(sub, i, float(lam[i]), settings.max_iterations) for i in range(todo.size)]
+        n_dl, n_ul = sub.repair(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
+        f_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
+        gap_n = sub.gap(n_dl, n_ul, gn_dl, gn_ul)
+        better = f_n >= f[todo]
+        rows = todo[better]
+        x_dl[rows], x_ul[rows], f[rows], gap[rows] = n_dl[better], n_ul[better], f_n[better], gap_n[better]
+        passes[todo] = 1
+    return x_dl, x_ul, f, gap, passes
 
 
-def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero out fractions below the reporting threshold.
+def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero out fractions below the reporting threshold, row by row.
 
-    Downlink snapping is skipped wholesale if it would break the minimum
-    rate; uplink snapping only removes floor-level slivers and is safe.
+    A row's downlink snapping is skipped wholesale if it would break the
+    minimum rate; uplink snapping only removes floor-level slivers and is
+    safe.
     """
     ul_s = np.where(ul < SNAP_THRESHOLD, 0.0, ul)
     dl_s = np.where(dl < SNAP_THRESHOLD, 0.0, dl)
-    if r_min > 0.0 and float(c @ dl_s) < r_min - 1e-9:
-        dl_s = dl
+    keep = (r_min > 0.0) & (np.vecdot(c, dl_s) < r_min - 1e-9)
+    dl_s[keep] = dl[keep]
     return dl_s, ul_s
 
 
-def _secrecy_problem(s: ScenarioChannels, fs: FeasibleSet) -> _Concave:
-    """The secrecy objective with the users a_k <= aE_k switched off."""
-    a, a_e = s.a_user(), s.a_eve()
-    return _Concave(a, a_e, a > a_e, fs)
+def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
+    """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
+    return _Concave(a, a_e, a > a_e, c, r_min)
+
+
+def solve_rows(
+    a: np.ndarray,
+    a_e: np.ndarray,
+    rate_coeffs: np.ndarray,
+    r_min: np.ndarray,
+    tau_dl: np.ndarray,
+    tau_ul: np.ndarray,
+    settings: DcaSettings = DcaSettings(),
+) -> RowSolutions:
+    """Certified solves of N secrecy problems, row i from the start (tau_dl[i], tau_ul[i]).
+
+    ``a``, ``a_e`` (the users' and the eavesdropper's SNR constants),
+    ``rate_coeffs`` and the starts are (N, K); ``r_min`` is (N,), each
+    feasible (at most the row's largest rate coefficient).  Row i is what
+    ``dca_solve`` returns for that problem alone, bit for bit.
+    """
+    prob = _secrecy_problem(a, a_e, rate_coeffs, r_min)
+    dl, ul, f, gap, passes = _maximize(prob, tau_dl, tau_ul, settings)
+    dl_s, ul_s = _snap_reported(dl, ul, rate_coeffs, r_min)
+    return RowSolutions(dl_s, ul_s, dl, ul, f, gap, passes, gap <= settings.epsilon)
+
+
+def _one_row(s: ScenarioChannels, fs: FeasibleSet) -> tuple[np.ndarray, ...]:
+    """(a, a_e, rate_coeffs, r_min) of one problem as a single row."""
+    return s.a_user()[None], s.a_eve()[None], fs.rate_coeffs[None], np.array([fs.r_min], dtype=np.float64)
 
 
 def dca_solve(
@@ -497,15 +617,14 @@ def dca_solve(
     if not check_feasibility(fs):
         return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE)
     start = initial if initial is not None else initial_allocation(fs)
-    dl, ul, f, gap, passes = _maximize(_secrecy_problem(s, fs), start, settings)
-    dl_s, ul_s = _snap_reported(dl, ul, fs.rate_coeffs, fs.r_min)
+    out = solve_rows(*_one_row(s, fs), start.tau_dl[None], start.tau_ul[None], settings)
     return DcaResult(
-        allocation=Allocation(dl_s, ul_s),
-        objective=f,
-        iterations=passes,
-        status=STATUS_CONVERGED if gap <= settings.epsilon else STATUS_MAX_ITERATIONS,
-        raw_allocation=Allocation(dl, ul),
-        gap_bits=gap,
+        allocation=Allocation(out.tau_dl[0], out.tau_ul[0]),
+        objective=float(out.objective[0]),
+        iterations=int(out.iterations[0]),
+        status=STATUS_CONVERGED if out.converged[0] else STATUS_MAX_ITERATIONS,
+        raw_allocation=Allocation(out.raw_tau_dl[0], out.raw_tau_ul[0]),
+        gap_bits=float(out.gap_bits[0]),
     )
 
 
@@ -520,7 +639,8 @@ def kkt_residual(s: ScenarioChannels, fs: FeasibleSet, alloc: Allocation) -> flo
     """
     if fs.K != s.K or alloc.K != s.K:
         raise ValueError("scenario, feasible set and allocation sizes disagree")
-    prob = _secrecy_problem(s, fs)
-    ul = np.maximum(alloc.tau_ul, TAU_FLOOR)
-    _, g_dl, g_ul = prob.value_and_grad(alloc.tau_dl, ul)
-    return prob.gap(alloc.tau_dl, ul, g_dl, g_ul)
+    prob = _secrecy_problem(*_one_row(s, fs))
+    dl = alloc.tau_dl[None]
+    ul = np.maximum(alloc.tau_ul, TAU_FLOOR)[None]
+    _, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    return float(prob.gap(dl, ul, g_dl, g_ul)[0])

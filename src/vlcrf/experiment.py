@@ -16,7 +16,11 @@ Minimum-rate sweeps walk each trial from the highest target downward and
 warm-start every solve from the previous (tighter) solution, which makes
 the per-trial objective curve monotone by construction: the previous
 answer stays feasible once the constraint relaxes, and the solver keeps
-the better of its start and its own answer.
+the better of its start and its own answer.  The trials run in blocks
+(``_rmin_chain_block``): one ``dc_solver.solve_rows`` call takes a rate
+target for every trial of the block at once.  A row's bytes do not depend
+on its block, because the solver's row reductions add each row as a solve
+of that row alone would.
 """
 
 from __future__ import annotations
@@ -32,16 +36,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from vlcrf.dc_solver import (
+    STATUS_CONVERGED,
     STATUS_INFEASIBLE,
-    DcaResult,
+    STATUS_MAX_ITERATIONS,
     DcaSettings,
     FeasibleSet,
     allocation_violation,
     dca_solve,
+    initial_allocation,
+    solve_rows,
+    violation_rows,
 )
 from vlcrf.link_budget import (
-    Allocation,
     ScenarioChannels,
+    check_fractions,
+    clamped_secrecy_rows,
     clamped_secrecy_sum,
     dl_rate_coefficients,
     dl_sum_rate,
@@ -543,29 +552,30 @@ def _pack_fractions(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _audit_row(fs: FeasibleSet, alloc: Allocation, r_min: float) -> None:
-    viol = allocation_violation(fs, alloc)
+def _audit_row(viol: float, r_min: float) -> None:
+    """Refuse to emit an allocation that violates its feasible set beyond FEASIBILITY_AUDIT_TOL."""
     if viol > FEASIBILITY_AUDIT_TOL:
         raise RuntimeError(
             f"emitted allocation violates the feasible set by {viol!r} (r_min = {r_min!r})"
         )
 
 
-def _solved_row(sweep_value, users, trial, r_min, scenario, fs, result) -> dict:
-    alloc = result.allocation
-    _audit_row(fs, alloc, r_min)
+def _solved_row(sweep_value, users, trial, r_min, *, objective, clamped, dl_rate,
+                tau_dl, tau_ul, iterations, status, gap) -> dict:
+    """One solved sweep row; ``gap_bits`` rides along for callers and is not written."""
     return {
         "sweep_value": sweep_value,
         "users": users,
         "trial": trial,
         "r_min": r_min,
-        "objective_bits": result.objective,
-        "clamped_secrecy_sum": clamped_secrecy_sum(scenario, alloc),
-        "dl_rate_achieved": dl_sum_rate(scenario, alloc),
-        "tau_dl": _pack_fractions(alloc.tau_dl),
-        "tau_ul": _pack_fractions(alloc.tau_ul),
-        "iterations": result.iterations,
-        "status": result.status,
+        "objective_bits": objective,
+        "clamped_secrecy_sum": clamped,
+        "dl_rate_achieved": dl_rate,
+        "tau_dl": _pack_fractions(tau_dl),
+        "tau_ul": _pack_fractions(tau_ul),
+        "iterations": iterations,
+        "status": status,
+        "gap_bits": gap,
     }
 
 
@@ -582,31 +592,64 @@ def _infeasible_row(sweep_value, users, trial, r_min) -> dict:
         "tau_ul": None,
         "iterations": 0,
         "status": STATUS_INFEASIBLE,
+        "gap_bits": None,
     }
 
 
-def _rmin_chain_rows(cfg: ExperimentConfig, users: int, trial: int) -> list[dict]:
-    """Rows for one trial of an r_min sweep, solved tightest target first."""
+def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> list[list[dict]]:
+    """Rows of an r_min sweep for a block of trials: per trial, its rows in sweep-value order.
+
+    Every trial walks the targets tightest first, each solve warm-started
+    from the trial's previous raw answer (the first from
+    ``initial_allocation``); a target beyond a trial's best rate gives an
+    infeasible row and leaves its chain as it was.  One ``solve_rows`` call
+    per target solves the block's feasible trials together.  The emitted
+    fractions get ``Allocation``'s checks and the feasibility audit, row by
+    row, and a row is what a ``dca_solve`` chain of its trial alone gives,
+    byte for byte.
+    """
     sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
-    scenario, base_fs = generate_scenario(sub, trial)
-    bound = float(np.max(base_fs.rate_coeffs))
-    rows = []
-    chain: Allocation | None = None
+    problems = [generate_scenario(sub, trial) for trial in trials]
+    a = np.array([s.a_user() for s, _ in problems])
+    a_e = np.array([s.a_eve() for s, _ in problems])
+    c = np.array([fs.rate_coeffs for _, fs in problems])
+    bound = c.max(axis=1)
+    chain_dl, chain_ul = np.zeros_like(c), np.zeros_like(c)
+    chained = np.zeros(len(problems), dtype=bool)
+    rows: list[list] = [[None] * len(cfg.sweep_values) for _ in problems]
     order = sorted(range(len(cfg.sweep_values)), key=lambda i: -cfg.sweep_values[i])
     for idx in order:
         value = cfg.sweep_values[idx]
-        r_min = value * bound if cfg.sweep_kind == SWEEP_RMIN_FRACTION else value
-        fs = FeasibleSet(base_fs.rate_coeffs, r_min)
+        r_min = value * bound if cfg.sweep_kind == SWEEP_RMIN_FRACTION else np.full(len(problems), value)
+        for i in np.flatnonzero(r_min > bound):
+            rows[i][idx] = _infeasible_row(value, users, trials[i], float(r_min[i]))
+        live = np.flatnonzero(r_min <= bound)
+        if not live.size:
+            continue
+        for i in live[~chained[live]]:
+            start = initial_allocation(FeasibleSet(c[i], float(r_min[i])))
+            chain_dl[i], chain_ul[i] = start.tau_dl, start.tau_ul
+        chained[live] = True
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
-        result = dca_solve(scenario, fs, cfg.solver, initial=chain)
-        if result.status == STATUS_INFEASIBLE:
-            rows.append((idx, _infeasible_row(value, users, trial, r_min)))
-            continue
-        chain = result.raw_allocation
-        rows.append((idx, _solved_row(value, users, trial, r_min, scenario, fs, result)))
-    rows.sort(key=lambda item: item[0])
-    return [row for _, row in rows]
+        out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
+        check_fractions(out.tau_dl, out.tau_ul)
+        check_fractions(out.raw_tau_dl, out.raw_tau_ul)
+        chain_dl[live], chain_ul[live] = out.raw_tau_dl, out.raw_tau_ul
+        viol = violation_rows(c[live], r_min[live], out.tau_dl, out.tau_ul)
+        worst = int(np.argmax(viol))
+        _audit_row(float(viol[worst]), float(r_min[live[worst]]))
+        clamped = clamped_secrecy_rows(a[live], a_e[live], out.tau_dl, out.tau_ul)
+        dl_rate = np.vecdot(c[live], out.tau_dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
+        for n, i in enumerate(live):
+            rows[i][idx] = _solved_row(
+                value, users, trials[i], float(r_min[i]),
+                objective=float(out.objective[n]), clamped=float(clamped[n]), dl_rate=float(dl_rate[n]),
+                tau_dl=out.tau_dl[n], tau_ul=out.tau_ul[n], iterations=int(out.iterations[n]),
+                status=STATUS_CONVERGED if out.converged[n] else STATUS_MAX_ITERATIONS,
+                gap=float(out.gap_bits[n]),
+            )
+    return rows
 
 
 def _users_rows(cfg: ExperimentConfig, users: int, trial: int) -> list[dict]:
@@ -615,18 +658,26 @@ def _users_rows(cfg: ExperimentConfig, users: int, trial: int) -> list[dict]:
     result = dca_solve(scenario, fs, cfg.solver)
     if result.status == STATUS_INFEASIBLE:
         return [_infeasible_row(users, users, trial, fs.r_min)]
-    return [_solved_row(users, users, trial, fs.r_min, scenario, fs, result)]
+    alloc = result.allocation
+    _audit_row(allocation_violation(fs, alloc), fs.r_min)
+    return [_solved_row(
+        users, users, trial, fs.r_min,
+        objective=result.objective, clamped=clamped_secrecy_sum(scenario, alloc),
+        dl_rate=dl_sum_rate(scenario, alloc), tau_dl=alloc.tau_dl, tau_ul=alloc.tau_ul,
+        iterations=result.iterations, status=result.status, gap=result.gap_bits,
+    )]
 
 
-def _sweep_task(payload) -> tuple[int, int, list[dict]]:
-    cfg, kind, k_index, users, trial = payload
+def _sweep_task(payload) -> tuple[int, range, list[list[dict]]]:
+    """Rows of one (user count, trial block) task: per trial, its rows."""
+    cfg, k_index, users, trials = payload
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if kind == SWEEP_USERS:
-            rows = _users_rows(cfg, users, trial)
+        if cfg.sweep_kind == SWEEP_USERS:
+            rows = [_users_rows(cfg, users, trial) for trial in trials]
         else:
-            rows = _rmin_chain_rows(cfg, users, trial)
-    return k_index, trial, rows
+            rows = _rmin_chain_block(cfg, users, trials)
+    return k_index, trials, rows
 
 
 ROW_COLUMNS = (
@@ -689,8 +740,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     Emits one row per (sweep value, trial) plus a mean/population-std
     aggregate per sweep value.  Infeasible points are recorded with status
-    "infeasible" rather than dropped.  Tasks run in parallel across trials;
-    the output is an ordered merge, so worker count never changes bytes.
+    "infeasible" rather than dropped.  An r_min sweep runs one task per
+    (user count, trial block), the trials split into one contiguous block
+    per worker; a users sweep runs one task per (user count, trial).  A
+    row's bytes do not depend on its block, and the output is an ordered
+    merge, so the worker count never changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -701,23 +755,23 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         k_values = [int(v) for v in cfg.sweep_values]
     else:
         k_values = list(cfg.users_list) if cfg.users_list else [cfg.users_count]
-    tasks = [
-        (cfg, cfg.sweep_kind, k_index, users, trial)
-        for k_index, users in enumerate(k_values)
-        for trial in range(cfg.trials)
-    ]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
+    size = 1 if cfg.sweep_kind == SWEEP_USERS else -(-cfg.trials // workers)  # one r_min block per worker
+    blocks = [range(first, min(first + size, cfg.trials)) for first in range(0, cfg.trials, size)]
+    tasks = [(cfg, k_index, users, block) for k_index, users in enumerate(k_values) for block in blocks]
     workers = max(1, min(workers, len(tasks)))
-    results: list[tuple[int, int, list[dict]]] = []
-    if workers == 1 or len(tasks) == 1:
+    if workers == 1:
         results = [_sweep_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    results.sort(key=lambda item: (item[0], item[1]))
 
     rows: list[dict] = []
-    by_task = {(k_index, trial): task_rows for k_index, trial, task_rows in results}
+    by_task = {
+        (k_index, trial): trial_rows
+        for k_index, trials, block_rows in results
+        for trial, trial_rows in zip(trials, block_rows)
+    }
     for k_index, users in enumerate(k_values):
         if cfg.sweep_kind == SWEEP_USERS:
             for trial in range(cfg.trials):
@@ -767,7 +821,7 @@ def run_report(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         _write_csv(path, f"# infeasible: r_min = {_fmt(fs.r_min)}", REPORT_COLUMNS, [])
         return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}
     alloc = result.allocation
-    _audit_row(fs, alloc, fs.r_min)
+    _audit_row(allocation_violation(fs, alloc), fs.r_min)
     coeffs = fs.rate_coeffs
     rows = []
     for k in range(scenario.K):

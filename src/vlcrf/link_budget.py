@@ -106,16 +106,26 @@ class Allocation:
         ul = _readonly_array(self.tau_ul, "tau_ul", dl.shape[0])
         object.__setattr__(self, "tau_dl", dl)
         object.__setattr__(self, "tau_ul", ul)
-        if np.any(dl < 0) or np.any(ul < 0):
-            raise ValueError("Allocation fractions must be componentwise >= 0")
-        if dl.sum() > 1.0 + SUM_SLACK:
-            raise ValueError(f"sum(tau_dl) = {dl.sum()!r} exceeds the unit frame")
-        if ul.sum() > 1.0 + SUM_SLACK:
-            raise ValueError(f"sum(tau_ul) = {ul.sum()!r} exceeds the unit frame")
+        check_fractions(dl[None], ul[None])
 
     @property
     def K(self) -> int:
         return self.tau_dl.shape[0]
+
+
+def check_fractions(tau_dl: np.ndarray, tau_ul: np.ndarray) -> None:
+    """``Allocation``'s checks on rows of slot fractions, (N, K) each.
+
+    Every fraction is >= 0 and each row's DL and UL fractions sum to at most
+    1 + SUM_SLACK; ValueError names the first failing sum.
+    """
+    if (tau_dl < 0).any() or (tau_ul < 0).any():
+        raise ValueError("Allocation fractions must be componentwise >= 0")
+    for name, taus in (("tau_dl", tau_dl), ("tau_ul", tau_ul)):
+        total = taus.sum(axis=1)
+        over = total > 1.0 + SUM_SLACK
+        if over.any():
+            raise ValueError(f"sum({name}) = {float(total[over][0])!r} exceeds the unit frame")
 
 
 def _check_index(s: ScenarioChannels, k: int) -> None:
@@ -230,16 +240,24 @@ def objective_value(s: ScenarioChannels, alloc: Allocation) -> float:
     return float(np.sum(u - v))
 
 
+def clamped_secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """``clamped_secrecy_sum`` of N allocations at once.
+
+    (N, K) SNR constants (``a_user``, ``a_eve``) and fractions; one sum per
+    row, added user by user in user order: the CSV bytes depend on it.
+    """
+    if np.any(tau_dl > 1.0):
+        raise ValueError("tau_dl entries must lie in [0, 1]")
+    leftover = 1.0 - tau_dl
+    terms = np.maximum(perspective_value(a, leftover, tau_ul) - perspective_value(a_e, leftover, tau_ul), 0.0)
+    total = np.zeros(terms.shape[0])
+    for k in range(terms.shape[1]):
+        total += terms[:, k]
+    return total
+
+
 def clamped_secrecy_sum(s: ScenarioChannels, alloc: Allocation) -> float:
     """Reporting-side sum of max(C_S_k, 0); the optimizer never clamps."""
     if alloc.K != s.K:
         raise ValueError("allocation size does not match scenario")
-    if np.any(alloc.tau_dl > 1.0):
-        raise ValueError("tau_dl entries must lie in [0, 1]")
-    leftover = 1.0 - alloc.tau_dl
-    u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
-    v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
-    total = 0.0
-    for term in np.maximum(u - v, 0.0).tolist():  # summed in user order: the CSV bytes depend on it
-        total += term
-    return total
+    return float(clamped_secrecy_rows(s.a_user()[None], s.a_eve()[None], alloc.tau_dl[None], alloc.tau_ul[None])[0])

@@ -68,6 +68,12 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             FeasibleSet(np.array([-1.0]), 0.0)
 
+    @pytest.mark.parametrize("r_min", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, r_min):
+        # a nan target used to pass and then read as an infeasible solve
+        with pytest.raises(ValueError, match="r_min"):
+            FeasibleSet(np.array([3.0, 1.0]), r_min)
+
 
 class TestInitialAllocation:
     def test_half_loaded_single_user(self):
@@ -256,11 +262,15 @@ class TestDcaSolve:
         assert all(objs[i] >= objs[i + 1] - 1e-6 for i in range(len(objs) - 1))
 
     def test_settings_validation(self):
-        for bad in (0.0, -1.0, math.nan):
+        # an infinite epsilon would certify any start: on fig4 it passed a
+        # start 0.4 bit below the optimum as converged
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 DcaSettings(epsilon=bad)
-        with pytest.raises(ValueError):
-            DcaSettings(max_iterations=0)
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(ValueError):
+                DcaSettings(max_iterations=bad)
+        assert DcaSettings(max_iterations=np.int64(7)).max_iterations == 7
 
     def test_infeasible_status(self):
         s = scenario_with_a([10.0], [1.0])

@@ -1,12 +1,13 @@
 """Config parsing, scenario generation, sweeps, CSV output and the CLI."""
 
 import csv
+import dataclasses
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import vlcrf
 from vlcrf import experiment
 from vlcrf.cli import main as cli_main
-from vlcrf.dc_solver import FeasibleSet, allocation_violation
+from vlcrf.dc_solver import FeasibleSet, allocation_violation, dca_solve
 from vlcrf.experiment import (
     PRESETS,
     ConfigError,
@@ -29,7 +30,7 @@ from vlcrf.experiment import (
     run_solve,
     run_sweep,
 )
-from vlcrf.link_budget import Allocation
+from vlcrf.link_budget import Allocation, clamped_secrecy_sum, dl_sum_rate
 
 
 def read_rows(path):
@@ -314,19 +315,11 @@ class TestRunSweep:
 
 
 def _chain(cfg, users, trial):
-    """(r_min, objective, gap_bits) of every solve of one r_min chain, by r_min."""
-    solve = experiment.dca_solve
-    chain = []
-
-    def recorded(s, fs, settings, initial=None):
-        res = solve(s, fs, settings, initial=initial)
-        chain.append((fs.r_min, res.objective, res.gap_bits))
-        return res
-
-    with mock.patch.object(experiment, "dca_solve", recorded), warnings.catch_warnings():
+    """(r_min, objective, gap_bits) of every row of one r_min chain, by r_min."""
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        experiment._rmin_chain_rows(cfg, users, trial)
-    return sorted(chain)
+        (rows,) = experiment._rmin_chain_block(cfg, users, [trial])
+    return sorted((row["r_min"], row["objective_bits"], row["gap_bits"]) for row in rows)
 
 
 def _assert_monotone_and_concave(chain, points):
@@ -369,6 +362,103 @@ class TestChainConcavity:
             raw["rf.los_reference_gain"] = repr(10.0 ** los_exponent)
         cfg = build_config(raw)
         _assert_monotone_and_concave(_chain(cfg, users, trial), len(cfg.sweep_values))
+
+
+def _reference_chain_rows(cfg, users, trial):
+    """One trial's r_min sweep rows, one ``dca_solve`` per row: the per-trial
+    chain that the block chain replaced, kept as its reference."""
+    sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
+    scenario, base_fs = generate_scenario(sub, trial)
+    bound = float(np.max(base_fs.rate_coeffs))
+    rows = {}
+    chain = None
+    for idx in sorted(range(len(cfg.sweep_values)), key=lambda i: -cfg.sweep_values[i]):
+        value = cfg.sweep_values[idx]
+        r_min = value * bound if cfg.sweep_kind == "rmin_fraction" else value
+        fs = FeasibleSet(base_fs.rate_coeffs, r_min)
+        result = dca_solve(scenario, fs, cfg.solver, initial=chain)
+        row = {"sweep_value": value, "users": users, "trial": trial, "r_min": r_min,
+               "iterations": result.iterations, "status": result.status, "gap_bits": None}
+        for column in ("objective_bits", "clamped_secrecy_sum", "dl_rate_achieved", "tau_dl", "tau_ul"):
+            row[column] = None
+        if result.status != "infeasible":
+            chain = result.raw_allocation
+            alloc = result.allocation
+            assert allocation_violation(fs, alloc) <= experiment.FEASIBILITY_AUDIT_TOL
+            row.update({
+                "objective_bits": result.objective,
+                "clamped_secrecy_sum": clamped_secrecy_sum(scenario, alloc),
+                "dl_rate_achieved": dl_sum_rate(scenario, alloc),
+                "tau_dl": ",".join(repr(float(v)) for v in alloc.tau_dl),
+                "tau_ul": ",".join(repr(float(v)) for v in alloc.tau_ul),
+                "gap_bits": result.gap_bits,
+            })
+        rows[idx] = row
+    return [rows[i] for i in range(len(cfg.sweep_values))]
+
+
+class TestBlockChain:
+    FIELDS = experiment.ROW_COLUMNS + ("gap_bits",)
+
+    def _assert_matches_reference(self, cfg, users, trials, splits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = {trial: _reference_chain_rows(cfg, users, trial) for trial in trials}
+            for blocks in splits:
+                seen = []
+                for block in blocks:
+                    for trial, rows in zip(block, experiment._rmin_chain_block(cfg, users, block)):
+                        seen.append(trial)
+                        assert len(rows) == len(reference[trial])
+                        for got, want in zip(rows, reference[trial]):
+                            for field in self.FIELDS:
+                                assert experiment._fmt(got[field]) == experiment._fmt(want[field]), (
+                                    users, trial, want["sweep_value"], field)
+                assert sorted(seen) == list(trials)
+
+    def test_fig3_rows_match_per_row_solves(self):
+        # fig3 targets at K = 1, 2, 4 and the same rate fractions at K = 8, 16;
+        # each block split is another worker count's view of the trials
+        cfg = preset_config("fig3", {"trials": "10"})
+        splits = ([range(10)], [range(0, 4), range(4, 10)], [[t] for t in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5)])
+        for users in (1, 2, 4, 8, 16):
+            self._assert_matches_reference(cfg, users, range(10), splits)
+
+    def test_random_blocks_match_per_row_solves(self):
+        # seeded draws: another seed, RF link gain and user count per case,
+        # absolute targets up to past the best rate (infeasible rows mid-block)
+        rng = np.random.default_rng(2024)
+        for _ in range(6):
+            users = int(rng.integers(1, 17))
+            raw = dict(PRESETS["fig3"], seed=str(int(rng.integers(0, 2**31))),
+                       **{"rf.los_reference_gain": repr(10.0 ** rng.uniform(-3.0, 0.0))})
+            if rng.random() < 0.5:
+                del raw["sweep.start"], raw["sweep.stop"], raw["sweep.points"]
+                raw.update({"sweep.kind": "rmin", "sweep.values": ",".join(
+                    repr(float(v)) for v in np.sort(rng.uniform(0.0, 12.0, 8)))})
+            cfg = build_config(raw)
+            order = [int(t) for t in rng.permutation(6)]
+            cut = int(rng.integers(1, 6))
+            self._assert_matches_reference(cfg, users, range(6), [[range(6)], [order[:cut], order[cut:]]])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fig3_sweep_bytes_pinned(self, tmp_path, workers):
+        """fig3 at 20 trials writes the bytes of the per-row chain it replaced.
+
+        Both digests were measured at commit 3ac2ca0, the last with one
+        ``dca_solve`` per row, with numpy 2.4.6 on x86_64; another numpy or
+        BLAS may round differently.
+        """
+        cfg = preset_config("fig3", {"trials": "20", "runtime.workers": workers})
+        info = run_sweep(cfg, out_dir=str(tmp_path))
+        digests = []
+        for key in ("rows_path", "agg_path"):
+            with open(info[key], "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert digests == [
+            "bf83c7f51e347dceff3e2d3be9d93a54408a3b0e5d2b3fce2a9e96a50a4191b8",
+            "847f5ce1a86bf27748f8ebeda8e2d0c2eaa6ef236ac6ef099b967f62da52e575",
+        ]
 
 
 class TestReportAndSolve:

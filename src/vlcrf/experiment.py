@@ -42,6 +42,7 @@ from vlcrf.dc_solver import (
     DcaSettings,
     FeasibleSet,
     allocation_violation,
+    check_feasibility,
     dca_solve,
     initial_allocation,
     solve_rows,
@@ -846,11 +847,12 @@ def run_report(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 def run_solve(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     """Solve the seeded scenario (trial 0); optionally cross-check the oracle."""
     scenario, fs = generate_scenario(cfg, 0)
+    # an infeasible target skips the oracle, so only a feasible one is refused
+    if oracle and scenario.K > 2 and check_feasibility(fs):
+        raise ConfigError("--oracle supports K <= 2 only (grid search dimensionality)")
     result = dca_solve(scenario, fs, cfg.solver)
     out = {"result": result, "r_min": fs.r_min, "scenario": scenario, "fs": fs}
     if oracle and result.status != STATUS_INFEASIBLE:
-        if scenario.K > 2:
-            raise ConfigError("--oracle supports K <= 2 only (grid search dimensionality)")
         _, oracle_objective = grid_search(scenario, fs, cfg.oracle_spec)
         out["oracle"] = compare(result, oracle_objective)
     return out

@@ -2,21 +2,37 @@
 
 Exhaustively evaluates the secrecy objective on a feasibility-filtered
 grid over the time-slot box, then refines locally around the incumbent.
-For K = 2 the objective is w1[d1, u1] + w2[d2, u2], one value table per
-user, and the search runs over the feasible downlink pairs times the user-1
-uplink levels only.  The uplink levels ascend and float addition is
-monotone, so the user-2 levels admitted next to level j1 (u1 + u2 <= 1,
-the same test on the same sums) form a prefix 0..m(j1), and
+The oracle is one-sided: it produces a certified feasible lower bound on
+the optimum.
 
-    max over j2 <= m(j1) of (w1 + w2[d2, j2])  ==  w1 + R2[d2, m(j1)]
+For K = 2 the objective is w1[k1, j1] + w2[k2, j2], one value table per
+user over (downlink level, uplink level).  The levels ascend, and rounded
+addition fl(x + y) does not decrease as y grows.  Two consequences reduce
+the cross product of downlink and uplink pairs to one pass over the
+(user-1 DL level, user-1 UL level) grid:
 
-holds bit for bit with R2 the running maximum of w2 along the uplink axis.
-That is exactly the maximum over the full cross product of downlink and
-uplink pairs, at |DL pairs| x resolution work per round instead of
-|DL pairs| x |UL pairs|.  Ties go to the lowest downlink pair, then the
-lowest user-1 level, then the lowest user-2 level: j2 is the first prefix
-index whose recomputed sum equals the maximum.  The oracle is one-sided: it
-produces a certified feasible lower bound on the optimum.
+- The user-2 UL levels admitted next to level j1 (u1 + u2 <= 1, the same
+  test on the same sums) form a prefix 0..m(j1).  With R2 the running
+  maximum of w2 along the UL axis, the best of them is w1 + R2[k2, m(j1)].
+- Both DL tests, d1 + d2 <= 1 and c0*d1 + c1*d2 >= r_min with c1 >= 0, are
+  monotone in d2 in floating point, so the user-2 DL levels admitted next
+  to level k1 form one run lo(k1)..hi(k1).  The best of them is
+  w1[k1, j1] + RM(k1, j1), where RM is the maximum of R2[k2, m(j1)] over
+  k2 in that run.
+
+A maximum is exact and fl(x + .) is monotone, so both steps hold bit for
+bit: the search returns the maximum of the full cross product.  RM comes
+from a sparse table over the user-2 DL levels (the maxima of 2**l
+consecutive levels; a run is covered by two overlapping windows).  It is
+built one level at a time and each level answers its queries before the
+next replaces it, so the extra memory stays O(|user-2 DL levels| x
+|user-1 UL levels|), without a log factor.
+
+Ties go to the lowest DL pair in row-major (k1, k2) order, then the lowest
+user-1 UL level, then the lowest user-2 UL level: k1 is the first row that
+reaches the maximum; that row's run is recomputed pair by pair and its
+first maximum gives k2 and j1; j2 is the first prefix index whose
+recomputed sum equals the maximum.
 """
 
 from __future__ import annotations
@@ -36,10 +52,13 @@ class GridSpec:
     refine_shrink: float = 0.2   # window shrink factor per round
 
     def __post_init__(self):
-        if self.resolution < 16:
-            raise ValueError("resolution must be >= 16")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
+        # a float or bool count would pass the range checks and fail inside the search
+        for name, least in (("resolution", 16), ("refine_rounds", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0.0 < self.refine_shrink < 1.0:
             raise ValueError("refine_shrink must lie in (0, 1)")
 
@@ -88,12 +107,31 @@ def _search_k1(s, fs, spec, windows):
     return float(table[i, j]), (float(dl[i]),), (float(ul[j]),)
 
 
-def _feasible_dl_pairs(c, r_min, d1, d2):
-    s1 = d1[:, None] + d2[None, :]
-    rate = c[0] * d1[:, None] + c[1] * d2[None, :]
-    ok = (s1 <= 1.0) & (rate >= r_min)
-    i1, i2 = np.nonzero(ok)
-    return i1, i2
+def _dl_feasible(c, r_min, d1, d2):
+    """(|d1|, |d2|) mask of the DL level pairs inside the DL budget and the rate target."""
+    return (d1[:, None] + d2[None, :] <= 1.0) & (c[0] * d1[:, None] + c[1] * d2[None, :] >= r_min)
+
+
+def _range_max(table, lo, span):
+    """Row i: the maximum of ``table[lo[i] : lo[i] + span[i]]`` along axis 0.
+
+    A sparse table built one level at a time: level l holds the maxima of
+    2**l consecutive rows, and the queries with 2**l <= span < 2**(l + 1)
+    take the larger of its two overlapping windows before level l + 1
+    replaces it.  Every span is >= 1.
+    """
+    out = np.empty((lo.size, table.shape[1]))
+    level = np.frexp(span)[1] - 1  # floor(log2(span)), exact for integers
+    level_max = table
+    for lvl in range(int(level.max()) + 1):
+        if lvl:
+            half = 1 << (lvl - 1)
+            level_max = np.maximum(level_max[:-half], level_max[half:])
+        sel = np.flatnonzero(level == lvl)
+        if sel.size:
+            end = lo[sel] + span[sel] - (1 << lvl)
+            out[sel] = np.maximum(level_max[lo[sel]], level_max[end])
+    return out
 
 
 def _search_k2(s, fs, spec, windows):
@@ -114,10 +152,15 @@ def _search_k2(s, fs, spec, windows):
     u1 = _levels(u1lo, u1hi, spec.resolution)
     u2 = _levels(u2lo, u2hi, spec.resolution)
 
-    i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
-    if i1.size == 0:
+    # the admitted user-2 DL levels of user-1 level k1 form one run lo..lo+span-1
+    ok = _dl_feasible(c, fs.r_min, d1, d2)
+    span = np.count_nonzero(ok, axis=1)
+    rows = np.flatnonzero(span)
+    if rows.size == 0:
         return None
-    # the admitted user-2 levels of each user-1 level form a prefix 0..m[j1]
+    lo = np.argmax(ok[rows], axis=1)
+    span = span[rows]
+    # the admitted user-2 UL levels of user-1 level j1 form a prefix 0..m[j1]
     m = np.count_nonzero(u1[:, None] + u2[None, :] <= 1.0, axis=1) - 1
     js = np.flatnonzero(m >= 0)
     if js.size == 0:
@@ -125,21 +168,19 @@ def _search_k2(s, fs, spec, windows):
 
     w1 = _pair_table(float(a[0]), float(a_e[0]), d1, u1)
     w2 = _pair_table(float(a[1]), float(a_e[1]), d2, u2)
-    # user 1 at level js[q] plus the best admitted user-2 level
+    # user 1 at UL level js[q] plus the best admitted user-2 UL level
     left = w1[:, js]
     right = np.maximum.accumulate(w2, axis=1)[:, m[js]]
-    best = -np.inf
-    best_p = best_q = 0
-    chunk = max(1, 2_000_000 // js.size)
-    for lo in range(0, i1.size, chunk):
-        sl = slice(lo, lo + chunk)
-        block = left[i1[sl]] + right[i2[sl]]
-        p, q = np.unravel_index(np.argmax(block), block.shape)
-        if block[p, q] > best:
-            best = float(block[p, q])
-            best_p, best_q = lo + p, q
-    k1, k2, j1 = i1[best_p], i2[best_p], js[best_q]
-    # first user-2 level reaching the maximum; the sum is recomputed because
+    row_best = left[rows] + _range_max(right, lo, span)
+    r, q = np.unravel_index(np.argmax(row_best), row_best.shape)
+    best = float(row_best[r, q])
+    # the first DL row holding the maximum; its run, redone pair by pair,
+    # gives the lowest user-2 DL level and then the lowest user-1 UL level
+    k1 = rows[r]
+    block = left[k1] + right[lo[r] : lo[r] + span[r]]
+    p, q = np.unravel_index(np.argmax(block), block.shape)
+    k2, j1 = lo[r] + p, js[q]
+    # first user-2 UL level reaching the maximum; the sum is recomputed because
     # rounding can lift w1 + w2[j2] to best while w2[j2] is below the prefix max
     j2 = int(np.argmax(w1[k1, j1] + w2[k2, : m[j1] + 1] == best))
     dl = (float(d1[k1]), float(d2[k2]))

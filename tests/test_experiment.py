@@ -480,7 +480,12 @@ class TestReportAndSolve:
         out = run_solve(cfg, oracle=True)
         assert out["oracle"].passed
 
-    def test_solve_oracle_rejects_large_k(self):
+    def test_solve_oracle_rejects_large_k(self, monkeypatch):
+        # refused before the solve runs
+        def no_solve(*args, **kwargs):
+            raise AssertionError("dca_solve ran before the K check")
+
+        monkeypatch.setattr(experiment, "dca_solve", no_solve)
         cfg = build_config({"seed": "3", "users.count": "3"})
         with pytest.raises(ConfigError, match="K <= 2"):
             run_solve(cfg, oracle=True)

@@ -44,6 +44,12 @@ class TestGridSpec:
             GridSpec(refine_rounds=-1)
         with pytest.raises(ValueError):
             GridSpec(refine_shrink=1.0)
+        # counts must be ints: a float fails deep in the search, a bool reads as 0/1
+        for bad in (dict(resolution=20.0), dict(resolution=True), dict(refine_rounds=1.5),
+                    dict(refine_rounds=True), dict(refine_rounds=False)):
+            with pytest.raises(ValueError, match="must be an int"):
+                GridSpec(**bad)
+        assert GridSpec(resolution=np.int64(20), refine_rounds=np.int64(0)).resolution == 20
 
 
 class TestSingleUser:
@@ -125,15 +131,16 @@ class TestTwoUsers:
             grid_search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
 
 
-def cross_product_search_k2(s, fs, spec, windows):
-    """Reference K = 2 search: every feasible DL pair against every UL pair.
+def _feasible_dl_pairs(c, r_min, d1, d2):
+    s1 = d1[:, None] + d2[None, :]
+    rate = c[0] * d1[:, None] + c[1] * d2[None, :]
+    ok = (s1 <= 1.0) & (rate >= r_min)
+    i1, i2 = np.nonzero(ok)
+    return i1, i2
 
-    The prefix-max search in reference_oracle must return the same maximum
-    and the same argmax bits (lowest DL pair, then user-1 level, then
-    user-2 level).
-    """
-    a = s.a_user()
-    a_e = s.a_eve()
+
+def _reference_levels(fs, spec, windows):
+    """The search's (d1, d2, u1, u2) levels, rate-boundary candidates included."""
     c = np.asarray(fs.rate_coeffs, dtype=np.float64)
     (d1lo, d1hi), (d2lo, d2hi), (u1lo, u1hi), (u2lo, u2hi) = windows
     d1 = reference_oracle._levels(d1lo, d1hi, spec.resolution)
@@ -147,8 +154,20 @@ def cross_product_search_k2(s, fs, spec, windows):
             d1 = np.unique(np.concatenate([d1, cand[(cand >= d1lo) & (cand <= d1hi)]]))
     u1 = reference_oracle._levels(u1lo, u1hi, spec.resolution)
     u2 = reference_oracle._levels(u2lo, u2hi, spec.resolution)
+    return c, d1, d2, u1, u2
 
-    i1, i2 = reference_oracle._feasible_dl_pairs(c, fs.r_min, d1, d2)
+
+def cross_product_search_k2(s, fs, spec, windows):
+    """Reference K = 2 search: every feasible DL pair against every UL pair.
+
+    The range-maximum search in reference_oracle must return the same
+    maximum and the same argmax bits (lowest DL pair, then user-1 level,
+    then user-2 level).
+    """
+    a = s.a_user()
+    a_e = s.a_eve()
+    c, d1, d2, u1, u2 = _reference_levels(fs, spec, windows)
+    i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
     if i1.size == 0:
         return None
     j1, j2 = np.nonzero(u1[:, None] + u2[None, :] <= 1.0)
@@ -168,6 +187,45 @@ def cross_product_search_k2(s, fs, spec, windows):
             best_p, best_q = lo + p, q
     dl = (float(d1[i1[best_p]]), float(d2[i2[best_p]]))
     ul = (float(u1[j1[best_q]]), float(u2[j2[best_q]]))
+    return best, dl, ul
+
+
+def prefix_max_search_k2(s, fs, spec, windows):
+    """Second reference K = 2 search: every feasible DL pair against every user-1 UL level.
+
+    Each pair adds w1 to the prefix maximum of w2 over the admitted user-2
+    UL levels.  It equals the cross product bit for bit and is fast enough to
+    check the range-maximum search at resolutions 128 and 256.
+    """
+    a = s.a_user()
+    a_e = s.a_eve()
+    c, d1, d2, u1, u2 = _reference_levels(fs, spec, windows)
+    i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
+    if i1.size == 0:
+        return None
+    m = np.count_nonzero(u1[:, None] + u2[None, :] <= 1.0, axis=1) - 1
+    js = np.flatnonzero(m >= 0)
+    if js.size == 0:
+        return None
+
+    w1 = reference_oracle._pair_table(float(a[0]), float(a_e[0]), d1, u1)
+    w2 = reference_oracle._pair_table(float(a[1]), float(a_e[1]), d2, u2)
+    left = w1[:, js]
+    right = np.maximum.accumulate(w2, axis=1)[:, m[js]]
+    best = -np.inf
+    best_p = best_q = 0
+    chunk = max(1, 2_000_000 // js.size)
+    for lo in range(0, i1.size, chunk):
+        sl = slice(lo, lo + chunk)
+        block = left[i1[sl]] + right[i2[sl]]
+        p, q = np.unravel_index(np.argmax(block), block.shape)
+        if block[p, q] > best:
+            best = float(block[p, q])
+            best_p, best_q = lo + p, q
+    k1, k2, j1 = i1[best_p], i2[best_p], js[best_q]
+    j2 = int(np.argmax(w1[k1, j1] + w2[k2, : m[j1] + 1] == best))
+    dl = (float(d1[k1]), float(d2[k2]))
+    ul = (float(u1[j1]), float(u2[j2]))
     return best, dl, ul
 
 
@@ -229,6 +287,102 @@ class TestPrefixMaxSearch:
         slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
+
+
+def _fig4_pair(seed, fraction=None):
+    raw = dict(PRESETS["fig4"], seed=str(seed))
+    raw["users.count"] = "2"
+    if fraction is not None:
+        raw["rate.min_fraction"] = repr(fraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return generate_scenario(build_config(raw), 0)
+
+
+def _scale_panel():
+    """Two-user problems at resolutions the cross product cannot reach.
+
+    fig4 at the default rate target and resolutions 128 and 256, then rate
+    targets near c_max: there many user-1 DL levels admit no user-2 level
+    and the levels at the rate boundary admit exactly one, in the global
+    pass and in the windows that refinement narrows around the boundary.
+    """
+    for seed in range(3):
+        s, fs = _fig4_pair(seed)
+        for resolution in (128, 256):
+            yield s, fs, GridSpec(resolution=resolution)
+    for seed, fraction in zip(range(3, 7), (0.9, 0.99, 0.999, 0.99999)):
+        s, fs = _fig4_pair(seed, fraction)
+        yield s, fs, GridSpec(resolution=96, refine_rounds=5)
+    rng = np.random.default_rng(20261019)
+    for case in range(12):
+        s = scenario_with_a(10.0 ** rng.uniform(-2.0, 8.0, 2), 10.0 ** rng.uniform(-3.0, 6.0, 2))
+        c_max = float(dl_rate_coefficients(s).max())
+        r_min = c_max * (1.0 - 10.0 ** -float(rng.uniform(1.0, 9.0)))
+        spec = GridSpec(resolution=int(rng.integers(48, 160)), refine_rounds=int(rng.integers(1, 6)))
+        yield s, fs_for(s, r_min), spec
+
+
+class TestRangeMaxSearch:
+    def test_matches_the_prefix_max_search_at_scale(self, monkeypatch):
+        panel = list(_scale_panel())
+        masks = []
+        dl_feasible = reference_oracle._dl_feasible
+
+        def recording(*args):
+            masks.append(dl_feasible(*args))
+            return masks[-1]
+
+        monkeypatch.setattr(reference_oracle, "_dl_feasible", recording)
+        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        monkeypatch.undo()
+        monkeypatch.setattr(reference_oracle, "_search_k2", prefix_max_search_k2)
+        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        for i, (got, want) in enumerate(zip(fast, slow)):
+            assert got == want, f"problem {i}"
+        # each user-1 DL level admits one run of user-2 levels, and the panel
+        # has rounds where some levels admit none or exactly one beside others
+        counts = []
+        for ok in masks:
+            for row in ok:
+                idx = np.flatnonzero(row)
+                assert idx.size == 0 or idx[-1] - idx[0] + 1 == idx.size
+            counts.append(np.count_nonzero(ok, axis=1))
+        mixed = [n for n in counts if n.max() > 1]
+        assert sum(bool(np.any(n == 0)) for n in mixed) >= 10
+        assert sum(bool(np.any(n == 1)) for n in mixed) >= 10
+
+    def test_tie_rule_on_tables_full_of_ties(self, monkeypatch):
+        # integer value tables, a fixed function of the levels: a step in the
+        # UL level plus a bonus below a DL-dependent UL threshold.  Maxima tie
+        # across DL pairs and UL levels; in many problems the lowest user-2 DL
+        # level reaches the maximum only at a larger user-1 UL level than a
+        # higher one does, so the order of the tie rule decides the point.
+        def coarse_table(a, a_e, dl_levels, ul_levels):
+            threshold = (dl_levels[:, None] * 7.77 + a) % 1.0
+            return np.round(ul_levels[None, :] * 16.0) + 2.0 * (ul_levels[None, :] <= threshold)
+
+        monkeypatch.setattr(reference_oracle, "_pair_table", coarse_table)
+        rng = np.random.default_rng(11)
+        panel = []
+        for case in range(40):
+            s = scenario_with_a(10.0 ** rng.uniform(-1.0, 3.0, 2), 10.0 ** rng.uniform(-1.0, 3.0, 2))
+            c_max = float(dl_rate_coefficients(s).max())
+            r_min = (0.0, float(rng.uniform()) * c_max, c_max * (1.0 - 1e-3))[case % 3]
+            spec = GridSpec(resolution=int(rng.integers(16, 33)), refine_rounds=int(rng.integers(0, 3)))
+            panel.append((s, fs_for(s, r_min), spec))
+        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
+        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        for i, (got, want) in enumerate(zip(fast, slow)):
+            assert got == want, f"problem {i}"
+
+    def test_range_max_of_every_run(self):
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(37, 3))
+        lo, span = np.array([(i, n) for i in range(37) for n in range(1, 38 - i)]).T
+        want = np.array([table[i : i + n].max(axis=0) for i, n in zip(lo, span)])
+        assert np.array_equal(reference_oracle._range_max(table, lo, span), want)
 
 
 class TestCertificateCrossCheck:

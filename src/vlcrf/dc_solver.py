@@ -70,7 +70,8 @@ Rows.  The certificate kernels (both repairs, value and gradient, gap and
 the reporting snap) are row-batched: they take (N, K) arrays, one problem
 with its own channels, rate coefficients and r_min per row.
 ``dca_solve`` and ``kkt_residual`` pass one row; ``solve_rows`` passes
-many, as the r_min sweep does for a block of trials at one rate target.
+many, as both sweeps (r_min and users) do for a block of trials at one
+rate target.
 Only the dual solve runs row by row, for the rows the gap does not
 certify.  Each row reduction adds a row's terms exactly as a 1-D
 reduction of that row alone would (``_reduce_on``), so a row's answer does

@@ -12,15 +12,17 @@ All randomness derives from the mandatory seed (>= 0) plus the trial index, so
 any run is reproducible byte for byte: identical configs produce identical
 CSVs regardless of worker count.
 
-Minimum-rate sweeps walk each trial from the highest target downward and
-warm-start every solve from the previous (tighter) solution, which makes
-the per-trial objective curve monotone by construction: the previous
+One block chain (``_rmin_chain_block``) makes the rows of both sweep
+kinds.  An r_min sweep walks each trial from the highest target downward
+and warm-starts every solve from the previous (tighter) solution, which
+makes the per-trial objective curve monotone by construction: the previous
 answer stays feasible once the constraint relaxes, and the solver keeps
-the better of its start and its own answer.  The trials run in blocks
-(``_rmin_chain_block``): one ``dc_solver.solve_rows`` call takes a rate
-target for every trial of the block at once.  A row's bytes do not depend
-on its block, because the solver's row reductions add each row as a solve
-of that row alone would.
+the better of its start and its own answer.  A users sweep is a chain of
+one target per user count, so each of its solves is a chain's cold first
+link.  The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
+rate target for every trial of the block at once.  A row's bytes do not
+depend on its block, because the solver's row reductions add each row as a
+solve of that row alone would.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from vlcrf.link_budget import (
     ScenarioChannels,
     check_fractions,
     clamped_secrecy_rows,
-    clamped_secrecy_sum,
+    clamped_secrecy_sum,  # unused: bench/tracing.py wraps experiment.clamped_secrecy_sum by name until that span is repointed
     dl_rate_coefficients,
     dl_sum_rate,
     secrecy_capacity_user,
@@ -319,7 +321,10 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"sweep.kind: unknown kind {sweep_kind!r}")
         if "sweep.values" in raw:
             if sweep_kind == SWEEP_USERS:
-                sweep_values = tuple(float(v) for v in _parse_int_list(raw["sweep.values"], "sweep.values"))
+                counts = _parse_int_list(raw["sweep.values"], "sweep.values")
+                if any(k < 1 for k in counts):
+                    raise ConfigError("sweep.values: user counts must be >= 1")
+                sweep_values = tuple(float(k) for k in counts)
             else:
                 sweep_values = _parse_float_list(raw["sweep.values"], "sweep.values")
         else:
@@ -597,18 +602,34 @@ def _infeasible_row(sweep_value, users, trial, r_min) -> dict:
     }
 
 
-def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> list[list[dict]]:
-    """Rows of an r_min sweep for a block of trials: per trial, its rows in sweep-value order.
+def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, bool]:
+    """(row labels, rate targets, whether the targets are fractions of each trial's best rate).
 
-    Every trial walks the targets tightest first, each solve warm-started
-    from the trial's previous raw answer (the first from
-    ``initial_allocation``); a target beyond a trial's best rate gives an
-    infeasible row and leaves its chain as it was.  One ``solve_rows`` call
-    per target solves the block's feasible trials together.  The emitted
-    fractions get ``Allocation``'s checks and the feasibility audit, row by
-    row, and a row is what a ``dca_solve`` chain of its trial alone gives,
-    byte for byte.
+    An r_min sweep labels each row with its target.  A users sweep has one
+    target per user count, ``rate.min_fraction`` or ``rate.min``, and labels
+    its row with the user count.
     """
+    if cfg.sweep_kind != SWEEP_USERS:
+        return cfg.sweep_values, cfg.sweep_values, cfg.sweep_kind == SWEEP_RMIN_FRACTION
+    if cfg.r_min_fraction is not None:
+        return (users,), (cfg.r_min_fraction,), True
+    return (users,), (cfg.r_min,), False
+
+
+def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> list[list[dict]]:
+    """Rows of a sweep for a block of trials: per trial, its rows in sweep-value order.
+
+    Both sweep kinds run here, with the targets of ``_chain_targets``: an
+    r_min sweep's whole chain, a users sweep's chain of one.  Every trial
+    walks the targets tightest first, each solve warm-started from the
+    trial's previous raw answer (the first from ``initial_allocation``); a
+    target beyond a trial's best rate gives an infeasible row and leaves its
+    chain as it was.  One ``solve_rows`` call per target solves the block's
+    feasible trials together.  The emitted fractions get ``Allocation``'s
+    checks and the feasibility audit, row by row, and a row is what a
+    ``dca_solve`` chain of its trial alone gives, byte for byte.
+    """
+    labels, targets, fraction = _chain_targets(cfg, users)
     sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
     problems = [generate_scenario(sub, trial) for trial in trials]
     a = np.array([s.a_user() for s, _ in problems])
@@ -617,13 +638,12 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
     bound = c.max(axis=1)
     chain_dl, chain_ul = np.zeros_like(c), np.zeros_like(c)
     chained = np.zeros(len(problems), dtype=bool)
-    rows: list[list] = [[None] * len(cfg.sweep_values) for _ in problems]
-    order = sorted(range(len(cfg.sweep_values)), key=lambda i: -cfg.sweep_values[i])
-    for idx in order:
-        value = cfg.sweep_values[idx]
-        r_min = value * bound if cfg.sweep_kind == SWEEP_RMIN_FRACTION else np.full(len(problems), value)
+    rows: list[list] = [[None] * len(targets) for _ in problems]
+    for idx in sorted(range(len(targets)), key=lambda i: -targets[i]):
+        label = labels[idx]
+        r_min = targets[idx] * bound if fraction else np.full(len(problems), targets[idx])
         for i in np.flatnonzero(r_min > bound):
-            rows[i][idx] = _infeasible_row(value, users, trials[i], float(r_min[i]))
+            rows[i][idx] = _infeasible_row(label, users, trials[i], float(r_min[i]))
         live = np.flatnonzero(r_min <= bound)
         if not live.size:
             continue
@@ -644,7 +664,7 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
         dl_rate = np.vecdot(c[live], out.tau_dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
         for n, i in enumerate(live):
             rows[i][idx] = _solved_row(
-                value, users, trials[i], float(r_min[i]),
+                label, users, trials[i], float(r_min[i]),
                 objective=float(out.objective[n]), clamped=float(clamped[n]), dl_rate=float(dl_rate[n]),
                 tau_dl=out.tau_dl[n], tau_ul=out.tau_ul[n], iterations=int(out.iterations[n]),
                 status=STATUS_CONVERGED if out.converged[n] else STATUS_MAX_ITERATIONS,
@@ -653,32 +673,12 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
     return rows
 
 
-def _users_rows(cfg: ExperimentConfig, users: int, trial: int) -> list[dict]:
-    sub = dataclasses.replace(cfg, users_count=users)
-    scenario, fs = generate_scenario(sub, trial)
-    result = dca_solve(scenario, fs, cfg.solver)
-    if result.status == STATUS_INFEASIBLE:
-        return [_infeasible_row(users, users, trial, fs.r_min)]
-    alloc = result.allocation
-    _audit_row(allocation_violation(fs, alloc), fs.r_min)
-    return [_solved_row(
-        users, users, trial, fs.r_min,
-        objective=result.objective, clamped=clamped_secrecy_sum(scenario, alloc),
-        dl_rate=dl_sum_rate(scenario, alloc), tau_dl=alloc.tau_dl, tau_ul=alloc.tau_ul,
-        iterations=result.iterations, status=result.status, gap=result.gap_bits,
-    )]
-
-
-def _sweep_task(payload) -> tuple[int, range, list[list[dict]]]:
+def _sweep_task(payload) -> list[list[dict]]:
     """Rows of one (user count, trial block) task: per trial, its rows."""
-    cfg, k_index, users, trials = payload
+    cfg, users, trials = payload
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if cfg.sweep_kind == SWEEP_USERS:
-            rows = [_users_rows(cfg, users, trial) for trial in trials]
-        else:
-            rows = _rmin_chain_block(cfg, users, trials)
-    return k_index, trials, rows
+        return _rmin_chain_block(cfg, users, trials)
 
 
 ROW_COLUMNS = (
@@ -741,11 +741,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
     Emits one row per (sweep value, trial) plus a mean/population-std
     aggregate per sweep value.  Infeasible points are recorded with status
-    "infeasible" rather than dropped.  An r_min sweep runs one task per
-    (user count, trial block), the trials split into one contiguous block
-    per worker; a users sweep runs one task per (user count, trial).  A
-    row's bytes do not depend on its block, and the output is an ordered
-    merge, so the worker count never changes bytes.
+    "infeasible" rather than dropped.  Both sweep kinds run one block chain
+    task per (user count, trial block), the trials split into one
+    contiguous block per worker.  A row's bytes do not depend on its block,
+    and the tasks come back in task order, so the worker count never
+    changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -757,9 +757,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     else:
         k_values = list(cfg.users_list) if cfg.users_list else [cfg.users_count]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    size = 1 if cfg.sweep_kind == SWEEP_USERS else -(-cfg.trials // workers)  # one r_min block per worker
+    size = -(-cfg.trials // workers)  # one block per worker
     blocks = [range(first, min(first + size, cfg.trials)) for first in range(0, cfg.trials, size)]
-    tasks = [(cfg, k_index, users, block) for k_index, users in enumerate(k_values) for block in blocks]
+    tasks = [(cfg, users, block) for users in k_values for block in blocks]
     workers = max(1, min(workers, len(tasks)))
     if workers == 1:
         results = [_sweep_task(t) for t in tasks]
@@ -767,21 +767,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
+    # per user count, its blocks' trials in order; rows go out value-major
     rows: list[dict] = []
-    by_task = {
-        (k_index, trial): trial_rows
-        for k_index, trials, block_rows in results
-        for trial, trial_rows in zip(trials, block_rows)
-    }
-    for k_index, users in enumerate(k_values):
-        if cfg.sweep_kind == SWEEP_USERS:
-            for trial in range(cfg.trials):
-                rows.extend(by_task[(k_index, trial)])
-        else:
-            per_trial = [by_task[(k_index, trial)] for trial in range(cfg.trials)]
-            for value_idx in range(len(cfg.sweep_values)):
-                for trial in range(cfg.trials):
-                    rows.append(per_trial[trial][value_idx])
+    for first in range(0, len(results), len(blocks)):
+        per_trial = [trial_rows for block_rows in results[first:first + len(blocks)] for trial_rows in block_rows]
+        for value_rows in zip(*per_trial):
+            rows.extend(value_rows)
 
     rows_path = os.path.join(out_dir, ROWS_FILE)
     agg_path = os.path.join(out_dir, AGG_FILE)

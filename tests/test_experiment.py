@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import vlcrf
 from vlcrf import experiment
 from vlcrf.cli import main as cli_main
-from vlcrf.dc_solver import FeasibleSet, allocation_violation, dca_solve
+from vlcrf.dc_solver import STATUS_INFEASIBLE, FeasibleSet, allocation_violation, dca_solve
 from vlcrf.experiment import (
     PRESETS,
     ConfigError,
@@ -120,6 +120,8 @@ class TestConfigParsing:
             build_config({"seed": "1", "sweep.kind": "users"})
         with pytest.raises(ConfigError):
             build_config({"seed": "1", "sweep.kind": "rmin_fraction", "sweep.values": "0.2,1.5"})
+        with pytest.raises(ConfigError, match="sweep.values"):
+            build_config({"seed": "1", "sweep.kind": "users", "sweep.values": "0,1"})
 
     def test_users_sweep_with_positions_rejected(self):
         with pytest.raises(ConfigError):
@@ -397,13 +399,45 @@ def _reference_chain_rows(cfg, users, trial):
     return [rows[i] for i in range(len(cfg.sweep_values))]
 
 
+def _users_rows(cfg, users, trial):
+    """One trial's users-sweep row, one ``dca_solve`` per row: the path the
+    block chain replaced for the users sweep, kept as its reference."""
+    sub = dataclasses.replace(cfg, users_count=users)
+    scenario, fs = generate_scenario(sub, trial)
+    result = dca_solve(scenario, fs, cfg.solver)
+    if result.status == STATUS_INFEASIBLE:
+        return [experiment._infeasible_row(users, users, trial, fs.r_min)]
+    alloc = result.allocation
+    experiment._audit_row(allocation_violation(fs, alloc), fs.r_min)
+    return [experiment._solved_row(
+        users, users, trial, fs.r_min,
+        objective=result.objective, clamped=clamped_secrecy_sum(scenario, alloc),
+        dl_rate=dl_sum_rate(scenario, alloc), tau_dl=alloc.tau_dl, tau_ul=alloc.tau_ul,
+        iterations=result.iterations, status=result.status, gap=result.gap_bits,
+    )]
+
+
+USERS_SWEEPS = {
+    # fraction targets from K = 1 to 16, every row solved
+    "fraction": {
+        "seed": "12", "trials": "20", "sweep.kind": "users", "sweep.values": "1,2,4,8,16",
+        "rate.min_fraction": "0.6", "rf.los_reference_gain": "0.1",
+    },
+    # an absolute target beyond the best rate of 16 of the 48 rows
+    "absolute": {
+        "seed": "7", "trials": "12", "sweep.kind": "users", "sweep.values": "1,2,3,5",
+        "rate.min": "9.0", "rf.los_reference_gain": "0.1",
+    },
+}
+
+
 class TestBlockChain:
     FIELDS = experiment.ROW_COLUMNS + ("gap_bits",)
 
-    def _assert_matches_reference(self, cfg, users, trials, splits):
+    def _assert_matches_reference(self, cfg, users, trials, splits, reference_rows=_reference_chain_rows):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reference = {trial: _reference_chain_rows(cfg, users, trial) for trial in trials}
+            reference = {trial: reference_rows(cfg, users, trial) for trial in trials}
             for blocks in splits:
                 seen = []
                 for block in blocks:
@@ -440,6 +474,54 @@ class TestBlockChain:
             order = [int(t) for t in rng.permutation(6)]
             cut = int(rng.integers(1, 6))
             self._assert_matches_reference(cfg, users, range(6), [[range(6)], [order[:cut], order[cut:]]])
+
+    def test_random_users_sweeps_match_per_row_solves(self):
+        # seeded draws of K = 1 to 16, seed and RF link gain, half of them
+        # with an absolute target near the best rate (infeasible rows inside
+        # a block), the rest with a rate fraction
+        rng = np.random.default_rng(11)
+        mid_block_infeasible = 0
+        for users in (1, 16, *(int(k) for k in rng.integers(2, 16, 8))):
+            raw = {"seed": str(int(rng.integers(0, 2**31))), "trials": "6",
+                   "sweep.kind": "users", "sweep.values": str(users),
+                   "rf.los_reference_gain": repr(10.0 ** rng.uniform(-3.0, 0.0))}
+            if rng.random() < 0.5:
+                raw["rate.min"] = repr(float(rng.uniform(8.0, 10.5)))
+            else:
+                raw["rate.min_fraction"] = repr(float(rng.uniform(0.0, 0.99)))
+            cfg = build_config(raw)
+            order = [int(t) for t in rng.permutation(6)]
+            cut = int(rng.integers(1, 6))
+            splits = [[range(6)], [order[:cut], order[cut:]]]
+            self._assert_matches_reference(cfg, users, range(6), splits, reference_rows=_users_rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                statuses = [_users_rows(cfg, users, trial)[0]["status"] for trial in range(6)]
+            solved = [t for t, status in enumerate(statuses) if status != STATUS_INFEASIBLE]
+            mid_block_infeasible += bool(solved) and STATUS_INFEASIBLE in statuses[solved[0]:solved[-1]]
+        assert mid_block_infeasible >= 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name, digests", [
+        ("fraction", ["03a30ea63ca757470dfa9bb67b54cdfa7ec40417ca38578b1f935ba8d09fc677",
+                      "ae98efbbcd23258036b9b5b9b36658055141ce2c955aaa0ee83fcd121922c022"]),
+        ("absolute", ["cf5c5589ff8abf4be81ee766d729ed896af0290a6ecd57d33548e3787483b048",
+                      "e11735405b140bf91f211f12dd2de20a54892772c47f2ee6d3763d01b21ddc4b"]),
+    ])
+    def test_users_sweep_bytes_pinned(self, tmp_path, workers, name, digests):
+        """Users sweeps write the bytes of the one-``dca_solve``-per-row path.
+
+        The digests were measured at commit 6d48b19, the last with that
+        path, with numpy 2.4.6 on x86_64; another numpy or BLAS may round
+        differently.
+        """
+        cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
+        info = run_sweep(cfg, out_dir=str(tmp_path))
+        got = []
+        for key in ("rows_path", "agg_path"):
+            with open(info[key], "rb") as fh:
+                got.append(hashlib.sha256(fh.read()).hexdigest())
+        assert got == digests
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_fig3_sweep_bytes_pinned(self, tmp_path, workers):
@@ -562,6 +644,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "o" / "sweep_rows.csv").exists()
         assert (tmp_path / "o" / "sweep_agg.csv").exists()
+
+    def test_users_sweep_zero_users_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 1\ntrials = 1\nsweep.kind = users\nsweep.values = 0,1\nruntime.workers = 1\n")
+        code = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "sweep.values" in err
 
     def test_infeasible_everywhere_exit_three(self, tmp_path, capsys):
         path = tmp_path / "c.txt"

@@ -29,7 +29,7 @@ Only the UL budget is dualised, with the multiplier lambda:
 * Per-user response.  The inner maximum sits at tau_ul_k = w_k / s_k with
   psi_k(s_k) = lambda, psi_k(s) = phi_k(s) - s phi_k'(s), which rises from 0
   to log2(a_k / aE_k).  A user with lambda at or above that limit is
-  saturated: its best share is 0 (the engine gives it TAU_FLOOR).  In
+  saturated: its share is 0, as a switched-off user's is.  In
   y = ln((1 + a s) / (1 + aE s)) the equation psi = lambda is convex and
   increasing, so Newton's method from the right of the root descends to it
   monotonically (``_respond``).
@@ -73,26 +73,26 @@ with its own channels, rate coefficients and r_min per row.
 many, as both sweeps (r_min and users) do for a block of trials at one
 rate target.
 Only the dual solve runs row by row, for the rows the gap does not
-certify.  Each row reduction adds a row's terms exactly as a 1-D
-reduction of that row alone would (``_reduce_on``), so a row's answer does
-not depend on the rows solved beside it.
+certify.  The kernels reduce plain (N, K) rows, to which a user without
+uplink adds exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a
+C-contiguous block adds each row as it adds that row alone, so a row's
+answer does not depend on the rows solved beside it.
 
 Back on the polytope.  The start and the dual solve's point are put back on
 the polytope block by block, each by a feasibility repair that is not a
-projection: the UL block is lifted to TAU_FLOOR and, over the budget,
-scaled onto it above the floor (``_repair_ul``); the DL block is clipped,
-scaled and moved toward the rate face (``_repair_dl``).  Both return a
+projection: both blocks are clipped at 0 and, over the budget, scaled onto
+it (``_repair_ul`` zeroes the switched-off users first), and the DL block
+is then moved toward the rate face (``_repair_dl``).  Both return a
 feasible point unchanged; the engine keeps a point by its objective and
 certifies it by its gap, so neither needs the closest feasible point.
-Active users keep tau_ul >= TAU_FLOOR so the perspective gradients stay
-defined; downlink fractions may reach 0 exactly.
+Every fraction may reach 0 exactly: at tau_ul = 0 the gradient kernel takes
+a supergradient of the perspective's closure (``_Concave.value_and_grad``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -103,7 +103,6 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
 SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
-TAU_FLOOR = 1e-9            # lower bound on an active user's tau_ul
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
@@ -117,7 +116,6 @@ class FeasibleSet:
 
     rate_coeffs: np.ndarray
     r_min: float
-    tau_floor: ClassVar[float] = TAU_FLOOR  # read-only, not a constructor field
 
     def __post_init__(self):
         c = np.asarray(self.rate_coeffs, dtype=np.float64).copy()
@@ -204,53 +202,27 @@ def initial_allocation(fs: FeasibleSet) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# row reductions
-# ---------------------------------------------------------------------------
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    return x.sum(axis=1)
-
-
-def _reduce_on(on: np.ndarray, reduce, *arrays: np.ndarray) -> np.ndarray:
-    """``reduce`` of each row's entries at its active users ``on`` (0 where none is).
-
-    The active entries are gathered in user order, and the rows with one
-    active count are reduced together as one C-contiguous block, whose
-    row-wise ``sum`` and ``np.vecdot`` add a row exactly as the 1-D
-    ``np.sum`` and ``@`` of its active entries do.  Zeros in place of the
-    inactive users would not: from 8 terms on the sum is pairwise, and
-    padding moves its split.
-    """
-    out = np.empty(on.shape[0])
-    count = on.sum(axis=1)
-    for n in set(count.tolist()):
-        rows = np.flatnonzero(count == n)
-        mask = on[rows]
-        out[rows] = reduce(*(x[rows][mask].reshape(rows.size, n) for x in arrays))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # putting a point back on the polytope
 # ---------------------------------------------------------------------------
 
-def _repair_ul(t: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """Per row, a point of {x >= TAU_FLOOR on ``on``, 0 off it, sum(x) <= 1} near t.
-
-    Not the closest point: lift every active entry to the floor, then, over
-    the budget, scale the part above the floor onto what the floor leaves
-    of it.  A feasible row comes back unchanged; for any finite row the
-    result is feasible up to a few ulps of the budget, so a second repair
-    moves no entry by more than that.
-    """
-    x = np.where(on, np.maximum(t, TAU_FLOOR), 0.0)
-    total = _reduce_on(on, _row_sum, x)
-    over = np.flatnonzero(total > 1.0)
-    if over.size:
-        held = on[over].sum(axis=1) * TAU_FLOOR
-        scale = (1.0 - held) / (total[over] - held)
-        x[over] = np.where(on[over], TAU_FLOOR + (x[over] - TAU_FLOOR) * scale[:, None], 0.0)
+def _clip_to_budget(x: np.ndarray) -> np.ndarray:
+    """Per row, clip at 0 and, over the unit budget, scale onto it."""
+    x = np.maximum(x, 0.0)
+    total = x.sum(axis=1)
+    over = total > 1.0
+    x[over] /= total[over, None]
     return x
+
+
+def _repair_ul(t: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per row, a point of {x >= 0, 0 off ``on``, sum(x) <= 1} near t.
+
+    Not the closest point: zero the inactive entries, clip at 0 and, over
+    the budget, scale onto it.  A feasible row comes back unchanged; for any
+    finite row the result is feasible up to a few ulps of the budget, so a
+    second repair moves no entry by more than that.
+    """
+    return _clip_to_budget(np.where(on, t, 0.0))
 
 
 def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> np.ndarray:
@@ -262,10 +234,7 @@ def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> np.ndarray:
     feasible row comes back unchanged, and the result is feasible for any
     finite d.
     """
-    d = np.maximum(d, 0.0)
-    total = d.sum(axis=1)
-    over = total > 1.0
-    d[over] /= total[over, None]
+    d = _clip_to_budget(d)
     rate = np.vecdot(c, d)
     short = np.flatnonzero(rate < r_min)
     if short.size:
@@ -281,8 +250,8 @@ def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
 
     UL: the feasibility repair ``_repair_ul``, DL: ``_repair_dl``; neither
     is a projection.  A feasible input comes back unchanged; for any finite
-    input the budgets and the rate target hold up to rounding,
-    tau_ul >= TAU_FLOOR and tau_dl >= 0.
+    input the budgets and the rate target hold up to rounding, and both
+    blocks are >= 0.
     """
     if not check_feasibility(fs):
         raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
@@ -387,20 +356,44 @@ class _Concave:
         return _repair_dl(dl, self.c, self.r_min), _repair_ul(ul, self.on)
 
     def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Objective per row and its gradients, 0 off ``on``; needs ul > 0 on ``on``."""
-        on = self.on
+        """Objective per row and a supergradient of it, 0 off ``on``.
+
+        At tau_ul = 0 (or where a w / tau_ul overflows) a term is 0, and its
+        superdifferential is that of the perspective's closure: with
+        w = 1 - tau_dl > 0 the limit (d/dtau_dl, d/dtau_ul) = (0, log2(a / aE)),
+        inf where aE = 0; at the corner w = 0 every (-phi'(s), psi(s)),
+        s >= 0.  Any choice certifies; to keep the gap tight on DL ties, a
+        corner user takes that limit when log2(a / aE) is at most the row's
+        largest UL gradient at a positive share (so it raises no UL vertex),
+        else (-phi'(0), 0) = (-(a - aE) / ln2, 0).
+        """
+        on, a, a_e = self.on, self.a, self.a_e
         w = 1.0 - dl
-        t = np.where(on, ul, 1.0)  # any t > 0 off ``on`` keeps the kernels defined; those terms are dropped
-        value = _reduce_on(on, _row_sum, perspective_value(self.a, w, t) - perspective_value(self.a_e, w, t))
-        du_dl, du_ul = perspective_grads(self.a, w, t)
-        dv_dl, dv_ul = perspective_grads(self.a_e, w, t)
-        return value, np.where(on, du_dl - dv_dl, 0.0), np.where(on, du_ul - dv_ul, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = perspective_value(a, w, ul) - perspective_value(a_e, w, ul)
+            du_dl, du_ul = perspective_grads(a, w, ul)
+            dv_dl, dv_ul = perspective_grads(a_e, w, ul)
+            g_dl, g_ul = du_dl - dv_dl, du_ul - dv_ul
+            limit = np.log2(a / a_e)  # inf where aE = 0
+        # no uplink, or a w / tau_ul beyond the doubles: take the limits at tau_ul -> 0
+        zero = on & ~np.isfinite(g_ul)
+        share = on & ~zero
+        lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
+        corner = zero & (w <= 0.0) & (limit > lam)
+        g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
+        g_dl = np.where(share, g_dl, np.where(corner, (a_e - a) / LN2, 0.0))
+        return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
-        """Frank-Wolfe gap per row: the UL block's best vertex is 0 or one active user's e_k."""
-        ul_best = np.fmax(0.0, np.where(self.on, g_ul, -np.inf).max(axis=1))
-        dl_best = _dl_best(self.c, self.r_min, g_dl)
-        return ul_best + dl_best - _reduce_on(self.on, np.vecdot, g_ul, ul) - np.vecdot(g_dl, dl)
+        """Frank-Wolfe gap per row: the UL block's best vertex is 0 or one active user's e_k.
+
+        Summed block by block: a corner user's DL gradient of -1e10 would
+        swamp a UL gap of 1e-7 in one sum.  An infinite UL gradient (aE = 0)
+        makes the gap inf; it is left out of g . x, where it would read nan.
+        """
+        ul_best = np.maximum(g_ul.max(axis=1), 0.0)
+        ul_gap = ul_best - np.vecdot(np.where(np.isfinite(g_ul), g_ul, 0.0), ul)
+        return ul_gap + (_dl_best(self.c, self.r_min, g_dl) - np.vecdot(g_dl, dl))
 
 
 def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
@@ -445,7 +438,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
 
     ``lam`` (bits) is the warm start.  Each step evaluates every user's
     response and every DL vertex's cost q . v and UL use
-    U_v = sum_k max((1 - v_k) / s_k, TAU_FLOOR) at lambda.  The vertices
+    U_v = sum_k max((1 - v_k) / s_k, 0) at lambda.  The vertices
     whose cost ties with the least give the sub-differential
     [1 - max U, 1 - min U] of D; when it holds 0, the two vertices with the
     largest and the least U are mixed to sum(tau_ul) = 1.  Otherwise the
@@ -478,7 +471,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
             cost = v_on @ q
             used = v_on @ inv_s                      # -d cost / d lambda
             shares = (1.0 - v_on) * inv_s
-            U = np.maximum(shares, TAU_FLOOR).sum(axis=1)
+            U = np.maximum(shares, 0.0).sum(axis=1)
             tied = np.flatnonzero(cost <= cost.min() + TIE_TOL * q.max())
             big = int(tied[np.argmax(U[tied])])
             small = int(tied[np.argmin(U[tied])])
@@ -489,7 +482,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
                 lo, p = lam, small
             else:
                 hi, p, y_right = lam, big, y
-            d_U = ((1.0 - v_on[p]) * d_inv_s)[shares[p] > TAU_FLOOR].sum()
+            d_U = ((1.0 - v_on[p]) * d_inv_s)[shares[p] > 0.0].sum()
             nxt = lam - np.log(U[p]) * U[p] / d_U
             cross = lam + (cost - cost[p]) / (used - used[p])   # where cost_v meets cost_p, linearised
             ahead = cross[(used > used[p]) if rising else (used < used[p])]
@@ -512,11 +505,11 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     # sum(tau_ul) = 1 may lie between two doubles.  One linearised lambda
     # step, taken on the shares themselves, closes the budget: it goes to
     # the users whose shares move fastest, whose UL gradients are flat.
-    free = ul > TAU_FLOOR
+    free = ul > 0.0
     slope = d_ul[free].sum()
     if slope < 0.0:
-        ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, TAU_FLOOR).sum()) / slope)
-    out[on] = np.maximum(ul, TAU_FLOOR)
+        ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, 0.0).sum()) / slope)
+    out[on] = ul
     return dl, out
 
 
@@ -554,8 +547,8 @@ def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndar
     """Zero out fractions below the reporting threshold, row by row.
 
     A row's downlink snapping is skipped wholesale if it would break the
-    minimum rate; uplink snapping only removes floor-level slivers and is
-    safe.
+    minimum rate; uplink snapping only removes the slivers that users near
+    saturation keep, and is safe.
     """
     ul_s = np.where(ul < SNAP_THRESHOLD, 0.0, ul)
     dl_s = np.where(dl < SNAP_THRESHOLD, 0.0, dl)
@@ -635,13 +628,13 @@ def kkt_residual(s: ScenarioChannels, fs: FeasibleSet, alloc: Allocation) -> flo
     For a feasible ``alloc``, f* - f(alloc) <= gap.  f switches off the users
     with a_k <= aE_k as ``dca_solve`` does (their tau_ul is not read), so it
     is the secrecy objective wherever they get no uplink, as in every solver
-    answer, where the gap equals ``gap_bits``.  The other users' tau_ul is
-    lifted to TAU_FLOOR first so the gradient is defined.
+    answer, where the gap equals ``gap_bits``.  An active user without
+    uplink contributes the supergradient ``_Concave.value_and_grad`` picks;
+    with aE = 0 and tau_dl < 1 its UL gradient, and so the gap, is +inf.
     """
     if fs.K != s.K or alloc.K != s.K:
         raise ValueError("scenario, feasible set and allocation sizes disagree")
     prob = _secrecy_problem(*_one_row(s, fs))
-    dl = alloc.tau_dl[None]
-    ul = np.maximum(alloc.tau_ul, TAU_FLOOR)[None]
+    dl, ul = alloc.tau_dl[None], alloc.tau_ul[None]
     _, g_dl, g_ul = prob.value_and_grad(dl, ul)
     return float(prob.gap(dl, ul, g_dl, g_ul)[0])

@@ -193,8 +193,7 @@ def grid_search(s: ScenarioChannels, fs: FeasibleSet, spec: GridSpec = GridSpec(
 
     Supports K in {1, 2}: the search space is the raw polytope (uplink
     fractions may be exactly 0 through the continuous objective extension),
-    so the oracle value is a true lower bound on the optimum independent of
-    the solver's floor.
+    so the oracle value is a true lower bound on the optimum.
     """
     if s.K > 2:
         raise ValueError("grid oracle supports K <= 2 only")

@@ -27,6 +27,7 @@ from vlcrf.dc_solver import (
     project_onto_feasible,
 )
 from vlcrf.experiment import generate_scenario, preset_config
+from dual_reference import dl_leftovers, dual_probes
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
@@ -126,7 +127,7 @@ class TestProjection:
             )
             alloc = Allocation(np.maximum(dl, 0.0), np.maximum(ul, 0.0))
             assert allocation_violation(fs, alloc) <= 1e-9
-            assert min(ul) >= fs.tau_floor
+            assert min(ul) >= 0.0
 
     @staticmethod
     def _large_cases(seed):
@@ -155,7 +156,7 @@ class TestProjection:
             assert sum(dl) <= 1.0 + 1e-12
             assert sum(ul) <= 1.0 + 1e-12
             assert min(dl) >= 0.0
-            assert min(ul) >= fs.tau_floor
+            assert min(ul) >= 0.0
             assert float(np.dot(fs.rate_coeffs, dl)) >= fs.r_min * (1.0 - 1e-12)
 
     def test_large_inputs_dl_repair_stops_at_the_rate_face(self):
@@ -213,7 +214,7 @@ class TestProjectionProperties:
         dl, ul = project_onto_feasible(fs, v_dl, v_ul)
         assert sum(dl) <= 1.0 + 1e-12 and sum(ul) <= 1.0 + 1e-12
         assert float(np.dot(fs.rate_coeffs, dl)) >= fs.r_min * (1.0 - 1e-12)
-        assert min(ul) >= fs.tau_floor and min(dl) >= 0.0
+        assert min(ul) >= 0.0 and min(dl) >= 0.0
         dl2, ul2 = project_onto_feasible(fs, dl, ul)
         assert np.abs(np.subtract(dl2, dl)).max() <= 1e-15
         assert np.abs(np.subtract(ul2, ul)).max() <= 1e-15
@@ -224,7 +225,7 @@ class TestProjectionProperties:
         # both blocks scaled to half the frame; r_min up to the point's own rate
         fs, v_dl, v_ul = problem
         dl = np.abs(v_dl) / (2.0 * np.abs(v_dl).sum())
-        ul = fs.tau_floor + np.abs(v_ul) / (2.0 * np.abs(v_ul).sum())
+        ul = np.abs(v_ul) / (2.0 * np.abs(v_ul).sum())
         fs = FeasibleSet(fs.rate_coeffs, share * float(np.dot(fs.rate_coeffs, dl)))
         assert project_onto_feasible(fs, dl, ul) == (dl.tolist(), ul.tolist())
 
@@ -332,6 +333,36 @@ class TestKktResidual:
         resid = kkt_residual(s, fs, initial_allocation(fs))
         assert resid > 1e-2
 
+    def test_corner_user_does_not_swamp_the_ul_gap(self):
+        # user 0 holds the whole DL frame (r_min = max c), so its DL gradient
+        # is about -1.4e10; the only gain left is user 1's idle UL time delta,
+        # worth about g_ul delta.  Summed in one, the blocks read 1.9e-6 here.
+        s = scenario_with_a([1e10, 100.0], [1.0, 1.0])
+        fs = FeasibleSet(np.array([2.0, 1.0]), 2.0)
+        delta = 1e-7
+        alloc = Allocation(np.array([1.0, 0.0]), np.array([0.0, 1.0 - delta]))
+        best = Allocation(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        gain = objective_value(s, best) - objective_value(s, alloc)
+        assert kkt_residual(s, fs, alloc) == pytest.approx(gain, rel=1e-6)
+
+    def test_zero_share_without_eavesdropper_is_unbounded(self):
+        # aE = 0: log2(a / aE) = inf is the UL gradient at a zero share with
+        # DL time left, and inf * 0 in the UL block's g . x must not read nan
+        s = scenario_with_a([100.0, 50.0], [0.0, 1.0])
+        fs = fs_for(s)
+        alloc = Allocation(np.zeros(2), np.array([0.0, 1.0]))
+        assert kkt_residual(s, fs, alloc) == math.inf
+        assert dca_solve(s, fs, initial=alloc).status == "converged"
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_share_beyond_the_doubles_reads_as_zero(self, tiny):
+        # a w / tau_ul overflows: the term is 0 to within the doubles, and its
+        # gradient is the limit at tau_ul = 0, not inf - inf
+        s = scenario_with_a([1e12, 1e3], [1e6, 1.0])
+        fs = fs_for(s)
+        gaps = [kkt_residual(s, fs, Allocation(np.zeros(2), np.array([t, 0.5]))) for t in (tiny, 0.0)]
+        assert math.isfinite(gaps[0]) and gaps[0] == gaps[1]
+
 
 class TestSwitchedOffUsers:
     def test_switched_off_user_gets_no_uplink(self):
@@ -397,7 +428,7 @@ class TestDualEngine:
     @pytest.mark.parametrize("users, trial, index, earlier", [
         (2, 17, 12, 0.6205658419291258),    # r_min at 0.6: a kink, two DL vertices mixed
         (4, 185, 19, 0.22509868789485088),  # r_min at 0.95: the DL optimum on the budget edge
-        (4, 151, 10, 1.7553263014818),      # r_min at 0.5: a saturated user at the UL floor
+        (4, 151, 10, 1.7553263014818),      # r_min at 0.5: a saturated user with no uplink
     ])
     def test_cold_fig3_solves_certified(self, users, trial, index, earlier):
         s, fs = _fig3_problem(users, trial, index)
@@ -417,6 +448,24 @@ class TestDualEngine:
         assert raw.tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
         assert raw.tau_ul.tolist() == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_dl_tie_with_a_corner_user_certified(self, share):
+        # equal c: either user can carry r_min.  User 1 carries it and gets no
+        # uplink; user 0 (no eavesdropper) takes the whole UL frame.  At
+        # r_min = max c user 1 sits at the corner tau_dl = 1, tau_ul = 0, where
+        # the supergradient (-phi'(0), 0) would read a gap of 76,172 bits.
+        s = ScenarioChannels(
+            g=np.ones(2), h=np.array([1e-5, 2e-5]), h_e=np.array([0.0, 1e-5]),
+            sigma2_dl=np.full(2, 1e-14), sigma2_ul=np.full(2, 1e-14), sigma2_e=1e-14,
+            eta=0.44, i_d=2.0, p_led=1.0,
+        )
+        c = dl_rate_coefficients(s)
+        fs = FeasibleSet(c, share * float(c.max()))
+        res = dca_solve(s, fs)
+        assert res.status == "converged" and res.gap_bits <= 1e-8
+        assert res.raw_allocation.tau_ul.tolist() == [1.0, 0.0]
+        assert res.objective == pytest.approx(math.log2(1.0 + float(s.a_user()[0])), rel=1e-15)
+
     def test_single_user_closed_form(self):
         # K = 1: tau_dl = r_min / c and tau_ul = 1, with no search
         s = scenario_with_a([80.0], [3.0])
@@ -426,6 +475,18 @@ class TestDualEngine:
         assert res.raw_allocation.tau_ul.tolist() == [1.0]
         assert res.raw_allocation.tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
         assert res.status == "converged" and res.iterations == 1
+
+
+def _adversarial_channels(a, a_e, g):
+    """Channels with SNR constants a and aE at VLC gains g (some may be 0)."""
+    # a = eta I^2 g^2 h^2 / sigma^2 with eta I^2 = 1.76 and sigma^2 = 1e-14
+    safe_g = np.where(g > 0.0, g, 1.0)
+    k = g.size
+    return ScenarioChannels(
+        g=g, h=np.sqrt(a * 1e-14 / 1.76) / safe_g, h_e=np.sqrt(a_e * 1e-14 / 1.76) / safe_g,
+        sigma2_dl=np.full(k, 1e-14), sigma2_ul=np.full(k, 1e-14), sigma2_e=1e-14,
+        eta=0.44, i_d=2.0, p_led=1.0,
+    )
 
 
 @st.composite
@@ -440,13 +501,7 @@ def _adversarial_problem(draw):
     a_e[tie] = a[tie]
     g = np.array([10.0 ** draw(st.floats(-7.5, -5.0)) for _ in range(k)])
     g[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
-    # a = eta I^2 g^2 h^2 / sigma^2 with eta I^2 = 1.76 and sigma^2 = 1e-14
-    safe_g = np.where(g > 0.0, g, 1.0)
-    s = ScenarioChannels(
-        g=g, h=np.sqrt(a * 1e-14 / 1.76) / safe_g, h_e=np.sqrt(a_e * 1e-14 / 1.76) / safe_g,
-        sigma2_dl=np.full(k, 1e-14), sigma2_ul=np.full(k, 1e-14), sigma2_e=1e-14,
-        eta=0.44, i_d=2.0, p_led=1.0,
-    )
+    s = _adversarial_channels(a, a_e, g)
     c = dl_rate_coefficients(s)
     share = draw(st.sampled_from([0.0, None, 1.0]))
     if share is None:
@@ -454,19 +509,113 @@ def _adversarial_problem(draw):
     return s, FeasibleSet(c, share * float(c.max()))
 
 
+def _adversarial_panel(seed, count, k_max):
+    """(s, fs) pairs of the kinds ``_adversarial_problem`` draws, from a seeded
+    numpy stream: K from 1 to k_max, a quarter of the users tied and a
+    quarter with zero gain, r_min cycling through 0, inside and max c."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, k_max + 1))
+        a, a_e = 10.0 ** rng.uniform(-6.0, 12.0, (2, k))
+        tie = rng.random(k) < 0.25
+        a_e[tie] = a[tie]
+        g = 10.0 ** rng.uniform(-7.5, -5.0, k)
+        g[rng.random(k) < 0.25] = 0.0
+        s = _adversarial_channels(a, a_e, g)
+        c = dl_rate_coefficients(s)
+        share = (0.0, float(rng.uniform(0.01, 0.99)), 1.0)[i % 3]
+        yield s, FeasibleSet(c, share * float(c.max()))
+
+
+def _check_solver_invariants(s, fs, res):
+    assert allocation_violation(fs, res.raw_allocation) <= 1e-8
+    assert allocation_violation(fs, res.allocation) <= 1e-8
+    start = objective_value(s, initial_allocation(fs))
+    assert res.objective >= start - 1e-12 * max(1.0, abs(start))
+    assert res.gap_bits >= -1e-12
+    if res.status == "converged":
+        assert res.gap_bits <= DcaSettings().epsilon
+    off = s.a_user() <= s.a_eve()
+    assert np.all(res.raw_allocation.tau_ul[off] == 0.0)
+    assert np.all(res.allocation.tau_ul[off] == 0.0)
+
+
 class TestAdversarialProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_adversarial_problem())
     def test_solver_invariants(self, problem):
         s, fs = problem
-        res = dca_solve(s, fs)
-        assert allocation_violation(fs, res.raw_allocation) <= 1e-8
-        assert allocation_violation(fs, res.allocation) <= 1e-8
-        start = objective_value(s, initial_allocation(fs))
-        assert res.objective >= start - 1e-12 * max(1.0, abs(start))
-        assert res.gap_bits >= -1e-12
-        if res.status == "converged":
-            assert res.gap_bits <= DcaSettings().epsilon
-        off = s.a_user() <= s.a_eve()
-        assert np.all(res.raw_allocation.tau_ul[off] == 0.0)
-        assert np.all(res.allocation.tau_ul[off] == 0.0)
+        _check_solver_invariants(s, fs, dca_solve(s, fs))
+
+
+class TestAdversarialPanel:
+    def test_every_solve_certifies(self):
+        # a seeded panel: its problems stay put when src/ changes
+        for s, fs in _adversarial_panel(seed=41, count=400, k_max=64):
+            res = dca_solve(s, fs)
+            _check_solver_invariants(s, fs, res)
+            assert res.status == "converged", (fs.K, fs.r_min, res.gap_bits)
+            assert math.isfinite(kkt_residual(s, fs, res.raw_allocation))
+
+
+def _dual_panel():
+    """(s, fs) pairs with K <= 8: an adversarial panel, fig3 draws, fig4 draws
+    and problems whose rate coefficients are drawn apart from the channels."""
+    yield from _adversarial_panel(seed=43, count=90, k_max=8)
+    rng = np.random.default_rng(44)
+    for s, _ in _adversarial_panel(seed=46, count=60, k_max=8):
+        # c log-uniform in [1e-3, 10] and r_min uniform in [0, max c]: the DL
+        # optimum often lies on an edge, most of it on a low-rate user
+        c = 10.0 ** rng.uniform(-3.0, 1.0, s.K)
+        yield s, FeasibleSet(c, float(rng.uniform(0.0, c.max())))
+    for name, counts in (("fig3", (1, 2, 4, 8)), ("fig4", (2, 4, 8))):
+        cfg = preset_config(name)
+        for i in range(30):
+            sub = dataclasses.replace(cfg, users_count=counts[i % len(counts)], r_min=0.0, r_min_fraction=None)
+            s, fs = generate_scenario(sub, int(rng.integers(0, 1000)))
+            c = fs.rate_coeffs
+            share = (0.0, float(rng.uniform(0.01, 0.99)), 1.0)[i % 3]
+            yield s, FeasibleSet(c, share * float(c.max()))
+
+
+class TestDualReference:
+    """The Lagrangian dual of the UL budget, computed by code that shares
+    nothing with the solver (``dual_reference``), bounds every answer."""
+
+    def test_single_user_dual_meets_the_closed_form(self):
+        # K = 1: f* = phi(1 - r_min / c), reached by tau_ul = 1
+        problems = [(np.array([a]), np.array([a_e]), np.array([c]), r_min)
+                    for a, a_e, c, r_min in ((80.0, 3.0, 2.0, 1.0), (1e9, 1e-3, 5.0, 0.0), (40.0, 0.0, 3.0, 3.0))]
+        _, values = dual_probes(problems)
+        for (a, a_e, c, r_min), low in zip(problems, values.min(axis=1)):
+            w = 1.0 - r_min / c[0]
+            best = math.log2((1.0 + a[0] * w) / (1.0 + a_e[0] * w))
+            assert low == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_dl_vertices(self):
+        # c = (3, 0.1), r_min = 0.3: e_0, the rate face's 0.1 e_0 and the
+        # point of [e_0, e_1] with 2.9 lam = 0.2 on it; 0.3 / 0.1 e_1 is outside
+        w = sorted(map(tuple, dl_leftovers(np.array([3.0, 0.1]), 0.3).tolist()))
+        expected = [(0.0, 1.0), (0.9, 1.0), (27.0 / 29.0, 2.0 / 29.0)]
+        assert len(w) == 3
+        for got, want in zip(w, expected):
+            assert got == pytest.approx(want, rel=1e-15)
+        # at r_min = max c the one vertex is e_0, and 1 - v is exactly 0
+        assert dl_leftovers(np.array([0.7, 0.3]), 0.7).tolist() == [[0.0, 1.0]]
+
+    def test_the_dual_bounds_every_answer(self):
+        # f <= D(lambda) at every lambda probed: no answer is infeasible or
+        # overvalued.  min D - f <= gap_bits: no certificate is understated,
+        # at the solver's answer and at two starts it returns uncertified
+        # (epsilon = 1e9): the default start and a random one.
+        problems = list(_dual_panel())
+        _, values = dual_probes([(s.a_user(), s.a_eve(), fs.rate_coeffs, fs.r_min) for s, fs in problems])
+        rng = np.random.default_rng(45)
+        loose = DcaSettings(epsilon=1e9)
+        for (s, fs), probes in zip(problems, values):
+            res = dca_solve(s, fs)
+            f = res.objective
+            assert np.all(f <= probes + 1e-12 * max(1.0, abs(f)))
+            random = Allocation(rng.dirichlet(np.ones(fs.K + 1))[: fs.K], rng.dirichlet(np.ones(fs.K + 1))[: fs.K])
+            for out in (res, dca_solve(s, fs, loose), dca_solve(s, fs, loose, initial=random)):
+                assert probes.min() - out.objective <= out.gap_bits + 1e-12 * max(1.0, abs(out.objective))

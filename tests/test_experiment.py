@@ -503,17 +503,20 @@ class TestBlockChain:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name, digests", [
-        ("fraction", ["03a30ea63ca757470dfa9bb67b54cdfa7ec40417ca38578b1f935ba8d09fc677",
-                      "ae98efbbcd23258036b9b5b9b36658055141ce2c955aaa0ee83fcd121922c022"]),
-        ("absolute", ["cf5c5589ff8abf4be81ee766d729ed896af0290a6ecd57d33548e3787483b048",
-                      "e11735405b140bf91f211f12dd2de20a54892772c47f2ee6d3763d01b21ddc4b"]),
+        ("fraction", ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
+                      "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"]),
+        ("absolute", ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
+                      "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"]),
     ])
     def test_users_sweep_bytes_pinned(self, tmp_path, workers, name, digests):
-        """Users sweeps write the bytes of the one-``dca_solve``-per-row path.
+        """Users sweeps write pinned bytes at 1 and 2 workers.
 
-        The digests were measured at commit 6d48b19, the last with that
-        path, with numpy 2.4.6 on x86_64; another numpy or BLAS may round
-        differently.
+        The digests were first measured at commit 6d48b19, the last with
+        one ``dca_solve`` per row, and re-measured when zero uplink shares
+        replaced the 1e-9 floor (41 of the fraction sweep's 100 rows and 4 of
+        the absolute sweep's 32 solved rows moved: 43 objectives rose, by at
+        most 7.1e-9 bits, and one fell by 3.3e-16 relative), with numpy 2.4.6
+        on x86_64; another numpy or BLAS may round differently.
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(cfg, out_dir=str(tmp_path))
@@ -525,11 +528,14 @@ class TestBlockChain:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_fig3_sweep_bytes_pinned(self, tmp_path, workers):
-        """fig3 at 20 trials writes the bytes of the per-row chain it replaced.
+        """fig3 at 20 trials writes pinned bytes at 1 and 2 workers.
 
-        Both digests were measured at commit 3ac2ca0, the last with one
-        ``dca_solve`` per row, with numpy 2.4.6 on x86_64; another numpy or
-        BLAS may round differently.
+        Both digests were first measured at commit 3ac2ca0, the last with one
+        ``dca_solve`` per row, and re-measured when zero uplink shares
+        replaced the 1e-9 floor (117 of 1,200 rows moved: 96 objectives rose,
+        by at most 1.7e-9 bits, and 21 fell by at most 3.3e-16 relative),
+        with numpy 2.4.6 on x86_64; another numpy or BLAS may round
+        differently.
         """
         cfg = preset_config("fig3", {"trials": "20", "runtime.workers": workers})
         info = run_sweep(cfg, out_dir=str(tmp_path))
@@ -538,8 +544,8 @@ class TestBlockChain:
             with open(info[key], "rb") as fh:
                 digests.append(hashlib.sha256(fh.read()).hexdigest())
         assert digests == [
-            "bf83c7f51e347dceff3e2d3be9d93a54408a3b0e5d2b3fce2a9e96a50a4191b8",
-            "847f5ce1a86bf27748f8ebeda8e2d0c2eaa6ef236ac6ef099b967f62da52e575",
+            "169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
+            "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02",
         ]
 
 

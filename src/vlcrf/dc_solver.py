@@ -189,16 +189,24 @@ def initial_allocation(fs: FeasibleSet) -> Allocation:
     """
     if not check_feasibility(fs):
         raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
-    c = fs.rate_coeffs
-    j = int(np.argmax(c))
-    if fs.r_min <= 0.0:
-        beta = 1e-6
-    else:
-        beta = min(1.0, min(1.0, fs.r_min / float(c[j])) + 1e-6)
-    tau_dl = np.zeros(fs.K)
-    tau_dl[j] = beta
-    tau_ul = np.full(fs.K, 1.0 / fs.K)
-    return Allocation(tau_dl, tau_ul)
+    tau_dl, tau_ul = initial_rows(fs.rate_coeffs[None], np.array([fs.r_min]))
+    return Allocation(tau_dl[0], tau_ul[0])
+
+
+def initial_rows(rate_coeffs: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``initial_allocation`` of N feasible problems: (N, K) DL and UL starts.
+
+    Per row, user j = argmax c (lowest index on ties) gets
+    min(1, min(1, r_min / c_j) + 1e-6) of the DL frame, or 1e-6 at
+    r_min = 0, and every user 1/K of the UL frame.
+    """
+    rows = np.arange(rate_coeffs.shape[0])
+    best = np.argmax(rate_coeffs, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # c_j = 0 only at r_min = 0
+        share = np.minimum(1.0, np.minimum(1.0, r_min / rate_coeffs[rows, best]) + 1e-6)
+    tau_dl = np.zeros(rate_coeffs.shape)
+    tau_dl[rows, best] = np.where(r_min <= 0.0, 1e-6, share)
+    return tau_dl, np.full(rate_coeffs.shape, 1.0 / rate_coeffs.shape[1])
 
 
 # ---------------------------------------------------------------------------

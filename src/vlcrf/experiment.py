@@ -23,17 +23,26 @@ link.  The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
 rate target for every trial of the block at once.  A row's bytes do not
 depend on its block, because the solver's row reductions add each row as a
 solve of that row alone would.
+
+The block path is column-wise from the channel draws to the CSV bytes.
+``scenario_block`` draws a block's scenarios straight into (N, K) arrays,
+the chain keeps each target's results as arrays, and each worker formats
+its own rows' CSV text a column at a time; the parent joins the text and
+computes the aggregates from the concatenated arrays.  ``generate_scenario``
+is ``scenario_block`` of one trial and serves ``report`` and ``solve``.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,28 +55,42 @@ from vlcrf.dc_solver import (
     allocation_violation,
     check_feasibility,
     dca_solve,
-    initial_allocation,
+    initial_rows,
     solve_rows,
     violation_rows,
 )
+# unused here: clamped_secrecy_sum, dl_rate_coefficients, sample_rician_gain and
+# vlc_channel_gain, which bench/tracing.py wraps by name on this module until
+# those spans are repointed
 from vlcrf.link_budget import (
     ScenarioChannels,
     check_fractions,
     clamped_secrecy_rows,
-    clamped_secrecy_sum,  # unused: bench/tracing.py wraps experiment.clamped_secrecy_sum by name until that span is repointed
+    clamped_secrecy_sum,
     dl_rate_coefficients,
     dl_sum_rate,
+    rate_coefficients,
     secrecy_capacity_user,
+    snr_constants,
 )
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
-from vlcrf.rf_channel import MIXING_NORMALIZED, MIXING_UNNORMALIZED, RicianConfig, sample_rician_gain
+from vlcrf.rf_channel import (
+    MIXING_NORMALIZED,
+    MIXING_UNNORMALIZED,
+    FadingSample,
+    RicianConfig,
+    los_component,
+    mixing_weights,
+    rician_mix,
+    sample_rician_gain,
+)
 from vlcrf.vlc_channel import (
     CONCENTRATOR_ANGLE_DEPENDENT,
     CONCENTRATOR_CONSTANT,
     LedConfig,
     PhotodiodeConfig,
-    UserTerminal,
     Vec3,
+    ray_gain,
     vlc_channel_gain,
 )
 
@@ -467,72 +490,106 @@ def preset_config(name: str, overrides: dict[str, str] | None = None) -> Experim
 # scenario generation
 # ---------------------------------------------------------------------------
 
-def _distance(p: Vec3, q: Vec3) -> float:
-    return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2)
+@dataclass(frozen=True)
+class ScenarioBlock:
+    """The channels of N trials' scenarios as (N, K) arrays, row n for the n-th trial."""
+
+    g: np.ndarray      # VLC gains
+    h: np.ndarray      # uplink amplitudes at the access point
+    h_e: np.ndarray    # uplink amplitudes at the eavesdropper
+    a: np.ndarray      # ScenarioChannels.a_user
+    a_e: np.ndarray    # ScenarioChannels.a_eve
+    c: np.ndarray      # dl_rate_coefficients
+
+
+def _distance(x: float, y: float, z: float, q: Vec3) -> float:
+    return math.sqrt((x - q.x) ** 2 + (y - q.y) ** 2 + (z - q.z) ** 2)
+
+
+def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> ScenarioBlock:
+    """Deterministic scenarios for (config, trial), for a block of trials.
+
+    Per trial, three independent substreams (user placement, eavesdropper
+    placement, fading) derive from (seed, trial), so explicit user positions
+    leave the fading draws unchanged.  The fading comes from one (2K, 2)
+    standard normal draw: (re, im) of the K access-point links, then of the
+    K eavesdropper links, the stream of 2K single draws.  The geometry stays
+    on the scalar ``math`` kernels ``ray_gain`` and ``los_component``, so
+    every entry has the bits of the per-user channel APIs.  Users outside the
+    LED field of view get a zero gain and a warning; the scenario stays valid.
+    """
+    k = len(cfg.users_positions) if cfg.users_positions is not None else cfg.users_count
+    width, depth, height = cfg.room
+    led, ap = cfg.led, cfg.ap_position
+    g = np.empty((len(trials), k))
+    los = np.empty((len(trials), 2 * k))
+    draws = np.empty((len(trials), 2 * k, 2))
+    for n, trial in enumerate(trials):
+        if trial < 0:
+            raise ValueError("trial index must be >= 0")
+        geom_seq, eve_seq, fading_seq = np.random.SeedSequence([cfg.seed, trial]).spawn(3)
+        if cfg.users_positions is not None:
+            positions = [(p.x, p.y, p.z) for p in cfg.users_positions]
+        else:
+            geom_rng = np.random.default_rng(geom_seq)
+            xs = geom_rng.uniform(0.0, width, k).tolist()
+            ys = geom_rng.uniform(0.0, depth, k).tolist()
+            positions = [(x, y, cfg.users_height) for x, y in zip(xs, ys)]
+        if cfg.eve_position is not None:
+            eve = cfg.eve_position
+        else:
+            eve_rng = np.random.default_rng(eve_seq)
+            eve = Vec3(*(float(eve_rng.uniform(0.0, side)) for side in (width, depth, height)))
+
+        for j, (x, y, z) in enumerate(positions):
+            g[n, j] = ray_gain(x - led.position.x, y - led.position.y, z - led.position.z,
+                               led, cfg.pd, cfg.concentrator_model)
+            if g[n, j] == 0.0:
+                warnings.warn(f"user {j} at {Vec3(x, y, z)} is outside the LED field of view; VLC gain is 0")
+        for offset, point, what in ((0, ap, "the access point"), (k, eve, "the eavesdropper position")):
+            for j, (x, y, z) in enumerate(positions):
+                d = _distance(x, y, z, point)
+                if d <= 0.0:
+                    raise ConfigError(f"user {j} coincides with {what}")
+                los[n, offset + j] = los_component(cfg.rician, d)
+        draws[n] = np.random.default_rng(fading_seq).standard_normal((2 * k, 2))
+
+    if not np.isfinite(g).all():
+        raise ValueError("ScenarioChannels.g entries must be finite and >= 0")
+    mag = rician_mix(los, draws[..., 0], draws[..., 1], mixing_weights(cfg.rician, cfg.rf_mixing))
+    if not np.isfinite(mag).all():
+        FadingSample(float(mag[~np.isfinite(mag)][0]))  # raises its ValueError
+    h, h_e = np.ascontiguousarray(mag[:, :k]), np.ascontiguousarray(mag[:, k:])
+    i_d = cfg.led.dc_offset
+    return ScenarioBlock(
+        g=g,
+        h=h,
+        h_e=h_e,
+        a=snr_constants(cfg.eta, i_d, g, h, cfg.noise_user_ul),
+        a_e=snr_constants(cfg.eta, i_d, g, h_e, cfg.noise_eve_ul),
+        c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl),
+    )
 
 
 def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChannels, FeasibleSet]:
     """Deterministic scenario for (config, trial): placements, fading, targets.
 
-    Three independent substreams (user placement, eavesdropper placement,
-    fading) derive from (seed, trial), so explicit user positions leave the
-    fading draws unchanged.  Users outside the LED field of view get a zero
-    gain and a warning; the scenario stays valid.
+    ``scenario_block`` of the one trial, with its rate target resolved.
     """
-    if trial < 0:
-        raise ValueError("trial index must be >= 0")
-    ss = np.random.SeedSequence([cfg.seed, trial])
-    geom_rng, eve_rng, fading_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-    width, depth, height = cfg.room
-
-    if cfg.users_positions is not None:
-        positions = list(cfg.users_positions)
-    else:
-        xs = geom_rng.uniform(0.0, width, cfg.users_count)
-        ys = geom_rng.uniform(0.0, depth, cfg.users_count)
-        positions = [Vec3(float(x), float(y), cfg.users_height) for x, y in zip(xs, ys)]
-
-    if cfg.eve_position is not None:
-        eve = cfg.eve_position
-    else:
-        eve = Vec3(
-            float(eve_rng.uniform(0.0, width)),
-            float(eve_rng.uniform(0.0, depth)),
-            float(eve_rng.uniform(0.0, height)),
-        )
-
-    g = np.empty(len(positions))
-    for k, pos in enumerate(positions):
-        user = UserTerminal(id=k, position=pos, pd=cfg.pd)
-        g[k] = vlc_channel_gain(cfg.led, user, cfg.concentrator_model)
-        if g[k] == 0.0:
-            warnings.warn(f"user {k} at {pos} is outside the LED field of view; VLC gain is 0")
-
-    h = np.empty(len(positions))
-    h_e = np.empty(len(positions))
-    for k, pos in enumerate(positions):
-        d_ap = _distance(pos, cfg.ap_position)
-        if d_ap <= 0.0:
-            raise ConfigError(f"user {k} coincides with the access point")
-        h[k] = sample_rician_gain(cfg.rician, d_ap, fading_rng, cfg.rf_mixing).h_mag
-    for k, pos in enumerate(positions):
-        d_eve = _distance(pos, eve)
-        if d_eve <= 0.0:
-            raise ConfigError(f"user {k} coincides with the eavesdropper position")
-        h_e[k] = sample_rician_gain(cfg.rician, d_eve, fading_rng, cfg.rf_mixing).h_mag
-
+    block = scenario_block(cfg, [trial])
+    k = block.g.shape[1]
     scenario = ScenarioChannels(
-        g=g,
-        h=h,
-        h_e=h_e,
-        sigma2_dl=np.full(len(positions), cfg.noise_user_dl),
-        sigma2_ul=np.full(len(positions), cfg.noise_user_ul),
+        g=block.g[0],
+        h=block.h[0],
+        h_e=block.h_e[0],
+        sigma2_dl=np.full(k, cfg.noise_user_dl),
+        sigma2_ul=np.full(k, cfg.noise_user_ul),
         sigma2_e=cfg.noise_eve_ul,
         eta=cfg.eta,
         i_d=cfg.led.dc_offset,
         p_led=cfg.led.p_led,
     )
-    coeffs = dl_rate_coefficients(scenario)
+    coeffs = block.c[0]
     if cfg.r_min_fraction is not None:
         r_min = cfg.r_min_fraction * float(np.max(coeffs))
     else:
@@ -541,7 +598,7 @@ def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChanne
 
 
 # ---------------------------------------------------------------------------
-# single solves and sweep rows
+# sweep chains and CSV output
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
@@ -554,52 +611,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _pack_fractions(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def _audit_row(viol: float, r_min: float) -> None:
     """Refuse to emit an allocation that violates its feasible set beyond FEASIBILITY_AUDIT_TOL."""
     if viol > FEASIBILITY_AUDIT_TOL:
         raise RuntimeError(
             f"emitted allocation violates the feasible set by {viol!r} (r_min = {r_min!r})"
         )
-
-
-def _solved_row(sweep_value, users, trial, r_min, *, objective, clamped, dl_rate,
-                tau_dl, tau_ul, iterations, status, gap) -> dict:
-    """One solved sweep row; ``gap_bits`` rides along for callers and is not written."""
-    return {
-        "sweep_value": sweep_value,
-        "users": users,
-        "trial": trial,
-        "r_min": r_min,
-        "objective_bits": objective,
-        "clamped_secrecy_sum": clamped,
-        "dl_rate_achieved": dl_rate,
-        "tau_dl": _pack_fractions(tau_dl),
-        "tau_ul": _pack_fractions(tau_ul),
-        "iterations": iterations,
-        "status": status,
-        "gap_bits": gap,
-    }
-
-
-def _infeasible_row(sweep_value, users, trial, r_min) -> dict:
-    return {
-        "sweep_value": sweep_value,
-        "users": users,
-        "trial": trial,
-        "r_min": r_min,
-        "objective_bits": None,
-        "clamped_secrecy_sum": None,
-        "dl_rate_achieved": None,
-        "tau_dl": None,
-        "tau_ul": None,
-        "iterations": 0,
-        "status": STATUS_INFEASIBLE,
-        "gap_bits": None,
-    }
 
 
 def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, bool]:
@@ -616,40 +633,62 @@ def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, boo
     return (users,), (cfg.r_min,), False
 
 
-def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> list[list[dict]]:
-    """Rows of a sweep for a block of trials: per trial, its rows in sweep-value order.
+@dataclass(frozen=True)
+class ChainBlock:
+    """A block's sweep rows as columns: entry [t, n] is target t's row of the n-th trial.
+
+    Targets are in sweep-value order.  Where ``feasible`` is False the row is
+    infeasible: its fractions are 0, its values nan and its iterations 0.
+    """
+
+    r_min: np.ndarray         # (T, N)
+    feasible: np.ndarray      # (T, N) bool
+    objective: np.ndarray     # (T, N)
+    clamped: np.ndarray       # (T, N) clamped secrecy sum
+    dl_rate: np.ndarray       # (T, N) achieved DL sum rate
+    tau_dl: np.ndarray        # (T, N, K) reported fractions
+    tau_ul: np.ndarray        # (T, N, K)
+    iterations: np.ndarray    # (T, N) int
+    converged: np.ndarray     # (T, N) bool
+    gap_bits: np.ndarray      # (T, N)
+
+
+def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> ChainBlock:
+    """A sweep's rows for a block of trials, as per-target arrays.
 
     Both sweep kinds run here, with the targets of ``_chain_targets``: an
     r_min sweep's whole chain, a users sweep's chain of one.  Every trial
     walks the targets tightest first, each solve warm-started from the
-    trial's previous raw answer (the first from ``initial_allocation``); a
-    target beyond a trial's best rate gives an infeasible row and leaves its
-    chain as it was.  One ``solve_rows`` call per target solves the block's
-    feasible trials together.  The emitted fractions get ``Allocation``'s
-    checks and the feasibility audit, row by row, and a row is what a
-    ``dca_solve`` chain of its trial alone gives, byte for byte.
+    trial's previous raw answer (the first from ``initial_rows``); a target
+    beyond a trial's best rate gives an infeasible row and leaves its chain
+    as it was.  One ``solve_rows`` call per target solves the block's
+    feasible trials together.  Every target's fractions get ``Allocation``'s
+    checks and the feasibility audit, and a row is what a ``dca_solve``
+    chain of its trial alone gives, byte for byte.
     """
     labels, targets, fraction = _chain_targets(cfg, users)
-    sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
-    problems = [generate_scenario(sub, trial) for trial in trials]
-    a = np.array([s.a_user() for s, _ in problems])
-    a_e = np.array([s.a_eve() for s, _ in problems])
-    c = np.array([fs.rate_coeffs for _, fs in problems])
+    block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
+    a, a_e, c = block.a, block.a_e, block.c
+    n, k = c.shape
+    shape = (len(targets), n)
+    r_min_t = np.empty(shape)
+    feasible = np.zeros(shape, dtype=bool)
+    objective, clamped, dl_rate, gap_bits = (np.full(shape, np.nan) for _ in range(4))
+    tau_dl, tau_ul = np.zeros(shape + (k,)), np.zeros(shape + (k,))
+    iterations = np.zeros(shape, dtype=np.int64)
+    converged = np.zeros(shape, dtype=bool)
+
     bound = c.max(axis=1)
     chain_dl, chain_ul = np.zeros_like(c), np.zeros_like(c)
-    chained = np.zeros(len(problems), dtype=bool)
-    rows: list[list] = [[None] * len(targets) for _ in problems]
+    chained = np.zeros(n, dtype=bool)
     for idx in sorted(range(len(targets)), key=lambda i: -targets[i]):
-        label = labels[idx]
-        r_min = targets[idx] * bound if fraction else np.full(len(problems), targets[idx])
-        for i in np.flatnonzero(r_min > bound):
-            rows[i][idx] = _infeasible_row(label, users, trials[i], float(r_min[i]))
+        r_min = targets[idx] * bound if fraction else np.full(n, targets[idx])
+        r_min_t[idx] = r_min
         live = np.flatnonzero(r_min <= bound)
         if not live.size:
             continue
-        for i in live[~chained[live]]:
-            start = initial_allocation(FeasibleSet(c[i], float(r_min[i])))
-            chain_dl[i], chain_ul[i] = start.tau_dl, start.tau_ul
+        new = live[~chained[live]]
+        chain_dl[new], chain_ul[new] = initial_rows(c[new], r_min[new])
         chained[live] = True
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
@@ -660,25 +699,16 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
         viol = violation_rows(c[live], r_min[live], out.tau_dl, out.tau_ul)
         worst = int(np.argmax(viol))
         _audit_row(float(viol[worst]), float(r_min[live[worst]]))
-        clamped = clamped_secrecy_rows(a[live], a_e[live], out.tau_dl, out.tau_ul)
-        dl_rate = np.vecdot(c[live], out.tau_dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
-        for n, i in enumerate(live):
-            rows[i][idx] = _solved_row(
-                label, users, trials[i], float(r_min[i]),
-                objective=float(out.objective[n]), clamped=float(clamped[n]), dl_rate=float(dl_rate[n]),
-                tau_dl=out.tau_dl[n], tau_ul=out.tau_ul[n], iterations=int(out.iterations[n]),
-                status=STATUS_CONVERGED if out.converged[n] else STATUS_MAX_ITERATIONS,
-                gap=float(out.gap_bits[n]),
-            )
-    return rows
-
-
-def _sweep_task(payload) -> list[list[dict]]:
-    """Rows of one (user count, trial block) task: per trial, its rows."""
-    cfg, users, trials = payload
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _rmin_chain_block(cfg, users, trials)
+        feasible[idx, live] = True
+        objective[idx, live] = out.objective
+        clamped[idx, live] = clamped_secrecy_rows(a[live], a_e[live], out.tau_dl, out.tau_ul)
+        dl_rate[idx, live] = np.vecdot(c[live], out.tau_dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
+        tau_dl[idx, live], tau_ul[idx, live] = out.tau_dl, out.tau_ul
+        iterations[idx, live] = out.iterations
+        converged[idx, live] = out.converged
+        gap_bits[idx, live] = out.gap_bits
+    return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,
+                      iterations, converged, gap_bits)
 
 
 ROW_COLUMNS = (
@@ -693,59 +723,70 @@ AGG_COLUMNS = (
 )
 
 
-def _write_csv(path: str, comment: str, columns, rows) -> None:
+def _csv_text(rows) -> str:
+    """Rows of cell strings as CSV text: comma-separated, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _chain_csv(label, users: int, trials: range | list[int], chain: ChainBlock, idx: int) -> str:
+    """CSV text (``ROW_COLUMNS``) of target ``idx``'s rows, in trial order.
+
+    Cells are formatted a column at a time, ``repr`` of each float, the
+    per-user fractions joined with "," in one cell; an infeasible row has
+    empty value and fraction cells.
+    """
+    ok = chain.feasible[idx].tolist()
+
+    def floats(values: np.ndarray) -> list[str]:
+        return [repr(v) if f else "" for v, f in zip(values.tolist(), ok)]
+
+    def packed(taus: np.ndarray) -> list[str]:
+        return [",".join(map(repr, row)) if f else "" for row, f in zip(taus.tolist(), ok)]
+
+    status = [
+        (STATUS_CONVERGED if conv else STATUS_MAX_ITERATIONS) if f else STATUS_INFEASIBLE
+        for conv, f in zip(chain.converged[idx].tolist(), ok)
+    ]
+    return _csv_text(zip(
+        repeat(_fmt(label)), repeat(str(users)), map(str, trials), map(repr, chain.r_min[idx].tolist()),
+        floats(chain.objective[idx]), floats(chain.clamped[idx]), floats(chain.dl_rate[idx]),
+        packed(chain.tau_dl[idx]), packed(chain.tau_ul[idx]),
+        map(str, chain.iterations[idx].tolist()), status,
+    ))
+
+
+def _sweep_task(payload) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One (user count, trial block) task: per target, the CSV text of its rows,
+    then the (T, N) feasible mask and objective, clamped and DL rate columns."""
+    cfg, users, trials = payload
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = _rmin_chain_block(cfg, users, trials)
+    labels = _chain_targets(cfg, users)[0]
+    text = [_chain_csv(label, users, trials, chain, idx) for idx, label in enumerate(labels)]
+    return text, chain.feasible, chain.objective, chain.clamped, chain.dl_rate
+
+
+def _write_csv(path: str, comment: str, columns, body: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(comment + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _aggregate(rows: list[dict]) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
-    for row in rows:
-        key = (row["users"], row["sweep_value"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    out = []
-    for key in order:
-        users, sweep_value = key
-        solved = [r for r in groups[key] if r["status"] != STATUS_INFEASIBLE]
-        entry = {
-            "sweep_value": sweep_value,
-            "users": users,
-            "rows": len(solved),
-            "objective_mean": None, "objective_std": None,
-            "clamped_mean": None, "clamped_std": None,
-            "dl_rate_mean": None, "dl_rate_std": None,
-        }
-        if solved:
-            for prefix, column in (
-                ("objective", "objective_bits"),
-                ("clamped", "clamped_secrecy_sum"),
-                ("dl_rate", "dl_rate_achieved"),
-            ):
-                values = np.array([r[column] for r in solved], dtype=np.float64)
-                entry[f"{prefix}_mean"] = float(np.mean(values))
-                entry[f"{prefix}_std"] = float(np.std(values))
-        out.append(entry)
-    return out
+        fh.write(comment + "\n" + _csv_text([columns]) + body)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Execute the configured sweep; returns output paths and row counts.
 
     Emits one row per (sweep value, trial) plus a mean/population-std
-    aggregate per sweep value.  Infeasible points are recorded with status
+    aggregate per (sweep value, user count); repeated sweep values fold
+    into one aggregate.  Infeasible points are recorded with status
     "infeasible" rather than dropped.  Both sweep kinds run one block chain
     task per (user count, trial block), the trials split into one
-    contiguous block per worker.  A row's bytes do not depend on its block,
-    and the tasks come back in task order, so the worker count never
-    changes bytes.
+    contiguous block per worker.  Each task formats its own rows' CSV text;
+    the text goes out ordered by user count, then sweep value, then block,
+    and the aggregates see each group's solved values concatenated in that
+    row order.  A row's bytes do not depend on its block, and the tasks
+    come back in task order, so the worker count never changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -767,12 +808,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
-    # per user count, its blocks' trials in order; rows go out value-major
-    rows: list[dict] = []
-    for first in range(0, len(results), len(blocks)):
-        per_trial = [trial_rows for block_rows in results[first:first + len(blocks)] for trial_rows in block_rows]
-        for value_rows in zip(*per_trial):
-            rows.extend(value_rows)
+    text: list[str] = []
+    groups: dict[tuple, list[list[np.ndarray]]] = {}  # (users, sweep value) -> per chunk, its solved values
+    for first, users in zip(range(0, len(results), len(blocks)), k_values):
+        for idx, label in enumerate(_chain_targets(cfg, users)[0]):
+            for chunks, feasible, *values in results[first:first + len(blocks)]:
+                text.append(chunks[idx])
+                groups.setdefault((users, label), []).append([v[idx][feasible[idx]] for v in values])
+    agg = []
+    for (users, label), parts in groups.items():
+        solved = [np.concatenate(column) for column in zip(*parts)]  # objective, clamped, DL rate
+        stats = [_fmt(float(f(v))) for v in solved for f in (np.mean, np.std)] if solved[0].size else [""] * 6
+        agg.append([_fmt(label), str(users), str(solved[0].size), *stats])
 
     rows_path = os.path.join(out_dir, ROWS_FILE)
     agg_path = os.path.join(out_dir, AGG_FILE)
@@ -780,19 +827,17 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "# one row per (sweep_value, users, trial); tau columns pack per-user "
         "fractions comma-separated; objective/rates in bits/s/Hz"
     )
-    _write_csv(rows_path, comment, ROW_COLUMNS, rows)
-    agg = _aggregate(rows)
+    _write_csv(rows_path, comment, ROW_COLUMNS, "".join(text))
     agg_comment = (
         "# per (sweep_value, users) aggregates over solved rows; "
         "std is the population standard deviation"
     )
-    _write_csv(agg_path, agg_comment, AGG_COLUMNS, agg)
-    solved = sum(1 for r in rows if r["status"] != STATUS_INFEASIBLE)
+    _write_csv(agg_path, agg_comment, AGG_COLUMNS, _csv_text(agg))
     return {
         "rows_path": rows_path,
         "agg_path": agg_path,
-        "rows": len(rows),
-        "solved": solved,
+        "rows": sum(feasible.size for _, feasible, *_ in results),
+        "solved": sum(int(feasible.sum()) for _, feasible, *_ in results),
     }
 
 
@@ -810,7 +855,7 @@ def run_report(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     result = dca_solve(scenario, fs, cfg.solver)
     path = os.path.join(out_dir, REPORT_FILE)
     if result.status == STATUS_INFEASIBLE:
-        _write_csv(path, f"# infeasible: r_min = {_fmt(fs.r_min)}", REPORT_COLUMNS, [])
+        _write_csv(path, f"# infeasible: r_min = {_fmt(fs.r_min)}", REPORT_COLUMNS, "")
         return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}
     alloc = result.allocation
     _audit_row(allocation_violation(fs, alloc), fs.r_min)
@@ -818,20 +863,14 @@ def run_report(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     rows = []
     for k in range(scenario.K):
         secrecy = secrecy_capacity_user(scenario, k, float(alloc.tau_dl[k]), float(alloc.tau_ul[k]))
-        rows.append({
-            "user": k,
-            "tau_dl": float(alloc.tau_dl[k]),
-            "tau_ul": float(alloc.tau_ul[k]),
-            "vlc_gain": float(scenario.g[k]),
-            "rate_coeff_bits": float(coeffs[k]),
-            "secrecy_bits": secrecy,
-            "clamped_secrecy_bits": max(0.0, secrecy),
-        })
+        rows.append([_fmt(v) for v in (
+            k, alloc.tau_dl[k], alloc.tau_ul[k], scenario.g[k], coeffs[k], secrecy, max(0.0, secrecy),
+        )])
     comment = (
         f"# single-scenario allocation report; objective_bits={_fmt(result.objective)} "
         f"r_min={_fmt(fs.r_min)} dl_rate={_fmt(dl_sum_rate(scenario, alloc))} status={result.status}"
     )
-    _write_csv(path, comment, REPORT_COLUMNS, rows)
+    _write_csv(path, comment, REPORT_COLUMNS, _csv_text(rows))
     return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}
 
 

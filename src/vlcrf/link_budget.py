@@ -87,11 +87,20 @@ class ScenarioChannels:
 
     def a_user(self) -> np.ndarray:
         """Per-user uplink SNR constant a_k = eta I_D^2 g_k^2 h_k^2 / sigma_ul^2."""
-        return self.eta * self.i_d**2 * self.g**2 * self.h**2 / self.sigma2_ul
+        return snr_constants(self.eta, self.i_d, self.g, self.h, self.sigma2_ul)
 
     def a_eve(self) -> np.ndarray:
         """Eavesdropper SNR constant with the eavesdropper noise power."""
-        return self.eta * self.i_d**2 * self.g**2 * self.h_e**2 / self.sigma2_e
+        return snr_constants(self.eta, self.i_d, self.g, self.h_e, self.sigma2_e)
+
+
+def snr_constants(eta: float, i_d: float, g: np.ndarray, h: np.ndarray, sigma2) -> np.ndarray:
+    """eta I_D^2 g^2 h^2 / sigma2, elementwise on arrays of any shape.
+
+    ``ScenarioChannels.a_user``/``a_eve`` of one scenario, or of a block
+    of (N, K) scenarios with the same bits per entry.
+    """
+    return eta * i_d**2 * g**2 * h**2 / sigma2
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,12 @@ def dl_rate_coefficients(s: ScenarioChannels) -> np.ndarray:
     factor is the standard intensity-modulation capacity lower bound.  The
     DL sum rate of an allocation is then the linear form sum(tau_dl * c).
     """
-    snr = (math.e / (2.0 * math.pi)) * s.p_led * s.g**2 / s.sigma2_dl
+    return rate_coefficients(s.p_led, s.g, s.sigma2_dl)
+
+
+def rate_coefficients(p_led: float, g: np.ndarray, sigma2_dl) -> np.ndarray:
+    """``dl_rate_coefficients`` elementwise on gains of any shape."""
+    snr = (math.e / (2.0 * math.pi)) * p_led * g**2 / sigma2_dl
     return np.log1p(snr) / LN2
 
 
@@ -186,12 +200,23 @@ def dl_sum_rate(s: ScenarioChannels, alloc: Allocation) -> float:
 def perspective_value(a, leftover, tau_ul):
     """tau_ul * log2(1 + a * leftover / tau_ul), extended with 0 at tau_ul = 0.
 
+    Where a * leftover / tau_ul overflows (a tiny positive share), the log
+    is taken as ln(a * leftover) - ln(tau_ul): there log1p(x) and ln(x)
+    agree to double precision.  Every other entry is the plain expression.
     Scalars or broadcastable arrays; a scalar result is a numpy float.
     """
     t = np.asarray(tau_ul, dtype=np.float64)
     positive = t > 0.0
     safe_t = np.where(positive, t, 1.0)
-    return np.where(positive, t * np.log1p(a * leftover / safe_t) / LN2, 0.0)[()]
+    prod = a * leftover
+    with np.errstate(over="ignore"):
+        ratio = prod / safe_t
+    log_term = np.log1p(ratio)
+    over = np.isinf(ratio)
+    if over.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.where(over, np.log(prod) - np.log(safe_t), log_term)
+    return np.where(positive, t * log_term / LN2, 0.0)[()]
 
 
 def perspective_grads(a, leftover, tau_ul):

@@ -57,6 +57,29 @@ def los_component(cfg: RicianConfig, distance: float) -> float:
     return cfg.los_reference_gain * distance ** (-cfg.path_loss_exponent / 2.0)
 
 
+def mixing_weights(cfg: RicianConfig, mixing: str = MIXING_NORMALIZED) -> tuple[float, float]:
+    """(LOS weight, scatter weight) of a mixing rule; see ``sample_rician_gains``."""
+    k = cfg.k_factor
+    w_los = math.sqrt(k / (1.0 + k))
+    if mixing == MIXING_NORMALIZED:
+        return w_los, math.sqrt(1.0 / (1.0 + k))
+    if mixing == MIXING_UNNORMALIZED:
+        return w_los, w_los
+    raise ValueError(f"unknown mixing {mixing!r}")
+
+
+def rician_mix(los, re, im, weights: tuple[float, float]) -> np.ndarray:
+    """|w_los LOS + w_nlos LOS (re + j im) / sqrt(2)| per draw.
+
+    The kernel behind ``sample_rician_gains`` and the experiment's block
+    generator; ``los`` is a float or an array shaped like the standard
+    normal draws ``re`` and ``im``.
+    """
+    w_los, w_nlos = weights
+    nlos = los * (re + 1j * im) / math.sqrt(2.0)
+    return np.abs(w_los * los + w_nlos * nlos)
+
+
 def sample_rician_gains(
     cfg: RicianConfig,
     distance: float,
@@ -72,18 +95,10 @@ def sample_rician_gains(
     exists only for comparison and degenerates to zero at K = 0.
     """
     los = los_component(cfg, distance)
-    k = cfg.k_factor
-    w_los = math.sqrt(k / (1.0 + k))
-    if mixing == MIXING_NORMALIZED:
-        w_nlos = math.sqrt(1.0 / (1.0 + k))
-    elif mixing == MIXING_UNNORMALIZED:
-        w_nlos = w_los
-    else:
-        raise ValueError(f"unknown mixing {mixing!r}")
+    weights = mixing_weights(cfg, mixing)
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
-    nlos = los * (re + 1j * im) / math.sqrt(2.0)
-    return np.abs(w_los * los + w_nlos * nlos)
+    return rician_mix(los, re, im, weights)
 
 
 def sample_rician_gain(

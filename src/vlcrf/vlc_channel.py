@@ -132,11 +132,16 @@ def link_angles(led: LedConfig, user: UserTerminal) -> tuple[float, float, float
     the user-to-LED ray.  Both lie in [0, 180].
     """
     ray = user.position.minus(led.position)
-    d = ray.norm()
+    return _ray_angles(ray.x, ray.y, ray.z, led.orientation, user.surface_normal)
+
+
+def _ray_angles(rx: float, ry: float, rz: float, orientation: Vec3, normal: Vec3) -> tuple[float, float, float]:
+    """``link_angles`` of the LED-to-user ray (rx, ry, rz), on plain floats."""
+    d = math.sqrt(rx * rx + ry * ry + rz * rz)
     if d == 0.0:
         raise ValueError("user position coincides with the LED position")
-    cos_phi = led.orientation.dot(ray) / d
-    cos_varphi = user.surface_normal.dot(Vec3(-ray.x, -ray.y, -ray.z)) / d
+    cos_phi = (orientation.x * rx + orientation.y * ry + orientation.z * rz) / d
+    cos_varphi = (normal.x * -rx + normal.y * -ry + normal.z * -rz) / d
     phi = math.degrees(math.acos(min(1.0, max(-1.0, cos_phi))))
     varphi = math.degrees(math.acos(min(1.0, max(-1.0, cos_varphi))))
     return phi, varphi, d
@@ -175,16 +180,36 @@ def vlc_channel_gain(led: LedConfig, user: UserTerminal, model: str = CONCENTRAT
     LED emission hemisphere (irradiance angle >= 90 degrees), so the result
     is always nonnegative.
     """
-    phi, varphi, d = link_angles(led, user)
-    if varphi > user.pd.fov or phi >= 90.0:
+    ray = user.position.minus(led.position)
+    return ray_gain(ray.x, ray.y, ray.z, led, user.pd, model, user.surface_normal)
+
+
+def ray_gain(
+    rx: float,
+    ry: float,
+    rz: float,
+    led: LedConfig,
+    pd: PhotodiodeConfig,
+    model: str = CONCENTRATOR_CONSTANT,
+    normal: Vec3 = UP,
+) -> float:
+    """``vlc_channel_gain`` of the LED-to-user ray (rx, ry, rz), on plain floats.
+
+    The scalar kernel behind ``vlc_channel_gain`` and the experiment's block
+    generator, which builds no ``Vec3`` or ``UserTerminal`` per user.  It
+    stays on ``math``: numpy's vectorised acos/cos/degrees differ from it in
+    the last bit for some positions.
+    """
+    phi, varphi, d = _ray_angles(rx, ry, rz, led.orientation, normal)
+    if varphi > pd.fov or phi >= 90.0:
         return 0.0
     m = lambertian_order(led.semi_angle_half)
-    t_f = concentrator_gain(varphi, user.pd, model)
-    geometry = (m + 1.0) * user.pd.area * user.pd.responsivity / (2.0 * math.pi * d * d)
+    t_f = concentrator_gain(varphi, pd, model)
+    geometry = (m + 1.0) * pd.area * pd.responsivity / (2.0 * math.pi * d * d)
     return (
         geometry
         * math.cos(math.radians(phi)) ** m
-        * user.pd.filter_gain
+        * pd.filter_gain
         * t_f
         * math.cos(math.radians(varphi))
     )

@@ -23,6 +23,7 @@ from vlcrf.dc_solver import (
     check_feasibility,
     dca_solve,
     initial_allocation,
+    initial_rows,
     kkt_residual,
     project_onto_feasible,
 )
@@ -106,6 +107,23 @@ class TestInitialAllocation:
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):
             initial_allocation(FeasibleSet(np.array([1.0]), 2.0))
+
+    def test_rows_match_the_one_row_rule(self):
+        # the batched starts against the rule written out one row at a time:
+        # ties, zero coefficients, r_min = 0 and r_min = max c included
+        rng = np.random.default_rng(8)
+        c = rng.choice([0.0, 1.5, 3.0, 7.25], size=(300, 5)) * rng.uniform(0.5, 2.0, (300, 1))
+        c[::9] = rng.uniform(0.0, 12.0, (len(c[::9]), 5))
+        c[::17, 0] = c[::17].max(axis=1)
+        r_min = rng.uniform(0.0, 1.0, 300) * c.max(axis=1)
+        r_min[::4], r_min[1::4] = 0.0, c[1::4].max(axis=1)
+        dl, ul = initial_rows(c, r_min)
+        for n in range(300):
+            j = int(np.argmax(c[n]))
+            want = np.zeros(5)
+            want[j] = 1e-6 if r_min[n] <= 0.0 else min(1.0, min(1.0, r_min[n] / float(c[n, j])) + 1e-6)
+            assert np.array_equal(dl[n], want)
+            assert np.array_equal(ul[n], np.full(5, 1.0 / 5))
 
 
 class TestProjection:

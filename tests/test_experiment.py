@@ -30,7 +30,9 @@ from vlcrf.experiment import (
     run_solve,
     run_sweep,
 )
-from vlcrf.link_budget import Allocation, clamped_secrecy_sum, dl_sum_rate
+from vlcrf.link_budget import Allocation, ScenarioChannels, clamped_secrecy_sum, dl_rate_coefficients, dl_sum_rate
+from vlcrf.rf_channel import sample_rician_gain
+from vlcrf.vlc_channel import UserTerminal, Vec3, vlc_channel_gain
 
 
 def read_rows(path):
@@ -203,6 +205,114 @@ class TestGenerateScenario:
         assert not np.array_equal(s1.h_e, s2.h_e)
 
 
+def _reference_scenario(cfg, trial):
+    """One trial's scenario the way the sweeps drew it before the block
+    generator: a ``Vec3`` per user, one ``vlc_channel_gain`` and two
+    ``sample_rician_gain`` calls per user.  Returns the scenario and the
+    messages of its warnings, in order."""
+    ss = np.random.SeedSequence([cfg.seed, trial])
+    geom_rng, eve_rng, fading_rng = (np.random.default_rng(c) for c in ss.spawn(3))
+    width, depth, height = cfg.room
+    if cfg.users_positions is not None:
+        positions = list(cfg.users_positions)
+    else:
+        xs = geom_rng.uniform(0.0, width, cfg.users_count)
+        ys = geom_rng.uniform(0.0, depth, cfg.users_count)
+        positions = [Vec3(float(x), float(y), cfg.users_height) for x, y in zip(xs, ys)]
+    if cfg.eve_position is not None:
+        eve = cfg.eve_position
+    else:
+        eve = Vec3(*(float(eve_rng.uniform(0.0, side)) for side in (width, depth, height)))
+
+    def distance(p, q):
+        return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2)
+
+    messages = []
+    g = np.empty(len(positions))
+    for k, pos in enumerate(positions):
+        g[k] = vlc_channel_gain(cfg.led, UserTerminal(id=k, position=pos, pd=cfg.pd), cfg.concentrator_model)
+        if g[k] == 0.0:
+            messages.append(f"user {k} at {pos} is outside the LED field of view; VLC gain is 0")
+    h = [sample_rician_gain(cfg.rician, distance(pos, cfg.ap_position), fading_rng, cfg.rf_mixing).h_mag
+         for pos in positions]
+    h_e = [sample_rician_gain(cfg.rician, distance(pos, eve), fading_rng, cfg.rf_mixing).h_mag
+           for pos in positions]
+    scenario = ScenarioChannels(
+        g=g, h=h, h_e=h_e,
+        sigma2_dl=np.full(len(positions), cfg.noise_user_dl),
+        sigma2_ul=np.full(len(positions), cfg.noise_user_ul),
+        sigma2_e=cfg.noise_eve_ul, eta=cfg.eta, i_d=cfg.led.dc_offset, p_led=cfg.led.p_led,
+    )
+    return scenario, messages
+
+
+class TestScenarioBlock:
+    @pytest.mark.parametrize("raw, users, trials", [
+        (dict(PRESETS["fig3"]), (1, 2, 4), range(12)),
+        (dict(PRESETS["fig3"]), (3, 16, 64), [9, 0, 31, 4]),
+        (dict(PRESETS["fig4"]), (4,), range(8)),
+        ({"seed": "77", "users.positions": "1.0,1.0,0.0; 3.5,2.0,0.0; 0.2,4.9,0.4",
+          "eve.position": "4.0,4.0,1.5", "rf.mixing": "unnormalized"}, (3,), range(6)),
+        ({"seed": "9", "concentrator.model": "angle-dependent", "users.height": "0.85",
+          "rf.k_factor": "0.0", "rf.los_reference_gain": "0.1"}, (2, 8), [5, 1, 2]),
+        ({"seed": "31", "pd.fov": "25", "eve.position": "0.5,4.0,2.0"}, (6, 40), range(5)),
+    ])
+    def test_block_matches_the_scalar_reference(self, raw, users, trials):
+        """Every array of the block equals, with ==, the per-user reference."""
+        warned = 0
+        for k in users:
+            cfg = dataclasses.replace(build_config(raw), users_count=k)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                block = experiment.scenario_block(cfg, trials)
+            got_messages = [str(w.message) for w in caught]
+            want_messages = []
+            for n, trial in enumerate(trials):
+                s, messages = _reference_scenario(cfg, trial)
+                want_messages += messages
+                for name, want in (("g", s.g), ("h", s.h), ("h_e", s.h_e), ("a", s.a_user()),
+                                   ("a_e", s.a_eve()), ("c", dl_rate_coefficients(s))):
+                    got = getattr(block, name)[n]
+                    assert got.shape == want.shape and np.all(got == want), (k, trial, name)
+            assert got_messages == want_messages
+            warned += len(got_messages)
+        if raw.get("pd.fov") == "25":
+            assert warned > 0  # out-of-view users warn
+
+    def test_generate_scenario_is_the_block_of_one_trial(self):
+        cfg = build_config({"seed": "5", "users.count": "5", "rate.min_fraction": "0.4"})
+        block = experiment.scenario_block(cfg, [3, 7])
+        s, fs = generate_scenario(cfg, 7)
+        for name in ("g", "h", "h_e"):
+            assert np.array_equal(getattr(s, name), getattr(block, name)[1])
+        assert np.array_equal(fs.rate_coeffs, block.c[1])
+        assert fs.r_min == 0.4 * float(np.max(block.c[1]))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"ap.position": "3.5,2.0,0.0"}, "user 1 coincides with the access point"),
+        ({"eve.position": "3.5,2.0,0.0"}, "user 1 coincides with the eavesdropper position"),
+        ({"ap.position": "3.5,2.0,0.0", "eve.position": "1.0,1.0,0.0"}, "user 1 coincides with the access point"),
+    ])
+    def test_coincidence_errors(self, extra, message):
+        cfg = build_config(dict({"seed": "3", "users.positions": "1.0,1.0,0.0; 3.5,2.0,0.0"}, **extra))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            generate_scenario(cfg, 0)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            experiment.scenario_block(cfg, [1, 0])
+
+    def test_non_finite_gain_rejected(self):
+        # 1e-160 m beneath the LED, d^2 is subnormal and the gain overflows
+        cfg = build_config({"seed": "3", "users.positions": "1.0,1.0,0.0", "led.position": "1.0,1.0,1e-160"})
+        with pytest.raises(ValueError, match="ScenarioChannels.g entries must be finite"):
+            generate_scenario(cfg, 0)
+        with pytest.raises(ValueError, match="ScenarioChannels.g entries must be finite"):
+            experiment.scenario_block(cfg, [0])
+
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ValueError, match="trial index"):
+            generate_scenario(build_config({"seed": "3"}), -1)
+
+
 SMALL_SWEEP = {
     "seed": "42",
     "trials": "2",
@@ -320,8 +430,8 @@ def _chain(cfg, users, trial):
     """(r_min, objective, gap_bits) of every row of one r_min chain, by r_min."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        (rows,) = experiment._rmin_chain_block(cfg, users, [trial])
-    return sorted((row["r_min"], row["objective_bits"], row["gap_bits"]) for row in rows)
+        chain = experiment._rmin_chain_block(cfg, users, [trial])
+    return sorted(zip(chain.r_min[:, 0].tolist(), chain.objective[:, 0].tolist(), chain.gap_bits[:, 0].tolist()))
 
 
 def _assert_monotone_and_concave(chain, points):
@@ -366,6 +476,27 @@ class TestChainConcavity:
         _assert_monotone_and_concave(_chain(cfg, users, trial), len(cfg.sweep_values))
 
 
+def _reference_row(value, users, trial, scenario, fs, result):
+    """A sweep row of one ``dca_solve`` answer: the dict the sweeps built row
+    by row before their rows became columns.  ``gap_bits`` is not written."""
+    row = {"sweep_value": value, "users": users, "trial": trial, "r_min": fs.r_min,
+           "iterations": result.iterations, "status": result.status, "gap_bits": None}
+    for column in ("objective_bits", "clamped_secrecy_sum", "dl_rate_achieved", "tau_dl", "tau_ul"):
+        row[column] = None
+    if result.status != STATUS_INFEASIBLE:
+        alloc = result.allocation
+        assert allocation_violation(fs, alloc) <= experiment.FEASIBILITY_AUDIT_TOL
+        row.update({
+            "objective_bits": result.objective,
+            "clamped_secrecy_sum": clamped_secrecy_sum(scenario, alloc),
+            "dl_rate_achieved": dl_sum_rate(scenario, alloc),
+            "tau_dl": ",".join(repr(float(v)) for v in alloc.tau_dl),
+            "tau_ul": ",".join(repr(float(v)) for v in alloc.tau_ul),
+            "gap_bits": result.gap_bits,
+        })
+    return row
+
+
 def _reference_chain_rows(cfg, users, trial):
     """One trial's r_min sweep rows, one ``dca_solve`` per row: the per-trial
     chain that the block chain replaced, kept as its reference."""
@@ -379,23 +510,9 @@ def _reference_chain_rows(cfg, users, trial):
         r_min = value * bound if cfg.sweep_kind == "rmin_fraction" else value
         fs = FeasibleSet(base_fs.rate_coeffs, r_min)
         result = dca_solve(scenario, fs, cfg.solver, initial=chain)
-        row = {"sweep_value": value, "users": users, "trial": trial, "r_min": r_min,
-               "iterations": result.iterations, "status": result.status, "gap_bits": None}
-        for column in ("objective_bits", "clamped_secrecy_sum", "dl_rate_achieved", "tau_dl", "tau_ul"):
-            row[column] = None
-        if result.status != "infeasible":
+        if result.status != STATUS_INFEASIBLE:
             chain = result.raw_allocation
-            alloc = result.allocation
-            assert allocation_violation(fs, alloc) <= experiment.FEASIBILITY_AUDIT_TOL
-            row.update({
-                "objective_bits": result.objective,
-                "clamped_secrecy_sum": clamped_secrecy_sum(scenario, alloc),
-                "dl_rate_achieved": dl_sum_rate(scenario, alloc),
-                "tau_dl": ",".join(repr(float(v)) for v in alloc.tau_dl),
-                "tau_ul": ",".join(repr(float(v)) for v in alloc.tau_ul),
-                "gap_bits": result.gap_bits,
-            })
-        rows[idx] = row
+        rows[idx] = _reference_row(value, users, trial, scenario, fs, result)
     return [rows[i] for i in range(len(cfg.sweep_values))]
 
 
@@ -404,17 +521,23 @@ def _users_rows(cfg, users, trial):
     block chain replaced for the users sweep, kept as its reference."""
     sub = dataclasses.replace(cfg, users_count=users)
     scenario, fs = generate_scenario(sub, trial)
-    result = dca_solve(scenario, fs, cfg.solver)
-    if result.status == STATUS_INFEASIBLE:
-        return [experiment._infeasible_row(users, users, trial, fs.r_min)]
-    alloc = result.allocation
-    experiment._audit_row(allocation_violation(fs, alloc), fs.r_min)
-    return [experiment._solved_row(
-        users, users, trial, fs.r_min,
-        objective=result.objective, clamped=clamped_secrecy_sum(scenario, alloc),
-        dl_rate=dl_sum_rate(scenario, alloc), tau_dl=alloc.tau_dl, tau_ul=alloc.tau_ul,
-        iterations=result.iterations, status=result.status, gap=result.gap_bits,
-    )]
+    return [_reference_row(users, users, trial, scenario, fs, dca_solve(scenario, fs, cfg.solver))]
+
+
+def _block_rows(cfg, users, block):
+    """Per trial of the block, its rows as the sweep emits them: every CSV cell
+    as ``_sweep_task`` formats it, and ``gap_bits`` read off the columns."""
+    chain = experiment._rmin_chain_block(cfg, users, block)
+    labels = experiment._chain_targets(cfg, users)[0]
+    lines = [list(csv.reader(experiment._chain_csv(label, users, block, chain, idx).splitlines()))
+             for idx, label in enumerate(labels)]
+    assert all(len(cells) == len(block) for cells in lines)
+    return [
+        [dict(zip(experiment.ROW_COLUMNS, lines[idx][n]),
+              gap_bits=experiment._fmt(chain.gap_bits[idx, n]) if chain.feasible[idx, n] else "")
+         for idx in range(len(labels))]
+        for n in range(len(block))
+    ]
 
 
 USERS_SWEEPS = {
@@ -441,12 +564,12 @@ class TestBlockChain:
             for blocks in splits:
                 seen = []
                 for block in blocks:
-                    for trial, rows in zip(block, experiment._rmin_chain_block(cfg, users, block)):
+                    for trial, rows in zip(block, _block_rows(cfg, users, block)):
                         seen.append(trial)
                         assert len(rows) == len(reference[trial])
                         for got, want in zip(rows, reference[trial]):
                             for field in self.FIELDS:
-                                assert experiment._fmt(got[field]) == experiment._fmt(want[field]), (
+                                assert got[field] == experiment._fmt(want[field]), (
                                     users, trial, want["sweep_value"], field)
                 assert sorted(seen) == list(trials)
 
@@ -524,6 +647,38 @@ class TestBlockChain:
         for key in ("rows_path", "agg_path"):
             with open(info[key], "rb") as fh:
                 got.append(hashlib.sha256(fh.read()).hexdigest())
+        assert got == digests
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name, digests", [
+        ("rmin", ["742ea65588eb63f925c2cd300db7e280fe1053410c71f443d63481baa23eaa2c",
+                  "761bf87ed880046fb6b4ccf18b5fb4753f8d7d448f4e2823ce0df5021e964016"]),
+        ("users", ["d4784c180b5650ba6b113fdd46a141c732169ba6e63bab382d18b17bad16f2e0",
+                   "770f78a3f2f0f0be82b844542e70ecd8c565ad2e89e0f5517f84eb379ab70ec3"]),
+    ])
+    def test_repeated_sweep_values_bytes_pinned(self, tmp_path, workers, name, digests):
+        """A sweep value given twice writes its rows twice and folds them into one aggregate.
+
+        The digests were measured at commit 174513d, the last that built the
+        rows as dicts, with numpy 2.4.6 on x86_64; another numpy or BLAS may
+        round differently.
+        """
+        if name == "rmin":
+            cfg = preset_config("fig3", {"trials": "5", "sweep.values": "0.5,0.2,0.5", "runtime.workers": workers})
+            folded = {("0.5", k): "10" for k in ("1", "2", "4")}
+        else:
+            cfg = build_config({"seed": "12", "trials": "5", "sweep.kind": "users", "sweep.values": "2,1,2",
+                                "rate.min_fraction": "0.6", "rf.los_reference_gain": "0.1",
+                                "runtime.workers": workers})
+            folded = {("2", "2"): "10"}
+        info = run_sweep(cfg, out_dir=str(tmp_path))
+        got = []
+        for key in ("rows_path", "agg_path"):
+            with open(info[key], "rb") as fh:
+                got.append(hashlib.sha256(fh.read()).hexdigest())
+        agg = read_rows(info["agg_path"])
+        assert len({(r["sweep_value"], r["users"]) for r in agg}) == len(agg)
+        assert {key: r["rows"] for r in agg if (key := (r["sweep_value"], r["users"])) in folded} == folded
         assert got == digests
 
     @pytest.mark.parametrize("workers", ["1", "2"])

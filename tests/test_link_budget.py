@@ -238,6 +238,40 @@ class TestSecrecyCapacity:
             assert clamped_secrecy_sum(s, alloc) == total
 
 
+class TestPerspectiveOverflow:
+    """a w / tau_ul overflows for tiny positive shares; the terms stay finite."""
+
+    def test_tiny_share_gives_finite_secrecy(self):
+        s = scenario_with_a([1e12, 1e3], [1e6, 1.0])
+        a, ae = s.a_user(), s.a_eve()
+        alloc = Allocation([0.0, 0.0], [1e-300, 0.5])
+        per_user = [secrecy_capacity_user(s, k, 0.0, float(alloc.tau_ul[k])) for k in range(2)]
+        # t log2(1 + a / t) - t log2(1 + aE / t) = t log2(a / aE) to double precision at t = 1e-300
+        assert per_user[0] == pytest.approx(1e-300 * math.log2(a[0] / ae[0]), rel=1e-12)
+        assert per_user[1] == pytest.approx(0.5 * math.log2((1 + 2 * a[1]) / (1 + 2 * ae[1])), rel=1e-12)
+        assert objective_value(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
+        assert clamped_secrecy_sum(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
+
+    def test_shares_beyond_the_doubles(self):
+        for t in (1e-300, 1e-310, 5e-324):
+            value = float(perspective_value(1e12, 0.5, t))
+            assert math.isfinite(value) and value > 0.0
+            # abs: at t = 5e-324 the value is subnormal, a few ulps of 5e-324 apart
+            assert value == pytest.approx(t * (math.log(0.5e12) - math.log(t)) / math.log(2.0), rel=1e-12, abs=1e-322)
+
+    def test_finite_entries_keep_their_bits(self):
+        # where a w / t does not overflow, the value is the plain expression, bit for bit
+        rng = np.random.default_rng(5)
+        a = 10.0 ** rng.uniform(-6, 12, 4000)
+        w = rng.uniform(0.0, 1.0, 4000)
+        t = 10.0 ** rng.uniform(-290, 0, 4000)
+        t[::7] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain = np.where(t > 0.0, t * np.log1p(a * w / np.where(t > 0.0, t, 1.0)) / math.log(2.0), 0.0)
+        assert np.isfinite(plain).all()
+        assert np.array_equal(perspective_value(a, w, t), plain)
+
+
 def secrecy_gradient(s, tau_dl, tau_ul):
     """Gradient of sum_k (u_k - v_k), ordered [d/dtau_dl_1..K, d/dtau_ul_1..K]:
     the u - v differences of ``perspective_grads``, as the solver forms them."""

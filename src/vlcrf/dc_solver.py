@@ -72,11 +72,19 @@ with its own channels, rate coefficients and r_min per row.
 ``dca_solve`` and ``kkt_residual`` pass one row; ``solve_rows`` passes
 many, as both sweeps (r_min and users) do for a block of trials at one
 rate target.
+The kernels reduce plain (N, K) rows, to which a user without uplink adds
+exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a C-contiguous block
+adds each row as it adds that row alone, so a row's answer does not depend
+on the rows solved beside it.
 Only the dual solve runs row by row, for the rows the gap does not
-certify.  The kernels reduce plain (N, K) rows, to which a user without
-uplink adds exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a
-C-contiguous block adds each row as it adds that row alone, so a row's
-answer does not depend on the rows solved beside it.
+certify, and mostly on Python floats: a row has a handful of users and DL
+vertices, where numpy's cost per call outweighs its arithmetic.  Floats
+round + - * / as numpy does, so the user responses, the tie set, the
+lambda bracket and the kink search run on them (``_respond``,
+``_dual_solve``).  numpy stays where its rounding is the answer: every
+exponential and logarithm (``math``'s differ in the last bit for some
+inputs), the vertex costs and uses as gemv calls on the F-ordered vertex
+block, and the sums whose order fixes their bits.
 
 Back on the polytope.  The start and the dual solve's point are put back on
 the polytope block by block, each by a feasibility repair that is not a
@@ -273,14 +281,16 @@ def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarra
 
     (N, K) rate coefficients and fractions, (N,) rate targets.  The
     minimum-rate slack is normalized by max(1, r_min) so the measure is
-    comparable across rate scales.
+    comparable across rate scales.  A row holding a nan violates by inf.
     """
     rate = np.vecdot(rate_coeffs, tau_dl)
-    return np.fmax.reduce([
+    dl_sum, ul_sum = tau_dl.sum(axis=1), tau_ul.sum(axis=1)
+    viol = np.fmax.reduce([
         np.zeros(r_min.shape), -tau_dl.min(axis=1), -tau_ul.min(axis=1),
-        tau_dl.sum(axis=1) - 1.0, tau_ul.sum(axis=1) - 1.0,
-        (r_min - rate) / np.maximum(1.0, r_min),
+        dl_sum - 1.0, ul_sum - 1.0, (r_min - rate) / np.maximum(1.0, r_min),
     ])
+    # fmax skips nan, which every comparison passes: a nan reads in the sums
+    return np.where(np.isnan(dl_sum + ul_sum + rate), np.inf, viol)
 
 
 def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
@@ -404,41 +414,91 @@ class _Concave:
         return ul_gap + (_dl_best(self.c, self.r_min, g_dl) - np.vecdot(g_dl, dl))
 
 
-def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
-    """The active users' responses to the UL price ``lam`` (nats, > 0).
+def _quotient(x: float, y: float) -> float:
+    """x / y on floats, with numpy's +-inf or nan where y is 0 (Python raises there)."""
+    if y:
+        return x / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(x, y))
 
-    ``a`` holds their SNR constants and ``rho`` = aE / a.  Returns
-    (y, 1/s, q, d(1/s)/dlam), with q = phi'(s) in nats.  Newton's method
-    solves F(y) = lam for F(y) = y - (1 + rho - e^-y - rho e^y) / (1 - rho),
-    the nats form of psi in y = ln((1 + a s) / (1 + aE s)).  F is convex and
-    increasing on [0, y_max], y_max = ln(1 / rho), and
-    y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
-    right of the root and descends to it; ``y_right`` is the response at a
-    larger price, or inf.  Saturated users (lam >= y_max) get y = inf and
-    1/s = q = 0: their best share is 0.
+
+def _user_constants(a: np.ndarray, rho: np.ndarray) -> tuple[list, ...]:
+    """What ``_respond`` needs of a row's active users, once per row, as lists.
+
+    (a, rho, y_max = -ln rho, the start offset (1 - sqrt rho) / (1 + sqrt rho),
+    1 - rho), each from one numpy expression over the users: the bits of
+    the elementwise numpy terms they stand for.
     """
-    y = np.full(a.size, np.inf)
-    inv_s, q, d_inv_s = np.zeros(a.size), np.zeros(a.size), np.zeros(a.size)
     with np.errstate(divide="ignore"):
         y_max = -np.log(rho)                 # inf where aE = 0: never saturated
-    free = lam < y_max
-    a, rho, root = a[free], rho[free], np.sqrt(rho[free])
-    z = np.minimum(np.minimum(y_right[free], lam + (1.0 - root) / (1.0 + root)), y_max[free])
+    root = np.sqrt(rho)
+    return a.tolist(), rho.tolist(), y_max.tolist(), ((1.0 - root) / (1.0 + root)).tolist(), (1.0 - rho).tolist()
+
+
+def _respond(users: tuple[list, ...], lam: float, y_right: list) -> tuple[list, list, list, list]:
+    """The active users' responses to the UL price ``lam`` (nats, > 0).
+
+    ``users`` is ``_user_constants`` of their SNR constants a and
+    rho = aE / a.  Returns the lists (y, 1/s, q, d(1/s)/dlam), with
+    q = phi'(s) in nats.  Newton's method solves F(y) = lam for
+    F(y) = y - (1 + rho - e^-y - rho e^y) / (1 - rho), the nats form of psi in
+    y = ln((1 + a s) / (1 + aE s)).  F is convex and increasing on
+    [0, y_max], y_max = ln(1 / rho), and
+    y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
+    right of the root and descends to it; ``y_right`` is the response at a
+    larger price, or inf.  It stops once no free user's step exceeds
+    1e-15 z, or after ``RESPONSE_STEPS`` steps.  Saturated users
+    (lam >= y_max) get y = inf and 1/s = q = 0: their best share is 0.
+
+    The arithmetic runs on Python floats, whose + - * / round as numpy's
+    do; the exponentials are one ``np.expm1`` call on [z, -z] per step,
+    since ``math.expm1`` differs from it in the last bit for some inputs.
+    A division by 0 gives numpy's +-inf or nan (``_quotient``).
+    """
+    a, rho, y_max, offset, one_m_rho = users
+    n = len(a)
+    y, inv_s, q, d_inv_s = [math.inf] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    free = [k for k in range(n) if lam < y_max[k]]
+    if not free:
+        return y, inv_s, q, d_inv_s
+    rho_f, omr_f = [rho[k] for k in free], [one_m_rho[k] for k in free]
+    z = []
+    for k in free:  # np.minimum of y_right, lam + offset and y_max: a nan wins
+        zk, x = y_right[k], lam + offset[k]
+        zk = zk if zk < x or zk != zk else x
+        x = y_max[k]
+        z.append(zk if zk < x or zk != zk else x)
     for _ in range(RESPONSE_STEPS):
-        e_p, e_m = np.expm1(z), np.expm1(-z)
-        slope = (rho * e_p - e_m) / (1.0 - rho)
-        step = (z + (e_m + rho * e_p) / (1.0 - rho) - lam) / slope
-        z = z - step
-        if not np.any(np.abs(step) > 1e-15 * z):
+        e = np.expm1(np.array(z + [-x for x in z])).tolist()
+        moving = False
+        for i, (zi, e_p, e_m, r, omr) in enumerate(zip(z, e, e[len(z):], rho_f, omr_f)):
+            num, slope = zi + (e_m + r * e_p) / omr - lam, (r * e_p - e_m) / omr
+            step = num / slope if slope else _quotient(num, slope)
+            z[i] = zi = zi - step
+            moving = moving or abs(step) > 1e-15 * zi
+        if not moving:
             break
-    e_p = np.expm1(z)
-    slope = (rho * e_p - np.expm1(-z)) / (1.0 - rho)
-    share = 1.0 - rho - rho * e_p            # 1 - rho e^y
-    y[free] = z
-    inv_s[free] = a * share / e_p
-    q[free] = a * share * share / ((1.0 + e_p) * (1.0 - rho))
-    d_inv_s[free] = -a * (1.0 + e_p) * (1.0 - rho) / (e_p * e_p * slope)
+    e = np.expm1(np.array(z + [-x for x in z])).tolist()
+    for k, zi, e_p, e_m, r, omr in zip(free, z, e, e[len(z):], rho_f, omr_f):
+        ak = a[k]
+        slope = (r * e_p - e_m) / omr
+        share = omr - r * e_p                # 1 - rho e^y
+        y[k] = zi
+        inv_s[k] = _quotient(ak * share, e_p)
+        q[k] = _quotient(ak * share * share, (1.0 + e_p) * omr)
+        d_inv_s[k] = _quotient(-ak * (1.0 + e_p) * omr, e_p * e_p * slope)
     return y, inv_s, q, d_inv_s
+
+
+def _extremes(tied: list, U: list) -> tuple[int, int]:
+    """The tied vertices with the largest and the least U, the first on ties (U has no nan)."""
+    big = small = tied[0]
+    for v in tied[1:]:
+        if U[v] > U[big]:
+            big = v
+        elif U[v] < U[small]:
+            small = v
+    return big, small
 
 
 def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +516,16 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     bracket's midpoint when the step leaves the bracket.  The search stops
     there, when lambda stalls, or after ``max_steps`` steps; the caller
     repairs and certifies the answer.
+
+    The users' constants are taken once per row (``_user_constants``); the
+    responses, the tie set, the bracket and the kink search run on Python
+    floats.  numpy stays where its rounding is the answer: the costs
+    ``v_on @ q`` and uses ``v_on @ (1/s)`` are gemv calls on the
+    F-ordered ``v_on``, U adds user by user over the F-ordered shares,
+    dU/dlambda and the closing budget step are numpy's 1-D (pairwise) sums,
+    and every logarithm is ``np.log``.  A nan in a cost, a price or a U
+    would order the ties differently in ``min``/``max`` than in numpy's
+    reductions, so such a step takes its tie set from numpy.
     """
     on = prob.on[row]
     vertices = _dl_vertices(prob.c[row], float(prob.r_min[row]))
@@ -467,22 +537,30 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
         return vertices[int(np.argmin(v_on[:, 0]))], out
     a = prob.a[row, on]
     rho = prob.a_e[row, on] / a
+    users = _user_constants(a, rho)
     with np.errstate(divide="ignore"):
         lo, hi = 0.0, float(-np.log(rho.min()))    # above hi every user is saturated
     lam *= LN2
     if not 0.0 < lam < hi:
         lam = 0.5 * hi if math.isfinite(hi) else 1.0
-    y_right = np.full(a.size, np.inf)
+    w_on = 1.0 - v_on                                # F-ordered, as v_on
+    w_rows = w_on.tolist()
+    y_right = [math.inf] * a.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_steps):
-            y, inv_s, q, d_inv_s = _respond(a, rho, lam, y_right)
-            cost = v_on @ q
-            used = v_on @ inv_s                      # -d cost / d lambda
-            shares = (1.0 - v_on) * inv_s
-            U = np.maximum(shares, 0.0).sum(axis=1)
-            tied = np.flatnonzero(cost <= cost.min() + TIE_TOL * q.max())
-            big = int(tied[np.argmax(U[tied])])
-            small = int(tied[np.argmin(U[tied])])
+            y, inv_s, q, d_inv_s = _respond(users, lam, y_right)
+            inv_s_arr = np.array(inv_s)
+            cost = (v_on @ np.array(q)).tolist()
+            used = (v_on @ inv_s_arr).tolist()       # -d cost / d lambda
+            U = np.maximum(w_on * inv_s_arr, 0.0).sum(axis=1).tolist()
+            limit = min(cost) + TIE_TOL * max(q)
+            tied = [v for v, c_v in enumerate(cost) if c_v <= limit]
+            if tied and not math.isnan(sum(cost) + sum(U) + sum(q)):
+                big, small = _extremes(tied, U)
+            else:  # a nan, or no vertex at the least cost: numpy's ties (and its error)
+                cost_a, U_a = np.array(cost), np.array(U)
+                tied = np.flatnonzero(cost_a <= cost_a.min() + TIE_TOL * np.array(q).max())
+                big, small = int(tied[np.argmax(U_a[tied])]), int(tied[np.argmin(U_a[tied])])
             if U[big] >= 1.0 - BUDGET_TOL and U[small] <= 1.0 + BUDGET_TOL:
                 break
             rising = U[small] > 1.0                  # every optimal vertex overspends: raise lambda
@@ -490,13 +568,22 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
                 lo, p = lam, small
             else:
                 hi, p, y_right = lam, big, y
-            d_U = ((1.0 - v_on[p]) * d_inv_s)[shares[p] > 0.0].sum()
-            nxt = lam - np.log(U[p]) * U[p] / d_U
-            cross = lam + (cost - cost[p]) / (used - used[p])   # where cost_v meets cost_p, linearised
-            ahead = cross[(used > used[p]) if rising else (used < used[p])]
-            ahead = ahead[(ahead > lam) if rising else (ahead < lam)]
-            if ahead.size:
-                nxt = min(nxt, ahead.min()) if rising else max(nxt, ahead.max())
+            w_p, U_p, cost_p, used_p = w_rows[p], U[p], cost[p], used[p]
+            d_U = np.add.reduce(np.array([w * d for w, d, s in zip(w_p, d_inv_s, inv_s) if w * s > 0.0]))
+            nxt = float(lam - np.log(U_p) * U_p / d_U)
+            # cut at the first vertex ahead whose linearised cost meets cost_p
+            if rising:
+                for c_v, u_v in zip(cost, used):
+                    if u_v > used_p:
+                        cross = lam + (c_v - cost_p) / (u_v - used_p)
+                        if lam < cross < nxt:
+                            nxt = cross
+            else:
+                for c_v, u_v in zip(cost, used):
+                    if u_v < used_p:
+                        cross = lam + (c_v - cost_p) / (u_v - used_p)
+                        if nxt < cross < lam:
+                            nxt = cross
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
             if nxt == lam or not lo < nxt < hi:
@@ -508,7 +595,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
         theta = 1.0
     dl = theta * vertices[big] + (1.0 - theta) * vertices[small]
     w = 1.0 - dl[on]
-    ul, d_ul = w * inv_s, w * d_inv_s
+    ul, d_ul = w * np.array(inv_s), w * np.array(d_inv_s)
     # Near saturation tau_ul moves by 1e-6 and more per ulp of lambda, so
     # sum(tau_ul) = 1 may lie between two doubles.  One linearised lambda
     # step, taken on the shares themselves, closes the budget: it goes to

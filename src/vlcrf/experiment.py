@@ -612,8 +612,8 @@ def _fmt(value) -> str:
 
 
 def _audit_row(viol: float, r_min: float) -> None:
-    """Refuse to emit an allocation that violates its feasible set beyond FEASIBILITY_AUDIT_TOL."""
-    if viol > FEASIBILITY_AUDIT_TOL:
+    """Refuse to emit an allocation that violates its feasible set beyond FEASIBILITY_AUDIT_TOL, or by nan."""
+    if not viol <= FEASIBILITY_AUDIT_TOL:
         raise RuntimeError(
             f"emitted allocation violates the feasible set by {viol!r} (r_min = {r_min!r})"
         )
@@ -662,9 +662,10 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
     trial's previous raw answer (the first from ``initial_rows``); a target
     beyond a trial's best rate gives an infeasible row and leaves its chain
     as it was.  One ``solve_rows`` call per target solves the block's
-    feasible trials together.  Every target's fractions get ``Allocation``'s
-    checks and the feasibility audit, and a row is what a ``dca_solve``
-    chain of its trial alone gives, byte for byte.
+    feasible trials together.  Every reported fraction gets
+    ``Allocation``'s checks and the feasibility audit, for the whole block
+    after its chain, and a row is what a ``dca_solve`` chain of its trial
+    alone gives, byte for byte.
     """
     labels, targets, fraction = _chain_targets(cfg, users)
     block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
@@ -693,20 +694,25 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
         out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
-        check_fractions(out.tau_dl, out.tau_ul)
-        check_fractions(out.raw_tau_dl, out.raw_tau_ul)
+        check_fractions(out.raw_tau_dl, out.raw_tau_ul)  # the next target's start
         chain_dl[live], chain_ul[live] = out.raw_tau_dl, out.raw_tau_ul
-        viol = violation_rows(c[live], r_min[live], out.tau_dl, out.tau_ul)
-        worst = int(np.argmax(viol))
-        _audit_row(float(viol[worst]), float(r_min[live[worst]]))
         feasible[idx, live] = True
         objective[idx, live] = out.objective
-        clamped[idx, live] = clamped_secrecy_rows(a[live], a_e[live], out.tau_dl, out.tau_ul)
-        dl_rate[idx, live] = np.vecdot(c[live], out.tau_dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
         tau_dl[idx, live], tau_ul[idx, live] = out.tau_dl, out.tau_ul
         iterations[idx, live] = out.iterations
         converged[idx, live] = out.converged
         gap_bits[idx, live] = out.gap_bits
+    # the reported rows' checks and metrics, once for the block: each is
+    # row-wise, so no row's bits depend on the rows beside it
+    at = np.nonzero(feasible)[1]             # each reported row's trial in the block
+    dl, ul, r_rep = tau_dl[feasible], tau_ul[feasible], r_min_t[feasible]
+    check_fractions(dl, ul)
+    if at.size:
+        viol = violation_rows(c[at], r_rep, dl, ul)
+        worst = int(np.argmax(viol))
+        _audit_row(float(viol[worst]), float(r_rep[worst]))
+    clamped[feasible] = clamped_secrecy_rows(a[at], a_e[at], dl, ul)
+    dl_rate[feasible] = np.vecdot(c[at], dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
     return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,
                       iterations, converged, gap_bits)
 

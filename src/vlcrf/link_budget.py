@@ -125,13 +125,17 @@ class Allocation:
 def check_fractions(tau_dl: np.ndarray, tau_ul: np.ndarray) -> None:
     """``Allocation``'s checks on rows of slot fractions, (N, K) each.
 
-    Every fraction is >= 0 and each row's DL and UL fractions sum to at most
-    1 + SUM_SLACK; ValueError names the first failing sum.
+    Every fraction is finite and >= 0, and each row's DL and UL fractions
+    sum to at most 1 + SUM_SLACK; ValueError names the first failing sum.
+    A nan passes every comparison, so it is refused by name: a row holding
+    one sums to nan.
     """
     if (tau_dl < 0).any() or (tau_ul < 0).any():
         raise ValueError("Allocation fractions must be componentwise >= 0")
     for name, taus in (("tau_dl", tau_dl), ("tau_ul", tau_ul)):
         total = taus.sum(axis=1)
+        if np.isnan(total).any():
+            raise ValueError(f"{name} holds a nan fraction")
         over = total > 1.0 + SUM_SLACK
         if over.any():
             raise ValueError(f"sum({name}) = {float(total[over][0])!r} exceeds the unit frame")

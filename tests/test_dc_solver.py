@@ -26,6 +26,7 @@ from vlcrf.dc_solver import (
     initial_rows,
     kkt_residual,
     project_onto_feasible,
+    violation_rows,
 )
 from vlcrf.experiment import generate_scenario, preset_config
 from dual_reference import dl_leftovers, dual_probes
@@ -334,6 +335,15 @@ class TestDcaSolve:
             assert float(np.dot(c, res.allocation.tau_dl)) >= fs.r_min - 1e-6
             small = res.allocation.tau_ul[(res.allocation.tau_ul > 0) & (res.allocation.tau_ul < 1e-6)]
             assert small.size == 0  # reporting snap removed the slivers
+
+
+class TestViolation:
+    def test_nan_row_violates_by_inf(self):
+        # np.fmax skips nan: a row holding one must not read as feasible
+        got = violation_rows(np.array([[1.0, 2.0]] * 3), np.array([0.5] * 3),
+                             np.array([[np.nan, 0.3], [0.2, 0.3], [0.2, 0.3]]),
+                             np.array([[0.5, np.nan], [0.5, 0.1], [np.nan, 0.1]]))
+        assert got.tolist() == [np.inf, 0.0, np.inf]
 
 
 class TestKktResidual:

@@ -704,6 +704,35 @@ class TestBlockChain:
         ]
 
 
+class TestAudit:
+    def test_nan_violation_refused(self):
+        with pytest.raises(RuntimeError):
+            experiment._audit_row(math.nan, 1.0)
+        with pytest.raises(RuntimeError):
+            experiment._audit_row(2.0 * experiment.FEASIBILITY_AUDIT_TOL, 1.0)
+        experiment._audit_row(experiment.FEASIBILITY_AUDIT_TOL, 1.0)
+
+    @pytest.mark.parametrize("field", ["tau_dl", "tau_ul"])
+    def test_nan_answer_never_reaches_the_rows(self, field, monkeypatch):
+        # a solver that returned a nan fraction would be refused before any text is made
+        solve_rows = experiment.solve_rows
+
+        def with_nan(*args):
+            out = solve_rows(*args)
+            taus = getattr(out, field).copy()
+            taus[-1, 0] = math.nan
+            return dataclasses.replace(out, **{field: taus})
+
+        monkeypatch.setattr(experiment, "solve_rows", with_nan)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="nan"):
+            warnings.simplefilter("ignore")
+            experiment._rmin_chain_block(preset_config("fig3", {"trials": "3"}), 2, range(3))
+
+
+REPORT_DIGEST = "2af7e1dda19444773d83b73e3e1d5b7ff98d35f387dbedda4f04c5cc0991721f"
+ORACLE_PANEL_DIGEST = "5e69d1f9b3756f44d59be06f46b75a4dbf0c8bcc98afee26e43ca6c4ff68f31d"
+
+
 class TestReportAndSolve:
     def test_fig4_report(self, tmp_path):
         cfg = preset_config("fig4", {"output.dir": str(tmp_path)})
@@ -722,6 +751,31 @@ class TestReportAndSolve:
         })
         out = run_solve(cfg, oracle=True)
         assert out["oracle"].passed
+
+    def test_fig4_report_bytes_pinned(self, tmp_path):
+        """``vlcrf report --preset fig4`` writes pinned bytes.
+
+        Measured at commit fff193b, the last whose dual solve ran on numpy
+        arrays, with numpy 2.4.6 on x86_64; another numpy or BLAS may round
+        differently.
+        """
+        assert cli_main(["report", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "allocation_report.csv", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == REPORT_DIGEST
+
+    def test_solve_oracle_panel_stdout_pinned(self, tmp_path, capsys):
+        """``vlcrf solve --oracle`` prints pinned text on fig4 with two users,
+        grid resolution 64 and seeds 0-9 (the benchmark's oracle panel).
+
+        Measured at commit fff193b, as the report digest.
+        """
+        path = tmp_path / "c.txt"
+        path.write_text("users.count = 2\noracle.resolution = 64\n")
+        printed = []
+        for seed in range(10):
+            assert cli_main(["solve", "--oracle", "--preset", "fig4", "--config", str(path), "--seed", str(seed)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(printed).encode()).hexdigest() == ORACLE_PANEL_DIGEST
 
     def test_solve_oracle_rejects_large_k(self, monkeypatch):
         # refused before the solve runs

@@ -8,6 +8,7 @@ import pytest
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
+    check_fractions,
     clamped_secrecy_sum,
     dl_rate_coefficients,
     dl_sum_rate,
@@ -94,6 +95,17 @@ class TestAllocation:
             Allocation([0.6, 0.6], [0.1, 0.1])
         with pytest.raises(ValueError):
             Allocation([-0.1, 0.2], [0.1, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_refused(self, bad):
+        # nan passes both < 0 and > 1 + slack, so it needs its own check
+        with pytest.raises(ValueError):
+            Allocation([bad, 0.3], [0.5, 0.1])
+        with pytest.raises(ValueError):
+            Allocation([0.2, 0.3], [0.5, bad])
+        rows = np.array([[0.2, 0.3], [0.1, 0.1]])
+        with pytest.raises(ValueError):
+            check_fractions(rows, np.where([[False, False], [True, False]], bad, rows))
 
 
 class TestHarvestedEnergy:

@@ -16,15 +16,7 @@ import argparse
 import sys
 
 from vlcrf.dc_solver import STATUS_INFEASIBLE
-from vlcrf.experiment import (
-    PRESETS,
-    ConfigError,
-    build_config,
-    parse_config_text,
-    run_report,
-    run_solve,
-    run_sweep,
-)
+from vlcrf.experiment import PRESETS, ConfigError, load_config, run_report, run_solve, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,27 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args):
-    raw: dict[str, str] = {}
-    if args.preset:
-        raw.update(PRESETS[args.preset])
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw.update(parse_config_text(fh.read()))
-        except OSError as err:
-            raise ConfigError(f"cannot read config file {args.config!r}: {err}") from None
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    if args.trials is not None:
-        raw["trials"] = str(args.trials)
-    if args.out is not None:
-        raw["output.dir"] = args.out
-    return build_config(raw)
-
-
-def _cmd_solve(args) -> int:
-    cfg = _resolve_config(args)
+def _cmd_solve(cfg, args) -> int:
     out = run_solve(cfg, oracle=args.oracle)
     result = out["result"]
     print(f"status: {result.status}")
@@ -99,9 +71,8 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    info = run_sweep(cfg, out_dir=args.out)
+def _cmd_sweep(cfg, args) -> int:
+    info = run_sweep(cfg)
     print(f"rows: {info['rows']} ({info['solved']} solved) -> {info['rows_path']}")
     print(f"aggregates -> {info['agg_path']}")
     if info["solved"] == 0:
@@ -110,24 +81,25 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    cfg = _resolve_config(args)
-    info = run_report(cfg, out_dir=args.out)
+def _cmd_report(cfg, args) -> int:
+    info = run_report(cfg)
     print(f"report -> {info['report_path']} (status: {info['status']})")
     if info["status"] == STATUS_INFEASIBLE:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
+COMMANDS = {"solve": _cmd_solve, "sweep": _cmd_sweep, "report": _cmd_report}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    flags = {"seed": args.seed, "trials": args.trials, "output.dir": args.out}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_report(args)
+        cfg = load_config(args.config or None, overrides, preset=args.preset)  # --config "" reads no file
+        return COMMANDS[args.command](cfg, args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,7 +1,12 @@
 """Seeded experiment harness: config files, scenario generation, sweeps.
 
 Configs are flat ``key = value`` text files with dotted section names;
-``KNOWN_KEYS`` lists every key and ``build_config`` holds the defaults.
+``KNOWN_KEYS`` lists every key.  The led, pd, rf, solver and oracle
+sections get only the keys a config sets, through the tables of
+``SECTIONS``, so the field defaults of their dataclasses are the only
+defaults of those keys (``led.position`` defaults to the ceiling centre of
+the room); ``build_config`` holds the defaults of the other keys.
+``load_config`` layers a preset, a config file and overrides (the CLI flags).
 Five keys are accepted, parsed and range-checked but set nothing:
 ``solver.restarts``, ``solver.seed``, ``solver.subproblem_tolerance`` and
 ``solver.max_inner_iterations`` belonged to the multi-start DCA solver that
@@ -188,24 +193,64 @@ def _parse_positions(raw: str, key: str) -> tuple[Vec3, ...]:
     return tuple(_parse_vec3(g, key) for g in groups)
 
 
-KNOWN_KEYS = {
+# Each section dataclass owns its defaults: key -> (field, parser), in parse
+# order, and ``_section`` passes the class only the keys the config gives.
+SECTIONS = {
+    "led": (LedConfig, {
+        "led.position": ("position", _parse_vec3),
+        "led.orientation": ("orientation", _parse_vec3),
+        "led.power": ("p_led", _parse_float),
+        "led.dc_offset": ("dc_offset", _parse_float),
+        "led.semi_angle": ("semi_angle_half", _parse_float),
+    }),
+    "pd": (PhotodiodeConfig, {
+        "pd.area": ("area", _parse_float),
+        "pd.responsivity": ("responsivity", _parse_float),
+        "pd.fov": ("fov", _parse_float),
+        "pd.filter_gain": ("filter_gain", _parse_float),
+        "pd.refractive_index": ("refractive_index", _parse_float),
+    }),
+    "rf": (RicianConfig, {
+        "rf.k_factor": ("k_factor", _parse_float),
+        "rf.los_reference_gain": ("los_reference_gain", _parse_float),
+        "rf.path_loss_exponent": ("path_loss_exponent", _parse_float),
+    }),
+    "solver": (DcaSettings, {
+        "solver.epsilon": ("epsilon", _parse_float),
+        "solver.max_iterations": ("max_iterations", _parse_int),
+    }),
+    "oracle": (GridSpec, {
+        "oracle.resolution": ("resolution", _parse_int),
+        "oracle.refine_rounds": ("refine_rounds", _parse_int),
+        "oracle.refine_shrink": ("refine_shrink", _parse_float),
+    }),
+}
+
+KNOWN_KEYS = {key for _, keys in SECTIONS.values() for key in keys} | {
     "seed", "trials", "output.dir", "runtime.workers",
     "room.width", "room.depth", "room.height",
-    "led.position", "led.orientation", "led.power", "led.dc_offset", "led.semi_angle",
-    "pd.area", "pd.responsivity", "pd.fov", "pd.filter_gain", "pd.refractive_index",
-    "concentrator.model",
-    "rf.k_factor", "rf.path_loss_exponent", "rf.los_reference_gain", "rf.mixing",
-    "ap.position",
+    "concentrator.model", "rf.mixing", "ap.position",
     "noise.user_dl", "noise.user_ul", "noise.eve_dl", "noise.eve_ul",
     "harvest.efficiency",
     "users.count", "users.positions", "users.height", "users.list",
     "eve.position",
     "rate.min", "rate.min_fraction",
     "sweep.kind", "sweep.start", "sweep.stop", "sweep.points", "sweep.values",
-    "solver.epsilon", "solver.max_iterations", "solver.subproblem_tolerance",
-    "solver.restarts", "solver.seed", "solver.max_inner_iterations",
-    "oracle.resolution", "oracle.refine_rounds", "oracle.refine_shrink",
+    "solver.subproblem_tolerance", "solver.restarts", "solver.seed", "solver.max_inner_iterations",
 }
+
+
+def _section(raw: dict[str, str], name: str, **given):
+    """Section ``name``'s dataclass from the keys ``raw`` gives, over ``given`` and the class defaults."""
+    factory, keys = SECTIONS[name]
+    fields = dict(given)
+    for key, (field, parse) in keys.items():
+        if key in raw:
+            fields[field] = parse(raw[key], key)
+    try:
+        return factory(**fields)
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -244,52 +289,21 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("room dimensions must be positive")
     ceiling_center = Vec3(width / 2.0, depth / 2.0, height)
 
-    def _component(section: str, factory, **kwargs):
-        try:
-            return factory(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"{section}: {err}") from None
-
-    led = _component(
-        "led",
-        LedConfig,
-        position=_parse_vec3(raw["led.position"], "led.position") if "led.position" in raw else ceiling_center,
-        orientation=_parse_vec3(raw["led.orientation"], "led.orientation") if "led.orientation" in raw else Vec3(0.0, 0.0, -1.0),
-        p_led=_parse_float(raw.get("led.power", "1.0"), "led.power"),
-        dc_offset=_parse_float(raw.get("led.dc_offset", "2.0"), "led.dc_offset"),
-        semi_angle_half=_parse_float(raw.get("led.semi_angle", "60.0"), "led.semi_angle"),
-    )
-    pd = _component(
-        "pd",
-        PhotodiodeConfig,
-        area=_parse_float(raw.get("pd.area", "1e-4"), "pd.area"),
-        responsivity=_parse_float(raw.get("pd.responsivity", "0.54"), "pd.responsivity"),
-        fov=_parse_float(raw.get("pd.fov", "60.0"), "pd.fov"),
-        filter_gain=_parse_float(raw.get("pd.filter_gain", "1.0"), "pd.filter_gain"),
-        refractive_index=_parse_float(raw.get("pd.refractive_index", "1.5"), "pd.refractive_index"),
-    )
+    led = _section(raw, "led", position=ceiling_center)
+    pd = _section(raw, "pd")
     concentrator_model = raw.get("concentrator.model", CONCENTRATOR_CONSTANT)
     if concentrator_model not in (CONCENTRATOR_CONSTANT, CONCENTRATOR_ANGLE_DEPENDENT):
         raise ConfigError(f"concentrator.model: unknown model {concentrator_model!r}")
-    rician = _component(
-        "rf",
-        RicianConfig,
-        k_factor=_parse_float(raw.get("rf.k_factor", "2.0"), "rf.k_factor"),
-        los_reference_gain=_parse_float(raw.get("rf.los_reference_gain", "1e-3"), "rf.los_reference_gain"),
-        path_loss_exponent=_parse_float(raw.get("rf.path_loss_exponent", "2.0"), "rf.path_loss_exponent"),
-    )
+    rician = _section(raw, "rf")
     rf_mixing = raw.get("rf.mixing", MIXING_NORMALIZED)
     if rf_mixing not in (MIXING_NORMALIZED, MIXING_UNNORMALIZED):
         raise ConfigError(f"rf.mixing: unknown mixing {rf_mixing!r}")
     ap_position = _parse_vec3(raw["ap.position"], "ap.position") if "ap.position" in raw else ceiling_center
 
     noise = {}
-    for short, key in (
-        ("user_dl", "noise.user_dl"), ("user_ul", "noise.user_ul"),
-        ("eve_dl", "noise.eve_dl"), ("eve_ul", "noise.eve_ul"),
-    ):
-        noise[short] = _parse_float(raw.get(key, "1e-14"), key)
-        if noise[short] <= 0:
+    for key in ("noise.user_dl", "noise.user_ul", "noise.eve_dl", "noise.eve_ul"):
+        noise[key] = _parse_float(raw.get(key, "1e-14"), key)
+        if noise[key] <= 0:
             raise ConfigError(f"{key}: noise power must be > 0")
     eta = _parse_float(raw.get("harvest.efficiency", "0.44"), "harvest.efficiency")
     if not 0.0 < eta <= 1.0:
@@ -310,6 +324,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if users_count < 1:
         raise ConfigError("users.count: need at least one user")
     users_height = _parse_float(raw.get("users.height", "0.0"), "users.height")
+    if not 0.0 <= users_height <= height:
+        raise ConfigError(f"users.height: must lie in [0, room.height = {height!r}], got {users_height!r}")
     if users_positions is not None:
         for i, p in enumerate(users_positions):
             if not (0.0 <= p.x <= width and 0.0 <= p.y <= depth and 0.0 <= p.z <= height):
@@ -372,13 +388,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if users_list is not None and sweep_kind not in (SWEEP_RMIN, SWEEP_RMIN_FRACTION):
         raise ConfigError("users.list: only applies to r_min sweeps")
 
-    try:
-        solver = DcaSettings(
-            epsilon=_parse_float(raw.get("solver.epsilon", "1e-8"), "solver.epsilon"),
-            max_iterations=_parse_int(raw.get("solver.max_iterations", "500"), "solver.max_iterations"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"solver: {err}") from None
+    solver = _section(raw, "solver")
     # accepted and checked, but ignored (see the module docstring)
     _parse_int(raw.get("solver.seed", "0"), "solver.seed")
     if _parse_float(raw.get("solver.subproblem_tolerance", "1e-9"), "solver.subproblem_tolerance") <= 0:
@@ -386,14 +396,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     for key in ("solver.restarts", "solver.max_inner_iterations"):
         if _parse_int(raw.get(key, "1"), key) < 1:
             raise ConfigError(f"solver: {key.split('.')[1]} must be >= 1")
-    try:
-        oracle_spec = GridSpec(
-            resolution=_parse_int(raw.get("oracle.resolution", "256"), "oracle.resolution"),
-            refine_rounds=_parse_int(raw.get("oracle.refine_rounds", "3"), "oracle.refine_rounds"),
-            refine_shrink=_parse_float(raw.get("oracle.refine_shrink", "0.2"), "oracle.refine_shrink"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"oracle: {err}") from None
+    oracle_spec = _section(raw, "oracle")
 
     trials = _parse_int(raw.get("trials", "1"), "trials")
     if trials < 1:
@@ -418,9 +421,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         rician=rician,
         rf_mixing=rf_mixing,
         ap_position=ap_position,
-        noise_user_dl=noise["user_dl"],
-        noise_user_ul=noise["user_ul"],
-        noise_eve_ul=noise["eve_ul"],
+        noise_user_dl=noise["noise.user_dl"],
+        noise_user_ul=noise["noise.user_ul"],
+        noise_eve_ul=noise["noise.eve_ul"],
         eta=eta,
         users_count=users_count,
         users_positions=users_positions,
@@ -434,19 +437,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         solver=solver,
         oracle_spec=oracle_spec,
     )
-
-
-def load_config(path: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Load and validate a config file; ``overrides`` win over file values."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path!r}: {err}") from None
-    raw = parse_config_text(text)
-    if overrides:
-        raw.update(overrides)
-    return build_config(raw)
 
 
 # Both presets pin a stronger RF link budget than the library default:
@@ -476,13 +466,23 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-def preset_config(name: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Build a named preset, optionally overlaid with explicit settings."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    raw = dict(PRESETS[name])
-    if overrides:
-        raw.update(overrides)
+def load_config(
+    path: str | None = None, overrides: dict[str, str] | None = None, preset: str | None = None,
+) -> ExperimentConfig:
+    """A validated config from three layers: the named preset, then the
+    config file at ``path``, then ``overrides``; each wins over the ones before."""
+    raw: dict[str, str] = {}
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
+        raw.update(PRESETS[preset])
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw.update(parse_config_text(fh.read()))
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {path!r}: {err}") from None
+    raw.update(overrides or {})
     return build_config(raw)
 
 
@@ -518,7 +518,7 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     every entry has the bits of the per-user channel APIs.  Users outside the
     LED field of view get a zero gain and a warning; the scenario stays valid.
     """
-    k = len(cfg.users_positions) if cfg.users_positions is not None else cfg.users_count
+    k = cfg.users_count
     width, depth, height = cfg.room
     led, ap = cfg.led, cfg.ap_position
     g = np.empty((len(trials), k))
@@ -602,10 +602,6 @@ def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChanne
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -780,7 +776,7 @@ def _write_csv(path: str, comment: str, columns, body: str) -> None:
         fh.write(comment + "\n" + _csv_text([columns]) + body)
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+def run_sweep(cfg: ExperimentConfig) -> dict:
     """Execute the configured sweep; returns output paths and row counts.
 
     Emits one row per (sweep value, trial) plus a mean/population-std
@@ -788,22 +784,26 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     into one aggregate.  Infeasible points are recorded with status
     "infeasible" rather than dropped.  Both sweep kinds run one block chain
     task per (user count, trial block), the trials split into one
-    contiguous block per worker.  Each task formats its own rows' CSV text;
-    the text goes out ordered by user count, then sweep value, then block,
-    and the aggregates see each group's solved values concatenated in that
-    row order.  A row's bytes do not depend on its block, and the tasks
-    come back in task order, so the worker count never changes bytes.
+    contiguous block per worker, with no more workers than usable CPUs.
+    Each task formats its own rows' CSV text; the text goes out ordered by
+    user count, then sweep value, then block, and the aggregates see each
+    group's solved values concatenated in that row order.  A row's bytes do
+    not depend on its block, and the tasks come back in task order, so the
+    worker count never changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
-    out_dir = out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     if cfg.sweep_kind == SWEEP_USERS:
         k_values = [int(v) for v in cfg.sweep_values]
     else:
         k_values = list(cfg.users_list) if cfg.users_list else [cfg.users_count]
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cfg.workers or cpus, cpus)
     size = -(-cfg.trials // workers)  # one block per worker
     blocks = [range(first, min(first + size, cfg.trials)) for first in range(0, cfg.trials, size)]
     tasks = [(cfg, users, block) for users in k_values for block in blocks]
@@ -812,7 +812,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         results = [_sweep_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            results = list(pool.map(_sweep_task, tasks))
 
     text: list[str] = []
     groups: dict[tuple, list[list[np.ndarray]]] = {}  # (users, sweep value) -> per chunk, its solved values
@@ -827,8 +827,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         stats = [_fmt(float(f(v))) for v in solved for f in (np.mean, np.std)] if solved[0].size else [""] * 6
         agg.append([_fmt(label), str(users), str(solved[0].size), *stats])
 
-    rows_path = os.path.join(out_dir, ROWS_FILE)
-    agg_path = os.path.join(out_dir, AGG_FILE)
+    rows_path = os.path.join(cfg.output_dir, ROWS_FILE)
+    agg_path = os.path.join(cfg.output_dir, AGG_FILE)
     comment = (
         "# one row per (sweep_value, users, trial); tau columns pack per-user "
         "fractions comma-separated; objective/rates in bits/s/Hz"
@@ -853,13 +853,12 @@ REPORT_COLUMNS = (
 )
 
 
-def run_report(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+def run_report(cfg: ExperimentConfig) -> dict:
     """Solve the seeded scenario (trial 0) and emit the per-user slot report."""
-    out_dir = out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     scenario, fs = generate_scenario(cfg, 0)
     result = dca_solve(scenario, fs, cfg.solver)
-    path = os.path.join(out_dir, REPORT_FILE)
+    path = os.path.join(cfg.output_dir, REPORT_FILE)
     if result.status == STATUS_INFEASIBLE:
         _write_csv(path, f"# infeasible: r_min = {_fmt(fs.r_min)}", REPORT_COLUMNS, "")
         return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}

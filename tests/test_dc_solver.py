@@ -28,7 +28,7 @@ from vlcrf.dc_solver import (
     project_onto_feasible,
     violation_rows,
 )
-from vlcrf.experiment import generate_scenario, preset_config
+from vlcrf.experiment import generate_scenario, load_config
 from dual_reference import dl_leftovers, dual_probes
 from vlcrf.link_budget import (
     Allocation,
@@ -444,7 +444,7 @@ class TestCertificate:
 
 def _fig3_problem(users, trial, index):
     """Scenario and feasible set of one fig3 sweep row, built as the sweep builds them."""
-    cfg = preset_config("fig3")
+    cfg = load_config(preset="fig3")
     sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
     s, fs = generate_scenario(sub, trial)
     c = fs.rate_coeffs
@@ -597,7 +597,7 @@ def _dual_panel():
         c = 10.0 ** rng.uniform(-3.0, 1.0, s.K)
         yield s, FeasibleSet(c, float(rng.uniform(0.0, c.max())))
     for name, counts in (("fig3", (1, 2, 4, 8)), ("fig4", (2, 4, 8))):
-        cfg = preset_config(name)
+        cfg = load_config(preset=name)
         for i in range(30):
             sub = dataclasses.replace(cfg, users_count=counts[i % len(counts)], r_min=0.0, r_min_fraction=None)
             s, fs = generate_scenario(sub, int(rng.integers(0, 1000)))

@@ -13,7 +13,7 @@ import pytest
 import dual_numpy
 from vlcrf import dc_solver, experiment
 from vlcrf.dc_solver import _dual_solve, _respond, _secrecy_problem, _user_constants
-from vlcrf.experiment import preset_config
+from vlcrf.experiment import load_config
 
 
 def _same(got, want) -> bool:
@@ -206,5 +206,5 @@ class TestDualSolves:
         monkeypatch.setattr(dc_solver, "_dual_solve", both)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            experiment._rmin_chain_block(preset_config("fig3", {"trials": "12"}), users, range(12))
+            experiment._rmin_chain_block(load_config(overrides={"trials": "12"}, preset="fig3"), users, range(12))
         assert sum(k >= 2 for k in seen) >= 5

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlcrf
-from vlcrf import experiment
+from vlcrf import cli, experiment
 from vlcrf.cli import main as cli_main
-from vlcrf.dc_solver import STATUS_INFEASIBLE, FeasibleSet, allocation_violation, dca_solve
+from vlcrf.dc_solver import STATUS_INFEASIBLE, DcaSettings, FeasibleSet, allocation_violation, dca_solve
 from vlcrf.experiment import (
     PRESETS,
     ConfigError,
@@ -25,14 +26,14 @@ from vlcrf.experiment import (
     generate_scenario,
     load_config,
     parse_config_text,
-    preset_config,
     run_report,
     run_solve,
     run_sweep,
 )
 from vlcrf.link_budget import Allocation, ScenarioChannels, clamped_secrecy_sum, dl_rate_coefficients, dl_sum_rate
-from vlcrf.rf_channel import sample_rician_gain
-from vlcrf.vlc_channel import UserTerminal, Vec3, vlc_channel_gain
+from vlcrf.reference_oracle import GridSpec
+from vlcrf.rf_channel import RicianConfig, sample_rician_gain
+from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, UserTerminal, Vec3, vlc_channel_gain
 
 
 def read_rows(path):
@@ -145,7 +146,96 @@ class TestConfigParsing:
 
     def test_preset_unknown(self):
         with pytest.raises(ConfigError, match="preset"):
-            preset_config("fig9")
+            load_config(preset="fig9")
+
+    def test_layers_preset_then_file_then_overrides(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 7\ntrials = 3\nusers.count = 2\noutput.dir = from-file\n")
+        cfg = load_config(str(path), {"trials": "5"}, preset="fig4")
+        assert (cfg.seed, cfg.users_count, cfg.output_dir) == (7, 2, "from-file")  # file over preset
+        assert cfg.trials == 5                                                     # overrides over file
+        assert cfg.r_min_fraction == 0.6 and cfg.rician.los_reference_gain == 0.1  # preset kept
+        assert load_config(preset="fig4") == build_config(dict(PRESETS["fig4"]))
+        assert load_config(str(path), preset="fig4").trials == 3
+        assert load_config(overrides={"seed": "4"}) == build_config({"seed": "4"})
+
+    def test_known_keys_pinned(self):
+        assert experiment.KNOWN_KEYS == {
+            "seed", "trials", "output.dir", "runtime.workers",
+            "room.width", "room.depth", "room.height",
+            "led.position", "led.orientation", "led.power", "led.dc_offset", "led.semi_angle",
+            "pd.area", "pd.responsivity", "pd.fov", "pd.filter_gain", "pd.refractive_index",
+            "concentrator.model",
+            "rf.k_factor", "rf.path_loss_exponent", "rf.los_reference_gain", "rf.mixing",
+            "ap.position",
+            "noise.user_dl", "noise.user_ul", "noise.eve_dl", "noise.eve_ul",
+            "harvest.efficiency",
+            "users.count", "users.positions", "users.height", "users.list",
+            "eve.position",
+            "rate.min", "rate.min_fraction",
+            "sweep.kind", "sweep.start", "sweep.stop", "sweep.points", "sweep.values",
+            "solver.epsilon", "solver.max_iterations", "solver.subproblem_tolerance",
+            "solver.restarts", "solver.seed", "solver.max_inner_iterations",
+            "oracle.resolution", "oracle.refine_rounds", "oracle.refine_shrink",
+        }
+        assert len(experiment.KNOWN_KEYS) == 49
+
+    def test_sections_keep_their_class_defaults(self):
+        cfg = build_config({"seed": "1"})
+        assert cfg.led == LedConfig(position=Vec3(2.5, 2.5, 3.0))
+        assert cfg.pd == PhotodiodeConfig()
+        assert cfg.rician == RicianConfig()
+        assert cfg.solver == DcaSettings()
+        assert cfg.oracle_spec == GridSpec()
+        assert build_config({"seed": "1", "room.width": "4", "room.height": "2.5"}).led.position == Vec3(2.0, 2.5, 2.5)
+
+    @pytest.mark.parametrize("key, value, field, want", [
+        ("led.position", "1,2,2.5", "position", Vec3(1.0, 2.0, 2.5)),
+        ("led.orientation", "0,0,1", "orientation", Vec3(0.0, 0.0, 1.0)),
+        ("led.power", "2", "p_led", 2.0),
+        ("led.dc_offset", "3", "dc_offset", 3.0),
+        ("led.semi_angle", "30", "semi_angle_half", 30.0),
+        ("pd.area", "2e-4", "area", 2e-4),
+        ("pd.responsivity", "0.6", "responsivity", 0.6),
+        ("pd.fov", "70", "fov", 70.0),
+        ("pd.filter_gain", "0.9", "filter_gain", 0.9),
+        ("pd.refractive_index", "1.2", "refractive_index", 1.2),
+        ("rf.k_factor", "3", "k_factor", 3.0),
+        ("rf.los_reference_gain", "0.1", "los_reference_gain", 0.1),
+        ("rf.path_loss_exponent", "3", "path_loss_exponent", 3.0),
+        ("solver.epsilon", "1e-6", "epsilon", 1e-6),
+        ("solver.max_iterations", "40", "max_iterations", 40),
+        ("oracle.resolution", "64", "resolution", 64),
+        ("oracle.refine_rounds", "1", "refine_rounds", 1),
+        ("oracle.refine_shrink", "0.5", "refine_shrink", 0.5),
+    ])
+    def test_section_key_sets_its_field(self, key, value, field, want):
+        section = {"led": "led", "pd": "pd", "rf": "rician", "solver": "solver", "oracle": "oracle_spec"}
+        base = build_config({"seed": "1"})
+        cfg = build_config({"seed": "1", key: value})
+        name = section[key.split(".")[0]]
+        got = getattr(cfg, name)
+        assert getattr(got, field) == want and type(getattr(got, field)) is type(want)
+        assert got == dataclasses.replace(getattr(base, name), **{field: want})
+
+    @pytest.mark.parametrize("key, value", [
+        ("led.power", "nan"), ("led.position", "1,2"), ("pd.fov", "x"), ("rf.k_factor", "inf"),
+        ("solver.epsilon", "nan"), ("solver.max_iterations", "2.5"),
+        ("oracle.resolution", "x"), ("oracle.refine_shrink", "nan"),
+    ])
+    def test_section_parse_error_names_its_key_once(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            build_config({"seed": "1", key: value})
+        assert str(err.value).startswith(f"{key}: expected ") and str(err.value).count(key.split(".")[0]) == 1
+
+    @pytest.mark.parametrize("value", ["3.5", "5", "-0.5"])
+    def test_users_height_outside_the_room(self, value):
+        with pytest.raises(ConfigError, match=r"^users\.height: must lie in \[0, room\.height = 3\.0\]"):
+            build_config({"seed": "1", "users.height": value})
+
+    def test_users_height_inside_the_room(self):
+        for raw in ({"users.height": "0"}, {"users.height": "3"}, {"users.height": "5", "room.height": "6"}):
+            assert build_config(dict(raw, seed="1")).users_height == float(raw["users.height"])
 
 
 class TestGenerateScenario:
@@ -329,7 +419,7 @@ SMALL_SWEEP = {
 class TestRunSweep:
     def test_rows_and_aggregates(self, tmp_path):
         cfg = build_config(dict(SMALL_SWEEP))
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         assert info["rows"] == 8 and info["solved"] == 8
         rows = read_rows(info["rows_path"])
         assert len(rows) == 8
@@ -343,7 +433,7 @@ class TestRunSweep:
 
     def test_aggregate_means_exact(self, tmp_path):
         cfg = build_config(dict(SMALL_SWEEP))
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         rows = read_rows(info["rows_path"])
         agg = read_rows(info["agg_path"])
         for entry in agg:
@@ -358,8 +448,8 @@ class TestRunSweep:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = build_config(dict(SMALL_SWEEP))
-        info1 = run_sweep(cfg, out_dir=str(tmp_path / "a"))
-        info2 = run_sweep(cfg, out_dir=str(tmp_path / "b"))
+        info1 = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")))
+        info2 = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "b")))
         for key in ("rows_path", "agg_path"):
             with open(info1[key], "rb") as fh:
                 b1 = fh.read()
@@ -371,8 +461,8 @@ class TestRunSweep:
         serial = dict(SMALL_SWEEP)
         parallel = dict(SMALL_SWEEP)
         parallel["runtime.workers"] = "2"
-        info1 = run_sweep(build_config(serial), out_dir=str(tmp_path / "s"))
-        info2 = run_sweep(build_config(parallel), out_dir=str(tmp_path / "p"))
+        info1 = run_sweep(dataclasses.replace(build_config(serial), output_dir=str(tmp_path / "s")))
+        info2 = run_sweep(dataclasses.replace(build_config(parallel), output_dir=str(tmp_path / "p")))
         with open(info1["rows_path"], "rb") as fh:
             b1 = fh.read()
         with open(info2["rows_path"], "rb") as fh:
@@ -385,7 +475,7 @@ class TestRunSweep:
             "sweep.kind": "rmin", "sweep.values": "0.5,50.0",
             "runtime.workers": "1",
         })
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         rows = read_rows(info["rows_path"])
         statuses = [r["status"] for r in rows]
         assert "infeasible" in statuses  # 50 bits/s/Hz is beyond any bound
@@ -400,7 +490,7 @@ class TestRunSweep:
             "rf.los_reference_gain": "0.1",
             "runtime.workers": "1",
         })
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         rows = read_rows(info["rows_path"])
         assert [r["users"] for r in rows] == ["1", "2"]
 
@@ -408,7 +498,7 @@ class TestRunSweep:
         # round-trip audit: rows parse back into Allocations that satisfy
         # the budgets and the row's own minimum-rate column
         cfg = build_config(dict(SMALL_SWEEP))
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         scenario, base_fs = generate_scenario(
             build_config({k: v for k, v in SMALL_SWEEP.items() if not k.startswith("sweep")}), 0
         )
@@ -420,10 +510,47 @@ class TestRunSweep:
             if row["trial"] == "0":
                 assert allocation_violation(fs, alloc) <= 1e-8
 
+    @pytest.mark.parametrize("workers, cpus, affinity, want", [
+        ("500", 2, True, 2),   # capped at the usable CPUs, not at the 12 tasks
+        ("auto", 3, True, 3),
+        ("2", 4, True, 2),
+        ("auto", 3, False, 3),  # no sched_getaffinity: os.cpu_count()
+    ])
+    def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch, workers, cpus, affinity, want):
+        # a stand-in pool records its size and maps in-process: no process starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        raw = dict(SMALL_SWEEP, trials="12")
+        serial = run_sweep(build_config(dict(raw, **{"output.dir": str(tmp_path / "s")})))
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+        if affinity:
+            monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.delattr(experiment.os, "sched_getaffinity")
+            monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        pooled = run_sweep(build_config(dict(raw, **{"runtime.workers": workers, "output.dir": str(tmp_path / "p")})))
+        assert sizes == [want]
+        for key in ("rows_path", "agg_path"):
+            with open(serial[key], "rb") as fh, open(pooled[key], "rb") as gh:
+                assert fh.read() == gh.read()
+
     def test_sweep_requires_kind(self, tmp_path):
         cfg = build_config({"seed": "1"})
         with pytest.raises(ConfigError, match="sweep.kind"):
-            run_sweep(cfg, out_dir=str(tmp_path))
+            run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
 
 
 def _chain(cfg, users, trial):
@@ -449,7 +576,7 @@ def _assert_monotone_and_concave(chain, points):
 
 class TestChainConcavity:
     def test_fig3_chains_are_monotone_and_concave(self):
-        cfg = preset_config("fig3", {"trials": "10"})
+        cfg = load_config(overrides={"trials": "10"}, preset="fig3")
         for users in (2, 4):
             for trial in range(10):
                 _assert_monotone_and_concave(_chain(cfg, users, trial), len(cfg.sweep_values))
@@ -474,6 +601,14 @@ class TestChainConcavity:
             raw["rf.los_reference_gain"] = repr(10.0 ** los_exponent)
         cfg = build_config(raw)
         _assert_monotone_and_concave(_chain(cfg, users, trial), len(cfg.sweep_values))
+
+
+def _cell(value) -> str:
+    """The CSV cell the sweep writes for a reference row's value: empty for
+    None, text as it is, numbers as ``experiment._fmt`` formats them."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else experiment._fmt(value)
 
 
 def _reference_row(value, users, trial, scenario, fs, result):
@@ -569,14 +704,14 @@ class TestBlockChain:
                         assert len(rows) == len(reference[trial])
                         for got, want in zip(rows, reference[trial]):
                             for field in self.FIELDS:
-                                assert got[field] == experiment._fmt(want[field]), (
+                                assert got[field] == _cell(want[field]), (
                                     users, trial, want["sweep_value"], field)
                 assert sorted(seen) == list(trials)
 
     def test_fig3_rows_match_per_row_solves(self):
         # fig3 targets at K = 1, 2, 4 and the same rate fractions at K = 8, 16;
         # each block split is another worker count's view of the trials
-        cfg = preset_config("fig3", {"trials": "10"})
+        cfg = load_config(overrides={"trials": "10"}, preset="fig3")
         splits = ([range(10)], [range(0, 4), range(4, 10)], [[t] for t in (7, 2, 9, 0, 4, 1, 8, 3, 6, 5)])
         for users in (1, 2, 4, 8, 16):
             self._assert_matches_reference(cfg, users, range(10), splits)
@@ -642,7 +777,7 @@ class TestBlockChain:
         on x86_64; another numpy or BLAS may round differently.
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         got = []
         for key in ("rows_path", "agg_path"):
             with open(info[key], "rb") as fh:
@@ -664,14 +799,15 @@ class TestBlockChain:
         round differently.
         """
         if name == "rmin":
-            cfg = preset_config("fig3", {"trials": "5", "sweep.values": "0.5,0.2,0.5", "runtime.workers": workers})
+            cfg = load_config(overrides={"trials": "5", "sweep.values": "0.5,0.2,0.5", "runtime.workers": workers},
+                              preset="fig3")
             folded = {("0.5", k): "10" for k in ("1", "2", "4")}
         else:
             cfg = build_config({"seed": "12", "trials": "5", "sweep.kind": "users", "sweep.values": "2,1,2",
                                 "rate.min_fraction": "0.6", "rf.los_reference_gain": "0.1",
                                 "runtime.workers": workers})
             folded = {("2", "2"): "10"}
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         got = []
         for key in ("rows_path", "agg_path"):
             with open(info[key], "rb") as fh:
@@ -692,8 +828,8 @@ class TestBlockChain:
         with numpy 2.4.6 on x86_64; another numpy or BLAS may round
         differently.
         """
-        cfg = preset_config("fig3", {"trials": "20", "runtime.workers": workers})
-        info = run_sweep(cfg, out_dir=str(tmp_path))
+        cfg = load_config(overrides={"trials": "20", "runtime.workers": workers}, preset="fig3")
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
         digests = []
         for key in ("rows_path", "agg_path"):
             with open(info[key], "rb") as fh:
@@ -726,7 +862,7 @@ class TestAudit:
         monkeypatch.setattr(experiment, "solve_rows", with_nan)
         with warnings.catch_warnings(), pytest.raises(ValueError, match="nan"):
             warnings.simplefilter("ignore")
-            experiment._rmin_chain_block(preset_config("fig3", {"trials": "3"}), 2, range(3))
+            experiment._rmin_chain_block(load_config(overrides={"trials": "3"}, preset="fig3"), 2, range(3))
 
 
 REPORT_DIGEST = "2af7e1dda19444773d83b73e3e1d5b7ff98d35f387dbedda4f04c5cc0991721f"
@@ -735,7 +871,7 @@ ORACLE_PANEL_DIGEST = "5e69d1f9b3756f44d59be06f46b75a4dbf0c8bcc98afee26e43ca6c4f
 
 class TestReportAndSolve:
     def test_fig4_report(self, tmp_path):
-        cfg = preset_config("fig4", {"output.dir": str(tmp_path)})
+        cfg = load_config(overrides={"output.dir": str(tmp_path)}, preset="fig4")
         info = run_report(cfg)
         rows = read_rows(info["report_path"])
         assert len(rows) == 4
@@ -885,6 +1021,38 @@ class TestCli:
     def test_seed_override(self, tmp_path, capsys):
         code = cli_main(["solve", "--preset", "fig4", "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_flags_over_file_over_preset(self, tmp_path, monkeypatch):
+        seen = []
+
+        def report(cfg):
+            seen.append(cfg)
+            return {"report_path": os.path.join(cfg.output_dir, "r.csv"), "status": "converged"}
+
+        monkeypatch.setattr(cli, "run_report", report)
+        path = tmp_path / "c.txt"
+        path.write_text(f"seed = 7\ntrials = 3\nusers.count = 2\noutput.dir = {tmp_path / 'file'}\n")
+        argv = ["report", "--preset", "fig4", "--config", str(path)]
+        assert cli_main(argv) == 0
+        assert cli_main(argv + ["--seed", "9", "--trials", "6", "--out", str(tmp_path / "flag")]) == 0
+        from_file, from_flags = seen
+        assert (from_file.seed, from_file.trials, from_file.output_dir) == (7, 3, str(tmp_path / "file"))
+        assert (from_flags.seed, from_flags.trials, from_flags.output_dir) == (9, 6, str(tmp_path / "flag"))
+        for cfg in seen:
+            assert cfg.users_count == 2 and cfg.r_min_fraction == 0.6  # file over preset, preset kept
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--oracle", "--config", "--preset", "--seed", "--trials", "--out"]),
+        ("sweep", ["--config", "--preset", "--seed", "--trials", "--out"]),
+        ("report", ["--config", "--preset", "--seed", "--trials", "--out"]),
+    ])
+    def test_help_lists_the_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as stop:
+            cli_main([command, "--help"])
+        assert stop.value.code == 0
+        options = capsys.readouterr().out.split("options:\n", 1)[1]
+        assert re.findall(r"^  (-[\w-]+)(?:, (--[\w-]+))?", options, re.M) == [
+            ("-h", "--help"), *((flag, "") for flag in flags)]
 
     def test_cli_imports_without_scipy(self):
         # the package needs numpy only; scipy would add startup time and memory

@@ -13,6 +13,7 @@ Settings resolve in order: built-in defaults, then --preset values, then the
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from vlcrf.dc_solver import STATUS_INFEASIBLE
@@ -31,6 +32,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", help="override the output directory")
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlcrf",

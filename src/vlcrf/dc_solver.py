@@ -104,6 +104,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused here: perspective_grads and perspective_value, which bench/tracing.py
+# counts by name on this module until that count is repointed
 from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_grads, perspective_value
 
 STATUS_CONVERGED = "converged"
@@ -226,7 +228,8 @@ def _clip_to_budget(x: np.ndarray) -> np.ndarray:
     x = np.maximum(x, 0.0)
     total = x.sum(axis=1)
     over = total > 1.0
-    x[over] /= total[over, None]
+    if over.any():
+        x[over] /= total[over, None]
     return x
 
 
@@ -376,6 +379,12 @@ class _Concave:
     def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Objective per row and a supergradient of it, 0 off ``on``.
 
+        The user's and the eavesdropper's terms are one (2, N, K) pass of
+        ``perspective_value`` and ``perspective_grads``, sharing each
+        log1p(a w / tau_ul), with their bits.  Where a w / tau_ul overflows
+        the value here is inf, not ``perspective_value``'s ln form, but such
+        a term is dropped below.
+
         At tau_ul = 0 (or where a w / tau_ul overflows) a term is 0, and its
         superdifferential is that of the perspective's closure: with
         w = 1 - tau_dl > 0 the limit (d/dtau_dl, d/dtau_ul) = (0, log2(a / aE)),
@@ -386,20 +395,31 @@ class _Concave:
         else (-phi'(0), 0) = (-(a - aE) / ln2, 0).
         """
         on, a, a_e = self.on, self.a, self.a_e
+        pair = np.array((a, a_e))
         w = 1.0 - dl
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value = perspective_value(a, w, ul) - perspective_value(a_e, w, ul)
-            du_dl, du_ul = perspective_grads(a, w, ul)
-            dv_dl, dv_ul = perspective_grads(a_e, w, ul)
-            g_dl, g_ul = du_dl - dv_dl, du_ul - dv_ul
-            limit = np.log2(a / a_e)  # inf where aE = 0
+            prod = pair * w
+            log_term = np.log1p(prod / ul)
+            scaled = LN2 * (ul + prod)
+            value = ul * log_term / LN2
+            d_dl = -pair * ul / scaled
+            d_ul = log_term / LN2 - prod / scaled
+            value, g_dl, g_ul = value[0] - value[1], d_dl[0] - d_dl[1], d_ul[0] - d_ul[1]
         # no uplink, or a w / tau_ul beyond the doubles: take the limits at tau_ul -> 0
-        zero = on & ~np.isfinite(g_ul)
-        share = on & ~zero
-        lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
-        corner = zero & (w <= 0.0) & (limit > lam)
-        g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
-        g_dl = np.where(share, g_dl, np.where(corner, (a_e - a) / LN2, 0.0))
+        share = on & np.isfinite(g_ul)
+        zero = on & ~share
+        g_dl, fill = np.where(share, g_dl, 0.0), 0.0
+        if zero.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                limit = np.log2(a / a_e)  # inf where aE = 0
+            corner = zero & (w <= 0.0)
+            if corner.any():
+                lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
+                corner &= limit > lam
+                g_dl = np.where(corner, (a_e - a) / LN2, g_dl)
+                zero &= ~corner
+            fill = np.where(zero, limit, 0.0)
+        g_ul = np.where(share, g_ul, fill)
         return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
@@ -648,7 +668,8 @@ def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndar
     ul_s = np.where(ul < SNAP_THRESHOLD, 0.0, ul)
     dl_s = np.where(dl < SNAP_THRESHOLD, 0.0, dl)
     keep = (r_min > 0.0) & (np.vecdot(c, dl_s) < r_min - 1e-9)
-    dl_s[keep] = dl[keep]
+    if keep.any():
+        dl_s[keep] = dl[keep]
     return dl_s, ul_s
 
 

@@ -25,9 +25,11 @@ answer stays feasible once the constraint relaxes, and the solver keeps
 the better of its start and its own answer.  A users sweep is a chain of
 one target per user count, so each of its solves is a chain's cold first
 link.  The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
-rate target for every trial of the block at once.  A row's bytes do not
-depend on its block, because the solver's row reductions add each row as a
-solve of that row alone would.
+rate target for every trial of the block at once, so each user count's
+trials split into only as many blocks as it takes to give every worker a
+task (``run_sweep``), and the pool takes the largest user counts first.  A
+row's bytes do not depend on its block, because the solver's row
+reductions add each row as a solve of that row alone would.
 
 The block path is column-wise from the channel draws to the CSV bytes.
 ``scenario_block`` draws a block's scenarios straight into (N, K) arrays,
@@ -47,7 +49,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -681,12 +682,14 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
     for idx in sorted(range(len(targets)), key=lambda i: -targets[i]):
         r_min = targets[idx] * bound if fraction else np.full(n, targets[idx])
         r_min_t[idx] = r_min
-        live = np.flatnonzero(r_min <= bound)
-        if not live.size:
+        fits = r_min <= bound
+        if not fits.any():
             continue
-        new = live[~chained[live]]
-        chain_dl[new], chain_ul[new] = initial_rows(c[new], r_min[new])
-        chained[live] = True
+        live = slice(None) if fits.all() else fits  # every trial: the whole arrays, not gathers of them
+        new = fits & ~chained
+        if new.any():
+            chain_dl[new], chain_ul[new] = initial_rows(c[new], r_min[new])
+            chained |= new
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
         out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
@@ -735,28 +738,28 @@ def _csv_text(rows) -> str:
 def _chain_csv(label, users: int, trials: range | list[int], chain: ChainBlock, idx: int) -> str:
     """CSV text (``ROW_COLUMNS``) of target ``idx``'s rows, in trial order.
 
-    Cells are formatted a column at a time, ``repr`` of each float, the
+    Each line is one %-format of its row: ``repr`` of each float, the
     per-user fractions joined with "," in one cell; an infeasible row has
-    empty value and fraction cells.
+    empty value and fraction cells.  The lines are what ``csv.writer``
+    writes: a fraction cell of K >= 2 is the only cell with a comma, so
+    those cells alone are quoted.
     """
-    ok = chain.feasible[idx].tolist()
-
-    def floats(values: np.ndarray) -> list[str]:
-        return [repr(v) if f else "" for v, f in zip(values.tolist(), ok)]
-
-    def packed(taus: np.ndarray) -> list[str]:
-        return [",".join(map(repr, row)) if f else "" for row, f in zip(taus.tolist(), ok)]
-
-    status = [
-        (STATUS_CONVERGED if conv else STATUS_MAX_ITERATIONS) if f else STATUS_INFEASIBLE
-        for conv, f in zip(chain.converged[idx].tolist(), ok)
-    ]
-    return _csv_text(zip(
-        repeat(_fmt(label)), repeat(str(users)), map(str, trials), map(repr, chain.r_min[idx].tolist()),
-        floats(chain.objective[idx]), floats(chain.clamped[idx]), floats(chain.dl_rate[idx]),
-        packed(chain.tau_dl[idx]), packed(chain.tau_ul[idx]),
-        map(str, chain.iterations[idx].tolist()), status,
-    ))
+    cell = ",".join(["%r"] * users)
+    if users > 1:
+        cell = f'"{cell}"'
+    prefix = f"{_fmt(label)},{users},"
+    solved = prefix + f"%d,%r,%r,%r,%r,{cell},{cell},%d,%s\n"
+    unsolved = prefix + f"%d,%r,,,,,,%d,{STATUS_INFEASIBLE}\n"
+    status = [STATUS_CONVERGED if conv else STATUS_MAX_ITERATIONS for conv in chain.converged[idx].tolist()]
+    rows = zip(
+        trials, chain.r_min[idx].tolist(), chain.objective[idx].tolist(), chain.clamped[idx].tolist(),
+        chain.dl_rate[idx].tolist(), *chain.tau_dl[idx].T.tolist(), *chain.tau_ul[idx].T.tolist(),
+        chain.iterations[idx].tolist(), status,
+    )
+    return "".join(
+        solved % row if ok else unsolved % (row[0], row[1], row[-2])
+        for row, ok in zip(rows, chain.feasible[idx].tolist())
+    )
 
 
 def _sweep_task(payload) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -783,13 +786,16 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     aggregate per (sweep value, user count); repeated sweep values fold
     into one aggregate.  Infeasible points are recorded with status
     "infeasible" rather than dropped.  Both sweep kinds run one block chain
-    task per (user count, trial block), the trials split into one
-    contiguous block per worker, with no more workers than usable CPUs.
-    Each task formats its own rows' CSV text; the text goes out ordered by
-    user count, then sweep value, then block, and the aggregates see each
+    task per (user count, trial block), with no more workers than usable
+    CPUs.  Each user count's trials split into ceil(workers / user counts)
+    contiguous blocks, the fewest that give every worker a task: a block
+    pays a fixed cost per rate target, whatever its row count.  The pool
+    takes the tasks largest user count first, the longest first.  Each task
+    formats its own rows' CSV text; the text goes out ordered by user
+    count, then sweep value, then block, and the aggregates see each
     group's solved values concatenated in that row order.  A row's bytes do
-    not depend on its block, and the tasks come back in task order, so the
-    worker count never changes bytes.
+    not depend on its block, and the results are put back in task order
+    before the text is joined, so the worker count never changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -804,15 +810,19 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
     workers = min(cfg.workers or cpus, cpus)
-    size = -(-cfg.trials // workers)  # one block per worker
+    per_count = -(-workers // len(k_values))  # blocks per user count
+    size = -(-cfg.trials // per_count)
     blocks = [range(first, min(first + size, cfg.trials)) for first in range(0, cfg.trials, size)]
     tasks = [(cfg, users, block) for users in k_values for block in blocks]
-    workers = max(1, min(workers, len(tasks)))
+    workers = min(workers, len(tasks))
     if workers == 1:
         results = [_sweep_task(t) for t in tasks]
     else:
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+        results = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+            for i, result in zip(order, pool.map(_sweep_task, [tasks[i] for i in order])):
+                results[i] = result
 
     text: list[str] = []
     groups: dict[tuple, list[list[np.ndarray]]] = {}  # (users, sweep value) -> per chunk, its solved values

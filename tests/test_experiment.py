@@ -403,6 +403,41 @@ class TestScenarioBlock:
             generate_scenario(build_config({"seed": "3"}), -1)
 
 
+class _InlinePool:
+    """A stand-in ``ProcessPoolExecutor`` that maps in-process and records
+    its size and the (user count, trial block) of each task, in submission
+    order: no process starts."""
+
+    def __init__(self, max_workers):
+        self.size = max_workers
+        self.tasks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = [(users, block) for _, users, block in tasks]
+        return map(fn, tasks)
+
+
+def _inline_pool(monkeypatch, cpus: int | None) -> list[_InlinePool]:
+    """Make ``run_sweep`` use ``_InlinePool``, with ``cpus`` usable CPUs
+    (None: leave the CPU count alone); returns the pools it creates."""
+    pools = []
+
+    def make(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", make)
+    if cpus is not None:
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return pools
+
+
 SMALL_SWEEP = {
     "seed": "42",
     "trials": "2",
@@ -517,35 +552,40 @@ class TestRunSweep:
         ("auto", 3, False, 3),  # no sched_getaffinity: os.cpu_count()
     ])
     def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch, workers, cpus, affinity, want):
-        # a stand-in pool records its size and maps in-process: no process starts
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         raw = dict(SMALL_SWEEP, trials="12")
         serial = run_sweep(build_config(dict(raw, **{"output.dir": str(tmp_path / "s")})))
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
-        if affinity:
-            monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        else:
+        pools = _inline_pool(monkeypatch, cpus if affinity else None)
+        if not affinity:
             monkeypatch.delattr(experiment.os, "sched_getaffinity")
             monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         pooled = run_sweep(build_config(dict(raw, **{"runtime.workers": workers, "output.dir": str(tmp_path / "p")})))
-        assert sizes == [want]
+        assert [pool.size for pool in pools] == [want]
         for key in ("rows_path", "agg_path"):
             with open(serial[key], "rb") as fh, open(pooled[key], "rb") as gh:
                 assert fh.read() == gh.read()
+
+    def test_one_block_per_user_count_when_that_fills_the_workers(self, tmp_path, monkeypatch):
+        # each solve_rows call is one (block, rate target) step
+        calls = []
+        solve_rows = experiment.solve_rows
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return solve_rows(*args)
+
+        monkeypatch.setattr(experiment, "solve_rows", counted)
+        pools = _inline_pool(monkeypatch, 2)
+        # fig3 at 2 workers: three user counts, one block each, largest first
+        cfg = load_config(overrides={"trials": "5", "runtime.workers": "2"}, preset="fig3")
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "fig3")))
+        assert calls == [5] * (3 * 20)
+        assert pools[0].size == 2 and pools[0].tasks == [(4, range(5)), (2, range(5)), (1, range(5))]
+        # one user count at 2 workers: two blocks
+        calls.clear()
+        raw = dict(SMALL_SWEEP, trials="5", **{"runtime.workers": "2", "output.dir": str(tmp_path / "one")})
+        run_sweep(build_config(raw))
+        assert calls == [3] * 4 + [2] * 4
+        assert pools[1].size == 2 and pools[1].tasks == [(1, range(3)), (1, range(3, 5))]
 
     def test_sweep_requires_kind(self, tmp_path):
         cfg = build_config({"seed": "1"})
@@ -689,6 +729,27 @@ USERS_SWEEPS = {
 }
 
 
+# sha256 of (sweep_rows.csv, sweep_agg.csv); see the pinned tests for their history
+USERS_SWEEP_DIGESTS = {
+    "fraction": ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
+                 "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"],
+    "absolute": ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
+                 "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"],
+}
+FIG3_DIGESTS = [  # fig3 preset at 20 trials
+    "169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
+    "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02",
+]
+
+
+def _digests(info) -> list[str]:
+    got = []
+    for key in ("rows_path", "agg_path"):
+        with open(info[key], "rb") as fh:
+            got.append(hashlib.sha256(fh.read()).hexdigest())
+    return got
+
+
 class TestBlockChain:
     FIELDS = experiment.ROW_COLUMNS + ("gap_bits",)
 
@@ -760,12 +821,7 @@ class TestBlockChain:
         assert mid_block_infeasible >= 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("name, digests", [
-        ("fraction", ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
-                      "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"]),
-        ("absolute", ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
-                      "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"]),
-    ])
+    @pytest.mark.parametrize("name, digests", USERS_SWEEP_DIGESTS.items())
     def test_users_sweep_bytes_pinned(self, tmp_path, workers, name, digests):
         """Users sweeps write pinned bytes at 1 and 2 workers.
 
@@ -778,11 +834,7 @@ class TestBlockChain:
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        got = []
-        for key in ("rows_path", "agg_path"):
-            with open(info[key], "rb") as fh:
-                got.append(hashlib.sha256(fh.read()).hexdigest())
-        assert got == digests
+        assert _digests(info) == digests
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name, digests", [
@@ -808,14 +860,10 @@ class TestBlockChain:
                                 "runtime.workers": workers})
             folded = {("2", "2"): "10"}
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        got = []
-        for key in ("rows_path", "agg_path"):
-            with open(info[key], "rb") as fh:
-                got.append(hashlib.sha256(fh.read()).hexdigest())
         agg = read_rows(info["agg_path"])
         assert len({(r["sweep_value"], r["users"]) for r in agg}) == len(agg)
         assert {key: r["rows"] for r in agg if (key := (r["sweep_value"], r["users"])) in folded} == folded
-        assert got == digests
+        assert _digests(info) == digests
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_fig3_sweep_bytes_pinned(self, tmp_path, workers):
@@ -830,14 +878,25 @@ class TestBlockChain:
         """
         cfg = load_config(overrides={"trials": "20", "runtime.workers": workers}, preset="fig3")
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        digests = []
-        for key in ("rows_path", "agg_path"):
-            with open(info[key], "rb") as fh:
-                digests.append(hashlib.sha256(fh.read()).hexdigest())
-        assert digests == [
-            "169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
-            "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02",
-        ]
+        assert _digests(info) == FIG3_DIGESTS
+
+    @pytest.mark.parametrize("cpus", [3, 4])
+    @pytest.mark.parametrize("name", ["fig3", "users"])
+    def test_bytes_pinned_at_more_workers(self, tmp_path, monkeypatch, cpus, name):
+        """The pinned fig3 and users-sweep bytes at 3 and 4 workers, where a
+        user count may run as several blocks and the tasks go to the pool in
+        another order; the pool is the in-process stand-in."""
+        pools = _inline_pool(monkeypatch, cpus)
+        if name == "fig3":
+            cfg, want = load_config(overrides={"trials": "20"}, preset="fig3"), FIG3_DIGESTS
+        else:
+            cfg, want = build_config(USERS_SWEEPS["fraction"]), USERS_SWEEP_DIGESTS["fraction"]
+        info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+        assert _digests(info) == want
+        (pool,) = pools
+        counts = [users for users, _ in pool.tasks]
+        assert pool.size == cpus and counts == sorted(counts, reverse=True)
+        assert len(counts) == -(-cpus // len(set(counts))) * len(set(counts))  # blocks per user count
 
 
 class TestAudit:
@@ -1053,6 +1112,47 @@ class TestCli:
         options = capsys.readouterr().out.split("options:\n", 1)[1]
         assert re.findall(r"^  (-[\w-]+)(?:, (--[\w-]+))?", options, re.M) == [
             ("-h", "--help"), *((flag, "") for flag in flags)]
+
+    def test_parser_built_once_answers_as_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        # main() keeps one parser per process: a run of calls through it
+        # prints, writes and exits as the same calls through a fresh parser each
+        out = str(tmp_path / "out")
+        config = tmp_path / "serial.cfg"
+        config.write_text("runtime.workers = 1\n")
+        calls = [
+            ["solve", "--preset", "fig4", "--out", out],
+            ["sweep", "--preset", "fig3", "--trials", "2", "--config", str(config), "--out", out],
+            ["sweep", "--bogus"],
+            ["report", "--preset", "fig4", "--seed", "3", "--out", out],
+            ["solve", "--preset", "fig4", "--trials", "x"],
+            ["sweep", "--preset", "fig4", "--out", out],
+            ["report", "--help"],
+            ["solve", "--preset", "fig4", "--seed", "5", "--out", out],
+        ]
+
+        def run_all():
+            seen = []
+            for argv in calls:
+                try:
+                    code = cli_main(argv)
+                except SystemExit as stop:
+                    code = f"exit {stop.code}"
+                printed = capsys.readouterr()
+                files = {}
+                for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+                    with open(os.path.join(out, name), "rb") as fh:
+                        files[name] = fh.read()
+                seen.append((code, printed.out, printed.err, files))
+            return seen
+
+        assert cli._build_parser() is cli._build_parser()
+        reused = run_all()
+        for name in os.listdir(out):
+            os.remove(os.path.join(out, name))
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert run_all() == reused
+        assert [code for code, *_ in reused] == [0, 0, "exit 2", 0, "exit 2", 2, "exit 0", 0]
 
     def test_cli_imports_without_scipy(self):
         # the package needs numpy only; scipy would add startup time and memory

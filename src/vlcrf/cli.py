@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     flags = {"seed": args.seed, "trials": args.trials, "output.dir": args.out}
     overrides = {key: str(value) for key, value in flags.items() if value is not None}
     try:
-        cfg = load_config(args.config or None, overrides, preset=args.preset)  # --config "" reads no file
+        cfg = load_config(args.config, overrides, preset=args.preset)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

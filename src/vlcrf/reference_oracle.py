@@ -21,12 +21,22 @@ the cross product of downlink and uplink pairs to one pass over the
   k2 in that run.
 
 A maximum is exact and fl(x + .) is monotone, so both steps hold bit for
-bit: the search returns the maximum of the full cross product.  RM comes
-from a sparse table over the user-2 DL levels (the maxima of 2**l
-consecutive levels; a run is covered by two overlapping windows).  It is
-built one level at a time and each level answers its queries before the
-next replaces it, so the extra memory stays O(|user-2 DL levels| x
-|user-1 UL levels|), without a log factor.
+bit: the search returns the maximum of the full cross product.  RM is read
+off the run ends where it can: a column of R2[:, m(j1)] that never rises
+along the user-2 DL axis has each run's maximum in the run's first row, one
+that never falls in its last row.  In fig4's two-user scenarios every
+column is monotone (a user's value falls with its DL level where a > aE and
+rises where a < aE).  The other columns (mixed steps or nan) fall back
+to a sparse table over the user-2 DL levels (the maxima of 2**l consecutive
+levels; a run is covered by two overlapping windows).  It is built one
+level at a time and each level answers its queries before the next
+replaces it, so the extra memory stays O(|user-2 DL levels| x |user-1 UL
+levels|), without a log factor.
+
+The levels of a window are np.linspace's, built by its own arithmetic
+(k * step + lo, the last level set to hi) without its per-call overhead;
+the value tables are filled in place, and user 1's only on the DL levels
+that admit a user-2 level and the UL levels that admit one.
 
 Ties go to the lowest DL pair in row-major (k1, k2) order, then the lowest
 user-1 UL level, then the lowest user-2 UL level: k1 is the first row that
@@ -75,35 +85,48 @@ class OracleComparison:
 def _pair_table(a: float, a_e: float, dl_levels: np.ndarray, ul_levels: np.ndarray) -> np.ndarray:
     """Per-user objective table over (dl level, ul level), tau_ul = 0 extended."""
     leftover = 1.0 - dl_levels[:, None]
-    t = ul_levels[None, :]
-    safe_t = np.where(t > 0.0, t, 1.0)
-    u = np.where(t > 0.0, t * np.log1p(a * leftover / safe_t) / LN2, 0.0)
-    v = np.where(t > 0.0, t * np.log1p(a_e * leftover / safe_t) / LN2, 0.0)
-    return u - v
+    shared = ul_levels > 0.0
+    safe_t = np.where(shared, ul_levels, 1.0)
+    u = a * leftover / safe_t
+    v = a_e * leftover / safe_t
+    for x in (u, v):  # t * log1p(x) / ln 2, in place
+        np.log1p(x, out=x)
+        x *= ul_levels
+        x /= LN2
+    u -= v
+    u[:, ~shared] = 0.0
+    return u
 
 
 def _levels(lo: float, hi: float, n: int, extra=()) -> np.ndarray:
-    pts = np.linspace(lo, hi, n)
+    """np.linspace(lo, hi, n) by its own arithmetic, plus the ``extra`` points inside."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    pts = np.arange(n, dtype=np.float64)
+    if step == 0.0:  # a zero or subnormal width: linspace divides first, then scales
+        pts /= n - 1
+        pts *= delta
+    else:
+        pts *= step
+    pts += lo
+    pts[-1] = hi
     extras = [e for e in extra if lo <= e <= hi]
     if extras:
         pts = np.unique(np.concatenate([pts, np.array(extras)]))
     return pts
 
 
-def _search_k1(s, fs, spec, windows):
-    a = float(s.a_user()[0])
-    a_e = float(s.a_eve()[0])
-    c = float(fs.rate_coeffs[0])
+def _search_k1(a, a_e, c, r_min, spec, windows):
     (dlo, dhi), (ulo, uhi) = windows
-    boundary = (fs.r_min / c,) if (fs.r_min > 0.0 and c > 0.0) else ()
+    boundary = (r_min / c[0],) if (r_min > 0.0 and c[0] > 0.0) else ()
     dl = _levels(dlo, dhi, spec.resolution, boundary)
     ul = _levels(ulo, uhi, spec.resolution)
-    if fs.r_min > 0.0:
-        dl = dl[c * dl >= fs.r_min]
+    if r_min > 0.0:
+        dl = dl[c[0] * dl >= r_min]
     if dl.size == 0 or ul.size == 0:
         return None
-    table = _pair_table(a, a_e, dl, ul)
-    i, j = np.unravel_index(np.argmax(table), table.shape)
+    table = _pair_table(a[0], a_e[0], dl, ul)
+    i, j = divmod(int(np.argmax(table)), table.shape[1])
     return float(table[i, j]), (float(dl[i]),), (float(ul[j]),)
 
 
@@ -134,26 +157,42 @@ def _range_max(table, lo, span):
     return out
 
 
-def _search_k2(s, fs, spec, windows):
-    a = s.a_user()
-    a_e = s.a_eve()
-    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
+def _run_max(table, lo, span):
+    """``_range_max(table, lo, span)``, read off the run ends where a column is monotone.
+
+    A column that never rises along axis 0 has each run's maximum in the
+    run's first row, one that never falls in its last row; the others (mixed
+    steps or nan) go through ``_range_max``.  The tables hold no -0.0, so a
+    run's first or last row is its maximum bit for bit.
+    """
+    falls = np.all(table[1:] <= table[:-1], axis=0)
+    if falls.all():
+        return table[lo]
+    rises = np.all(table[1:] >= table[:-1], axis=0)
+    out = np.where(falls, table[lo], table[lo + span - 1])
+    rest = np.flatnonzero(~(falls | rises))
+    if rest.size:
+        out[:, rest] = _range_max(table[:, rest], lo, span)
+    return out
+
+
+def _search_k2(a, a_e, c, r_min, spec, windows):
     (d1lo, d1hi), (d2lo, d2hi), (u1lo, u1hi), (u2lo, u2hi) = windows
     d1 = _levels(d1lo, d1hi, spec.resolution)
     d2 = _levels(d2lo, d2hi, spec.resolution)
-    if fs.r_min > 0.0:
+    if r_min > 0.0:
         # put the exact rate boundary in the candidate set along each axis
         if c[1] > 0.0:
-            cand = (fs.r_min - c[0] * d1) / c[1]
+            cand = (r_min - c[0] * d1) / c[1]
             d2 = np.unique(np.concatenate([d2, cand[(cand >= d2lo) & (cand <= d2hi)]]))
         if c[0] > 0.0:
-            cand = (fs.r_min - c[1] * d2) / c[0]
+            cand = (r_min - c[1] * d2) / c[0]
             d1 = np.unique(np.concatenate([d1, cand[(cand >= d1lo) & (cand <= d1hi)]]))
     u1 = _levels(u1lo, u1hi, spec.resolution)
     u2 = _levels(u2lo, u2hi, spec.resolution)
 
     # the admitted user-2 DL levels of user-1 level k1 form one run lo..lo+span-1
-    ok = _dl_feasible(c, fs.r_min, d1, d2)
+    ok = _dl_feasible(c, r_min, d1, d2)
     span = np.count_nonzero(ok, axis=1)
     rows = np.flatnonzero(span)
     if rows.size == 0:
@@ -166,23 +205,22 @@ def _search_k2(s, fs, spec, windows):
     if js.size == 0:
         return None
 
-    w1 = _pair_table(float(a[0]), float(a_e[0]), d1, u1)
-    w2 = _pair_table(float(a[1]), float(a_e[1]), d2, u2)
-    # user 1 at UL level js[q] plus the best admitted user-2 UL level
-    left = w1[:, js]
-    right = np.maximum.accumulate(w2, axis=1)[:, m[js]]
-    row_best = left[rows] + _range_max(right, lo, span)
-    r, q = np.unravel_index(np.argmax(row_best), row_best.shape)
+    # user 1 at DL level rows[r] and UL level js[q] plus the best admitted user-2 UL level
+    left = _pair_table(a[0], a_e[0], d1[rows], u1[js])
+    w2 = _pair_table(a[1], a_e[1], d2, u2)
+    # np.take keeps the gather C-ordered, so its rows read contiguously below
+    right = np.take(np.maximum.accumulate(w2, axis=1), m[js], axis=1)
+    row_best = left + _run_max(right, lo, span)
+    r, q = divmod(int(np.argmax(row_best)), js.size)
     best = float(row_best[r, q])
     # the first DL row holding the maximum; its run, redone pair by pair,
     # gives the lowest user-2 DL level and then the lowest user-1 UL level
-    k1 = rows[r]
-    block = left[k1] + right[lo[r] : lo[r] + span[r]]
-    p, q = np.unravel_index(np.argmax(block), block.shape)
-    k2, j1 = lo[r] + p, js[q]
+    block = left[r] + right[lo[r] : lo[r] + span[r]]
+    p, q = divmod(int(np.argmax(block)), js.size)
+    k1, k2, j1 = rows[r], lo[r] + p, js[q]
     # first user-2 UL level reaching the maximum; the sum is recomputed because
     # rounding can lift w1 + w2[j2] to best while w2[j2] is below the prefix max
-    j2 = int(np.argmax(w1[k1, j1] + w2[k2, : m[j1] + 1] == best))
+    j2 = int(np.argmax(left[r, q] + w2[k2, : m[j1] + 1] == best))
     dl = (float(d1[k1]), float(d2[k2]))
     ul = (float(u1[j1]), float(u2[j2]))
     return best, dl, ul
@@ -203,12 +241,15 @@ def grid_search(s: ScenarioChannels, fs: FeasibleSet, spec: GridSpec = GridSpec(
         raise ValueError("rate target is infeasible; nothing to search")
 
     search = _search_k1 if s.K == 1 else _search_k2
+    a = s.a_user().tolist()
+    a_e = s.a_eve().tolist()
+    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
     windows = [(0.0, 1.0)] * (2 * s.K)
     best_val = None
     best_dl = best_ul = None
     width = 1.0
     for round_idx in range(spec.refine_rounds + 1):
-        found = search(s, fs, spec, windows)
+        found = search(a, a_e, c, fs.r_min, spec, windows)
         if found is not None:
             val, dl, ul = found
             if best_val is None or val > best_val:

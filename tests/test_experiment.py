@@ -1016,6 +1016,12 @@ class TestCli:
         assert code == 2
         assert "config error" in err
 
+    def test_empty_config_path_exit_two(self, tmp_path, capsys):
+        # an empty path names no file: it fails like any unreadable one
+        code = cli_main(["solve", "--preset", "fig4", "--config", "", "--out", str(tmp_path)])
+        assert code == 2
+        assert "cannot read config file ''" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("led.power", "nan"),
         ("noise.user_dl", "nan"),

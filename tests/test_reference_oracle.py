@@ -139,35 +139,32 @@ def _feasible_dl_pairs(c, r_min, d1, d2):
     return i1, i2
 
 
-def _reference_levels(fs, spec, windows):
+def _reference_levels(c, r_min, spec, windows):
     """The search's (d1, d2, u1, u2) levels, rate-boundary candidates included."""
-    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
     (d1lo, d1hi), (d2lo, d2hi), (u1lo, u1hi), (u2lo, u2hi) = windows
     d1 = reference_oracle._levels(d1lo, d1hi, spec.resolution)
     d2 = reference_oracle._levels(d2lo, d2hi, spec.resolution)
-    if fs.r_min > 0.0:
+    if r_min > 0.0:
         if c[1] > 0.0:
-            cand = (fs.r_min - c[0] * d1) / c[1]
+            cand = (r_min - c[0] * d1) / c[1]
             d2 = np.unique(np.concatenate([d2, cand[(cand >= d2lo) & (cand <= d2hi)]]))
         if c[0] > 0.0:
-            cand = (fs.r_min - c[1] * d2) / c[0]
+            cand = (r_min - c[1] * d2) / c[0]
             d1 = np.unique(np.concatenate([d1, cand[(cand >= d1lo) & (cand <= d1hi)]]))
     u1 = reference_oracle._levels(u1lo, u1hi, spec.resolution)
     u2 = reference_oracle._levels(u2lo, u2hi, spec.resolution)
-    return c, d1, d2, u1, u2
+    return d1, d2, u1, u2
 
 
-def cross_product_search_k2(s, fs, spec, windows):
+def cross_product_search_k2(a, a_e, c, r_min, spec, windows):
     """Reference K = 2 search: every feasible DL pair against every UL pair.
 
     The range-maximum search in reference_oracle must return the same
     maximum and the same argmax bits (lowest DL pair, then user-1 level,
     then user-2 level).
     """
-    a = s.a_user()
-    a_e = s.a_eve()
-    c, d1, d2, u1, u2 = _reference_levels(fs, spec, windows)
-    i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
+    d1, d2, u1, u2 = _reference_levels(c, r_min, spec, windows)
+    i1, i2 = _feasible_dl_pairs(c, r_min, d1, d2)
     if i1.size == 0:
         return None
     j1, j2 = np.nonzero(u1[:, None] + u2[None, :] <= 1.0)
@@ -190,17 +187,15 @@ def cross_product_search_k2(s, fs, spec, windows):
     return best, dl, ul
 
 
-def prefix_max_search_k2(s, fs, spec, windows):
+def prefix_max_search_k2(a, a_e, c, r_min, spec, windows):
     """Second reference K = 2 search: every feasible DL pair against every user-1 UL level.
 
     Each pair adds w1 to the prefix maximum of w2 over the admitted user-2
     UL levels.  It equals the cross product bit for bit and is fast enough to
     check the range-maximum search at resolutions 128 and 256.
     """
-    a = s.a_user()
-    a_e = s.a_eve()
-    c, d1, d2, u1, u2 = _reference_levels(fs, spec, windows)
-    i1, i2 = _feasible_dl_pairs(c, fs.r_min, d1, d2)
+    d1, d2, u1, u2 = _reference_levels(c, r_min, spec, windows)
+    i1, i2 = _feasible_dl_pairs(c, r_min, d1, d2)
     if i1.size == 0:
         return None
     m = np.count_nonzero(u1[:, None] + u2[None, :] <= 1.0, axis=1) - 1
@@ -371,7 +366,18 @@ class TestRangeMaxSearch:
             r_min = (0.0, float(rng.uniform()) * c_max, c_max * (1.0 - 1e-3))[case % 3]
             spec = GridSpec(resolution=int(rng.integers(16, 33)), refine_rounds=int(rng.integers(0, 3)))
             panel.append((s, fs_for(s, r_min), spec))
+        # the bonus makes columns rise and fall along the DL axis, so these
+        # runs take the range-maximum fallback, not only the run ends
+        calls = []
+        range_max = reference_oracle._range_max
+
+        def counting(*args):
+            calls.append(args)
+            return range_max(*args)
+
+        monkeypatch.setattr(reference_oracle, "_range_max", counting)
         fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        assert len(calls) > 0
         monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
         slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
         for i, (got, want) in enumerate(zip(fast, slow)):

@@ -12,7 +12,6 @@ from vlcrf.vlc_channel import (
     PhotodiodeConfig,
     UserTerminal,
     lambertian_order,
-    link_angles,
     concentrator_gain,
     vlc_channel_gain,
 )
@@ -20,20 +19,15 @@ from vlcrf.rf_channel import RicianConfig, FadingSample, los_component, sample_r
 from vlcrf.link_budget import (
     ScenarioChannels,
     Allocation,
-    harvested_energy,
-    ul_power,
-    ul_energy,
     dl_rate_coefficients,
     dl_sum_rate,
     secrecy_capacity_user,
-    objective_value,
 )
 from vlcrf.dc_solver import (
     FeasibleSet,
     DcaSettings,
     DcaResult,
     check_feasibility,
-    initial_allocation,
     dca_solve,
     kkt_residual,
 )

@@ -50,19 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(cfg, args) -> int:
     out = run_solve(cfg, oracle=args.oracle)
-    result = out["result"]
-    print(f"status: {result.status}")
+    print(f"status: {out['status']}")
     print(f"r_min: {out['r_min']!r}")
-    if result.status == STATUS_INFEASIBLE:
+    if out["status"] == STATUS_INFEASIBLE:
         print("rate target exceeds the best achievable DL sum rate")
         return EXIT_INFEASIBLE
-    print(f"objective_bits: {result.objective!r}")
-    print(f"iterations: {result.iterations}")
-    print(f"kkt_residual: {result.gap_bits!r}")  # fixed CLI output: the line carries the same gap
-    print(f"gap_bits: {result.gap_bits!r}")
-    alloc = result.allocation
-    for k in range(alloc.K):
-        print(f"user {k}: tau_dl={float(alloc.tau_dl[k])!r} tau_ul={float(alloc.tau_ul[k])!r}")
+    chain = out["chain"]  # the one row is [0, 0]
+    gap = float(chain.gap_bits[0, 0])
+    print(f"objective_bits: {float(chain.objective[0, 0])!r}")
+    print(f"iterations: {int(chain.iterations[0, 0])}")
+    print(f"kkt_residual: {gap!r}")  # fixed CLI output: the line carries the same gap
+    print(f"gap_bits: {gap!r}")
+    for k, (dl, ul) in enumerate(zip(chain.tau_dl[0, 0].tolist(), chain.tau_ul[0, 0].tolist())):
+        print(f"user {k}: tau_dl={dl!r} tau_ul={ul!r}")
     if "oracle" in out:
         cmp_ = out["oracle"]
         verdict = "pass" if cmp_.passed else "FAIL"

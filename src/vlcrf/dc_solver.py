@@ -69,9 +69,10 @@ is at most ``epsilon``.
 Rows.  The certificate kernels (both repairs, value and gradient, gap and
 the reporting snap) are row-batched: they take (N, K) arrays, one problem
 with its own channels, rate coefficients and r_min per row.
-``dca_solve`` and ``kkt_residual`` pass one row; ``solve_rows`` passes
-many, as both sweeps (r_min and users) do for a block of trials at one
-rate target.
+``solve_rows`` passes many: every command (both sweep kinds, ``report``
+and ``solve``) runs it through the experiment's block chain, one call per
+rate target for a block of trials.  ``dca_solve`` and ``kkt_residual``,
+the single-problem API, pass one row.
 The kernels reduce plain (N, K) rows, to which a user without uplink adds
 exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a C-contiguous block
 adds each row as it adds that row alone, so a row's answer does not depend
@@ -104,8 +105,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here: perspective_grads and perspective_value, which bench/tracing.py
-# counts by name on this module until that count is repointed
+# bench-only: perspective_grads, perspective_value and ``minimize`` below, which
+# bench/tracing.py counts or wraps by name on this module
 from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_grads, perspective_value
 
 STATUS_CONVERGED = "converged"
@@ -117,7 +118,7 @@ BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this clo
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
 
-minimize = None  # unused: bench/tracing.py wraps dc_solver.minimize by name until that span is repointed
+minimize = None  # bench-only, see the imports
 
 
 @dataclass(frozen=True)
@@ -191,20 +192,8 @@ def check_feasibility(fs: FeasibleSet) -> bool:
     return fs.r_min <= float(np.max(fs.rate_coeffs))
 
 
-def initial_allocation(fs: FeasibleSet) -> Allocation:
-    """Deterministic start: rate target covered by the best DL user, uniform UL.
-
-    The best-coefficient user (lowest index on ties) gets just enough DL
-    time for the rate constraint plus a small margin, capped at the frame.
-    """
-    if not check_feasibility(fs):
-        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
-    tau_dl, tau_ul = initial_rows(fs.rate_coeffs[None], np.array([fs.r_min]))
-    return Allocation(tau_dl[0], tau_ul[0])
-
-
 def initial_rows(rate_coeffs: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``initial_allocation`` of N feasible problems: (N, K) DL and UL starts.
+    """Deterministic starts of N feasible problems: (N, K) DL and UL fractions.
 
     Per row, user j = argmax c (lowest index on ties) gets
     min(1, min(1, r_min / c_j) + 1e-6) of the DL frame, or 1e-6 at
@@ -262,21 +251,6 @@ def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> np.ndarray:
         d[short] *= (1.0 - lam)[:, None]
         d[short, j] += lam
     return d
-
-
-def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
-    """Put both blocks back on the feasible polytope, as two lists.
-
-    UL: the feasibility repair ``_repair_ul``, DL: ``_repair_dl``; neither
-    is a projection.  A feasible input comes back unchanged; for any finite
-    input the budgets and the rate target hold up to rounding, and both
-    blocks are >= 0.
-    """
-    if not check_feasibility(fs):
-        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
-    dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64)[None], fs.rate_coeffs[None], np.array([fs.r_min]))
-    ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64)[None], np.ones((1, fs.K), dtype=bool))
-    return dl[0].tolist(), ul[0].tolist()
 
 
 def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
@@ -714,7 +688,7 @@ def dca_solve(
     """Certified solve of the secrecy maximization problem.
 
     Users with a_k <= aE_k are switched off (tau_ul = 0) and the concave
-    rest is solved once from ``initial`` (default initial_allocation).  The
+    rest is solved once from ``initial`` (default ``initial_rows``).  The
     objective is never below that of the start.  ``gap_bits`` bounds the
     distance from the optimum; the status is "converged" iff it is at most
     ``settings.epsilon``; ``kkt_residual`` recomputes the same gap from an
@@ -726,8 +700,12 @@ def dca_solve(
         raise ValueError("feasible set and scenario disagree on the user count")
     if not check_feasibility(fs):
         return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE)
-    start = initial if initial is not None else initial_allocation(fs)
-    out = solve_rows(*_one_row(s, fs), start.tau_dl[None], start.tau_ul[None], settings)
+    a, a_e, c, r_min = _one_row(s, fs)
+    if initial is None:
+        tau_dl, tau_ul = initial_rows(c, r_min)
+    else:
+        tau_dl, tau_ul = initial.tau_dl[None], initial.tau_ul[None]
+    out = solve_rows(a, a_e, c, r_min, tau_dl, tau_ul, settings)
     return DcaResult(
         allocation=Allocation(out.tau_dl[0], out.tau_ul[0]),
         objective=float(out.objective[0]),

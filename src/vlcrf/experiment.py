@@ -17,14 +17,15 @@ All randomness derives from the mandatory seed (>= 0) plus the trial index, so
 any run is reproducible byte for byte: identical configs produce identical
 CSVs regardless of worker count.
 
-One block chain (``_rmin_chain_block``) makes the rows of both sweep
-kinds.  An r_min sweep walks each trial from the highest target downward
-and warm-starts every solve from the previous (tighter) solution, which
-makes the per-trial objective curve monotone by construction: the previous
+One block chain (``_rmin_chain_block``) makes the rows of every command.
+An r_min sweep walks each trial from the highest target downward and
+warm-starts every solve from the previous (tighter) solution, which makes
+the per-trial objective curve monotone by construction: the previous
 answer stays feasible once the constraint relaxes, and the solver keeps
 the better of its start and its own answer.  A users sweep is a chain of
-one target per user count, so each of its solves is a chain's cold first
-link.  The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
+one target per user count, and ``report`` and ``solve`` the chain of one
+target of trial 0, so each of their solves is a chain's cold first link.
+The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
 rate target for every trial of the block at once, so each user count's
 trials split into only as many blocks as it takes to give every worker a
 task (``run_sweep``), and the pool takes the largest user counts first.  A
@@ -35,8 +36,10 @@ The block path is column-wise from the channel draws to the CSV bytes.
 ``scenario_block`` draws a block's scenarios straight into (N, K) arrays,
 the chain keeps each target's results as arrays, and each worker formats
 its own rows' CSV text a column at a time; the parent joins the text and
-computes the aggregates from the concatenated arrays.  ``generate_scenario``
-is ``scenario_block`` of one trial and serves ``report`` and ``solve``.
+computes the aggregates from the concatenated arrays.  ``generate_scenario``,
+``scenario_block`` of one trial as ``ScenarioChannels`` and ``FeasibleSet``,
+is kept for the single-problem API (``dc_solver.dca_solve``); no command
+calls it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bench-only: allocation_violation, clamped_secrecy_sum, dca_solve,
+# dl_rate_coefficients, dl_sum_rate, sample_rician_gain, secrecy_capacity_user
+# and vlc_channel_gain, which bench/tracing.py wraps by name on this module
+# (it also wraps generate_scenario, grid_search and compare)
 from vlcrf.dc_solver import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
@@ -59,15 +66,11 @@ from vlcrf.dc_solver import (
     DcaSettings,
     FeasibleSet,
     allocation_violation,
-    check_feasibility,
     dca_solve,
     initial_rows,
     solve_rows,
     violation_rows,
 )
-# unused here: clamped_secrecy_sum, dl_rate_coefficients, sample_rician_gain and
-# vlc_channel_gain, which bench/tracing.py wraps by name on this module until
-# those spans are repointed
 from vlcrf.link_budget import (
     ScenarioChannels,
     check_fractions,
@@ -77,6 +80,7 @@ from vlcrf.link_budget import (
     dl_sum_rate,
     rate_coefficients,
     secrecy_capacity_user,
+    secrecy_rows,
     snr_constants,
 )
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
@@ -619,11 +623,11 @@ def _audit_row(viol: float, r_min: float) -> None:
 def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, bool]:
     """(row labels, rate targets, whether the targets are fractions of each trial's best rate).
 
-    An r_min sweep labels each row with its target.  A users sweep has one
-    target per user count, ``rate.min_fraction`` or ``rate.min``, and labels
-    its row with the user count.
+    An r_min sweep labels each row with its target.  Any other config (a
+    users sweep, ``report``, ``solve``) has one target, ``rate.min_fraction``
+    or ``rate.min``, and labels its row with the user count.
     """
-    if cfg.sweep_kind != SWEEP_USERS:
+    if cfg.sweep_kind in (SWEEP_RMIN, SWEEP_RMIN_FRACTION):
         return cfg.sweep_values, cfg.sweep_values, cfg.sweep_kind == SWEEP_RMIN_FRACTION
     if cfg.r_min_fraction is not None:
         return (users,), (cfg.r_min_fraction,), True
@@ -650,13 +654,17 @@ class ChainBlock:
     gap_bits: np.ndarray      # (T, N)
 
 
-def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[int]) -> ChainBlock:
-    """A sweep's rows for a block of trials, as per-target arrays.
+def _rmin_chain_block(
+    cfg: ExperimentConfig, users: int, trials: range | list[int], block: ScenarioBlock | None = None,
+) -> ChainBlock:
+    """The rows of ``users`` users for a block of trials, as per-target arrays.
 
-    Both sweep kinds run here, with the targets of ``_chain_targets``: an
-    r_min sweep's whole chain, a users sweep's chain of one.  Every trial
-    walks the targets tightest first, each solve warm-started from the
-    trial's previous raw answer (the first from ``initial_rows``); a target
+    Every command runs here, with the targets of ``_chain_targets``: an
+    r_min sweep's whole chain, and a chain of one for a users sweep and for
+    ``report`` and ``solve``.  ``block`` is the trials' ``scenario_block``
+    at ``users`` users, drawn here when not given.  Every trial walks the
+    targets tightest first, each solve warm-started from the trial's
+    previous raw answer (the first from ``initial_rows``); a target
     beyond a trial's best rate gives an infeasible row and leaves its chain
     as it was.  One ``solve_rows`` call per target solves the block's
     feasible trials together.  Every reported fraction gets
@@ -665,7 +673,8 @@ def _rmin_chain_block(cfg: ExperimentConfig, users: int, trials: range | list[in
     alone gives, byte for byte.
     """
     labels, targets, fraction = _chain_targets(cfg, users)
-    block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
+    if block is None:
+        block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
     a, a_e, c = block.a, block.a_e, block.c
     n, k = c.shape
     shape = (len(targets), n)
@@ -864,40 +873,44 @@ REPORT_COLUMNS = (
 
 
 def run_report(cfg: ExperimentConfig) -> dict:
-    """Solve the seeded scenario (trial 0) and emit the per-user slot report."""
+    """Solve the seeded scenario as ``run_solve`` does and emit the per-user slot report."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    scenario, fs = generate_scenario(cfg, 0)
-    result = dca_solve(scenario, fs, cfg.solver)
+    out = run_solve(cfg)
+    block, chain, status, r_min = out["block"], out["chain"], out["status"], out["r_min"]
     path = os.path.join(cfg.output_dir, REPORT_FILE)
-    if result.status == STATUS_INFEASIBLE:
-        _write_csv(path, f"# infeasible: r_min = {_fmt(fs.r_min)}", REPORT_COLUMNS, "")
-        return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}
-    alloc = result.allocation
-    _audit_row(allocation_violation(fs, alloc), fs.r_min)
-    coeffs = fs.rate_coeffs
-    rows = []
-    for k in range(scenario.K):
-        secrecy = secrecy_capacity_user(scenario, k, float(alloc.tau_dl[k]), float(alloc.tau_ul[k]))
-        rows.append([_fmt(v) for v in (
-            k, alloc.tau_dl[k], alloc.tau_ul[k], scenario.g[k], coeffs[k], secrecy, max(0.0, secrecy),
-        )])
+    info = {"report_path": path, "status": status, "r_min": r_min}
+    if status == STATUS_INFEASIBLE:
+        _write_csv(path, f"# infeasible: r_min = {_fmt(r_min)}", REPORT_COLUMNS, "")
+        return info
+    tau_dl, tau_ul = chain.tau_dl[0], chain.tau_ul[0]
+    secrecy = secrecy_rows(block.a, block.a_e, tau_dl, tau_ul)[0].tolist()
+    columns = zip(tau_dl[0].tolist(), tau_ul[0].tolist(), block.g[0].tolist(), block.c[0].tolist(), secrecy)
+    rows = [[_fmt(v) for v in (k, dl, ul, g, c, s, max(0.0, s))] for k, (dl, ul, g, c, s) in enumerate(columns)]
     comment = (
-        f"# single-scenario allocation report; objective_bits={_fmt(result.objective)} "
-        f"r_min={_fmt(fs.r_min)} dl_rate={_fmt(dl_sum_rate(scenario, alloc))} status={result.status}"
+        f"# single-scenario allocation report; objective_bits={_fmt(chain.objective[0, 0])} "
+        f"r_min={_fmt(r_min)} dl_rate={_fmt(chain.dl_rate[0, 0])} status={status}"
     )
     _write_csv(path, comment, REPORT_COLUMNS, _csv_text(rows))
-    return {"report_path": path, "status": result.status, "result": result, "r_min": fs.r_min}
+    return info
 
 
 def run_solve(cfg: ExperimentConfig, oracle: bool = False) -> dict:
-    """Solve the seeded scenario (trial 0); optionally cross-check the oracle."""
-    scenario, fs = generate_scenario(cfg, 0)
+    """Solve the seeded scenario (trial 0) at its one target, whatever sweep the
+    config sets; optionally cross-check the oracle.  Returns the trial's
+    "block" and "chain", the row's "status" and "r_min", and the "oracle" comparison.
+    """
+    cfg = dataclasses.replace(cfg, sweep_kind=None)
+    block = scenario_block(cfg, [0])
     # an infeasible target skips the oracle, so only a feasible one is refused
-    if oracle and scenario.K > 2 and check_feasibility(fs):
+    if oracle and cfg.users_count > 2 and (cfg.r_min_fraction is not None or cfg.r_min <= block.c.max()):
         raise ConfigError("--oracle supports K <= 2 only (grid search dimensionality)")
-    result = dca_solve(scenario, fs, cfg.solver)
-    out = {"result": result, "r_min": fs.r_min, "scenario": scenario, "fs": fs}
-    if oracle and result.status != STATUS_INFEASIBLE:
-        _, oracle_objective = grid_search(scenario, fs, cfg.oracle_spec)
-        out["oracle"] = compare(result, oracle_objective)
+    chain = _rmin_chain_block(cfg, cfg.users_count, [0], block)
+    if not chain.feasible[0, 0]:
+        status = STATUS_INFEASIBLE
+    else:
+        status = STATUS_CONVERGED if chain.converged[0, 0] else STATUS_MAX_ITERATIONS
+    out = {"block": block, "chain": chain, "status": status, "r_min": float(chain.r_min[0, 0])}
+    if oracle and status != STATUS_INFEASIBLE:
+        *_, oracle_objective = grid_search(block.a[0], block.a_e[0], block.c[0], out["r_min"], cfg.oracle_spec)
+        out["oracle"] = compare(float(chain.objective[0, 0]), oracle_objective)
     return out

@@ -1,4 +1,4 @@
-"""Energy harvesting, rates, secrecy capacity and their derivatives.
+"""Rates, secrecy capacity and their derivatives.
 
 Per user k the uplink secrecy contribution is a difference of two
 perspective terms
@@ -146,34 +146,6 @@ def _check_index(s: ScenarioChannels, k: int) -> None:
         raise IndexError(f"user index {k} out of range for K = {s.K}")
 
 
-def harvested_energy(s: ScenarioChannels, k: int, tau_dl_k: float) -> float:
-    """Energy harvested by user k while not receiving: eta I_D^2 g^2 (1 - tau_dl)."""
-    _check_index(s, k)
-    if not 0.0 <= tau_dl_k <= 1.0:
-        raise ValueError(f"tau_dl_k must lie in [0, 1], got {tau_dl_k!r}")
-    return s.eta * s.i_d**2 * float(s.g[k]) ** 2 * (1.0 - tau_dl_k)
-
-
-def ul_power(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
-    """Uplink transmit power: the harvested energy spread over the UL slot."""
-    if tau_ul_k <= 0.0:
-        raise ValueError("UL power is undefined at tau_ul = 0; use the rate limit instead")
-    return harvested_energy(s, k, tau_dl_k) / tau_ul_k
-
-
-def ul_energy(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
-    """Energy spent in the UL slot, i.e. ul_power * tau_ul in cancelled form.
-
-    Evaluating the product in floating point would reintroduce the division
-    rounding of ul_power; evaluating it in the algebraically cancelled
-    expression order reproduces harvested_energy bit for bit, which keeps
-    the energy accounting exactly conservative.
-    """
-    if tau_ul_k <= 0.0:
-        raise ValueError("no UL slot to spend energy in (tau_ul = 0)")
-    return harvested_energy(s, k, tau_dl_k)
-
-
 def dl_rate_coefficients(s: ScenarioChannels) -> np.ndarray:
     """Per-user DL spectral efficiency c_k, bits/s/Hz of allocated slot.
 
@@ -259,26 +231,22 @@ def secrecy_capacity_user(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k
     return perspective_value(a, leftover, tau_ul_k) - perspective_value(a_e, leftover, tau_ul_k)
 
 
-def objective_value(s: ScenarioChannels, alloc: Allocation) -> float:
-    """Sum of per-user secrecy capacities (continuous extension at tau_ul=0)."""
-    if alloc.K != s.K:
-        raise ValueError("allocation size does not match scenario")
-    leftover = 1.0 - alloc.tau_dl
-    u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
-    v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
-    return float(np.sum(u - v))
+def secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """``secrecy_capacity_user`` of every user of N allocations: (N, K), signed.
 
-
-def clamped_secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """``clamped_secrecy_sum`` of N allocations at once.
-
-    (N, K) SNR constants (``a_user``, ``a_eve``) and fractions; one sum per
-    row, added user by user in user order: the CSV bytes depend on it.
+    (N, K) SNR constants (``a_user``, ``a_eve``) and fractions.
     """
     if np.any(tau_dl > 1.0):
         raise ValueError("tau_dl entries must lie in [0, 1]")
     leftover = 1.0 - tau_dl
-    terms = np.maximum(perspective_value(a, leftover, tau_ul) - perspective_value(a_e, leftover, tau_ul), 0.0)
+    return perspective_value(a, leftover, tau_ul) - perspective_value(a_e, leftover, tau_ul)
+
+
+def clamped_secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """``clamped_secrecy_sum`` of N allocations at once: ``secrecy_rows``
+    clamped at 0, one sum per row, added user by user in user order (the
+    CSV bytes depend on it)."""
+    terms = np.maximum(secrecy_rows(a, a_e, tau_dl, tau_ul), 0.0)
     total = np.zeros(terms.shape[0])
     for k in range(terms.shape[1]):
         total += terms[:, k]

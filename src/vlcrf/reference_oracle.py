@@ -3,7 +3,9 @@
 Exhaustively evaluates the secrecy objective on a feasibility-filtered
 grid over the time-slot box, then refines locally around the incumbent.
 The oracle is one-sided: it produces a certified feasible lower bound on
-the optimum.
+the optimum.  It takes one problem as a row, the users' and the
+eavesdropper's SNR constants, the rate coefficients and r_min, and shares
+no code with the solver; ``compare`` checks a solver objective against it.
 
 For K = 2 the objective is w1[k1, j1] + w2[k2, j2], one value table per
 user over (downlink level, uplink level).  The levels ascend, and rounded
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vlcrf.dc_solver import DcaResult, FeasibleSet, check_feasibility
-from vlcrf.link_budget import LN2, Allocation, ScenarioChannels
+from vlcrf.link_budget import LN2
 
 
 @dataclass(frozen=True)
@@ -226,30 +227,33 @@ def _search_k2(a, a_e, c, r_min, spec, windows):
     return best, dl, ul
 
 
-def grid_search(s: ScenarioChannels, fs: FeasibleSet, spec: GridSpec = GridSpec()):
-    """Best feasible grid point, refined locally; returns (Allocation, objective).
+def grid_search(a, a_e, rate_coeffs, r_min: float, spec: GridSpec = GridSpec()):
+    """Best feasible grid point of one problem, refined locally; returns (tau_dl, tau_ul, objective).
 
-    Supports K in {1, 2}: the search space is the raw polytope (uplink
-    fractions may be exactly 0 through the continuous objective extension),
-    so the oracle value is a true lower bound on the optimum.
+    ``a``, ``a_e`` (the users' and the eavesdropper's SNR constants) and
+    ``rate_coeffs`` hold one entry per user, K in {1, 2}.  The search space
+    is the raw polytope (uplink fractions may be exactly 0 through the
+    continuous objective extension), so the oracle value is a true lower
+    bound on the optimum.
     """
-    if s.K > 2:
+    a = np.asarray(a, dtype=np.float64).tolist()
+    a_e = np.asarray(a_e, dtype=np.float64).tolist()
+    c = np.asarray(rate_coeffs, dtype=np.float64)
+    k = len(a)
+    if not 1 <= k <= 2:
         raise ValueError("grid oracle supports K <= 2 only")
-    if fs.K != s.K:
-        raise ValueError("feasible set and scenario disagree on the user count")
-    if not check_feasibility(fs):
+    if not len(a_e) == c.shape[0] == k:
+        raise ValueError("the SNR constants and rate coefficients disagree on the user count")
+    if not r_min <= float(np.max(c)):
         raise ValueError("rate target is infeasible; nothing to search")
 
-    search = _search_k1 if s.K == 1 else _search_k2
-    a = s.a_user().tolist()
-    a_e = s.a_eve().tolist()
-    c = np.asarray(fs.rate_coeffs, dtype=np.float64)
-    windows = [(0.0, 1.0)] * (2 * s.K)
+    search = _search_k1 if k == 1 else _search_k2
+    windows = [(0.0, 1.0)] * (2 * k)
     best_val = None
     best_dl = best_ul = None
     width = 1.0
     for round_idx in range(spec.refine_rounds + 1):
-        found = search(a, a_e, c, fs.r_min, spec, windows)
+        found = search(a, a_e, c, r_min, spec, windows)
         if found is not None:
             val, dl, ul = found
             if best_val is None or val > best_val:
@@ -261,22 +265,21 @@ def grid_search(s: ScenarioChannels, fs: FeasibleSet, spec: GridSpec = GridSpec(
         windows = [
             (max(0.0, cen - width / 2.0), min(1.0, cen + width / 2.0)) for cen in center
         ]
-    alloc = Allocation(np.array(best_dl), np.array(best_ul))
-    return alloc, best_val
+    return np.array(best_dl), np.array(best_ul), best_val
 
 
-def compare(dca: DcaResult, oracle_objective: float, rel_tol: float = 1e-3) -> OracleComparison:
-    """One-sided check: the solver may beat the grid but not trail it.
+def compare(objective: float, oracle_objective: float, rel_tol: float = 1e-3) -> OracleComparison:
+    """One-sided check of a solver ``objective``: the solver may beat the grid but not trail it.
 
-    Passes iff dca.objective >= oracle - rel_tol * max(1, |oracle|); the
-    reported gap is oracle - dca (positive when the solver trails).
+    Passes iff objective >= oracle - rel_tol * max(1, |oracle|); the
+    reported gap is oracle - objective (positive when the solver trails).
     """
-    gap = oracle_objective - dca.objective
+    gap = oracle_objective - objective
     slack = rel_tol * max(1.0, abs(oracle_objective))
     return OracleComparison(
-        passed=bool(dca.objective >= oracle_objective - slack),
+        passed=bool(objective >= oracle_objective - slack),
         gap=float(gap),
-        dca_objective=float(dca.objective),
+        dca_objective=float(objective),
         oracle_objective=float(oracle_objective),
         rel_tol=float(rel_tol),
     )

@@ -58,7 +58,7 @@ def los_component(cfg: RicianConfig, distance: float) -> float:
 
 
 def mixing_weights(cfg: RicianConfig, mixing: str = MIXING_NORMALIZED) -> tuple[float, float]:
-    """(LOS weight, scatter weight) of a mixing rule; see ``sample_rician_gains``."""
+    """(LOS weight, scatter weight) of a mixing rule; see ``sample_rician_gain``."""
     k = cfg.k_factor
     w_los = math.sqrt(k / (1.0 + k))
     if mixing == MIXING_NORMALIZED:
@@ -71,7 +71,7 @@ def mixing_weights(cfg: RicianConfig, mixing: str = MIXING_NORMALIZED) -> tuple[
 def rician_mix(los, re, im, weights: tuple[float, float]) -> np.ndarray:
     """|w_los LOS + w_nlos LOS (re + j im) / sqrt(2)| per draw.
 
-    The kernel behind ``sample_rician_gains`` and the experiment's block
+    The kernel behind ``sample_rician_gain`` and the experiment's block
     generator; ``los`` is a float or an array shaped like the standard
     normal draws ``re`` and ``im``.
     """
@@ -80,14 +80,13 @@ def rician_mix(los, re, im, weights: tuple[float, float]) -> np.ndarray:
     return np.abs(w_los * los + w_nlos * nlos)
 
 
-def sample_rician_gains(
+def sample_rician_gain(
     cfg: RicianConfig,
     distance: float,
     rng: np.random.Generator,
-    n: int,
     mixing: str = MIXING_NORMALIZED,
-) -> np.ndarray:
-    """Draw ``n`` fading amplitudes; deterministic given (seed, call order).
+) -> FadingSample:
+    """Draw one fading amplitude, re then im from ``rng``; deterministic given (seed, call order).
 
     The ``normalized`` mix sqrt(K/(1+K)) * LOS + sqrt(1/(1+K)) * NLOS
     preserves E[|h|^2] = LOS^2.  The ``unnormalized`` variant applies the
@@ -96,16 +95,6 @@ def sample_rician_gains(
     """
     los = los_component(cfg, distance)
     weights = mixing_weights(cfg, mixing)
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
-    return rician_mix(los, re, im, weights)
-
-
-def sample_rician_gain(
-    cfg: RicianConfig,
-    distance: float,
-    rng: np.random.Generator,
-    mixing: str = MIXING_NORMALIZED,
-) -> FadingSample:
-    """Draw a single fading amplitude from the stream."""
-    return FadingSample(float(sample_rician_gains(cfg, distance, rng, 1, mixing)[0]))
+    re = rng.standard_normal(1)
+    im = rng.standard_normal(1)
+    return FadingSample(float(rician_mix(los, re, im, weights)[0]))

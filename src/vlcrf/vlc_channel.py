@@ -124,19 +124,9 @@ def lambertian_order(semi_angle_half: float) -> float:
     return -1.0 / math.log2(math.cos(math.radians(semi_angle_half)))
 
 
-def link_angles(led: LedConfig, user: UserTerminal) -> tuple[float, float, float]:
-    """Irradiance angle, incidence angle (degrees) and distance (m) of a link.
-
-    The irradiance angle is measured between the LED boresight and the
-    LED-to-user ray; the incidence angle between the photodiode normal and
-    the user-to-LED ray.  Both lie in [0, 180].
-    """
-    ray = user.position.minus(led.position)
-    return _ray_angles(ray.x, ray.y, ray.z, led.orientation, user.surface_normal)
-
-
 def _ray_angles(rx: float, ry: float, rz: float, orientation: Vec3, normal: Vec3) -> tuple[float, float, float]:
-    """``link_angles`` of the LED-to-user ray (rx, ry, rz), on plain floats."""
+    """Irradiance angle (from ``orientation``), incidence angle (from ``normal``),
+    in degrees, and length (m) of the LED-to-user ray (rx, ry, rz), on plain floats."""
     d = math.sqrt(rx * rx + ry * ry + rz * rz)
     if d == 0.0:
         raise ValueError("user position coincides with the LED position")

@@ -22,19 +22,17 @@ from vlcrf.dc_solver import (
     allocation_violation,
     check_feasibility,
     dca_solve,
-    initial_allocation,
     initial_rows,
     kkt_residual,
-    project_onto_feasible,
     violation_rows,
 )
 from vlcrf.experiment import generate_scenario, load_config
 from dual_reference import dl_leftovers, dual_probes
+from model_reference import initial_allocation, objective_value, project_onto_feasible
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
     dl_rate_coefficients,
-    objective_value,
     secrecy_capacity_user,
 )
 

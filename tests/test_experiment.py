@@ -907,21 +907,37 @@ class TestAudit:
             experiment._audit_row(2.0 * experiment.FEASIBILITY_AUDIT_TOL, 1.0)
         experiment._audit_row(experiment.FEASIBILITY_AUDIT_TOL, 1.0)
 
-    @pytest.mark.parametrize("field", ["tau_dl", "tau_ul"])
-    def test_nan_answer_never_reaches_the_rows(self, field, monkeypatch):
-        # a solver that returned a nan fraction would be refused before any text is made
+    @pytest.mark.parametrize("command, fault", [
+        pytest.param("sweep", fault, id=fault) for fault in ("tau_dl", "tau_ul", "rate")
+    ] + [
+        pytest.param(command, fault, id=f"{command}-{fault}")
+        for command in ("solve", "report") for fault in ("tau_dl", "tau_ul", "rate")
+    ])
+    def test_nan_answer_never_reaches_the_rows(self, command, fault, tmp_path, monkeypatch):
+        # a solver that returned a nan fraction, or fractions short of the
+        # rate target, would be refused before any row or text is made, by
+        # every command
         solve_rows = experiment.solve_rows
 
-        def with_nan(*args):
+        def faulty(*args):
             out = solve_rows(*args)
-            taus = getattr(out, field).copy()
+            if fault == "rate":
+                return dataclasses.replace(out, tau_dl=0.5 * out.tau_dl)
+            taus = getattr(out, fault).copy()
             taus[-1, 0] = math.nan
-            return dataclasses.replace(out, **{field: taus})
+            return dataclasses.replace(out, **{fault: taus})
 
-        monkeypatch.setattr(experiment, "solve_rows", with_nan)
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="nan"):
+        monkeypatch.setattr(experiment, "solve_rows", faulty)
+        error, match = (RuntimeError, "violates the feasible set") if fault == "rate" else (ValueError, "nan")
+        cfg = load_config(overrides={"trials": "3", "output.dir": str(tmp_path)},
+                          preset="fig3" if command == "sweep" else "fig4")
+        with warnings.catch_warnings(), pytest.raises(error, match=match):
             warnings.simplefilter("ignore")
-            experiment._rmin_chain_block(load_config(overrides={"trials": "3"}, preset="fig3"), 2, range(3))
+            if command == "sweep":
+                experiment._rmin_chain_block(cfg, 2, range(3))
+            else:
+                (run_solve if command == "solve" else run_report)(cfg)
+        assert not os.listdir(tmp_path)  # no report written
 
 
 REPORT_DIGEST = "2af7e1dda19444773d83b73e3e1d5b7ff98d35f387dbedda4f04c5cc0991721f"
@@ -972,15 +988,69 @@ class TestReportAndSolve:
             printed.append(capsys.readouterr().out)
         assert hashlib.sha256("".join(printed).encode()).hexdigest() == ORACLE_PANEL_DIGEST
 
-    def test_solve_oracle_rejects_large_k(self, monkeypatch):
-        # refused before the solve runs
-        def no_solve(*args, **kwargs):
-            raise AssertionError("dca_solve ran before the K check")
+    def test_solve_stdout_pinned(self, tmp_path, capsys):
+        """``vlcrf solve`` prints pinned text: fig4 (K = 4) without the
+        oracle, then fig4 at K = 1 with the oracle at seeds 0 (a switched-off
+        user) and 3.
 
-        monkeypatch.setattr(experiment, "dca_solve", no_solve)
+        Measured at commit 7850686, the last whose ``solve`` ran one
+        ``dca_solve``, with numpy 2.4.6 on x86_64.
+        """
+        assert cli_main(["solve", "--preset", "fig4"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "5b723cf425690b0398b4061e2f6cef708eb08320dc5f7063eba8c61020e6f0e1")
+        path = tmp_path / "c.txt"
+        path.write_text("users.count = 1\n")
+        printed = []
+        for seed in (0, 3):
+            assert cli_main(["solve", "--oracle", "--preset", "fig4", "--config", str(path), "--seed", str(seed)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert hashlib.sha256("".join(printed).encode()).hexdigest() == (
+            "29adb58110902d2daabb1262e0c4261d2b61392f3309424a43c8db19022c9f92")
+
+    @pytest.mark.parametrize("command", ["solve", "report"])
+    def test_unreachable_target_exit_three(self, tmp_path, capsys, command):
+        # rate.min beyond every user's rate: exit 3, pinned stdout and report
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 12\nrate.min = 99.0\nusers.count = 4\nrf.los_reference_gain = 0.1\n")
+        out = tmp_path / "o"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 3
+        if command == "solve":
+            assert capsys.readouterr().out == (
+                "status: infeasible\nr_min: 99.0\nrate target exceeds the best achievable DL sum rate\n")
+        else:
+            report = out / "allocation_report.csv"
+            assert capsys.readouterr().out == f"report -> {report} (status: infeasible)\n"
+            assert report.read_bytes() == (
+                b"# infeasible: r_min = 99.0\n"
+                b"user,tau_dl,tau_ul,vlc_gain,rate_coeff_bits,secrecy_bits,clamped_secrecy_bits\n")
+
+    @pytest.mark.parametrize("command", ["solve", "report"])
+    def test_out_of_fov_user_warns_once(self, tmp_path, command):
+        # only the sweep workers silence the warning
+        cfg = build_config({"seed": "1", "pd.fov": "20", "users.positions": "2.5,2.5,0.0; 0.1,0.1,0.0",
+                            "output.dir": str(tmp_path)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_solve(cfg) if command == "solve" else run_report(cfg)
+        assert [str(w.message) for w in caught] == [
+            "user 1 at Vec3(x=0.1, y=0.1, z=0.0) is outside the LED field of view; VLC gain is 0"]
+
+    def test_solve_oracle_rejects_large_k(self, tmp_path, monkeypatch, capsys):
+        # refused before the solve runs, for a feasible target only: an
+        # infeasible one solves nothing and exits 3, as without the oracle
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_rows ran before the K check")
+
+        monkeypatch.setattr(experiment, "solve_rows", no_solve)
         cfg = build_config({"seed": "3", "users.count": "3"})
         with pytest.raises(ConfigError, match="K <= 2"):
             run_solve(cfg, oracle=True)
+        path = tmp_path / "c.txt"
+        path.write_text("seed = 12\nusers.count = 3\nrate.min = 99.0\n")
+        assert cli_main(["solve", "--oracle", "--config", str(path)]) == 3
+        assert capsys.readouterr().out == (
+            "status: infeasible\nr_min: 99.0\nrate target exceeds the best achievable DL sum rate\n")
 
 
 class TestCli:

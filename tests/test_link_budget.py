@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from model_reference import harvested_energy, objective_value, ul_energy, ul_power
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
@@ -12,13 +13,10 @@ from vlcrf.link_budget import (
     clamped_secrecy_sum,
     dl_rate_coefficients,
     dl_sum_rate,
-    harvested_energy,
-    objective_value,
     perspective_grads,
     perspective_value,
     secrecy_capacity_user,
-    ul_energy,
-    ul_power,
+    secrecy_rows,
 )
 
 G_CENTER = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0  # Table-style device, 3 m beneath
@@ -235,7 +233,8 @@ class TestSecrecyCapacity:
         assert objective_value(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
 
     def test_clamped_sum_matches_per_user_loop(self):
-        # same arithmetic as summing max(0, secrecy_capacity_user) user by user
+        # same arithmetic as summing max(0, secrecy_capacity_user) user by
+        # user, and secrecy_rows gives each user's signed term with its bits
         rng = np.random.default_rng(21)
         for _ in range(200):
             k = int(rng.integers(1, 9))
@@ -244,9 +243,12 @@ class TestSecrecyCapacity:
             ul = rng.dirichlet(np.ones(k + 1))[:k]
             ul[rng.random(k) < 0.2] = 0.0
             alloc = Allocation(dl, ul)
+            per_user = [secrecy_capacity_user(s, j, float(dl[j]), float(ul[j])) for j in range(k)]
+            rows = secrecy_rows(s.a_user()[None], s.a_eve()[None], dl[None], ul[None])
+            assert rows.shape == (1, k) and rows[0].tolist() == per_user
             total = 0.0
-            for j in range(k):
-                total += max(0.0, secrecy_capacity_user(s, j, float(dl[j]), float(ul[j])))
+            for value in per_user:
+                total += max(0.0, value)
             assert clamped_secrecy_sum(s, alloc) == total
 
 

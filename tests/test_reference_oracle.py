@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vlcrf.dc_solver import DcaResult, DcaSettings, FeasibleSet, allocation_violation, dca_solve
+from vlcrf.dc_solver import DcaSettings, FeasibleSet, allocation_violation, dca_solve
 from vlcrf.experiment import PRESETS, build_config, generate_scenario
-from vlcrf.link_budget import ScenarioChannels, dl_rate_coefficients
+from vlcrf.link_budget import Allocation, ScenarioChannels, dl_rate_coefficients
 from vlcrf import reference_oracle
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 
@@ -33,6 +33,11 @@ def fs_for(s, r_min=0.0):
     return FeasibleSet(dl_rate_coefficients(s), float(r_min))
 
 
+def search(s, fs, spec):
+    """``grid_search`` of the one problem (s, fs), passed as its row."""
+    return grid_search(s.a_user(), s.a_eve(), fs.rate_coeffs, fs.r_min, spec)
+
+
 FINE = GridSpec(resolution=1024, refine_rounds=3, refine_shrink=0.2)
 
 
@@ -55,22 +60,22 @@ class TestGridSpec:
 class TestSingleUser:
     def test_identical_channels_zero(self):
         s = scenario_with_a([7.0], [7.0])
-        _, obj = grid_search(s, fs_for(s, 1.0), GridSpec(resolution=64, refine_rounds=1))
+        *_, obj = search(s, fs_for(s, 1.0), GridSpec(resolution=64, refine_rounds=1))
         assert obj == 0.0
 
     def test_forced_full_dl_slot(self):
         s = scenario_with_a([10.0], [1.0])
         c = float(dl_rate_coefficients(s)[0])
-        alloc, obj = grid_search(s, fs_for(s, c), GridSpec(resolution=64, refine_rounds=1))
-        assert float(alloc.tau_dl[0]) == 1.0
+        dl, _, obj = search(s, fs_for(s, c), GridSpec(resolution=64, refine_rounds=1))
+        assert float(dl[0]) == 1.0
         assert obj == 0.0
 
     def test_ten_vs_one_hand_optimum(self):
         s = scenario_with_a([10.0], [1.0])
-        alloc, obj = grid_search(s, fs_for(s, 0.0), FINE)
+        dl, ul, obj = search(s, fs_for(s, 0.0), FINE)
         assert obj == pytest.approx(math.log2(11.0) - math.log2(2.0), abs=2e-4)
-        assert float(alloc.tau_dl[0]) <= 1e-3
-        assert float(alloc.tau_ul[0]) == pytest.approx(1.0, abs=1e-6)
+        assert float(dl[0]) <= 1e-3
+        assert float(ul[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_closed_form_with_rate_target(self):
         # for a > a_E the objective increases in tau_ul and decreases in
@@ -82,7 +87,7 @@ class TestSingleUser:
             s = scenario_with_a([a], [ae])
             c = float(dl_rate_coefficients(s)[0])
             r_min = float(rng.uniform(0.0, 0.9)) * c
-            _, obj = grid_search(s, fs_for(s, r_min), FINE)
+            *_, obj = search(s, fs_for(s, r_min), FINE)
             a_act = float(s.a_user()[0])
             ae_act = float(s.a_eve()[0])
             leftover = 1.0 - r_min / c
@@ -93,7 +98,7 @@ class TestSingleUser:
         s = scenario_with_a([40.0], [3.0])
         fs = fs_for(s, 2.0)
         objs = [
-            grid_search(s, fs, GridSpec(resolution=128, refine_rounds=r))[1]
+            search(s, fs, GridSpec(resolution=128, refine_rounds=r))[2]
             for r in range(4)
         ]
         assert all(objs[i + 1] >= objs[i] for i in range(3))
@@ -101,8 +106,8 @@ class TestSingleUser:
     def test_returned_point_feasible(self):
         s = scenario_with_a([25.0], [2.0])
         fs = fs_for(s, 3.0)
-        alloc, _ = grid_search(s, fs, GridSpec(resolution=64, refine_rounds=1))
-        assert allocation_violation(fs, alloc) <= 1e-12
+        dl, ul, _ = search(s, fs, GridSpec(resolution=64, refine_rounds=1))
+        assert allocation_violation(fs, Allocation(dl, ul)) <= 1e-12
 
 
 class TestTwoUsers:
@@ -113,8 +118,8 @@ class TestTwoUsers:
             c = dl_rate_coefficients(s)
             fs = fs_for(s, float(rng.uniform(0.0, 0.7)) * float(c.max()))
             res = dca_solve(s, fs, DcaSettings())
-            _, oracle_obj = grid_search(s, fs, GridSpec(resolution=64, refine_rounds=3))
-            assert compare(res, oracle_obj, rel_tol=1e-3).passed
+            *_, oracle_obj = search(s, fs, GridSpec(resolution=64, refine_rounds=3))
+            assert compare(res.objective, oracle_obj, rel_tol=1e-3).passed
             # two-sided sanity: the feasible grid point cannot beat the
             # solver by much either
             assert res.objective >= oracle_obj - 1e-3 * max(1.0, abs(oracle_obj))
@@ -122,13 +127,13 @@ class TestTwoUsers:
     def test_unsupported_user_count(self):
         s = scenario_with_a([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
         with pytest.raises(ValueError):
-            grid_search(s, fs_for(s, 0.0), GridSpec(resolution=16))
+            search(s, fs_for(s, 0.0), GridSpec(resolution=16))
 
     def test_infeasible_rejected(self):
         s = scenario_with_a([5.0], [1.0])
         c = float(dl_rate_coefficients(s)[0])
         with pytest.raises(ValueError):
-            grid_search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
+            search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
 
 
 def _feasible_dl_pairs(c, r_min, d1, d2):
@@ -224,11 +229,11 @@ def prefix_max_search_k2(a, a_e, c, r_min, spec, windows):
     return best, dl, ul
 
 
-def _bits(alloc, objective):
+def _bits(tau_dl, tau_ul, objective):
     return (
         np.float64(objective).tobytes(),
-        np.asarray(alloc.tau_dl, dtype=np.float64).tobytes(),
-        np.asarray(alloc.tau_ul, dtype=np.float64).tobytes(),
+        np.asarray(tau_dl, dtype=np.float64).tobytes(),
+        np.asarray(tau_ul, dtype=np.float64).tobytes(),
     )
 
 
@@ -277,9 +282,9 @@ class TestPrefixMaxSearch:
     def test_matches_the_cross_product_bit_for_bit(self, monkeypatch):
         panel = list(_equivalence_panel())
         assert len(panel) >= 200
-        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
-        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
 
@@ -329,10 +334,10 @@ class TestRangeMaxSearch:
             return masks[-1]
 
         monkeypatch.setattr(reference_oracle, "_dl_feasible", recording)
-        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         monkeypatch.undo()
         monkeypatch.setattr(reference_oracle, "_search_k2", prefix_max_search_k2)
-        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
         # each user-1 DL level admits one run of user-2 levels, and the panel
@@ -376,10 +381,10 @@ class TestRangeMaxSearch:
             return range_max(*args)
 
         monkeypatch.setattr(reference_oracle, "_range_max", counting)
-        fast = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         assert len(calls) > 0
         monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
-        slow = [_bits(*grid_search(s, fs, spec)) for s, fs, spec in panel]
+        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
 
@@ -403,26 +408,20 @@ class TestCertificateCrossCheck:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     s, fs = generate_scenario(build_config(raw), 0)
-                _, grid = grid_search(s, fs, GridSpec(resolution=128, refine_rounds=3))
+                *_, grid = search(s, fs, GridSpec(resolution=128, refine_rounds=3))
                 for res in (dca_solve(s, fs, DcaSettings(epsilon=1e9)), dca_solve(s, fs)):
                     assert grid <= res.objective + res.gap_bits + 1e-12
 
 
 class TestCompare:
-    def _result(self, objective):
-        return DcaResult(
-            allocation=None, objective=objective, iterations=1,
-            status="converged",
-        )
-
     def test_within_tolerance_passes(self):
-        out = compare(self._result(0.9995), 1.0, rel_tol=1e-3)
+        out = compare(0.9995, 1.0, rel_tol=1e-3)
         assert out.passed and out.gap == pytest.approx(0.0005)
 
     def test_solver_beating_grid_passes(self):
-        assert compare(self._result(1.01), 1.0, rel_tol=1e-3).passed
+        assert compare(1.01, 1.0, rel_tol=1e-3).passed
 
     def test_clearly_below_fails(self):
-        out = compare(self._result(0.9), 1.0, rel_tol=1e-3)
+        out = compare(0.9, 1.0, rel_tol=1e-3)
         assert not out.passed
         assert out.gap == pytest.approx(0.1)

@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 from vlcrf.rf_channel import (
+    MIXING_NORMALIZED,
     MIXING_UNNORMALIZED,
     FadingSample,
     RicianConfig,
     los_component,
+    mixing_weights,
+    rician_mix,
     sample_rician_gain,
-    sample_rician_gains,
 )
+
+
+def sample_rician_gains(cfg, distance, rng, n, mixing=MIXING_NORMALIZED):
+    """``n`` amplitudes from the kernel the scenario generator mixes its draws with."""
+    return rician_mix(los_component(cfg, distance), rng.standard_normal(n), rng.standard_normal(n),
+                      mixing_weights(cfg, mixing))
 
 
 class TestLosComponent:
@@ -48,6 +56,14 @@ class TestRicianSampling:
         rng2 = np.random.default_rng(7)
         seq2 = [sample_rician_gain(cfg, 2.0, rng2).h_mag for _ in range(5)]
         assert seq == seq2
+
+    @pytest.mark.parametrize("mixing", [MIXING_NORMALIZED, MIXING_UNNORMALIZED])
+    def test_single_draw_is_the_kernel_of_one(self, mixing):
+        # re, then im: the draw order of the scenario generator's stream
+        cfg = RicianConfig(k_factor=3.0)
+        rng, rng2 = np.random.default_rng(4), np.random.default_rng(4)
+        for d in (0.5, 2.0, 7.0):
+            assert sample_rician_gain(cfg, d, rng, mixing).h_mag == sample_rician_gains(cfg, d, rng2, 1, mixing)[0]
 
     def test_pure_los_limit(self):
         cfg = RicianConfig(k_factor=1e12, los_reference_gain=1e-3)

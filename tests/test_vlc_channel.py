@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from model_reference import link_angles
 from vlcrf.vlc_channel import (
     CONCENTRATOR_ANGLE_DEPENDENT,
     LedConfig,
@@ -13,7 +14,6 @@ from vlcrf.vlc_channel import (
     Vec3,
     concentrator_gain,
     lambertian_order,
-    link_angles,
     vlc_channel_gain,
 )
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vlcrf.dc_solver import (
+    SNAP_THRESHOLD,
     DcaSettings,
     FeasibleSet,
     allocation_violation,
@@ -24,6 +25,7 @@ from vlcrf.dc_solver import (
     dca_solve,
     initial_rows,
     kkt_residual,
+    solve_rows,
     violation_rows,
 )
 from vlcrf.experiment import generate_scenario, load_config
@@ -333,6 +335,19 @@ class TestDcaSolve:
             assert float(np.dot(c, res.allocation.tau_dl)) >= fs.r_min - 1e-6
             small = res.allocation.tau_ul[(res.allocation.tau_ul > 0) & (res.allocation.tau_ul < 1e-6)]
             assert small.size == 0  # reporting snap removed the slivers
+
+    def test_snap_that_would_miss_the_rate_keeps_the_row(self):
+        # user 1 is switched off (a <= aE) and carries r_min alone in a DL
+        # share of 1e-7: snapping it to 0 would drop the DL rate to 0, so the
+        # row reports its unsnapped DL fractions
+        c, r_min = np.array([[1.0, 1e7]]), np.array([1.0])
+        start = initial_rows(c, r_min)
+        out = solve_rows(np.array([[10.0, 1.0]]), np.array([[1.0, 10.0]]), c, r_min, *start)
+        assert 0.0 < out.raw_tau_dl[0, 1] < SNAP_THRESHOLD
+        assert np.vecdot(c, np.where(out.raw_tau_dl < SNAP_THRESHOLD, 0.0, out.raw_tau_dl))[0] < r_min[0] - 1e-9
+        assert np.array_equal(out.tau_dl, out.raw_tau_dl)
+        assert np.vecdot(c, out.tau_dl)[0] >= r_min[0]
+        assert out.converged[0]
 
 
 class TestViolation:

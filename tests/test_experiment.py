@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.introspect import opt_func_info
 
 import vlcrf
 from vlcrf import cli, experiment
@@ -233,6 +234,42 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^users\.height: must lie in \[0, room\.height = 3\.0\]"):
             build_config({"seed": "1", "users.height": value})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"sweep.kind": "rmin", "sweep.values": ","}, "sweep.values: expected a comma-separated list, got ','"),
+        ({"sweep.kind": "users", "sweep.values": " , "}, "sweep.values: expected a comma-separated list, got ' , '"),
+        ({"sweep.kind": "rmin", "users.list": ","}, "users.list: expected a comma-separated list, got ','"),
+        ({"sweep.kind": "rmin", "sweep.values": "0.5,x"}, "sweep.values: expected a number, got 'x'"),
+        ({"sweep.kind": "users", "sweep.values": "1,2.5"}, "sweep.values: expected an integer, got '2.5'"),
+        ({"sweep.kind": "rmin", "users.list": "1,x"}, "users.list: expected an integer, got 'x'"),
+        ({"users.positions": ";"}, "users.positions: expected 'x,y,z; x,y,z; ...', got ';'"),
+        ({"room.width": "0"}, "room dimensions must be positive"),
+        ({"room.height": "-3"}, "room dimensions must be positive"),
+        ({"concentrator.model": "flat"}, "concentrator.model: unknown model 'flat'"),
+        ({"rf.mixing": "mixed"}, "rf.mixing: unknown mixing 'mixed'"),
+        ({"harvest.efficiency": "0"}, "harvest.efficiency: must lie in (0, 1], got 0.0"),
+        ({"harvest.efficiency": "1.5"}, "harvest.efficiency: must lie in (0, 1], got 1.5"),
+        ({"users.count": "0"}, "users.count: need at least one user"),
+        ({"sweep.kind": "rmin", "users.list": "1,0,2"}, "users.list: user counts must be >= 1"),
+        ({"sweep.kind": "users", "sweep.values": "2,-1"}, "sweep.values: user counts must be >= 1"),
+        ({"sweep.kind": "rmin", "users.list": "1,2", "users.positions": "1,1,0"},
+         "users.list: cannot combine with explicit users.positions"),
+        ({"rate.min": "-1"}, "rate.min: must be >= 0"),
+        ({"rate.min_fraction": "1"}, "rate.min_fraction: must lie in [0, 1)"),
+        ({"rate.min_fraction": "-0.5"}, "rate.min_fraction: must lie in [0, 1)"),
+        ({"sweep.kind": "rmin", "sweep.points": "1"}, "sweep.points: need at least 2 points"),
+        ({"sweep.kind": "rmin_fraction", "sweep.start": "0.5", "sweep.stop": "0.2"},
+         "sweep.stop: must be >= sweep.start"),
+        ({"sweep.kind": "rmin", "sweep.values": "1,-1"}, "sweep values: must be >= 0"),
+        ({"users.list": "1,2"}, "users.list: only applies to r_min sweeps"),
+        ({"sweep.kind": "users", "sweep.values": "1,2", "users.list": "1,2"}, "users.list: only applies to r_min sweeps"),
+        ({"trials": "0"}, "trials: must be >= 1"),
+        ({"runtime.workers": "0"}, "runtime.workers: must be >= 1 or 'auto'"),
+    ])
+    def test_config_error_message_pinned(self, raw, message):
+        with pytest.raises(ConfigError) as err:
+            build_config(dict(raw, seed="1"))
+        assert str(err.value) == message
+
     def test_users_height_inside_the_room(self):
         for raw in ({"users.height": "0"}, {"users.height": "3"}, {"users.height": "5", "room.height": "6"}):
             assert build_config(dict(raw, seed="1")).users_height == float(raw["users.height"])
@@ -397,6 +434,15 @@ class TestScenarioBlock:
             generate_scenario(cfg, 0)
         with pytest.raises(ValueError, match="ScenarioChannels.g entries must be finite"):
             experiment.scenario_block(cfg, [0])
+
+    def test_non_finite_uplink_amplitude_rejected(self):
+        # 1e-160 m from the access point the LOS amplitude overflows, and the mix is nan
+        cfg = build_config({"seed": "3", "users.positions": "1.0,1.0,0.0", "ap.position": "1.0,1.0,1e-160",
+                            "rf.los_reference_gain": "1e200"})
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("ignore")
+            experiment.scenario_block(cfg, [0])
+        assert str(err.value) == "FadingSample.h_mag must be finite and >= 0, got nan"
 
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial index"):
@@ -729,17 +775,52 @@ USERS_SWEEPS = {
 }
 
 
+# numpy picks the float64 loops of these functions at import, by CPU feature,
+# and its AVX-512 and AVX2 kernels round some inputs differently, so every
+# pinned digest is keyed by the targets they dispatch to.  The AVX2_TARGETS
+# entries were measured at commit d690453 on an AVX-512 host with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", under which numpy
+# dispatches as on an AVX2-only x86 host.
+DISPATCHED = ("exp", "expm1", "log", "log1p", "arccos", "power")
+AVX512_TARGETS = ("X86_V4",) * 6
+AVX2_TARGETS = ("X86_V3", "baseline(X86_V2)", "X86_V3", "baseline(X86_V2)", "baseline(X86_V2)", "baseline(X86_V2)")
+
+
+def _dispatch_targets() -> tuple[str, ...]:
+    """The targets of numpy's float64 loops of ``DISPATCHED``, in that order."""
+    info = opt_func_info(func_name="^(" + "|".join(DISPATCHED) + ")$")
+    return tuple(info[name]["ddd" if name == "power" else "dd"]["current"] for name in DISPATCHED)
+
+
+def _pinned(table: dict):
+    """``table``'s entry for the active dispatch targets; fails, naming them, where it has none."""
+    targets = _dispatch_targets()
+    if targets not in table:
+        pytest.fail(f"no pinned digest for numpy's float64 dispatch targets {dict(zip(DISPATCHED, targets))}")
+    return table[targets]
+
+
 # sha256 of (sweep_rows.csv, sweep_agg.csv); see the pinned tests for their history
 USERS_SWEEP_DIGESTS = {
-    "fraction": ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
-                 "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"],
-    "absolute": ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
-                 "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"],
+    "fraction": {
+        AVX512_TARGETS: ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
+                         "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"],
+        AVX2_TARGETS: ["0e680145b560ec628b9944bd18187cb7cc017681bbc5455f5c600decb07d4235",
+                       "72d553530f317bb2caf750a348d78bb4e1a3643f19d574db6c74237cfd03f25e"],
+    },
+    "absolute": {
+        AVX512_TARGETS: ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
+                         "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"],
+        AVX2_TARGETS: ["fdf8b3f5a6b48805833c18a5df3b29293bc43fc3f662634938b68cd7f6d4c9b6",
+                       "c525d2e200e3862833c359ce0ad82931737567e5cedcb4938ddc54f5efc3a19a"],
+    },
 }
-FIG3_DIGESTS = [  # fig3 preset at 20 trials
-    "169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
-    "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02",
-]
+FIG3_DIGESTS = {  # fig3 preset at 20 trials
+    AVX512_TARGETS: ["169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
+                     "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02"],
+    AVX2_TARGETS: ["55675fa24291a5d50c64b50a15c0d2232143e51f61015ddda7d4df14dab4a8cc",
+                   "7cba8e13d5c21688d56357c48881bc4a2aa9736895201a874cbc3bef6bde2cd9"],
+}
 
 
 def _digests(info) -> list[str]:
@@ -834,14 +915,18 @@ class TestBlockChain:
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        assert _digests(info) == digests
+        assert _digests(info) == _pinned(digests)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name, digests", [
-        ("rmin", ["742ea65588eb63f925c2cd300db7e280fe1053410c71f443d63481baa23eaa2c",
-                  "761bf87ed880046fb6b4ccf18b5fb4753f8d7d448f4e2823ce0df5021e964016"]),
-        ("users", ["d4784c180b5650ba6b113fdd46a141c732169ba6e63bab382d18b17bad16f2e0",
-                   "770f78a3f2f0f0be82b844542e70ecd8c565ad2e89e0f5517f84eb379ab70ec3"]),
+        ("rmin", {AVX512_TARGETS: ["742ea65588eb63f925c2cd300db7e280fe1053410c71f443d63481baa23eaa2c",
+                                   "761bf87ed880046fb6b4ccf18b5fb4753f8d7d448f4e2823ce0df5021e964016"],
+                  AVX2_TARGETS: ["fe6bcab790247c6f709a8719cbe07399c3763e46bffae3b9fb9de2499b71eb17",
+                                 "761bf87ed880046fb6b4ccf18b5fb4753f8d7d448f4e2823ce0df5021e964016"]}),
+        ("users", {AVX512_TARGETS: ["d4784c180b5650ba6b113fdd46a141c732169ba6e63bab382d18b17bad16f2e0",
+                                    "770f78a3f2f0f0be82b844542e70ecd8c565ad2e89e0f5517f84eb379ab70ec3"],
+                   AVX2_TARGETS: ["da3b54b4ceea57bc35605b48f7687f8bcaaf0d9c4724f3c62a3b0871fc2a081b",
+                                  "770f78a3f2f0f0be82b844542e70ecd8c565ad2e89e0f5517f84eb379ab70ec3"]}),
     ])
     def test_repeated_sweep_values_bytes_pinned(self, tmp_path, workers, name, digests):
         """A sweep value given twice writes its rows twice and folds them into one aggregate.
@@ -863,7 +948,7 @@ class TestBlockChain:
         agg = read_rows(info["agg_path"])
         assert len({(r["sweep_value"], r["users"]) for r in agg}) == len(agg)
         assert {key: r["rows"] for r in agg if (key := (r["sweep_value"], r["users"])) in folded} == folded
-        assert _digests(info) == digests
+        assert _digests(info) == _pinned(digests)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_fig3_sweep_bytes_pinned(self, tmp_path, workers):
@@ -878,7 +963,15 @@ class TestBlockChain:
         """
         cfg = load_config(overrides={"trials": "20", "runtime.workers": workers}, preset="fig3")
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        assert _digests(info) == FIG3_DIGESTS
+        assert _digests(info) == _pinned(FIG3_DIGESTS)
+
+    def test_digest_table_without_the_active_targets_fails_naming_them(self):
+        targets = _dispatch_targets()
+        with pytest.raises(pytest.fail.Exception) as err:
+            _pinned({("ASIMD",) * len(DISPATCHED): "0" * 64})
+        assert str(err.value) == (
+            f"no pinned digest for numpy's float64 dispatch targets {dict(zip(DISPATCHED, targets))}")
+        assert _pinned({targets: "digest"}) == "digest"
 
     @pytest.mark.parametrize("cpus", [3, 4])
     @pytest.mark.parametrize("name", ["fig3", "users"])
@@ -892,7 +985,7 @@ class TestBlockChain:
         else:
             cfg, want = build_config(USERS_SWEEPS["fraction"]), USERS_SWEEP_DIGESTS["fraction"]
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        assert _digests(info) == want
+        assert _digests(info) == _pinned(want)
         (pool,) = pools
         counts = [users for users, _ in pool.tasks]
         assert pool.size == cpus and counts == sorted(counts, reverse=True)
@@ -940,8 +1033,14 @@ class TestAudit:
         assert not os.listdir(tmp_path)  # no report written
 
 
-REPORT_DIGEST = "2af7e1dda19444773d83b73e3e1d5b7ff98d35f387dbedda4f04c5cc0991721f"
-ORACLE_PANEL_DIGEST = "5e69d1f9b3756f44d59be06f46b75a4dbf0c8bcc98afee26e43ca6c4ff68f31d"
+REPORT_DIGEST = {
+    AVX512_TARGETS: "2af7e1dda19444773d83b73e3e1d5b7ff98d35f387dbedda4f04c5cc0991721f",
+    AVX2_TARGETS: "c3d5bce66e3bcb9e117d9d65fd9751d63a7fa6c8f5eb2f2cbb6da32e48da0f44",
+}
+ORACLE_PANEL_DIGEST = {
+    AVX512_TARGETS: "5e69d1f9b3756f44d59be06f46b75a4dbf0c8bcc98afee26e43ca6c4ff68f31d",
+    AVX2_TARGETS: "fc07d8c07d8b4f637ef0590ef49bc4cd22d7e1a345dc25a9e1d67fc7278a60cd",
+}
 
 
 class TestReportAndSolve:
@@ -972,7 +1071,7 @@ class TestReportAndSolve:
         """
         assert cli_main(["report", "--preset", "fig4", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "allocation_report.csv", "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == REPORT_DIGEST
+            assert hashlib.sha256(fh.read()).hexdigest() == _pinned(REPORT_DIGEST)
 
     def test_solve_oracle_panel_stdout_pinned(self, tmp_path, capsys):
         """``vlcrf solve --oracle`` prints pinned text on fig4 with two users,
@@ -986,7 +1085,7 @@ class TestReportAndSolve:
         for seed in range(10):
             assert cli_main(["solve", "--oracle", "--preset", "fig4", "--config", str(path), "--seed", str(seed)]) == 0
             printed.append(capsys.readouterr().out)
-        assert hashlib.sha256("".join(printed).encode()).hexdigest() == ORACLE_PANEL_DIGEST
+        assert hashlib.sha256("".join(printed).encode()).hexdigest() == _pinned(ORACLE_PANEL_DIGEST)
 
     def test_solve_stdout_pinned(self, tmp_path, capsys):
         """``vlcrf solve`` prints pinned text: fig4 (K = 4) without the
@@ -997,16 +1096,20 @@ class TestReportAndSolve:
         ``dca_solve``, with numpy 2.4.6 on x86_64.
         """
         assert cli_main(["solve", "--preset", "fig4"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "5b723cf425690b0398b4061e2f6cef708eb08320dc5f7063eba8c61020e6f0e1")
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _pinned({
+            AVX512_TARGETS: "5b723cf425690b0398b4061e2f6cef708eb08320dc5f7063eba8c61020e6f0e1",
+            AVX2_TARGETS: "5c49875224fcb0db61a0274b2dfa4969f981584fcd46f8dcadace57a6ff3d12d",
+        })
         path = tmp_path / "c.txt"
         path.write_text("users.count = 1\n")
         printed = []
         for seed in (0, 3):
             assert cli_main(["solve", "--oracle", "--preset", "fig4", "--config", str(path), "--seed", str(seed)]) == 0
             printed.append(capsys.readouterr().out)
-        assert hashlib.sha256("".join(printed).encode()).hexdigest() == (
-            "29adb58110902d2daabb1262e0c4261d2b61392f3309424a43c8db19022c9f92")
+        assert hashlib.sha256("".join(printed).encode()).hexdigest() == _pinned({
+            AVX512_TARGETS: "29adb58110902d2daabb1262e0c4261d2b61392f3309424a43c8db19022c9f92",
+            AVX2_TARGETS: "29adb58110902d2daabb1262e0c4261d2b61392f3309424a43c8db19022c9f92",
+        })
 
     @pytest.mark.parametrize("command", ["solve", "report"])
     def test_unreachable_target_exit_three(self, tmp_path, capsys, command):

@@ -28,7 +28,7 @@ target of trial 0, so each of their solves is a chain's cold first link.
 The trials run in blocks: one ``dc_solver.solve_rows`` call takes a
 rate target for every trial of the block at once, so each user count's
 trials split into only as many blocks as it takes to give every worker a
-task (``run_sweep``), and the pool takes the largest user counts first.  A
+task (``run_sweep``); the pool gets the tasks by falling user count.  A
 row's bytes do not depend on its block, because the solver's row
 reductions add each row as a solve of that row alone would.
 
@@ -44,9 +44,7 @@ calls it.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import os
 import warnings
@@ -177,18 +175,20 @@ def _parse_vec3(raw: str, key: str) -> Vec3:
     return Vec3(*(_parse_float(p, key) for p in parts))
 
 
-def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
+def _parse_list(raw: str, key: str, parse) -> tuple:
+    """The non-empty items of a comma-separated list, each through ``parse``."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
-    return tuple(_parse_float(p, key) for p in parts)
+    return tuple(parse(p, key) for p in parts)
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
-    return tuple(_parse_int(p, key) for p in parts)
+def _parse_counts(raw: str, key: str) -> tuple[int, ...]:
+    """A comma-separated list of user counts, each >= 1."""
+    counts = _parse_list(raw, key, _parse_int)
+    if any(k < 1 for k in counts):
+        raise ConfigError(f"{key}: user counts must be >= 1")
+    return counts
 
 
 def _parse_positions(raw: str, key: str) -> tuple[Vec3, ...]:
@@ -335,12 +335,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         for i, p in enumerate(users_positions):
             if not (0.0 <= p.x <= width and 0.0 <= p.y <= depth and 0.0 <= p.z <= height):
                 raise ConfigError(f"users.positions: user {i} at {p} lies outside the room")
-    users_list = _parse_int_list(raw["users.list"], "users.list") if "users.list" in raw else None
-    if users_list is not None:
-        if any(k < 1 for k in users_list):
-            raise ConfigError("users.list: user counts must be >= 1")
-        if users_positions is not None:
-            raise ConfigError("users.list: cannot combine with explicit users.positions")
+    users_list = _parse_counts(raw["users.list"], "users.list") if "users.list" in raw else None
+    if users_list is not None and users_positions is not None:
+        raise ConfigError("users.list: cannot combine with explicit users.positions")
 
     eve_raw = raw.get("eve.position", "random")
     eve_position = None if eve_raw == "random" else _parse_vec3(eve_raw, "eve.position")
@@ -365,12 +362,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"sweep.kind: unknown kind {sweep_kind!r}")
         if "sweep.values" in raw:
             if sweep_kind == SWEEP_USERS:
-                counts = _parse_int_list(raw["sweep.values"], "sweep.values")
-                if any(k < 1 for k in counts):
-                    raise ConfigError("sweep.values: user counts must be >= 1")
-                sweep_values = tuple(float(k) for k in counts)
+                sweep_values = tuple(float(k) for k in _parse_counts(raw["sweep.values"], "sweep.values"))
             else:
-                sweep_values = _parse_float_list(raw["sweep.values"], "sweep.values")
+                sweep_values = _parse_list(raw["sweep.values"], "sweep.values", _parse_float)
         else:
             if sweep_kind == SWEEP_USERS:
                 raise ConfigError("sweep.values: required for a users sweep")
@@ -737,21 +731,14 @@ AGG_COLUMNS = (
 )
 
 
-def _csv_text(rows) -> str:
-    """Rows of cell strings as CSV text: comma-separated, quoted where needed."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _chain_csv(label, users: int, trials: range | list[int], chain: ChainBlock, idx: int) -> str:
     """CSV text (``ROW_COLUMNS``) of target ``idx``'s rows, in trial order.
 
     Each line is one %-format of its row: ``repr`` of each float, the
     per-user fractions joined with "," in one cell; an infeasible row has
-    empty value and fraction cells.  The lines are what ``csv.writer``
-    writes: a fraction cell of K >= 2 is the only cell with a comma, so
-    those cells alone are quoted.
+    empty value and fraction cells.  A cell is quoted only where it holds a
+    comma, which only a fraction cell of K >= 2 does: no cell holds a quote
+    or a line break.
     """
     cell = ",".join(["%r"] * users)
     if users > 1:
@@ -784,8 +771,11 @@ def _sweep_task(payload) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray,
 
 
 def _write_csv(path: str, comment: str, columns, body: str) -> None:
+    """Write the comment line, the header and ``body``.  Lines join their
+    cells with "," unquoted, as no column name, ``_fmt`` number or empty
+    cell holds a comma, quote or line break."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(comment + "\n" + _csv_text([columns]) + body)
+        fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
 
 
 def run_sweep(cfg: ExperimentConfig) -> dict:
@@ -799,12 +789,12 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     CPUs.  Each user count's trials split into ceil(workers / user counts)
     contiguous blocks, the fewest that give every worker a task: a block
     pays a fixed cost per rate target, whatever its row count.  The pool
-    takes the tasks largest user count first, the longest first.  Each task
-    formats its own rows' CSV text; the text goes out ordered by user
-    count, then sweep value, then block, and the aggregates see each
-    group's solved values concatenated in that row order.  A row's bytes do
-    not depend on its block, and the results are put back in task order
-    before the text is joined, so the worker count never changes bytes.
+    gets the tasks by falling user count.  Each task formats its own rows'
+    CSV text; the text goes out ordered by user count, then sweep value,
+    then block, and the aggregates see each group's solved values
+    concatenated in that row order.  A row's bytes do not depend on its
+    block, and the results are put back in task order before the text is
+    joined, so the worker count never changes bytes.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -844,7 +834,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     for (users, label), parts in groups.items():
         solved = [np.concatenate(column) for column in zip(*parts)]  # objective, clamped, DL rate
         stats = [_fmt(float(f(v))) for v in solved for f in (np.mean, np.std)] if solved[0].size else [""] * 6
-        agg.append([_fmt(label), str(users), str(solved[0].size), *stats])
+        agg.append(",".join([_fmt(label), str(users), str(solved[0].size), *stats]) + "\n")
 
     rows_path = os.path.join(cfg.output_dir, ROWS_FILE)
     agg_path = os.path.join(cfg.output_dir, AGG_FILE)
@@ -857,7 +847,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
         "# per (sweep_value, users) aggregates over solved rows; "
         "std is the population standard deviation"
     )
-    _write_csv(agg_path, agg_comment, AGG_COLUMNS, _csv_text(agg))
+    _write_csv(agg_path, agg_comment, AGG_COLUMNS, "".join(agg))
     return {
         "rows_path": rows_path,
         "agg_path": agg_path,
@@ -885,12 +875,13 @@ def run_report(cfg: ExperimentConfig) -> dict:
     tau_dl, tau_ul = chain.tau_dl[0], chain.tau_ul[0]
     secrecy = secrecy_rows(block.a, block.a_e, tau_dl, tau_ul)[0].tolist()
     columns = zip(tau_dl[0].tolist(), tau_ul[0].tolist(), block.g[0].tolist(), block.c[0].tolist(), secrecy)
-    rows = [[_fmt(v) for v in (k, dl, ul, g, c, s, max(0.0, s))] for k, (dl, ul, g, c, s) in enumerate(columns)]
+    rows = [",".join(_fmt(v) for v in (k, dl, ul, g, c, s, max(0.0, s))) + "\n"
+            for k, (dl, ul, g, c, s) in enumerate(columns)]
     comment = (
         f"# single-scenario allocation report; objective_bits={_fmt(chain.objective[0, 0])} "
         f"r_min={_fmt(r_min)} dl_rate={_fmt(chain.dl_rate[0, 0])} status={status}"
     )
-    _write_csv(path, comment, REPORT_COLUMNS, _csv_text(rows))
+    _write_csv(path, comment, REPORT_COLUMNS, "".join(rows))
     return info
 
 

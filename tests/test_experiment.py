@@ -563,6 +563,8 @@ class TestRunSweep:
         assert info["solved"] == 1
         infeasible = [r for r in rows if r["status"] == "infeasible"][0]
         assert infeasible["objective_bits"] == ""
+        with open(info["agg_path"], encoding="utf-8") as fh:
+            assert fh.read().splitlines()[-1] == "50.0,1,0,,,,,,"  # no solved row: empty, unquoted cells
 
     def test_users_sweep(self, tmp_path):
         cfg = build_config({
@@ -1333,13 +1335,25 @@ class TestCli:
         assert run_all() == reused
         assert [code for code, *_ in reused] == [0, 0, "exit 2", 0, "exit 2", 2, "exit 0", 0]
 
-    def test_cli_imports_without_scipy(self):
-        # the package needs numpy only; scipy would add startup time and memory
+    @staticmethod
+    def _loaded_by(statement: str, package: str) -> str:
+        """The modules of ``package`` that a fresh interpreter has loaded after ``statement``."""
         src = os.path.dirname(os.path.dirname(vlcrf.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = "import sys, vlcrf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         out = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
             capture_output=True, text=True, check=True, timeout=120,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_imports_without_scipy(self):
+        # the package needs numpy only; scipy would add startup time and memory
+        assert self._loaded_by("import vlcrf.cli", "scipy") == "[]"
+
+    def test_package_import_loads_no_module(self):
+        # the package re-exports nothing: each module is imported by its name
+        assert self._loaded_by("import vlcrf", "vlcrf") == "['vlcrf']"
+        assert self._loaded_by("import vlcrf.cli", "vlcrf") == str([
+            "vlcrf", "vlcrf.cli", "vlcrf.dc_solver", "vlcrf.experiment", "vlcrf.link_budget",
+            "vlcrf.reference_oracle", "vlcrf.rf_channel", "vlcrf.vlc_channel"])

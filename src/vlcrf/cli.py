@@ -7,7 +7,10 @@ Commands:
 
 Settings resolve in order: built-in defaults, then --preset values, then the
 --config file, then explicit flags.  Exit codes: 0 success, 2 config error,
-3 infeasible everywhere.
+3 infeasible everywhere.  A config error is also a scenario the model cannot
+evaluate (``experiment.scenario_block``), such as a user at the LED or a
+channel value that overflows; at any worker count it prints one
+``config error:`` line.
 """
 
 from __future__ import annotations

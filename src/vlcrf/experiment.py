@@ -48,7 +48,6 @@ import dataclasses
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,6 @@ from vlcrf.reference_oracle import GridSpec, compare, grid_search
 from vlcrf.rf_channel import (
     MIXING_NORMALIZED,
     MIXING_UNNORMALIZED,
-    FadingSample,
     RicianConfig,
     los_component,
     mixing_weights,
@@ -516,6 +514,13 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     on the scalar ``math`` kernels ``ray_gain`` and ``los_component``, so
     every entry has the bits of the per-user channel APIs.  Users outside the
     LED field of view get a zero gain and a warning; the scenario stays valid.
+
+    A scenario the model cannot evaluate raises ``ConfigError``: a user at
+    the LED, the access point or the eavesdropper position; a user at normal
+    incidence under the angle-dependent concentrator; a line-of-sight power
+    law that overflows; or, checked once per block in this order, a
+    non-finite VLC gain, mixed uplink amplitude, SNR constant a or aE, or
+    rate coefficient c.  No numpy warning prints before the refusal.
     """
     k = cfg.users_count
     width, depth, height = cfg.room
@@ -541,8 +546,13 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
             eve = Vec3(*(float(eve_rng.uniform(0.0, side)) for side in (width, depth, height)))
 
         for j, (x, y, z) in enumerate(positions):
-            g[n, j] = ray_gain(x - led.position.x, y - led.position.y, z - led.position.z,
-                               led, cfg.pd, cfg.concentrator_model)
+            if _distance(x, y, z, led.position) <= 0.0:
+                raise ConfigError(f"user {j} coincides with the LED")
+            try:
+                g[n, j] = ray_gain(x - led.position.x, y - led.position.y, z - led.position.z,
+                                   led, cfg.pd, cfg.concentrator_model)
+            except ValueError as err:  # the angle-dependent concentrator diverges at normal incidence
+                raise ConfigError(f"user {j}: {err}") from None
             if g[n, j] == 0.0:
                 warnings.warn(f"user {j} at {Vec3(x, y, z)} is outside the LED field of view; VLC gain is 0")
         for offset, point, what in ((0, ap, "the access point"), (k, eve, "the eavesdropper position")):
@@ -550,24 +560,36 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
                 d = _distance(x, y, z, point)
                 if d <= 0.0:
                     raise ConfigError(f"user {j} coincides with {what}")
-                los[n, offset + j] = los_component(cfg.rician, d)
+                try:
+                    los[n, offset + j] = los_component(cfg.rician, d)
+                except OverflowError:  # the power law's float ** overflows
+                    raise ConfigError(
+                        f"user {j}: the line-of-sight amplitude to {what} overflows at {d!r} m") from None
         draws[n] = np.random.default_rng(fading_seq).standard_normal((2 * k, 2))
 
     if not np.isfinite(g).all():
-        raise ValueError("ScenarioChannels.g entries must be finite and >= 0")
-    mag = rician_mix(los, draws[..., 0], draws[..., 1], mixing_weights(cfg.rician, cfg.rf_mixing))
-    if not np.isfinite(mag).all():
-        FadingSample(float(mag[~np.isfinite(mag)][0]))  # raises its ValueError
-    h, h_e = np.ascontiguousarray(mag[:, :k]), np.ascontiguousarray(mag[:, k:])
-    i_d = cfg.led.dc_offset
-    return ScenarioBlock(
-        g=g,
-        h=h,
-        h_e=h_e,
-        a=snr_constants(cfg.eta, i_d, g, h, cfg.noise_user_ul),
-        a_e=snr_constants(cfg.eta, i_d, g, h_e, cfg.noise_eve_ul),
-        c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl),
-    )
+        raise ConfigError("ScenarioChannels.g entries must be finite and >= 0")
+    with np.errstate(all="ignore"):  # a non-finite entry is refused, not warned about
+        mag = rician_mix(los, draws[..., 0], draws[..., 1], mixing_weights(cfg.rician, cfg.rf_mixing))
+        if not np.isfinite(mag).all():
+            raise ConfigError(f"FadingSample.h_mag must be finite and >= 0, got {float(mag[~np.isfinite(mag)][0])!r}")
+        h, h_e = np.ascontiguousarray(mag[:, :k]), np.ascontiguousarray(mag[:, k:])
+        i_d = cfg.led.dc_offset
+        block = ScenarioBlock(
+            g=g,
+            h=h,
+            h_e=h_e,
+            a=snr_constants(cfg.eta, i_d, g, h, cfg.noise_user_ul),
+            a_e=snr_constants(cfg.eta, i_d, g, h_e, cfg.noise_eve_ul),
+            c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl),
+        )
+    for name, values in (("the SNR constant a", block.a), ("the SNR constant aE", block.a_e),
+                         ("the rate coefficient c", block.c)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            n, j = np.argwhere(bad)[0]
+            raise ConfigError(f"user {j}: {name} must be finite, got {float(values[n, j])!r}")
+    return block
 
 
 def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChannels, FeasibleSet]:
@@ -778,6 +800,13 @@ def _write_csv(path: str, comment: str, columns, body: str) -> None:
         fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
 
 
+def _process_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes, imported only when a sweep forks."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Execute the configured sweep; returns output paths and row counts.
 
@@ -819,7 +848,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     else:
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
         results = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             for i, result in zip(order, pool.map(_sweep_task, [tasks[i] for i in order])):
                 results[i] = result
 

@@ -99,8 +99,8 @@ def _pair_table(a: float, a_e: float, dl_levels: np.ndarray, ul_levels: np.ndarr
     return u
 
 
-def _levels(lo: float, hi: float, n: int, extra=()) -> np.ndarray:
-    """np.linspace(lo, hi, n) by its own arithmetic, plus the ``extra`` points inside."""
+def _levels(lo: float, hi: float, n: int, extra=None) -> np.ndarray:
+    """np.linspace(lo, hi, n) by its own arithmetic, ``_merged`` with the ``extra`` points if given."""
     delta = hi - lo
     step = delta / (n - 1)
     pts = np.arange(n, dtype=np.float64)
@@ -111,15 +111,18 @@ def _levels(lo: float, hi: float, n: int, extra=()) -> np.ndarray:
         pts *= step
     pts += lo
     pts[-1] = hi
-    extras = [e for e in extra if lo <= e <= hi]
-    if extras:
-        pts = np.unique(np.concatenate([pts, np.array(extras)]))
-    return pts
+    return pts if extra is None else _merged(pts, extra, lo, hi)
+
+
+def _merged(levels: np.ndarray, cand, lo: float, hi: float) -> np.ndarray:
+    """The ``levels`` and the candidate points inside [lo, hi], ascending, each value once."""
+    cand = np.asarray(cand, dtype=np.float64)
+    return np.unique(np.concatenate([levels, cand[(cand >= lo) & (cand <= hi)]]))
 
 
 def _search_k1(a, a_e, c, r_min, spec, windows):
     (dlo, dhi), (ulo, uhi) = windows
-    boundary = (r_min / c[0],) if (r_min > 0.0 and c[0] > 0.0) else ()
+    boundary = (r_min / c[0],) if (r_min > 0.0 and c[0] > 0.0) else None
     dl = _levels(dlo, dhi, spec.resolution, boundary)
     ul = _levels(ulo, uhi, spec.resolution)
     if r_min > 0.0:
@@ -184,11 +187,9 @@ def _search_k2(a, a_e, c, r_min, spec, windows):
     if r_min > 0.0:
         # put the exact rate boundary in the candidate set along each axis
         if c[1] > 0.0:
-            cand = (r_min - c[0] * d1) / c[1]
-            d2 = np.unique(np.concatenate([d2, cand[(cand >= d2lo) & (cand <= d2hi)]]))
+            d2 = _merged(d2, (r_min - c[0] * d1) / c[1], d2lo, d2hi)
         if c[0] > 0.0:
-            cand = (r_min - c[1] * d2) / c[0]
-            d1 = np.unique(np.concatenate([d1, cand[(cand >= d1lo) & (cand <= d1hi)]]))
+            d1 = _merged(d1, (r_min - c[1] * d2) / c[0], d1lo, d1hi)
     u1 = _levels(u1lo, u1hi, spec.resolution)
     u2 = _levels(u2lo, u2hi, spec.resolution)
 

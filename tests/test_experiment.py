@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -419,7 +420,9 @@ class TestScenarioBlock:
         ({"ap.position": "3.5,2.0,0.0"}, "user 1 coincides with the access point"),
         ({"eve.position": "3.5,2.0,0.0"}, "user 1 coincides with the eavesdropper position"),
         ({"ap.position": "3.5,2.0,0.0", "eve.position": "1.0,1.0,0.0"}, "user 1 coincides with the access point"),
+        ({"led.position": "3.5,2.0,0.0"}, "user 1 coincides with the LED"),
     ])
+    @pytest.mark.filterwarnings("ignore:user 0 at")  # level with the LED, user 0 is out of its view
     def test_coincidence_errors(self, extra, message):
         cfg = build_config(dict({"seed": "3", "users.positions": "1.0,1.0,0.0; 3.5,2.0,0.0"}, **extra))
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -430,19 +433,41 @@ class TestScenarioBlock:
     def test_non_finite_gain_rejected(self):
         # 1e-160 m beneath the LED, d^2 is subnormal and the gain overflows
         cfg = build_config({"seed": "3", "users.positions": "1.0,1.0,0.0", "led.position": "1.0,1.0,1e-160"})
-        with pytest.raises(ValueError, match="ScenarioChannels.g entries must be finite"):
+        with pytest.raises(ConfigError, match="ScenarioChannels.g entries must be finite"):
             generate_scenario(cfg, 0)
-        with pytest.raises(ValueError, match="ScenarioChannels.g entries must be finite"):
+        with pytest.raises(ConfigError, match="ScenarioChannels.g entries must be finite"):
             experiment.scenario_block(cfg, [0])
 
     def test_non_finite_uplink_amplitude_rejected(self):
         # 1e-160 m from the access point the LOS amplitude overflows, and the mix is nan
         cfg = build_config({"seed": "3", "users.positions": "1.0,1.0,0.0", "ap.position": "1.0,1.0,1e-160",
                             "rf.los_reference_gain": "1e200"})
-        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+            warnings.simplefilter("error")  # refused before numpy warns
             experiment.scenario_block(cfg, [0])
         assert str(err.value) == "FadingSample.h_mag must be finite and >= 0, got nan"
+
+    @pytest.mark.parametrize("extra, message", [
+        # d ** (-3.9 / 2) at d = 1e-160 m leaves the float range
+        ({"ap.position": "1.0,1.0,1e-160", "rf.path_loss_exponent": "3.9"},
+         "user 0: the line-of-sight amplitude to the access point overflows at 9.99994433575849e-161 m"),
+        ({"eve.position": "1.0,1.0,1e-160", "rf.path_loss_exponent": "3.9"},
+         "user 0: the line-of-sight amplitude to the eavesdropper position overflows at 9.99994433575849e-161 m"),
+        # the LOS amplitude is 1e157, so h ** 2 and with it a overflow to inf
+        ({"ap.position": "1.0,1.0,1e-160"}, "user 0: the SNR constant a must be finite, got inf"),
+        ({"eve.position": "1.0,1.0,1e-160"}, "user 0: the SNR constant aE must be finite, got inf"),
+        # the DL SNR p g^2 / sigma^2 overflows while a and aE stay finite
+        ({"led.power": "1e300", "noise.user_dl": "1e-300"}, "user 0: the rate coefficient c must be finite, got inf"),
+        # kappa^2 / sin^2(0) under the angle-dependent concentrator
+        ({"users.positions": "1.0,1.0,0.0; 2.5,2.5,0.0", "concentrator.model": "angle-dependent"},
+         "user 1: angle-dependent concentrator gain diverges at normal incidence"),
+    ])
+    def test_unevaluable_scenario_rejected(self, extra, message):
+        cfg = build_config(dict({"seed": "3", "users.positions": "1.0,1.0,0.0"}, **extra))
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+            warnings.simplefilter("error")  # refused before numpy warns
+            experiment.scenario_block(cfg, [1, 0])
+        assert str(err.value) == message
 
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial index"):
@@ -478,7 +503,7 @@ def _inline_pool(monkeypatch, cpus: int | None) -> list[_InlinePool]:
         pools.append(_InlinePool(max_workers))
         return pools[-1]
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(experiment, "_process_pool", make)
     if cpus is not None:
         monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return pools
@@ -1244,6 +1269,30 @@ class TestCli:
         assert code == 2
         assert "config error" in err and "sweep.values" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["solve", "report", "sweep"])
+    @pytest.mark.parametrize("geometry, message", [
+        ({"ap.position": "1.0,1.0,1e-160", "rf.los_reference_gain": "1e200"},
+         "FadingSample.h_mag must be finite and >= 0, got nan"),
+        ({"ap.position": "1.0,1.0,1e-160", "rf.path_loss_exponent": "3.9"},
+         "user 0: the line-of-sight amplitude to the access point overflows at 9.99994433575849e-161 m"),
+        ({"led.position": "1.0,1.0,1e-160"}, "ScenarioChannels.g entries must be finite and >= 0"),
+        ({"users.positions": "2.5,2.5,3.0"}, "user 0 coincides with the LED"),
+        ({"ap.position": "1.0,1.0,1e-160"}, "user 0: the SNR constant a must be finite, got inf"),
+    ])
+    def test_unevaluable_scenario_exit_two(self, tmp_path, capfd, geometry, message, command, workers):
+        # the one line on stderr is the refusal: no traceback, and no numpy
+        # warning before it (the error filter makes one fail the command)
+        raw = {"seed": "3", "users.positions": "1.0,1.0,0.0", **geometry, "trials": "2",
+               "sweep.kind": "rmin", "sweep.values": "0.1", "runtime.workers": workers}
+        path = tmp_path / "c.txt"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert (code, *capfd.readouterr()) == (2, "", f"config error: {message}\n")
+        assert multiprocessing.active_children() == []
+
     def test_infeasible_everywhere_exit_three(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text(
@@ -1350,6 +1399,11 @@ class TestCli:
     def test_cli_imports_without_scipy(self):
         # the package needs numpy only; scipy would add startup time and memory
         assert self._loaded_by("import vlcrf.cli", "scipy") == "[]"
+
+    def test_cli_imports_without_the_process_pool(self):
+        # only a sweep that forks loads the pool and multiprocessing
+        assert self._loaded_by("import vlcrf.cli", "multiprocessing") == "[]"
+        assert "concurrent.futures.process" not in self._loaded_by("import vlcrf.cli", "concurrent")
 
     def test_package_import_loads_no_module(self):
         # the package re-exports nothing: each module is imported by its name

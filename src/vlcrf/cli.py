@@ -11,6 +11,12 @@ Settings resolve in order: built-in defaults, then --preset values, then the
 evaluate (``experiment.scenario_block``), such as a user at the LED or a
 channel value that overflows; at any worker count it prints one
 ``config error:`` line.
+
+Besides ``config error:`` lines (and a sweep's line that every point was
+infeasible), stderr carries at most one ``warning:`` line per command: how
+many of the user placements it drew are outside the LED field of view, where
+the user has no VLC rate and harvests no uplink power.  A sweep counts over
+all its trials, so the line is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -51,8 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _notice(dark: tuple[int, int]) -> None:
+    """Print the one notice on (placements outside the LED field of view, all placements), if any are."""
+    if dark[0]:
+        print(f"warning: {dark[0]} of {dark[1]} user placements are outside the LED field of view; "
+              "their VLC gain is 0", file=sys.stderr)
+
+
 def _cmd_solve(cfg, args) -> int:
     out = run_solve(cfg, oracle=args.oracle)
+    _notice(out["dark"])
     print(f"status: {out['status']}")
     print(f"r_min: {out['r_min']!r}")
     if out["status"] == STATUS_INFEASIBLE:
@@ -78,6 +92,7 @@ def _cmd_solve(cfg, args) -> int:
 
 def _cmd_sweep(cfg, args) -> int:
     info = run_sweep(cfg)
+    _notice(info["dark"])
     print(f"rows: {info['rows']} ({info['solved']} solved) -> {info['rows_path']}")
     print(f"aggregates -> {info['agg_path']}")
     if info["solved"] == 0:
@@ -88,6 +103,7 @@ def _cmd_sweep(cfg, args) -> int:
 
 def _cmd_report(cfg, args) -> int:
     info = run_report(cfg)
+    _notice(info["dark"])
     print(f"report -> {info['report_path']} (status: {info['status']})")
     if info["status"] == STATUS_INFEASIBLE:
         return EXIT_INFEASIBLE

@@ -36,7 +36,12 @@ The block path is column-wise from the channel draws to the CSV bytes.
 ``scenario_block`` draws a block's scenarios straight into (N, K) arrays,
 the chain keeps each target's results as arrays, and each worker formats
 its own rows' CSV text a column at a time; the parent joins the text and
-computes the aggregates from the concatenated arrays.  ``generate_scenario``,
+computes the aggregates from the concatenated arrays.
+
+Scenario generation is pure data: a user placement outside the LED field of
+view is a zero VLC gain, and each ``run_*`` returns how many such placements
+its scenarios held ("dark"), which ``cli`` prints as its one notice.  No
+code here raises a Python warning.  ``generate_scenario``,
 ``scenario_block`` of one trial as ``ScenarioChannels`` and ``FeasibleSet``,
 is kept for the single-problem API (``dc_solver.dca_solve``); no command
 calls it.
@@ -47,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -512,8 +516,9 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     standard normal draw: (re, im) of the K access-point links, then of the
     K eavesdropper links, the stream of 2K single draws.  The geometry stays
     on the scalar ``math`` kernels ``ray_gain`` and ``los_component``, so
-    every entry has the bits of the per-user channel APIs.  Users outside the
-    LED field of view get a zero gain and a warning; the scenario stays valid.
+    every entry has the bits of the per-user channel APIs.  A user outside
+    the LED field of view gets a zero gain, so no rate and no harvested
+    power; the scenario stays valid, and the commands count such users.
 
     A scenario the model cannot evaluate raises ``ConfigError``: a user at
     the LED, the access point or the eavesdropper position; a user at normal
@@ -531,7 +536,8 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     for n, trial in enumerate(trials):
         if trial < 0:
             raise ValueError("trial index must be >= 0")
-        geom_seq, eve_seq, fading_seq = np.random.SeedSequence([cfg.seed, trial]).spawn(3)
+        # the children SeedSequence([seed, trial]).spawn(3) makes, without spawning them
+        geom_seq, eve_seq, fading_seq = (np.random.SeedSequence([cfg.seed, trial], spawn_key=(i,)) for i in range(3))
         if cfg.users_positions is not None:
             positions = [(p.x, p.y, p.z) for p in cfg.users_positions]
         else:
@@ -553,8 +559,6 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
                                    led, cfg.pd, cfg.concentrator_model)
             except ValueError as err:  # the angle-dependent concentrator diverges at normal incidence
                 raise ConfigError(f"user {j}: {err}") from None
-            if g[n, j] == 0.0:
-                warnings.warn(f"user {j} at {Vec3(x, y, z)} is outside the LED field of view; VLC gain is 0")
         for offset, point, what in ((0, ap, "the access point"), (k, eve, "the eavesdropper position")):
             for j, (x, y, z) in enumerate(positions):
                 d = _distance(x, y, z, point)
@@ -780,16 +784,16 @@ def _chain_csv(label, users: int, trials: range | list[int], chain: ChainBlock, 
     )
 
 
-def _sweep_task(payload) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One (user count, trial block) task: per target, the CSV text of its rows,
-    then the (T, N) feasible mask and objective, clamped and DL rate columns."""
+def _sweep_task(payload) -> tuple[int, list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One (user count, trial block) task: how many of its user placements are
+    outside the LED field of view, per target the CSV text of its rows, then
+    the (T, N) feasible mask and objective, clamped and DL rate columns."""
     cfg, users, trials = payload
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chain = _rmin_chain_block(cfg, users, trials)
+    block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
+    chain = _rmin_chain_block(cfg, users, trials, block)
     labels = _chain_targets(cfg, users)[0]
     text = [_chain_csv(label, users, trials, chain, idx) for idx, label in enumerate(labels)]
-    return text, chain.feasible, chain.objective, chain.clamped, chain.dl_rate
+    return int((block.g == 0.0).sum()), text, chain.feasible, chain.objective, chain.clamped, chain.dl_rate
 
 
 def _write_csv(path: str, comment: str, columns, body: str) -> None:
@@ -823,7 +827,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     then block, and the aggregates see each group's solved values
     concatenated in that row order.  A row's bytes do not depend on its
     block, and the results are put back in task order before the text is
-    joined, so the worker count never changes bytes.
+    joined, so the worker count never changes bytes.  "dark" (as in
+    ``run_solve``) sums the tasks' counts, so it too is worker-count free.
     """
     if cfg.sweep_kind is None:
         raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
@@ -856,7 +861,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     groups: dict[tuple, list[list[np.ndarray]]] = {}  # (users, sweep value) -> per chunk, its solved values
     for first, users in zip(range(0, len(results), len(blocks)), k_values):
         for idx, label in enumerate(_chain_targets(cfg, users)[0]):
-            for chunks, feasible, *values in results[first:first + len(blocks)]:
+            for _, chunks, feasible, *values in results[first:first + len(blocks)]:
                 text.append(chunks[idx])
                 groups.setdefault((users, label), []).append([v[idx][feasible[idx]] for v in values])
     agg = []
@@ -880,8 +885,9 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     return {
         "rows_path": rows_path,
         "agg_path": agg_path,
-        "rows": sum(feasible.size for _, feasible, *_ in results),
-        "solved": sum(int(feasible.sum()) for _, feasible, *_ in results),
+        "rows": sum(feasible.size for _, _, feasible, *_ in results),
+        "solved": sum(int(feasible.sum()) for _, _, feasible, *_ in results),
+        "dark": (sum(dark for dark, *_ in results), cfg.trials * sum(k_values)),
     }
 
 
@@ -892,12 +898,13 @@ REPORT_COLUMNS = (
 
 
 def run_report(cfg: ExperimentConfig) -> dict:
-    """Solve the seeded scenario as ``run_solve`` does and emit the per-user slot report."""
+    """Solve the seeded scenario as ``run_solve`` does and emit the per-user slot
+    report; returns its "report_path", and ``run_solve``'s "status", "r_min" and "dark"."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = run_solve(cfg)
     block, chain, status, r_min = out["block"], out["chain"], out["status"], out["r_min"]
     path = os.path.join(cfg.output_dir, REPORT_FILE)
-    info = {"report_path": path, "status": status, "r_min": r_min}
+    info = {"report_path": path, "status": status, "r_min": r_min, "dark": out["dark"]}
     if status == STATUS_INFEASIBLE:
         _write_csv(path, f"# infeasible: r_min = {_fmt(r_min)}", REPORT_COLUMNS, "")
         return info
@@ -917,7 +924,9 @@ def run_report(cfg: ExperimentConfig) -> dict:
 def run_solve(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     """Solve the seeded scenario (trial 0) at its one target, whatever sweep the
     config sets; optionally cross-check the oracle.  Returns the trial's
-    "block" and "chain", the row's "status" and "r_min", and the "oracle" comparison.
+    "block" and "chain", the row's "status" and "r_min", "dark" (user
+    placements outside the LED field of view, all user placements) and the
+    "oracle" comparison.
     """
     cfg = dataclasses.replace(cfg, sweep_kind=None)
     block = scenario_block(cfg, [0])
@@ -929,7 +938,8 @@ def run_solve(cfg: ExperimentConfig, oracle: bool = False) -> dict:
         status = STATUS_INFEASIBLE
     else:
         status = STATUS_CONVERGED if chain.converged[0, 0] else STATUS_MAX_ITERATIONS
-    out = {"block": block, "chain": chain, "status": status, "r_min": float(chain.r_min[0, 0])}
+    out = {"block": block, "chain": chain, "status": status, "r_min": float(chain.r_min[0, 0]),
+           "dark": (int((block.g == 0.0).sum()), block.g.size)}
     if oracle and status != STATUS_INFEASIBLE:
         *_, oracle_objective = grid_search(block.a[0], block.a_e[0], block.c[0], out["r_min"], cfg.oracle_spec)
         out["oracle"] = compare(float(chain.objective[0, 0]), oracle_objective)

@@ -309,13 +309,15 @@ class TestGenerateScenario:
         assert float(s.g[0]) == pytest.approx(hand, rel=1e-12)
         assert float(s.g[0]) == pytest.approx(5.7296e-6, rel=1e-4)
 
-    def test_out_of_fov_user_warns(self):
+    def test_out_of_fov_user_has_zero_gain(self):
+        # the placement is data: a zero gain, and no warning
         cfg = build_config({
             "seed": "1", "pd.fov": "20", "users.positions": "0.1,0.1,0.0",
         })
-        with pytest.warns(UserWarning, match="field of view"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s, _ = generate_scenario(cfg, 0)
-        assert float(s.g[0]) == 0.0
+        assert s.g.tolist() == [0.0]
 
     def test_rate_fraction_resolved_against_bound(self):
         cfg = build_config({"seed": "5", "users.count": "2", "rate.min_fraction": "0.5"})
@@ -336,8 +338,8 @@ class TestGenerateScenario:
 def _reference_scenario(cfg, trial):
     """One trial's scenario the way the sweeps drew it before the block
     generator: a ``Vec3`` per user, one ``vlc_channel_gain`` and two
-    ``sample_rician_gain`` calls per user.  Returns the scenario and the
-    messages of its warnings, in order."""
+    ``sample_rician_gain`` calls per user.  Returns the scenario and how
+    many of its users are outside the LED field of view."""
     ss = np.random.SeedSequence([cfg.seed, trial])
     geom_rng, eve_rng, fading_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     width, depth, height = cfg.room
@@ -355,12 +357,9 @@ def _reference_scenario(cfg, trial):
     def distance(p, q):
         return math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.z - q.z) ** 2)
 
-    messages = []
     g = np.empty(len(positions))
     for k, pos in enumerate(positions):
         g[k] = vlc_channel_gain(cfg.led, UserTerminal(id=k, position=pos, pd=cfg.pd), cfg.concentrator_model)
-        if g[k] == 0.0:
-            messages.append(f"user {k} at {pos} is outside the LED field of view; VLC gain is 0")
     h = [sample_rician_gain(cfg.rician, distance(pos, cfg.ap_position), fading_rng, cfg.rf_mixing).h_mag
          for pos in positions]
     h_e = [sample_rician_gain(cfg.rician, distance(pos, eve), fading_rng, cfg.rf_mixing).h_mag
@@ -371,7 +370,7 @@ def _reference_scenario(cfg, trial):
         sigma2_ul=np.full(len(positions), cfg.noise_user_ul),
         sigma2_e=cfg.noise_eve_ul, eta=cfg.eta, i_d=cfg.led.dc_offset, p_led=cfg.led.p_led,
     )
-    return scenario, messages
+    return scenario, sum(gain == 0.0 for gain in g.tolist())
 
 
 class TestScenarioBlock:
@@ -386,26 +385,26 @@ class TestScenarioBlock:
         ({"seed": "31", "pd.fov": "25", "eve.position": "0.5,4.0,2.0"}, (6, 40), range(5)),
     ])
     def test_block_matches_the_scalar_reference(self, raw, users, trials):
-        """Every array of the block equals, with ==, the per-user reference."""
-        warned = 0
+        """Every array of the block equals, with ==, the per-user reference,
+        and the block raises no warning for users out of the LED's view."""
+        dark = 0
         for k in users:
             cfg = dataclasses.replace(build_config(raw), users_count=k)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 block = experiment.scenario_block(cfg, trials)
-            got_messages = [str(w.message) for w in caught]
-            want_messages = []
+            want_dark = 0
             for n, trial in enumerate(trials):
-                s, messages = _reference_scenario(cfg, trial)
-                want_messages += messages
+                s, out_of_view = _reference_scenario(cfg, trial)
+                want_dark += out_of_view
                 for name, want in (("g", s.g), ("h", s.h), ("h_e", s.h_e), ("a", s.a_user()),
                                    ("a_e", s.a_eve()), ("c", dl_rate_coefficients(s))):
                     got = getattr(block, name)[n]
                     assert got.shape == want.shape and np.all(got == want), (k, trial, name)
-            assert got_messages == want_messages
-            warned += len(got_messages)
+            assert int((block.g == 0.0).sum()) == want_dark
+            dark += want_dark
         if raw.get("pd.fov") == "25":
-            assert warned > 0  # out-of-view users warn
+            assert dark > 0  # some users are out of view
 
     def test_generate_scenario_is_the_block_of_one_trial(self):
         cfg = build_config({"seed": "5", "users.count": "5", "rate.min_fraction": "0.4"})
@@ -422,13 +421,14 @@ class TestScenarioBlock:
         ({"ap.position": "3.5,2.0,0.0", "eve.position": "1.0,1.0,0.0"}, "user 1 coincides with the access point"),
         ({"led.position": "3.5,2.0,0.0"}, "user 1 coincides with the LED"),
     ])
-    @pytest.mark.filterwarnings("ignore:user 0 at")  # level with the LED, user 0 is out of its view
     def test_coincidence_errors(self, extra, message):
         cfg = build_config(dict({"seed": "3", "users.positions": "1.0,1.0,0.0; 3.5,2.0,0.0"}, **extra))
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            generate_scenario(cfg, 0)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            experiment.scenario_block(cfg, [1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # level with the LED, user 0 is out of its view: no warning
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                generate_scenario(cfg, 0)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                experiment.scenario_block(cfg, [1, 0])
 
     def test_non_finite_gain_rejected(self):
         # 1e-160 m beneath the LED, d^2 is subnormal and the gain overflows
@@ -472,6 +472,16 @@ class TestScenarioBlock:
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError, match="trial index"):
             generate_scenario(build_config({"seed": "3"}), -1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 31, 20240, 2**32 - 1, 2**63 + 5, 10**30])
+    def test_substreams_are_the_spawned_children(self, seed):
+        # scenario_block builds its three substreams with spawn_key=(i,);
+        # they are the children spawn(3) makes, so every draw keeps its bits
+        for trial in (0, 1, 2, 49, 199, 10**6):
+            spawned = np.random.SeedSequence([seed, trial]).spawn(3)
+            for i, child in enumerate(spawned):
+                direct = np.random.SeedSequence([seed, trial], spawn_key=(i,))
+                assert np.array_equal(direct.generate_state(8), child.generate_state(8)), (seed, trial, i)
 
 
 class _InlinePool:
@@ -1156,15 +1166,14 @@ class TestReportAndSolve:
                 b"user,tau_dl,tau_ul,vlc_gain,rate_coeff_bits,secrecy_bits,clamped_secrecy_bits\n")
 
     @pytest.mark.parametrize("command", ["solve", "report"])
-    def test_out_of_fov_user_warns_once(self, tmp_path, command):
-        # only the sweep workers silence the warning
+    def test_out_of_fov_user_counted_once(self, tmp_path, command):
+        # the one user out of view is counted, not warned about
         cfg = build_config({"seed": "1", "pd.fov": "20", "users.positions": "2.5,2.5,0.0; 0.1,0.1,0.0",
                             "output.dir": str(tmp_path)})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_solve(cfg) if command == "solve" else run_report(cfg)
-        assert [str(w.message) for w in caught] == [
-            "user 1 at Vec3(x=0.1, y=0.1, z=0.0) is outside the LED field of view; VLC gain is 0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_solve(cfg) if command == "solve" else run_report(cfg)
+        assert out["dark"] == (1, 2)
 
     def test_solve_oracle_rejects_large_k(self, tmp_path, monkeypatch, capsys):
         # refused before the solve runs, for a feasible target only: an
@@ -1293,6 +1302,55 @@ class TestCli:
         assert (code, *capfd.readouterr()) == (2, "", f"config error: {message}\n")
         assert multiprocessing.active_children() == []
 
+    # sha256 of the out-of-view config's stdout, with its output directory
+    # written "OUT", then each output file's name and bytes; measured at
+    # commit 20c9bd8, the last whose scenarios warned, with numpy 2.4.6 on
+    # x86_64, the same under the AVX-512 and the AVX2 targets
+    DARK_DIGESTS = {
+        "solve": "a22c8936bbd554ef7d31fcbc632120c139cbf69e8999a48c389e20fc0ba410a0",
+        "report": "c648984fadec1c45b22c510beaa2240afca7560112648c42ced443381485ffb3",
+        "sweep": "a8186d2583eecec4c5b74978d27f096dbdedfcc835d025ec585becc36919a5f6",
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "report", "sweep"])
+    @pytest.mark.parametrize("preset", [None, "fig3", "fig4"])
+    def test_one_notice_for_placements_out_of_view(self, tmp_path, capfd, preset, command):
+        """Seed 31 with a 25 degree field of view puts 3 of trial 0's 6 users,
+        and 14 of trials 0-2's 18, out of the LED's view.  Each command prints
+        one notice line on stderr, counted over every scenario it drew, and
+        raises no warning; the line and every byte of stdout and the outputs
+        are the same at 1 and 2 workers.  The presets print no notice, and
+        ``sweep --preset fig4`` only its config error.
+        """
+        raw = {"trials": "2"} if preset else {
+            "seed": "31", "pd.fov": "25", "users.count": "6", "trials": "3",
+            "sweep.kind": "rmin_fraction", "sweep.values": "0.2,0.5"}
+        seen = []
+        for workers in ("1", "2"):
+            out, path = tmp_path / workers, tmp_path / f"{workers}.cfg"
+            path.write_text("".join(f"{key} = {value}\n" for key, value in dict(raw, **{"runtime.workers": workers}).items()))
+            argv = [command, "--config", str(path), "--out", str(out)] + (["--preset", preset] if preset else [])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli_main(argv)
+            printed = capfd.readouterr()
+            assert multiprocessing.active_children() == []
+            written = printed.out.replace(str(out), "OUT").encode()
+            for name in sorted(os.listdir(out)) if out.is_dir() else []:
+                written += name.encode() + b"\n" + (out / name).read_bytes()
+            seen.append((code, printed.err, hashlib.sha256(written).hexdigest()))
+        assert seen[0] == seen[1]
+        code, err, digest = seen[0]
+        if preset is None:
+            dark = "14 of 18" if command == "sweep" else "3 of 6"
+            assert (code, err) == (0, f"warning: {dark} user placements are outside the LED field of view; "
+                                      "their VLC gain is 0\n")
+            assert digest == self.DARK_DIGESTS[command]
+        elif preset == "fig4" and command == "sweep":
+            assert (code, err) == (2, "config error: sweep.kind: a sweep requires sweep.kind (or use a preset)\n")
+        else:
+            assert (code, err) == (0, "")
+
     def test_infeasible_everywhere_exit_three(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text(
@@ -1316,7 +1374,7 @@ class TestCli:
 
         def report(cfg):
             seen.append(cfg)
-            return {"report_path": os.path.join(cfg.output_dir, "r.csv"), "status": "converged"}
+            return {"report_path": os.path.join(cfg.output_dir, "r.csv"), "status": "converged", "dark": (0, 2)}
 
         monkeypatch.setattr(cli, "run_report", report)
         path = tmp_path / "c.txt"

@@ -105,9 +105,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bench-only: perspective_grads, perspective_value and ``minimize`` below, which
-# bench/tracing.py counts or wraps by name on this module
-from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_grads, perspective_value
+from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_terms
+
+# bench-only, as ``minimize`` below: the engine reads perspective_terms, and
+# bench/tracing.py counts or wraps these by name on this module
+from vlcrf.link_budget import perspective_grads, perspective_value
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -354,46 +356,30 @@ class _Concave:
         """Objective per row and a supergradient of it, 0 off ``on``.
 
         The user's and the eavesdropper's terms are one (2, N, K) pass of
-        ``perspective_value`` and ``perspective_grads``, sharing each
-        log1p(a w / tau_ul), with their bits.  Where a w / tau_ul overflows
-        the value here is inf, not ``perspective_value``'s ln form, but such
-        a term is dropped below.
+        ``perspective_terms``, one logarithm per term.  Where tau_ul = 0 or
+        a w / tau_ul overflows, a term's value and UL gradient are not
+        finite, and the term is dropped.
 
-        At tau_ul = 0 (or where a w / tau_ul overflows) a term is 0, and its
-        superdifferential is that of the perspective's closure: with
-        w = 1 - tau_dl > 0 the limit (d/dtau_dl, d/dtau_ul) = (0, log2(a / aE)),
-        inf where aE = 0; at the corner w = 0 every (-phi'(s), psi(s)),
-        s >= 0.  Any choice certifies; to keep the gap tight on DL ties, a
-        corner user takes that limit when log2(a / aE) is at most the row's
-        largest UL gradient at a positive share (so it raises no UL vertex),
-        else (-phi'(0), 0) = (-(a - aE) / ln2, 0).
+        There a term is 0, and its superdifferential is that of the
+        perspective's closure: with w = 1 - tau_dl > 0 the limit
+        (d/dtau_dl, d/dtau_ul) = (0, log2(a / aE)), inf where aE = 0; at the
+        corner w = 0 every (-phi'(s), psi(s)), s >= 0.  Any choice
+        certifies; to keep the gap tight on DL ties, a corner user takes
+        that limit when log2(a / aE) is at most the row's largest UL
+        gradient at a positive share (so it raises no UL vertex), else
+        (-phi'(0), 0) = (-(a - aE) / ln2, 0).
         """
         on, a, a_e = self.on, self.a, self.a_e
-        pair = np.array((a, a_e))
         w = 1.0 - dl
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            prod = pair * w
-            log_term = np.log1p(prod / ul)
-            scaled = LN2 * (ul + prod)
-            value = ul * log_term / LN2
-            d_dl = -pair * ul / scaled
-            d_ul = log_term / LN2 - prod / scaled
-            value, g_dl, g_ul = value[0] - value[1], d_dl[0] - d_dl[1], d_ul[0] - d_ul[1]
-        # no uplink, or a w / tau_ul beyond the doubles: take the limits at tau_ul -> 0
+            value, g_dl, g_ul = (x[0] - x[1] for x in perspective_terms(np.array((a, a_e)), w, ul))
+            limit = np.log2(a / a_e)  # inf where aE = 0
         share = on & np.isfinite(g_ul)
         zero = on & ~share
-        g_dl, fill = np.where(share, g_dl, 0.0), 0.0
-        if zero.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                limit = np.log2(a / a_e)  # inf where aE = 0
-            corner = zero & (w <= 0.0)
-            if corner.any():
-                lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
-                corner &= limit > lam
-                g_dl = np.where(corner, (a_e - a) / LN2, g_dl)
-                zero &= ~corner
-            fill = np.where(zero, limit, 0.0)
-        g_ul = np.where(share, g_ul, fill)
+        lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
+        corner = zero & (w <= 0.0) & (limit > lam)
+        g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
+        g_dl = np.where(share, g_dl, np.where(corner, (a_e - a) / LN2, 0.0))
         return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
@@ -602,36 +588,6 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     return dl, out
 
 
-def _maximize(prob: _Concave, dl: np.ndarray, ul: np.ndarray, settings: DcaSettings):
-    """Certified solves from the starts (dl, ul), one per row: (tau_dl, tau_ul, objective, gap, passes).
-
-    Each start is put back on the polytope first (switched-off users lose
-    their uplink share, which never lowers the objective).  A start whose
-    gap is at most ``epsilon`` is returned as it is, after 0 passes; for
-    every other row the dual solve runs once, warm-started from the start's
-    largest active UL gradient, and its point, put back on the polytope,
-    replaces the start when its objective is at least as high, so no answer
-    falls below its start.
-    """
-    x_dl, x_ul = prob.repair(dl, ul)
-    f, g_dl, g_ul = prob.value_and_grad(x_dl, x_ul)
-    gap = prob.gap(x_dl, x_ul, g_dl, g_ul)
-    passes = np.zeros(f.size, dtype=np.int64)
-    todo = np.flatnonzero(~(gap <= settings.epsilon))
-    if todo.size:
-        sub = prob.take(todo)
-        lam = np.where(sub.on, g_ul[todo], -np.inf).max(axis=1)
-        points = [_dual_solve(sub, i, float(lam[i]), settings.max_iterations) for i in range(todo.size)]
-        n_dl, n_ul = sub.repair(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
-        f_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
-        gap_n = sub.gap(n_dl, n_ul, gn_dl, gn_ul)
-        better = f_n >= f[todo]
-        rows = todo[better]
-        x_dl[rows], x_ul[rows], f[rows], gap[rows] = n_dl[better], n_ul[better], f_n[better], gap_n[better]
-        passes[todo] = 1
-    return x_dl, x_ul, f, gap, passes
-
-
 def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero out fractions below the reporting threshold, row by row.
 
@@ -667,9 +623,32 @@ def solve_rows(
     ``rate_coeffs`` and the starts are (N, K); ``r_min`` is (N,), each
     feasible (at most the row's largest rate coefficient).  Row i is what
     ``dca_solve`` returns for that problem alone, bit for bit.
+
+    The users with a_k <= aE_k are switched off, and each start is put back
+    on the polytope (switched-off users lose their uplink share, which never
+    lowers the objective).  A start whose gap is at most ``epsilon`` is
+    returned as it is, after 0 passes; for every other row the dual solve
+    runs once, warm-started from the start's largest active UL gradient,
+    and its point, put back on the polytope, replaces the start when its
+    objective is at least as high, so no answer falls below its start.
     """
     prob = _secrecy_problem(a, a_e, rate_coeffs, r_min)
-    dl, ul, f, gap, passes = _maximize(prob, tau_dl, tau_ul, settings)
+    dl, ul = prob.repair(tau_dl, tau_ul)
+    f, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    gap = prob.gap(dl, ul, g_dl, g_ul)
+    passes = np.zeros(f.size, dtype=np.int64)
+    todo = np.flatnonzero(~(gap <= settings.epsilon))
+    if todo.size:
+        sub = prob.take(todo)
+        lam = np.where(sub.on, g_ul[todo], -np.inf).max(axis=1)
+        points = [_dual_solve(sub, i, float(lam[i]), settings.max_iterations) for i in range(todo.size)]
+        n_dl, n_ul = sub.repair(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
+        f_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
+        gap_n = sub.gap(n_dl, n_ul, gn_dl, gn_ul)
+        better = f_n >= f[todo]
+        rows = todo[better]
+        dl[rows], ul[rows], f[rows], gap[rows] = n_dl[better], n_ul[better], f_n[better], gap_n[better]
+        passes[todo] = 1
     dl_s, ul_s = _snap_reported(dl, ul, rate_coeffs, r_min)
     return RowSolutions(dl_s, ul_s, dl, ul, f, gap, passes, gap <= settings.epsilon)
 

@@ -831,7 +831,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     ``run_solve``) sums the tasks' counts, so it too is worker-count free.
     """
     if cfg.sweep_kind is None:
-        raise ConfigError("sweep.kind: a sweep requires sweep.kind (or use a preset)")
+        kinds = ", ".join(sorted(name for name, raw in PRESETS.items() if "sweep.kind" in raw))
+        raise ConfigError(f"sweep.kind: a sweep requires sweep.kind (or a preset that sets it: {kinds})")
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     if cfg.sweep_kind == SWEEP_USERS:

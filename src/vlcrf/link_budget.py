@@ -170,46 +170,52 @@ def dl_sum_rate(s: ScenarioChannels, alloc: Allocation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the perspective-term kernel shared by the public API and the solver
+# the perspective-term kernel: ``perspective_terms`` is its one statement,
+# read by the solver's gradient kernel and by the wrappers below
 # ---------------------------------------------------------------------------
+
+def perspective_terms(a, leftover, tau_ul):
+    """(value, d/dtau_dl, d/dtau_ul) of the perspective term, one log1p per entry.
+
+    With w = leftover = 1 - tau_dl and t = tau_ul:
+
+        value     = t log2(1 + a w / t)
+        d/dtau_dl = -a t / (ln2 (t + a w))
+        d/dtau_ul = log2(1 + a w / t) - a w / (ln2 (t + a w))
+
+    No closure: the value and d/dtau_ul are not finite at t = 0 and where
+    a w / t overflows, the signal ``perspective_value`` and the solver's
+    gradient kernel read.  Scalars or broadcastable arrays; no warnings.
+    """
+    t = np.asarray(tau_ul, dtype=np.float64)
+    prod = a * leftover
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_term = np.log1p(prod / t)
+        scaled = LN2 * (t + prod)
+        return t * log_term / LN2, -a * t / scaled, log_term / LN2 - prod / scaled
+
 
 def perspective_value(a, leftover, tau_ul):
     """tau_ul * log2(1 + a * leftover / tau_ul), extended with 0 at tau_ul = 0.
 
-    Where a * leftover / tau_ul overflows (a tiny positive share), the log
-    is taken as ln(a * leftover) - ln(tau_ul): there log1p(x) and ln(x)
-    agree to double precision.  Every other entry is the plain expression.
+    ``perspective_terms``' value, with its closure: 0 at tau_ul = 0, and
+    where a * leftover / tau_ul overflows (a tiny positive share, where the
+    value reads inf) the log is taken as ln(a * leftover) - ln(tau_ul):
+    there log1p(x) and ln(x) agree to double precision.
     Scalars or broadcastable arrays; a scalar result is a numpy float.
     """
     t = np.asarray(tau_ul, dtype=np.float64)
-    positive = t > 0.0
-    safe_t = np.where(positive, t, 1.0)
-    prod = a * leftover
-    with np.errstate(over="ignore"):
-        ratio = prod / safe_t
-    log_term = np.log1p(ratio)
-    over = np.isinf(ratio)
+    value = perspective_terms(a, leftover, t)[0]
+    over = value == np.inf
     if over.any():
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_term = np.where(over, np.log(prod) - np.log(safe_t), log_term)
-    return np.where(positive, t * log_term / LN2, 0.0)[()]
+            value = np.where(over, t * (np.log(a * leftover) - np.log(t)) / LN2, value)
+    return np.where(t > 0.0, value, 0.0)[()]
 
 
 def perspective_grads(a, leftover, tau_ul):
-    """(d/dtau_dl, d/dtau_ul) of the perspective term; needs tau_ul > 0.
-
-    With w = 1 - tau_dl and t = tau_ul:
-
-        d/dtau_ul = log2(1 + a w / t) - a w / (ln2 (t + a w))
-        d/dtau_dl = -a t / (ln2 (t + a w))
-
-    Scalars or broadcastable arrays, like ``perspective_value``.
-    """
-    prod = a * leftover
-    denom = tau_ul + prod
-    d_dl = -a * tau_ul / (LN2 * denom)
-    d_ul = np.log1p(prod / tau_ul) / LN2 - prod / (LN2 * denom)
-    return d_dl, d_ul
+    """(d/dtau_dl, d/dtau_ul) of the perspective term: ``perspective_terms``' last two."""
+    return perspective_terms(a, leftover, tau_ul)[1:]
 
 
 def secrecy_capacity_user(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:

@@ -9,13 +9,18 @@ statement of the model's equations, one user or one allocation at a time:
 - the secrecy objective of an allocation (``objective_value``);
 - the angles of an LED-to-user link (``link_angles``);
 - the solver's deterministic start and its feasibility repairs for one
-  problem (``initial_allocation``, ``project_onto_feasible``).
+  problem (``initial_allocation``, ``project_onto_feasible``);
+- the perspective term and its partials as the program wrote them before
+  ``link_budget.perspective_terms`` stated them once: the lines the
+  solver's gradient kernel fused over the (2, N, K) pair of user and
+  eavesdropper (``fused_terms``), and the bodies of ``perspective_value``
+  and ``perspective_grads`` (``split_value``, ``split_grads``).
 """
 
 import numpy as np
 
 from vlcrf.dc_solver import FeasibleSet, _repair_dl, _repair_ul, check_feasibility, initial_rows
-from vlcrf.link_budget import Allocation, ScenarioChannels, perspective_value
+from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_value
 from vlcrf.vlc_channel import LedConfig, UserTerminal, _ray_angles
 
 
@@ -95,3 +100,40 @@ def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
     dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64)[None], fs.rate_coeffs[None], np.array([fs.r_min]))
     ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64)[None], np.ones((1, fs.K), dtype=bool))
     return dl[0].tolist(), ul[0].tolist()
+
+
+def fused_terms(pair: np.ndarray, w: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, d/dtau_dl, d/dtau_ul) of both terms of a (2, N, K) pair, with no closure."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prod = pair * w
+        log_term = np.log1p(prod / ul)
+        scaled = LN2 * (ul + prod)
+        value = ul * log_term / LN2
+        d_dl = -pair * ul / scaled
+        d_ul = log_term / LN2 - prod / scaled
+    return value, d_dl, d_ul
+
+
+def split_value(a, leftover, tau_ul):
+    """tau_ul * log2(1 + a * leftover / tau_ul), 0 at tau_ul = 0, the ln form on overflow."""
+    t = np.asarray(tau_ul, dtype=np.float64)
+    positive = t > 0.0
+    safe_t = np.where(positive, t, 1.0)
+    prod = a * leftover
+    with np.errstate(over="ignore"):
+        ratio = prod / safe_t
+    log_term = np.log1p(ratio)
+    over = np.isinf(ratio)
+    if over.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.where(over, np.log(prod) - np.log(safe_t), log_term)
+    return np.where(positive, t * log_term / LN2, 0.0)[()]
+
+
+def split_grads(a, leftover, tau_ul) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dtau_dl, d/dtau_ul) of the perspective term; needs tau_ul > 0."""
+    prod = a * leftover
+    denom = tau_ul + prod
+    d_dl = -a * tau_ul / (LN2 * denom)
+    d_ul = np.log1p(prod / tau_ul) / LN2 - prod / (LN2 * denom)
+    return d_dl, d_ul

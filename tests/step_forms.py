@@ -4,7 +4,9 @@
 ``csv.writer``, and ``value_and_grad`` is ``dc_solver._Concave.value_and_grad``
 as it called ``perspective_value`` and ``perspective_grads`` once per
 term, each taking log1p(a w / tau_ul) on its own.  The fused forms must give
-these bytes and bits exactly.
+these bytes and bits exactly.  Both kernels now read
+``link_budget.perspective_terms``; ``model_reference`` keeps the expressions
+it replaced, and ``test_link_budget`` compares them.
 """
 
 import csv
@@ -40,6 +42,13 @@ def chain_csv(label, users: int, trials, chain, idx: int) -> str:
         map(str, chain.iterations[idx].tolist()), status,
     ))
     return buf.getvalue()
+
+
+def same_bits(got, want) -> bool:
+    """== with nan matching nan in the same place and each zero keeping its sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
 
 
 def value_and_grad(prob, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

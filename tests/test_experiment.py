@@ -1010,6 +1010,29 @@ class TestBlockChain:
             f"no pinned digest for numpy's float64 dispatch targets {dict(zip(DISPATCHED, targets))}")
         assert _pinned({targets: "digest"}) == "digest"
 
+    def test_avx2_entries_checked_in_a_child(self, request):
+        """On an AVX-512 host the pins re-run in a child process under AVX2
+        dispatch, so one tier-1 command reads both entries of every digest
+        table.  The child's ``-k`` never selects this test."""
+        if _dispatch_targets() != AVX512_TARGETS:
+            pytest.skip(f"numpy dispatches {_dispatch_targets()}, not AVX512_TARGETS: no second target to check")
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(vlcrf.__file__))
+        path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+
+        def child(*args):
+            return subprocess.run([sys.executable, *args], env=env, cwd=os.path.dirname(tests),
+                                  capture_output=True, text=True, timeout=600)
+
+        probe = child("-c", "import test_experiment as t; print(t._dispatch_targets())")
+        assert probe.stdout.strip() == str(AVX2_TARGETS), probe.stderr
+        run = child("-m", "pytest", "-q", "-p", "no:cacheprovider", os.path.abspath(__file__),
+                    "-k", f"pinned and not {request.node.name}")
+        summary = run.stdout.strip().rsplit("\n", 1)[-1]
+        passed = re.fullmatch(r"\d+ passed, \d+ deselected in .*", summary)
+        assert run.returncode == 0 and passed, run.stdout + run.stderr
+
     @pytest.mark.parametrize("cpus", [3, 4])
     @pytest.mark.parametrize("name", ["fig3", "users"])
     def test_bytes_pinned_at_more_workers(self, tmp_path, monkeypatch, cpus, name):
@@ -1347,7 +1370,8 @@ class TestCli:
                                       "their VLC gain is 0\n")
             assert digest == self.DARK_DIGESTS[command]
         elif preset == "fig4" and command == "sweep":
-            assert (code, err) == (2, "config error: sweep.kind: a sweep requires sweep.kind (or use a preset)\n")
+            assert (code, err) == (2, "config error: sweep.kind: a sweep requires sweep.kind "
+                                      "(or a preset that sets it: fig3)\n")
         else:
             assert (code, err) == (0, "")
 

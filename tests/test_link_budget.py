@@ -4,8 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from model_reference import harvested_energy, objective_value, ul_energy, ul_power
+from model_reference import (
+    fused_terms,
+    harvested_energy,
+    objective_value,
+    split_grads,
+    split_value,
+    ul_energy,
+    ul_power,
+)
+from step_forms import same_bits
 from vlcrf.link_budget import (
     Allocation,
     ScenarioChannels,
@@ -14,6 +25,7 @@ from vlcrf.link_budget import (
     dl_rate_coefficients,
     dl_sum_rate,
     perspective_grads,
+    perspective_terms,
     perspective_value,
     secrecy_capacity_user,
     secrecy_rows,
@@ -284,6 +296,51 @@ class TestPerspectiveOverflow:
             plain = np.where(t > 0.0, t * np.log1p(a * w / np.where(t > 0.0, t, 1.0)) / math.log(2.0), 0.0)
         assert np.isfinite(plain).all()
         assert np.array_equal(perspective_value(a, w, t), plain)
+
+
+class TestPerspectiveTerms:
+    """``perspective_terms`` against the forms it replaced (``model_reference``), bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_earlier_forms(self, data):
+        # a and aE log-uniform in [1e-6, 1e12] or aE = 0; w at 0, 1 and
+        # between; shares at 0, the smallest doubles and in (0, 1]
+        users = data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 4))
+        snr = st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e)
+
+        def draw(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=rows * users, max_size=rows * users))).reshape(
+                rows, users)
+
+        a, a_e = draw(snr), draw(st.one_of(snr, st.just(0.0)))
+        w = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        t = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(0.0, 1.0, exclude_min=True)))
+        pair = np.array((a, a_e))
+        for got, want in zip(perspective_terms(pair, w, t), fused_terms(pair, w, t)):
+            assert same_bits(got, want), (a.tolist(), a_e.tolist(), w.tolist(), t.tolist())
+        for x in (a, a_e):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                want = split_grads(x, w, t)
+            for got, want_one in zip(perspective_grads(x, w, t), want):
+                assert same_bits(got, want_one)
+            assert same_bits(perspective_value(x, w, t), split_value(x, w, t))
+            # the signal the gradient kernel reads: value and d/dtau_ul are
+            # not finite exactly at t = 0 and where a w / t overflows
+            value, d_dl, d_ul = perspective_terms(x, w, t)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                closure = (t == 0.0) | np.isinf(x * w / t)
+            assert np.array_equal(~np.isfinite(value), closure)
+            assert np.array_equal(~np.isfinite(d_ul), closure)
+            assert np.isfinite(d_dl[t > 0.0]).all()
+
+    def test_closure_entries(self):
+        # t = 0: 0 * inf and 0 / 0; a w / t beyond the doubles: inf
+        value, d_dl, d_ul = perspective_terms(np.array([1e3, 0.0, 1e12]), 1.0, np.array([0.0, 0.0, 1e-300]))
+        assert np.isnan(value[:2]).all() and value[2] == np.inf
+        assert d_ul[0] == np.inf and np.isnan(d_ul[1]) and d_ul[2] == np.inf
+        assert perspective_value(1e3, 1.0, 0.0) == 0.0
 
 
 def secrecy_gradient(s, tau_dl, tau_ul):

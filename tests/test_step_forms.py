@@ -94,13 +94,6 @@ class TestChainCsv:
             label, users, trials, chain, 0)
 
 
-def _same(got, want) -> bool:
-    """== with nan matching nan in the same place and each zero keeping its sign."""
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
-            and np.array_equal(np.signbit(got), np.signbit(want)))
-
-
 def _check_kernel(a, a_e, dl, ul):
     """Compare both kernels on the rows (a, a_e, dl, ul); returns the fused kernel's output."""
     a, a_e, dl, ul = (np.array(x, dtype=np.float64, ndmin=2) for x in (a, a_e, dl, ul))
@@ -110,7 +103,7 @@ def _check_kernel(a, a_e, dl, ul):
         got = prob.value_and_grad(dl, ul)
     want = step_forms.value_and_grad(prob, dl, ul)
     for name, g, w in zip(("value", "g_dl", "g_ul"), got, want):
-        assert _same(g, w), (name, a.tolist(), a_e.tolist(), dl.tolist(), ul.tolist())
+        assert step_forms.same_bits(g, w), (name, a.tolist(), a_e.tolist(), dl.tolist(), ul.tolist())
     return got
 
 

@@ -9,8 +9,8 @@ Settings resolve in order: built-in defaults, then --preset values, then the
 --config file, then explicit flags.  Exit codes: 0 success, 2 config error,
 3 infeasible everywhere.  A config error is also a scenario the model cannot
 evaluate (``experiment.scenario_block``), such as a user at the LED or a
-channel value that overflows; at any worker count it prints one
-``config error:`` line.
+channel value that overflows, and an output directory or file that cannot
+be written; at any worker count it prints one ``config error:`` line.
 
 Besides ``config error:`` lines (and a sweep's line that every point was
 infeasible), stderr carries at most one ``warning:`` line per command: how

@@ -69,10 +69,10 @@ is at most ``epsilon``.
 Rows.  The certificate kernels (both repairs, value and gradient, gap and
 the reporting snap) are row-batched: they take (N, K) arrays, one problem
 with its own channels, rate coefficients and r_min per row.
-``solve_rows`` passes many: every command (both sweep kinds, ``report``
-and ``solve``) runs it through the experiment's block chain, one call per
-rate target for a block of trials.  ``dca_solve`` and ``kkt_residual``,
-the single-problem API, pass one row.
+``solve_rows`` is the one entry: every command (both sweep kinds,
+``report`` and ``solve``) runs it through the experiment's block chain,
+one call per rate target for a block of trials, and one problem is a
+block of one row.
 The kernels reduce plain (N, K) rows, to which a user without uplink adds
 exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a C-contiguous block
 adds each row as it adds that row alone, so a row's answer does not depend
@@ -105,11 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_terms
-
-# bench-only, as ``minimize`` below: the engine reads perspective_terms, and
-# bench/tracing.py counts or wraps these by name on this module
-from vlcrf.link_budget import perspective_grads, perspective_value
+from vlcrf.link_budget import LN2, perspective_terms
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -120,7 +116,9 @@ BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this clo
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
 
-minimize = None  # bench-only, see the imports
+# Stubs: bench/tracing.py wraps these names on this module by getattr, and no
+# code calls them; they go when the tracer is repointed (ROADMAP item 1).
+minimize = kkt_residual = perspective_value = perspective_grads = None
 
 
 @dataclass(frozen=True)
@@ -162,21 +160,11 @@ class DcaSettings:
 
 
 @dataclass(frozen=True)
-class DcaResult:
-    allocation: Allocation | None
-    objective: float
-    iterations: int                           # engine passes: 0 (certified start) or 1 (dual solve)
-    status: str
-    raw_allocation: Allocation | None = None  # solver iterate before snapping
-    gap_bits: float = math.nan                # certificate: objective >= optimum - gap_bits
-
-
-@dataclass(frozen=True)
 class RowSolutions:
-    """What ``dca_solve`` returns, for N problems at once: (N, K) and (N,) arrays.
+    """Certified answers of N problems: (N, K) and (N,) arrays, row i for problem i.
 
-    No ``Allocation`` is built; a caller that emits the fractions runs
-    ``link_budget.check_fractions`` on them.
+    A caller that emits the fractions runs ``link_budget.check_fractions``
+    on them.
     """
 
     tau_dl: np.ndarray        # reported fractions, snapped
@@ -184,14 +172,9 @@ class RowSolutions:
     raw_tau_dl: np.ndarray    # the solver's point before snapping: the next warm start
     raw_tau_ul: np.ndarray
     objective: np.ndarray
-    gap_bits: np.ndarray
-    iterations: np.ndarray
+    gap_bits: np.ndarray      # certificate: objective >= optimum - gap_bits
+    iterations: np.ndarray    # engine passes: 0 (certified start) or 1 (dual solve)
     converged: np.ndarray     # gap_bits <= epsilon: status "converged", else "max_iterations"
-
-
-def check_feasibility(fs: FeasibleSet) -> bool:
-    """The rate target is reachable iff it does not exceed the best single-user rate."""
-    return fs.r_min <= float(np.max(fs.rate_coeffs))
 
 
 def initial_rows(rate_coeffs: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,11 +253,6 @@ def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarra
     ])
     # fmax skips nan, which every comparison passes: a nan reads in the sums
     return np.where(np.isnan(dl_sum + ul_sum + rate), np.inf, viol)
-
-
-def allocation_violation(fs: FeasibleSet, alloc: Allocation) -> float:
-    """Worst constraint violation of an allocation (0 when feasible), as ``violation_rows``."""
-    return float(violation_rows(fs.rate_coeffs[None], np.array([fs.r_min]), alloc.tau_dl[None], alloc.tau_ul[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +600,7 @@ def solve_rows(
     ``a``, ``a_e`` (the users' and the eavesdropper's SNR constants),
     ``rate_coeffs`` and the starts are (N, K); ``r_min`` is (N,), each
     feasible (at most the row's largest rate coefficient).  Row i is what
-    ``dca_solve`` returns for that problem alone, bit for bit.
+    a call on that row alone returns, bit for bit.
 
     The users with a_k <= aE_k are switched off, and each start is put back
     on the polytope (switched-off users lose their uplink share, which never
@@ -651,63 +629,3 @@ def solve_rows(
         passes[todo] = 1
     dl_s, ul_s = _snap_reported(dl, ul, rate_coeffs, r_min)
     return RowSolutions(dl_s, ul_s, dl, ul, f, gap, passes, gap <= settings.epsilon)
-
-
-def _one_row(s: ScenarioChannels, fs: FeasibleSet) -> tuple[np.ndarray, ...]:
-    """(a, a_e, rate_coeffs, r_min) of one problem as a single row."""
-    return s.a_user()[None], s.a_eve()[None], fs.rate_coeffs[None], np.array([fs.r_min], dtype=np.float64)
-
-
-def dca_solve(
-    s: ScenarioChannels,
-    fs: FeasibleSet,
-    settings: DcaSettings = DcaSettings(),
-    initial: Allocation | None = None,
-) -> DcaResult:
-    """Certified solve of the secrecy maximization problem.
-
-    Users with a_k <= aE_k are switched off (tau_ul = 0) and the concave
-    rest is solved once from ``initial`` (default ``initial_rows``).  The
-    objective is never below that of the start.  ``gap_bits`` bounds the
-    distance from the optimum; the status is "converged" iff it is at most
-    ``settings.epsilon``; ``kkt_residual`` recomputes the same gap from an
-    allocation.  ``iterations`` counts engine passes: 0 for a certified
-    start, else 1.
-    Infeasible rate targets short-circuit with status "infeasible".
-    """
-    if fs.K != s.K:
-        raise ValueError("feasible set and scenario disagree on the user count")
-    if not check_feasibility(fs):
-        return DcaResult(allocation=None, objective=math.nan, iterations=0, status=STATUS_INFEASIBLE)
-    a, a_e, c, r_min = _one_row(s, fs)
-    if initial is None:
-        tau_dl, tau_ul = initial_rows(c, r_min)
-    else:
-        tau_dl, tau_ul = initial.tau_dl[None], initial.tau_ul[None]
-    out = solve_rows(a, a_e, c, r_min, tau_dl, tau_ul, settings)
-    return DcaResult(
-        allocation=Allocation(out.tau_dl[0], out.tau_ul[0]),
-        objective=float(out.objective[0]),
-        iterations=int(out.iterations[0]),
-        status=STATUS_CONVERGED if out.converged[0] else STATUS_MAX_ITERATIONS,
-        raw_allocation=Allocation(out.raw_tau_dl[0], out.raw_tau_ul[0]),
-        gap_bits=float(out.gap_bits[0]),
-    )
-
-
-def kkt_residual(s: ScenarioChannels, fs: FeasibleSet, alloc: Allocation) -> float:
-    """Frank-Wolfe gap of the secrecy problem at ``alloc``, in bits.
-
-    For a feasible ``alloc``, f* - f(alloc) <= gap.  f switches off the users
-    with a_k <= aE_k as ``dca_solve`` does (their tau_ul is not read), so it
-    is the secrecy objective wherever they get no uplink, as in every solver
-    answer, where the gap equals ``gap_bits``.  An active user without
-    uplink contributes the supergradient ``_Concave.value_and_grad`` picks;
-    with aE = 0 and tau_dl < 1 its UL gradient, and so the gap, is +inf.
-    """
-    if fs.K != s.K or alloc.K != s.K:
-        raise ValueError("scenario, feasible set and allocation sizes disagree")
-    prob = _secrecy_problem(*_one_row(s, fs))
-    dl, ul = alloc.tau_dl[None], alloc.tau_ul[None]
-    _, g_dl, g_ul = prob.value_and_grad(dl, ul)
-    return float(prob.gap(dl, ul, g_dl, g_ul)[0])

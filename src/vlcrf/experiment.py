@@ -41,10 +41,9 @@ computes the aggregates from the concatenated arrays.
 Scenario generation is pure data: a user placement outside the LED field of
 view is a zero VLC gain, and each ``run_*`` returns how many such placements
 its scenarios held ("dark"), which ``cli`` prints as its one notice.  No
-code here raises a Python warning.  ``generate_scenario``,
-``scenario_block`` of one trial as ``ScenarioChannels`` and ``FeasibleSet``,
-is kept for the single-problem API (``dc_solver.dca_solve``); no command
-calls it.
+code here raises a Python warning.  ``generate_scenario`` is
+``scenario_block`` of one trial with its rate target resolved; no command
+calls it, and the benchmark's output checks read its rate coefficients.
 """
 
 from __future__ import annotations
@@ -56,34 +55,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bench-only: allocation_violation, clamped_secrecy_sum, dca_solve,
-# dl_rate_coefficients, dl_sum_rate, sample_rician_gain, secrecy_capacity_user
-# and vlc_channel_gain, which bench/tracing.py wraps by name on this module
-# (it also wraps generate_scenario, grid_search and compare)
 from vlcrf.dc_solver import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
     DcaSettings,
     FeasibleSet,
-    allocation_violation,
-    dca_solve,
     initial_rows,
     solve_rows,
     violation_rows,
 )
-from vlcrf.link_budget import (
-    ScenarioChannels,
-    check_fractions,
-    clamped_secrecy_rows,
-    clamped_secrecy_sum,
-    dl_rate_coefficients,
-    dl_sum_rate,
-    rate_coefficients,
-    secrecy_capacity_user,
-    secrecy_rows,
-    snr_constants,
-)
+from vlcrf.link_budget import check_fractions, clamped_secrecy_rows, rate_coefficients, secrecy_rows, snr_constants
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 from vlcrf.rf_channel import (
     MIXING_NORMALIZED,
@@ -92,7 +74,6 @@ from vlcrf.rf_channel import (
     los_component,
     mixing_weights,
     rician_mix,
-    sample_rician_gain,
 )
 from vlcrf.vlc_channel import (
     CONCENTRATOR_ANGLE_DEPENDENT,
@@ -101,8 +82,12 @@ from vlcrf.vlc_channel import (
     PhotodiodeConfig,
     Vec3,
     ray_gain,
-    vlc_channel_gain,
 )
+
+# Stubs: bench/tracing.py wraps these names on this module by getattr, and no
+# code calls them; they go when the tracer is repointed (ROADMAP item 1).
+(vlc_channel_gain, sample_rician_gain, dl_rate_coefficients, dl_sum_rate, clamped_secrecy_sum,
+ secrecy_capacity_user, dca_solve, allocation_violation) = (None,) * 8
 
 SWEEP_RMIN = "rmin"
 SWEEP_RMIN_FRACTION = "rmin_fraction"
@@ -495,12 +480,12 @@ def load_config(
 class ScenarioBlock:
     """The channels of N trials' scenarios as (N, K) arrays, row n for the n-th trial."""
 
-    g: np.ndarray      # VLC gains
-    h: np.ndarray      # uplink amplitudes at the access point
+    g: np.ndarray      # VLC gains (``ray_gain``)
+    h: np.ndarray      # uplink amplitudes at the access point (``rician_mix``)
     h_e: np.ndarray    # uplink amplitudes at the eavesdropper
-    a: np.ndarray      # ScenarioChannels.a_user
-    a_e: np.ndarray    # ScenarioChannels.a_eve
-    c: np.ndarray      # dl_rate_coefficients
+    a: np.ndarray      # the users' SNR constants (``snr_constants``)
+    a_e: np.ndarray    # the eavesdropper's SNR constants
+    c: np.ndarray      # DL rate coefficients (``rate_coefficients``)
 
 
 def _distance(x: float, y: float, z: float, q: Vec3) -> float:
@@ -515,17 +500,18 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     leave the fading draws unchanged.  The fading comes from one (2K, 2)
     standard normal draw: (re, im) of the K access-point links, then of the
     K eavesdropper links, the stream of 2K single draws.  The geometry stays
-    on the scalar ``math`` kernels ``ray_gain`` and ``los_component``, so
-    every entry has the bits of the per-user channel APIs.  A user outside
-    the LED field of view gets a zero gain, so no rate and no harvested
-    power; the scenario stays valid, and the commands count such users.
+    on the scalar ``math`` kernels ``ray_gain`` and ``los_component``, one
+    call per user, so every entry has the bits of the per-user model.  A
+    user outside the LED field of view gets a zero gain, so no rate and no
+    harvested power; the scenario stays valid, and the commands count such
+    users.
 
     A scenario the model cannot evaluate raises ``ConfigError``: a user at
     the LED, the access point or the eavesdropper position; a user at normal
     incidence under the angle-dependent concentrator; a line-of-sight power
     law that overflows; or, checked once per block in this order, a
-    non-finite VLC gain, mixed uplink amplitude, SNR constant a or aE, or
-    rate coefficient c.  No numpy warning prints before the refusal.
+    non-finite VLC gain g, uplink amplitude h or hE, SNR constant a or aE,
+    or rate coefficient c.  No numpy warning prints before the refusal.
     """
     k = cfg.users_count
     width, depth, height = cfg.room
@@ -571,12 +557,8 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
                         f"user {j}: the line-of-sight amplitude to {what} overflows at {d!r} m") from None
         draws[n] = np.random.default_rng(fading_seq).standard_normal((2 * k, 2))
 
-    if not np.isfinite(g).all():
-        raise ConfigError("ScenarioChannels.g entries must be finite and >= 0")
     with np.errstate(all="ignore"):  # a non-finite entry is refused, not warned about
         mag = rician_mix(los, draws[..., 0], draws[..., 1], mixing_weights(cfg.rician, cfg.rf_mixing))
-        if not np.isfinite(mag).all():
-            raise ConfigError(f"FadingSample.h_mag must be finite and >= 0, got {float(mag[~np.isfinite(mag)][0])!r}")
         h, h_e = np.ascontiguousarray(mag[:, :k]), np.ascontiguousarray(mag[:, k:])
         i_d = cfg.led.dc_offset
         block = ScenarioBlock(
@@ -587,7 +569,8 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
             a_e=snr_constants(cfg.eta, i_d, g, h_e, cfg.noise_eve_ul),
             c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl),
         )
-    for name, values in (("the SNR constant a", block.a), ("the SNR constant aE", block.a_e),
+    for name, values in (("the VLC gain g", g), ("the uplink amplitude h", h), ("the uplink amplitude hE", h_e),
+                         ("the SNR constant a", block.a), ("the SNR constant aE", block.a_e),
                          ("the rate coefficient c", block.c)):
         bad = ~np.isfinite(values)
         if bad.any():
@@ -596,30 +579,12 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     return block
 
 
-def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioChannels, FeasibleSet]:
-    """Deterministic scenario for (config, trial): placements, fading, targets.
-
-    ``scenario_block`` of the one trial, with its rate target resolved.
-    """
+def generate_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ScenarioBlock, FeasibleSet]:
+    """``scenario_block`` of the one trial, and its rate coefficients with the resolved target."""
     block = scenario_block(cfg, [trial])
-    k = block.g.shape[1]
-    scenario = ScenarioChannels(
-        g=block.g[0],
-        h=block.h[0],
-        h_e=block.h_e[0],
-        sigma2_dl=np.full(k, cfg.noise_user_dl),
-        sigma2_ul=np.full(k, cfg.noise_user_ul),
-        sigma2_e=cfg.noise_eve_ul,
-        eta=cfg.eta,
-        i_d=cfg.led.dc_offset,
-        p_led=cfg.led.p_led,
-    )
     coeffs = block.c[0]
-    if cfg.r_min_fraction is not None:
-        r_min = cfg.r_min_fraction * float(np.max(coeffs))
-    else:
-        r_min = cfg.r_min
-    return scenario, FeasibleSet(coeffs, r_min)
+    r_min = cfg.r_min if cfg.r_min_fraction is None else cfg.r_min_fraction * float(np.max(coeffs))
+    return block, FeasibleSet(coeffs, r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +653,9 @@ def _rmin_chain_block(
     beyond a trial's best rate gives an infeasible row and leaves its chain
     as it was.  One ``solve_rows`` call per target solves the block's
     feasible trials together.  Every reported fraction gets
-    ``Allocation``'s checks and the feasibility audit, for the whole block
-    after its chain, and a row is what a ``dca_solve`` chain of its trial
-    alone gives, byte for byte.
+    ``check_fractions`` and the feasibility audit, for the whole block
+    after its chain, and a row is what the chain of its trial alone gives,
+    byte for byte.
     """
     labels, targets, fraction = _chain_targets(cfg, users)
     if block is None:
@@ -740,7 +705,7 @@ def _rmin_chain_block(
         worst = int(np.argmax(viol))
         _audit_row(float(viol[worst]), float(r_rep[worst]))
     clamped[feasible] = clamped_secrecy_rows(a[at], a_e[at], dl, ul)
-    dl_rate[feasible] = np.vecdot(c[at], dl)  # dl_sum_rate: c holds the scenarios' dl_rate_coefficients
+    dl_rate[feasible] = np.vecdot(c[at], dl)  # the DL sum rate, the linear form c . tau_dl
     return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,
                       iterations, converged, gap_bits)
 
@@ -796,12 +761,24 @@ def _sweep_task(payload) -> tuple[int, list[str], np.ndarray, np.ndarray, np.nda
     return int((block.g == 0.0).sum()), text, chain.feasible, chain.objective, chain.clamped, chain.dl_rate
 
 
+def _make_output_dir(path: str) -> None:
+    """Create the output directory; one that cannot be made is a ``ConfigError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path!r}: {err}") from None
+
+
 def _write_csv(path: str, comment: str, columns, body: str) -> None:
-    """Write the comment line, the header and ``body``.  Lines join their
-    cells with "," unquoted, as no column name, ``_fmt`` number or empty
-    cell holds a comma, quote or line break."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
+    """Write the comment line, the header and ``body``; a file that cannot be
+    written is a ``ConfigError``.  Lines join their cells with "," unquoted,
+    as no column name, ``_fmt`` number or empty cell holds a comma, quote or
+    line break."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err}") from None
 
 
 def _process_pool(workers: int):
@@ -833,7 +810,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     if cfg.sweep_kind is None:
         kinds = ", ".join(sorted(name for name, raw in PRESETS.items() if "sweep.kind" in raw))
         raise ConfigError(f"sweep.kind: a sweep requires sweep.kind (or a preset that sets it: {kinds})")
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
 
     if cfg.sweep_kind == SWEEP_USERS:
         k_values = [int(v) for v in cfg.sweep_values]
@@ -901,7 +878,7 @@ REPORT_COLUMNS = (
 def run_report(cfg: ExperimentConfig) -> dict:
     """Solve the seeded scenario as ``run_solve`` does and emit the per-user slot
     report; returns its "report_path", and ``run_solve``'s "status", "r_min" and "dark"."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     out = run_solve(cfg)
     block, chain, status, r_min = out["block"], out["chain"], out["status"], out["r_min"]
     path = os.path.join(cfg.output_dir, REPORT_FILE)

@@ -36,17 +36,6 @@ class RicianConfig:
             )
 
 
-@dataclass(frozen=True)
-class FadingSample:
-    """One channel amplitude draw."""
-
-    h_mag: float
-
-    def __post_init__(self):
-        if not (self.h_mag >= 0.0 and math.isfinite(self.h_mag)):
-            raise ValueError(f"FadingSample.h_mag must be finite and >= 0, got {self.h_mag!r}")
-
-
 def los_component(cfg: RicianConfig, distance: float) -> float:
     """Deterministic LOS amplitude at ``distance`` meters.
 
@@ -58,7 +47,13 @@ def los_component(cfg: RicianConfig, distance: float) -> float:
 
 
 def mixing_weights(cfg: RicianConfig, mixing: str = MIXING_NORMALIZED) -> tuple[float, float]:
-    """(LOS weight, scatter weight) of a mixing rule; see ``sample_rician_gain``."""
+    """(LOS weight, scatter weight) of a mixing rule.
+
+    The ``normalized`` mix sqrt(K/(1+K)) * LOS + sqrt(1/(1+K)) * NLOS
+    preserves E[|h|^2] = LOS^2.  The ``unnormalized`` variant applies the
+    LOS weight sqrt(K/(1+K)) to both terms and does not preserve power; it
+    exists only for comparison and degenerates to zero at K = 0.
+    """
     k = cfg.k_factor
     w_los = math.sqrt(k / (1.0 + k))
     if mixing == MIXING_NORMALIZED:
@@ -69,32 +64,12 @@ def mixing_weights(cfg: RicianConfig, mixing: str = MIXING_NORMALIZED) -> tuple[
 
 
 def rician_mix(los, re, im, weights: tuple[float, float]) -> np.ndarray:
-    """|w_los LOS + w_nlos LOS (re + j im) / sqrt(2)| per draw.
+    """|w_los LOS + w_nlos LOS (re + j im) / sqrt(2)| per draw: the fading amplitudes.
 
-    The kernel behind ``sample_rician_gain`` and the experiment's block
-    generator; ``los`` is a float or an array shaped like the standard
-    normal draws ``re`` and ``im``.
+    The experiment's block generator mixes its whole block in one call;
+    ``los`` is a float or an array shaped like the standard normal draws
+    ``re`` and ``im``, and ``weights`` is ``mixing_weights``.
     """
     w_los, w_nlos = weights
     nlos = los * (re + 1j * im) / math.sqrt(2.0)
     return np.abs(w_los * los + w_nlos * nlos)
-
-
-def sample_rician_gain(
-    cfg: RicianConfig,
-    distance: float,
-    rng: np.random.Generator,
-    mixing: str = MIXING_NORMALIZED,
-) -> FadingSample:
-    """Draw one fading amplitude, re then im from ``rng``; deterministic given (seed, call order).
-
-    The ``normalized`` mix sqrt(K/(1+K)) * LOS + sqrt(1/(1+K)) * NLOS
-    preserves E[|h|^2] = LOS^2.  The ``unnormalized`` variant applies the
-    LOS weight sqrt(K/(1+K)) to both terms and does not preserve power; it
-    exists only for comparison and degenerates to zero at K = 0.
-    """
-    los = los_component(cfg, distance)
-    weights = mixing_weights(cfg, mixing)
-    re = rng.standard_normal(1)
-    im = rng.standard_normal(1)
-    return FadingSample(float(rician_mix(los, re, im, weights)[0]))

@@ -32,9 +32,6 @@ class Vec3:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"Vec3.{name} must be a finite number, got {v!r}")
 
-    def minus(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -98,19 +95,6 @@ class PhotodiodeConfig:
             )
 
 
-@dataclass(frozen=True)
-class UserTerminal:
-    """A receiver at a fixed position with an upward-facing photodiode."""
-
-    id: int
-    position: Vec3
-    pd: PhotodiodeConfig = field(default_factory=PhotodiodeConfig)
-    surface_normal: Vec3 = field(default=UP)
-
-    def __post_init__(self):
-        _require_unit(self.surface_normal, "UserTerminal.surface_normal")
-
-
 def lambertian_order(semi_angle_half: float) -> float:
     """Lambertian order m = -1 / log2(cos(semi-angle)), semi-angle in degrees.
 
@@ -124,14 +108,15 @@ def lambertian_order(semi_angle_half: float) -> float:
     return -1.0 / math.log2(math.cos(math.radians(semi_angle_half)))
 
 
-def _ray_angles(rx: float, ry: float, rz: float, orientation: Vec3, normal: Vec3) -> tuple[float, float, float]:
-    """Irradiance angle (from ``orientation``), incidence angle (from ``normal``),
-    in degrees, and length (m) of the LED-to-user ray (rx, ry, rz), on plain floats."""
+def _ray_angles(rx: float, ry: float, rz: float, orientation: Vec3) -> tuple[float, float, float]:
+    """Irradiance angle (from the LED's ``orientation``), incidence angle (from
+    the upward photodiode normal ``UP``), in degrees, and length (m) of the
+    LED-to-user ray (rx, ry, rz), on plain floats."""
     d = math.sqrt(rx * rx + ry * ry + rz * rz)
     if d == 0.0:
         raise ValueError("user position coincides with the LED position")
     cos_phi = (orientation.x * rx + orientation.y * ry + orientation.z * rz) / d
-    cos_varphi = (normal.x * -rx + normal.y * -ry + normal.z * -rz) / d
+    cos_varphi = (UP.x * -rx + UP.y * -ry + UP.z * -rz) / d
     phi = math.degrees(math.acos(min(1.0, max(-1.0, cos_phi))))
     varphi = math.degrees(math.acos(min(1.0, max(-1.0, cos_varphi))))
     return phi, varphi, d
@@ -160,20 +145,6 @@ def concentrator_gain(varphi: float, pd: PhotodiodeConfig, model: str = CONCENTR
     raise ValueError(f"unknown concentrator model {model!r}")
 
 
-def vlc_channel_gain(led: LedConfig, user: UserTerminal, model: str = CONCENTRATOR_CONSTANT) -> float:
-    """DC channel gain of the LED-to-photodiode line-of-sight link.
-
-    g = (m+1) A R / (2 pi d^2) * cos^m(phi) * T_s * T_f(varphi) * cos(varphi)
-
-    The gain is zero whenever the incidence angle falls outside the
-    concentrator field of view, and likewise when the user sits behind the
-    LED emission hemisphere (irradiance angle >= 90 degrees), so the result
-    is always nonnegative.
-    """
-    ray = user.position.minus(led.position)
-    return ray_gain(ray.x, ray.y, ray.z, led, user.pd, model, user.surface_normal)
-
-
 def ray_gain(
     rx: float,
     ry: float,
@@ -181,16 +152,20 @@ def ray_gain(
     led: LedConfig,
     pd: PhotodiodeConfig,
     model: str = CONCENTRATOR_CONSTANT,
-    normal: Vec3 = UP,
 ) -> float:
-    """``vlc_channel_gain`` of the LED-to-user ray (rx, ry, rz), on plain floats.
+    """DC channel gain of the LED-to-photodiode line-of-sight link along the ray (rx, ry, rz).
 
-    The scalar kernel behind ``vlc_channel_gain`` and the experiment's block
-    generator, which builds no ``Vec3`` or ``UserTerminal`` per user.  It
-    stays on ``math``: numpy's vectorised acos/cos/degrees differ from it in
-    the last bit for some positions.
+    g = (m+1) A R / (2 pi d^2) * cos^m(phi) * T_s * T_f(varphi) * cos(varphi)
+
+    for an upward-facing photodiode at the end of the LED-to-user ray.  The
+    gain is zero whenever the incidence angle falls outside the
+    concentrator field of view, and likewise when the user sits behind the
+    LED emission hemisphere (irradiance angle >= 90 degrees), so the result
+    is always nonnegative.  The experiment's block generator calls it once
+    per user, on plain floats: it stays on ``math``, as numpy's vectorised
+    acos/cos/degrees differ from it in the last bit for some positions.
     """
-    phi, varphi, d = _ray_angles(rx, ry, rz, led.orientation, normal)
+    phi, varphi, d = _ray_angles(rx, ry, rz, led.orientation)
     if varphi > pd.fov or phi >= 90.0:
         return 0.0
     m = lambertian_order(led.semi_angle_half)

@@ -2,14 +2,21 @@
 
 No command calls these: the program works on (N, K) rows (``scenario_block``,
 ``solve_rows``, ``secrecy_rows``).  The tests keep them as a readable
-statement of the model's equations, one user or one allocation at a time:
+statement of the model's equations, one user or one problem at a time:
 
+- one scenario's channel state and its SNR constants and rate coefficients
+  (``Channels``), and the per-user channel draws in the order the sweeps
+  once made them (``vlc_channel_gain``, ``sample_rician_gain``);
 - the energy a user harvests while it does not receive, and its uplink
   power and energy (``harvested_energy``, ``ul_power``, ``ul_energy``);
-- the secrecy objective of an allocation (``objective_value``);
+- the secrecy capacity of one user and the objective of an allocation
+  (``secrecy_capacity_user``, ``objective_value``);
 - the angles of an LED-to-user link (``link_angles``);
 - the solver's deterministic start and its feasibility repairs for one
   problem (``initial_allocation``, ``project_onto_feasible``);
+- one problem solved as a block of one row, and the certificate gap and
+  the worst constraint violation of one allocation (``solve_one``,
+  ``certificate_gap``, ``violation``);
 - the perspective term and its partials as the program wrote them before
   ``link_budget.perspective_terms`` stated them once: the lines the
   solver's gradient kernel fused over the (2, N, K) pair of user and
@@ -17,14 +24,81 @@ statement of the model's equations, one user or one allocation at a time:
   and ``perspective_grads`` (``split_value``, ``split_grads``).
 """
 
+import dataclasses
+
 import numpy as np
 
-from vlcrf.dc_solver import FeasibleSet, _repair_dl, _repair_ul, check_feasibility, initial_rows
-from vlcrf.link_budget import LN2, Allocation, ScenarioChannels, perspective_value
-from vlcrf.vlc_channel import LedConfig, UserTerminal, _ray_angles
+from vlcrf.dc_solver import (
+    DcaSettings,
+    FeasibleSet,
+    RowSolutions,
+    _repair_dl,
+    _repair_ul,
+    _secrecy_problem,
+    initial_rows,
+    solve_rows,
+    violation_rows,
+)
+from vlcrf.link_budget import LN2, perspective_value, rate_coefficients, snr_constants
+from vlcrf.rf_channel import MIXING_NORMALIZED, RicianConfig, los_component, mixing_weights, rician_mix
+from vlcrf.vlc_channel import CONCENTRATOR_CONSTANT, LedConfig, PhotodiodeConfig, Vec3, _ray_angles, ray_gain
 
 
-def harvested_energy(s: ScenarioChannels, k: int, tau_dl_k: float) -> float:
+@dataclasses.dataclass(frozen=True)
+class Channels:
+    """One scenario's channel state: per-user VLC gains g and uplink amplitudes
+    h (access point) and h_e (eavesdropper), and the constants their SNR
+    constants and DL rate coefficients read: noise powers (W), the harvesting
+    efficiency eta, the LED's DC offset i_d (A) and power p_led (W)."""
+
+    g: np.ndarray
+    h: np.ndarray
+    h_e: np.ndarray
+    sigma2_dl: float = 1e-14
+    sigma2_ul: float = 1e-14
+    sigma2_e: float = 1e-14
+    eta: float = 0.44
+    i_d: float = 2.0
+    p_led: float = 1.0
+
+    def __post_init__(self):
+        for name in ("g", "h", "h_e"):
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
+
+    @property
+    def K(self) -> int:
+        return self.g.shape[0]
+
+    def a_user(self) -> np.ndarray:
+        """Per-user uplink SNR constant a_k = eta I_D^2 g_k^2 h_k^2 / sigma_ul^2."""
+        return snr_constants(self.eta, self.i_d, self.g, self.h, self.sigma2_ul)
+
+    def a_eve(self) -> np.ndarray:
+        """Eavesdropper SNR constant with the eavesdropper noise power."""
+        return snr_constants(self.eta, self.i_d, self.g, self.h_e, self.sigma2_e)
+
+    def rate_coeffs(self) -> np.ndarray:
+        """Per-user DL spectral efficiency c_k."""
+        return rate_coefficients(self.p_led, self.g, self.sigma2_dl)
+
+
+def vlc_channel_gain(led: LedConfig, position: Vec3, pd: PhotodiodeConfig, model: str = CONCENTRATOR_CONSTANT) -> float:
+    """DC channel gain of the LED-to-photodiode link of an upward-facing user at ``position``."""
+    return ray_gain(position.x - led.position.x, position.y - led.position.y, position.z - led.position.z,
+                    led, pd, model)
+
+
+def sample_rician_gain(cfg: RicianConfig, distance: float, rng: np.random.Generator,
+                       mixing: str = MIXING_NORMALIZED) -> float:
+    """Draw one fading amplitude, re then im from ``rng``; deterministic given (seed, call order)."""
+    los = los_component(cfg, distance)
+    weights = mixing_weights(cfg, mixing)
+    re = rng.standard_normal(1)
+    im = rng.standard_normal(1)
+    return float(rician_mix(los, re, im, weights)[0])
+
+
+def harvested_energy(s: Channels, k: int, tau_dl_k: float) -> float:
     """Energy harvested by user k while not receiving: eta I_D^2 g^2 (1 - tau_dl)."""
     if not 0 <= k < s.K:
         raise IndexError(f"user index {k} out of range for K = {s.K}")
@@ -33,14 +107,14 @@ def harvested_energy(s: ScenarioChannels, k: int, tau_dl_k: float) -> float:
     return s.eta * s.i_d**2 * float(s.g[k]) ** 2 * (1.0 - tau_dl_k)
 
 
-def ul_power(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
+def ul_power(s: Channels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
     """Uplink transmit power: the harvested energy spread over the UL slot."""
     if tau_ul_k <= 0.0:
         raise ValueError("UL power is undefined at tau_ul = 0; use the rate limit instead")
     return harvested_energy(s, k, tau_dl_k) / tau_ul_k
 
 
-def ul_energy(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
+def ul_energy(s: Channels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
     """Energy spent in the UL slot, i.e. ul_power * tau_ul in cancelled form.
 
     Evaluating the product in floating point would reintroduce the division
@@ -53,38 +127,59 @@ def ul_energy(s: ScenarioChannels, k: int, tau_dl_k: float, tau_ul_k: float) -> 
     return harvested_energy(s, k, tau_dl_k)
 
 
-def objective_value(s: ScenarioChannels, alloc: Allocation) -> float:
+def secrecy_capacity_user(s: Channels, k: int, tau_dl_k: float, tau_ul_k: float) -> float:
+    """Secrecy capacity of user k's uplink, bits/s/Hz (may be negative).
+
+    Returns u_k - v_k; at tau_ul = 0 the continuous extension 0 is used.
+    """
+    if not 0 <= k < s.K:
+        raise IndexError(f"user index {k} out of range for K = {s.K}")
+    if not 0.0 <= tau_dl_k <= 1.0:
+        raise ValueError(f"tau_dl_k must lie in [0, 1], got {tau_dl_k!r}")
+    if tau_ul_k < 0.0:
+        raise ValueError(f"tau_ul_k must be >= 0, got {tau_ul_k!r}")
+    leftover = 1.0 - tau_dl_k
+    a = float(s.a_user()[k])
+    a_e = float(s.a_eve()[k])
+    return perspective_value(a, leftover, tau_ul_k) - perspective_value(a_e, leftover, tau_ul_k)
+
+
+def objective_value(a, a_e, tau_dl, tau_ul) -> float:
     """Sum of per-user secrecy capacities (continuous extension at tau_ul=0)."""
-    if alloc.K != s.K:
-        raise ValueError("allocation size does not match scenario")
-    leftover = 1.0 - alloc.tau_dl
-    u = perspective_value(s.a_user(), leftover, alloc.tau_ul)
-    v = perspective_value(s.a_eve(), leftover, alloc.tau_ul)
+    tau_ul = np.asarray(tau_ul, dtype=np.float64)
+    leftover = 1.0 - np.asarray(tau_dl, dtype=np.float64)
+    u = perspective_value(a, leftover, tau_ul)
+    v = perspective_value(a_e, leftover, tau_ul)
     return float(np.sum(u - v))
 
 
-def link_angles(led: LedConfig, user: UserTerminal) -> tuple[float, float, float]:
+def link_angles(led: LedConfig, position: Vec3) -> tuple[float, float, float]:
     """Irradiance angle, incidence angle (degrees) and distance (m) of a link.
 
     The irradiance angle is measured between the LED boresight and the
-    LED-to-user ray; the incidence angle between the photodiode normal and
-    the user-to-LED ray.  Both lie in [0, 180].
+    LED-to-user ray; the incidence angle between the upward photodiode
+    normal and the user-to-LED ray.  Both lie in [0, 180].
     """
-    ray = user.position.minus(led.position)
-    return _ray_angles(ray.x, ray.y, ray.z, led.orientation, user.surface_normal)
+    return _ray_angles(position.x - led.position.x, position.y - led.position.y, position.z - led.position.z,
+                       led.orientation)
 
 
-def initial_allocation(fs: FeasibleSet) -> Allocation:
-    """Deterministic start: rate target covered by the best DL user, uniform UL.
+def _require_feasible(fs: FeasibleSet) -> None:
+    """The rate target is reachable iff it does not exceed the best single-user rate."""
+    if fs.r_min > float(np.max(fs.rate_coeffs)):
+        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
+
+
+def initial_allocation(fs: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic start (tau_dl, tau_ul): rate target covered by the best DL user, uniform UL.
 
     The best-coefficient user (lowest index on ties) gets just enough DL
     time for the rate constraint plus a small margin, capped at the frame:
     ``initial_rows`` of the one problem.
     """
-    if not check_feasibility(fs):
-        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
+    _require_feasible(fs)
     tau_dl, tau_ul = initial_rows(fs.rate_coeffs[None], np.array([fs.r_min]))
-    return Allocation(tau_dl[0], tau_ul[0])
+    return tau_dl[0], tau_ul[0]
 
 
 def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
@@ -95,11 +190,47 @@ def project_onto_feasible(fs: FeasibleSet, tau_dl, tau_ul) -> tuple[list, list]:
     input the budgets and the rate target hold up to rounding, and both
     blocks are >= 0.
     """
-    if not check_feasibility(fs):
-        raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
+    _require_feasible(fs)
     dl = _repair_dl(np.asarray(tau_dl, dtype=np.float64)[None], fs.rate_coeffs[None], np.array([fs.r_min]))
     ul = _repair_ul(np.asarray(tau_ul, dtype=np.float64)[None], np.ones((1, fs.K), dtype=bool))
     return dl[0].tolist(), ul[0].tolist()
+
+
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)[None]
+
+
+def solve_one(a, a_e, fs: FeasibleSet, settings: DcaSettings = DcaSettings(), start=None) -> RowSolutions:
+    """``solve_rows`` of the one problem (a, aE, fs) as a block of one row.
+
+    From ``start`` = (tau_dl, tau_ul), by default ``initial_rows``; returns
+    row 0 of each ``RowSolutions`` field.  The target must be feasible.
+    """
+    _require_feasible(fs)
+    c, r_min = fs.rate_coeffs[None], np.array([fs.r_min])
+    dl, ul = initial_rows(c, r_min) if start is None else (_row(start[0]), _row(start[1]))
+    out = solve_rows(_row(a), _row(a_e), c, r_min, dl, ul, settings)
+    return RowSolutions(*(getattr(out, f.name)[0] for f in dataclasses.fields(out)))
+
+
+def certificate_gap(a, a_e, fs: FeasibleSet, tau_dl, tau_ul) -> float:
+    """Frank-Wolfe gap of the secrecy problem at one allocation, in bits.
+
+    The gap ``solve_rows`` certifies with: for a feasible allocation,
+    f* - f(allocation) <= gap.  f switches off the users with a_k <= aE_k
+    (their tau_ul is not read), so it is the secrecy objective wherever they
+    get no uplink, as in every solver answer, where the gap equals
+    ``gap_bits``.
+    """
+    prob = _secrecy_problem(_row(a), _row(a_e), fs.rate_coeffs[None], np.array([fs.r_min]))
+    dl, ul = _row(tau_dl), _row(tau_ul)
+    _, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    return float(prob.gap(dl, ul, g_dl, g_ul)[0])
+
+
+def violation(fs: FeasibleSet, tau_dl, tau_ul) -> float:
+    """Worst constraint violation of one allocation (0 when feasible): ``violation_rows`` of its row."""
+    return float(violation_rows(fs.rate_coeffs[None], np.array([fs.r_min]), _row(tau_dl), _row(tau_ul))[0])
 
 
 def fused_terms(pair: np.ndarray, w: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 ``chain_csv`` is ``experiment._chain_csv`` as it went through
 ``csv.writer``, and ``value_and_grad`` is ``dc_solver._Concave.value_and_grad``
-as it called ``perspective_value`` and ``perspective_grads`` once per
-term, each taking log1p(a w / tau_ul) on its own.  The fused forms must give
+as it called ``perspective_value`` and ``perspective_grads`` (the partials
+of ``perspective_terms``) once per term, each taking log1p(a w / tau_ul) on
+its own.  The fused forms must give
 these bytes and bits exactly.  Both kernels now read
 ``link_budget.perspective_terms``; ``model_reference`` keeps the expressions
 it replaced, and ``test_link_budget`` compares them.
@@ -17,7 +18,7 @@ import numpy as np
 
 from vlcrf.dc_solver import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITERATIONS
 from vlcrf.experiment import _fmt
-from vlcrf.link_budget import LN2, perspective_grads, perspective_value
+from vlcrf.link_budget import LN2, perspective_terms, perspective_value
 
 
 def chain_csv(label, users: int, trials, chain, idx: int) -> str:
@@ -57,8 +58,8 @@ def value_and_grad(prob, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np
     w = 1.0 - dl
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         value = perspective_value(a, w, ul) - perspective_value(a_e, w, ul)
-        du_dl, du_ul = perspective_grads(a, w, ul)
-        dv_dl, dv_ul = perspective_grads(a_e, w, ul)
+        _, du_dl, du_ul = perspective_terms(a, w, ul)
+        _, dv_dl, dv_ul = perspective_terms(a_e, w, ul)
         g_dl, g_ul = du_dl - dv_dl, du_ul - dv_ul
         limit = np.log2(a / a_e)  # inf where aE = 0
     zero = on & ~np.isfinite(g_ul)

@@ -16,26 +16,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vlcrf.dc_solver import (
-    SNAP_THRESHOLD,
-    DcaSettings,
-    FeasibleSet,
-    allocation_violation,
-    check_feasibility,
-    dca_solve,
-    initial_rows,
-    kkt_residual,
-    solve_rows,
-    violation_rows,
-)
-from vlcrf.experiment import generate_scenario, load_config
+from vlcrf.dc_solver import SNAP_THRESHOLD, DcaSettings, FeasibleSet, initial_rows, solve_rows, violation_rows
+from vlcrf import experiment
+from vlcrf.experiment import ScenarioBlock, build_config, generate_scenario, load_config
 from dual_reference import dl_leftovers, dual_probes
-from model_reference import initial_allocation, objective_value, project_onto_feasible
-from vlcrf.link_budget import (
-    Allocation,
-    ScenarioChannels,
-    dl_rate_coefficients,
+from model_reference import (
+    Channels,
+    certificate_gap,
+    initial_allocation,
+    objective_value,
+    project_onto_feasible,
     secrecy_capacity_user,
+    solve_one,
+    violation,
 )
 
 
@@ -44,26 +37,47 @@ def scenario_with_a(a_values, ae_values):
     ae = np.atleast_1d(np.asarray(ae_values, dtype=float))
     h = np.sqrt(a * 1e-14 / (0.44 * 4.0))
     h_e = np.sqrt(ae * 1e-14 / (0.44 * 4.0))
-    return ScenarioChannels(
-        g=np.ones_like(a), h=h, h_e=h_e,
-        sigma2_dl=np.full(a.shape, 1e-14), sigma2_ul=np.full(a.shape, 1e-14), sigma2_e=1e-14,
-        eta=0.44, i_d=2.0, p_led=1.0,
-    )
+    return Channels(g=np.ones_like(a), h=h, h_e=h_e)
 
 
 def fs_for(s, r_min=0.0):
-    return FeasibleSet(dl_rate_coefficients(s), float(r_min))
+    return FeasibleSet(s.rate_coeffs(), float(r_min))
+
+
+def solve(s, fs, settings=DcaSettings(), start=None):
+    """``solve_one`` of the channels ``s`` at the feasible set ``fs``."""
+    return solve_one(s.a_user(), s.a_eve(), fs, settings, start)
+
+
+def gap_at(s, fs, tau_dl, tau_ul):
+    """``certificate_gap`` of the channels ``s`` at the feasible set ``fs``."""
+    return certificate_gap(s.a_user(), s.a_eve(), fs, tau_dl, tau_ul)
+
+
+def chain_row(c, r_min):
+    """The block chain's row of one trial with rate coefficients ``c`` at the absolute target ``r_min``."""
+    c = np.array([c], dtype=float)
+    cfg = build_config({"seed": "1", "users.count": str(c.shape[1]), "rate.min": repr(r_min)})
+    block = ScenarioBlock(g=np.ones_like(c), h=np.ones_like(c), h_e=np.ones_like(c), a=np.full_like(c, 10.0),
+                          a_e=np.ones_like(c), c=c)
+    return experiment._rmin_chain_block(cfg, c.shape[1], [0], block)
 
 
 class TestFeasibility:
+    # the rate target is reachable iff it does not exceed the best single-user rate
     def test_zero_target_always_feasible(self):
-        assert check_feasibility(FeasibleSet(np.array([3.0, 1.0]), 0.0))
+        assert chain_row([3.0, 1.0], 0.0).feasible[0, 0]
 
     def test_boundary_target_feasible(self):
-        assert check_feasibility(FeasibleSet(np.array([3.0, 1.0]), 3.0))
+        assert chain_row([3.0, 1.0], 3.0).feasible[0, 0]
 
     def test_beyond_best_user_infeasible(self):
-        assert not check_feasibility(FeasibleSet(np.array([3.0, 1.0]), 3.1))
+        assert not chain_row([3.0, 1.0], 3.1).feasible[0, 0]
+
+    def test_infeasible_target_gives_an_empty_row(self):
+        row = chain_row([3.0, 1.0], 3.1)
+        assert np.isnan(row.objective[0, 0]) and row.iterations[0, 0] == 0 and not row.converged[0, 0]
+        assert not row.tau_dl.any() and not row.tau_ul.any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -81,16 +95,16 @@ class TestFeasibility:
 class TestInitialAllocation:
     def test_half_loaded_single_user(self):
         fs = FeasibleSet(np.array([10.0]), 5.0)
-        alloc = initial_allocation(fs)
-        assert float(alloc.tau_dl[0]) == pytest.approx(0.500001, rel=1e-12)
-        assert float(alloc.tau_ul[0]) == 1.0
+        dl, ul = initial_allocation(fs)
+        assert float(dl[0]) == pytest.approx(0.500001, rel=1e-12)
+        assert float(ul[0]) == 1.0
 
     def test_zero_target_near_zero_dl(self):
         fs = FeasibleSet(np.array([4.0, 9.0]), 0.0)
-        alloc = initial_allocation(fs)
-        assert float(alloc.tau_dl[1]) == pytest.approx(1e-6, rel=1e-12)
-        assert float(alloc.tau_dl[0]) == 0.0
-        assert np.all(alloc.tau_ul == 0.5)
+        dl, ul = initial_allocation(fs)
+        assert float(dl[1]) == pytest.approx(1e-6, rel=1e-12)
+        assert float(dl[0]) == 0.0
+        assert np.all(ul == 0.5)
 
     def test_rate_constraint_satisfied_by_construction(self):
         rng = np.random.default_rng(2)
@@ -98,12 +112,12 @@ class TestInitialAllocation:
             k = int(rng.integers(1, 9))
             c = rng.uniform(0.5, 12.0, k)
             fs = FeasibleSet(c, float(rng.uniform(0.0, 1.0) * c.max()))
-            alloc = initial_allocation(fs)
-            assert float(np.dot(c, alloc.tau_dl)) >= fs.r_min - 1e-12
+            dl, _ = initial_allocation(fs)
+            assert float(np.dot(c, dl)) >= fs.r_min - 1e-12
 
     def test_tie_break_lowest_index(self):
-        alloc = initial_allocation(FeasibleSet(np.array([3.0, 3.0]), 1.5))
-        assert alloc.tau_dl[0] > 0 and alloc.tau_dl[1] == 0.0
+        dl, _ = initial_allocation(FeasibleSet(np.array([3.0, 3.0]), 1.5))
+        assert dl[0] > 0 and dl[1] == 0.0
 
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):
@@ -144,8 +158,7 @@ class TestProjection:
             dl, ul = project_onto_feasible(
                 fs, rng.uniform(-1.5, 1.5, k).tolist(), rng.uniform(-1.5, 1.5, k).tolist()
             )
-            alloc = Allocation(np.maximum(dl, 0.0), np.maximum(ul, 0.0))
-            assert allocation_violation(fs, alloc) <= 1e-9
+            assert violation(fs, np.maximum(dl, 0.0), np.maximum(ul, 0.0)) <= 1e-9
             assert min(ul) >= 0.0
 
     @staticmethod
@@ -249,7 +262,7 @@ class TestProjectionProperties:
         assert project_onto_feasible(fs, dl, ul) == (dl.tolist(), ul.tolist())
 
 
-class TestDcaSolve:
+class TestSolveOneRow:
     def test_no_eavesdropper_matches_closed_form(self):
         # with a_E = 0 the optimum pushes tau_dl to the rate boundary and
         # tau_ul to the full frame: f* = log2(1 + a (1 - r_min/c))
@@ -257,9 +270,9 @@ class TestDcaSolve:
         for _ in range(10):
             a = float(rng.uniform(1.0, 300.0))
             s = scenario_with_a([a], [1e-15])
-            c = float(dl_rate_coefficients(s)[0])
+            c = float(s.rate_coeffs()[0])
             r_min = float(rng.uniform(0.0, 0.9)) * c
-            res = dca_solve(s, fs_for(s, r_min), DcaSettings())
+            res = solve(s, fs_for(s, r_min), DcaSettings())
             a_actual = float(s.a_user()[0])
             leftover = 1.0 - r_min / c
             expected = math.log2(1.0 + a_actual * leftover)
@@ -267,17 +280,17 @@ class TestDcaSolve:
 
     def test_identical_channels_zero_in_two_iterations(self):
         s = scenario_with_a([10.0, 4.0], [10.0, 4.0])
-        res = dca_solve(s, fs_for(s, 1.0), DcaSettings())
+        res = solve(s, fs_for(s, 1.0), DcaSettings())
         assert res.objective == 0.0
-        assert res.status == "converged"
+        assert res.converged
         assert res.iterations <= 2
 
     def test_rate_sweep_non_increasing(self):
         s = scenario_with_a([80.0], [3.0])
-        c = float(dl_rate_coefficients(s)[0])
+        c = float(s.rate_coeffs()[0])
         objs = []
         for frac in np.linspace(0.0, 0.9, 7):
-            res = dca_solve(s, fs_for(s, frac * c), DcaSettings())
+            res = solve(s, fs_for(s, frac * c), DcaSettings())
             objs.append(res.objective)
         assert all(objs[i] >= objs[i + 1] - 1e-6 for i in range(len(objs) - 1))
 
@@ -292,36 +305,28 @@ class TestDcaSolve:
                 DcaSettings(max_iterations=bad)
         assert DcaSettings(max_iterations=np.int64(7)).max_iterations == 7
 
-    def test_infeasible_status(self):
-        s = scenario_with_a([10.0], [1.0])
-        c = float(dl_rate_coefficients(s)[0])
-        res = dca_solve(s, FeasibleSet(np.array([c]), c + 1.0))
-        assert res.status == "infeasible"
-        assert res.allocation is None
-        assert math.isnan(res.objective)
-
     def test_ascent_across_scenarios(self):
         rng = np.random.default_rng(9)
         for trial in range(20):
             k = [1, 2, 4, 8][trial % 4]
             s = scenario_with_a(rng.uniform(0.2, 200.0, k), rng.uniform(0.2, 200.0, k))
-            fs = fs_for(s, rng.uniform(0, 0.8) * dl_rate_coefficients(s).max())
-            res = dca_solve(s, fs, DcaSettings())
-            assert res.objective >= objective_value(s, initial_allocation(fs)) - 1e-9
-            assert allocation_violation(fs, res.allocation) <= 1e-8
+            fs = fs_for(s, rng.uniform(0, 0.8) * s.rate_coeffs().max())
+            res = solve(s, fs, DcaSettings())
+            assert res.objective >= objective_value(s.a_user(), s.a_eve(), *initial_allocation(fs)) - 1e-9
+            assert violation(fs, res.tau_dl, res.tau_ul) <= 1e-8
 
     def test_fixed_point_restart(self):
         s = scenario_with_a([60.0, 25.0], [2.0, 1.0])
         fs = fs_for(s, 1.5)
-        first = dca_solve(s, fs, DcaSettings())
-        assert first.status == "converged"
-        again = dca_solve(s, fs, DcaSettings(), initial=first.allocation)
+        first = solve(s, fs, DcaSettings())
+        assert first.converged
+        again = solve(s, fs, DcaSettings(), start=(first.tau_dl, first.tau_ul))
         assert again.iterations <= 2
         assert again.objective == pytest.approx(first.objective, abs=1e-8)
 
     def test_eavesdropper_dominance_nonpositive(self):
         s = scenario_with_a([1.0, 2.0], [30.0, 18.0])
-        res = dca_solve(s, fs_for(s, 0.5), DcaSettings())
+        res = solve(s, fs_for(s, 0.5), DcaSettings())
         assert res.objective <= 1e-9
 
     def test_snapping_keeps_rate_feasible(self):
@@ -329,11 +334,11 @@ class TestDcaSolve:
         for _ in range(10):
             k = int(rng.integers(2, 6))
             s = scenario_with_a(rng.uniform(0.5, 80.0, k), rng.uniform(0.5, 80.0, k))
-            c = dl_rate_coefficients(s)
+            c = s.rate_coeffs()
             fs = fs_for(s, rng.uniform(0.3, 0.9) * c.max())
-            res = dca_solve(s, fs, DcaSettings())
-            assert float(np.dot(c, res.allocation.tau_dl)) >= fs.r_min - 1e-6
-            small = res.allocation.tau_ul[(res.allocation.tau_ul > 0) & (res.allocation.tau_ul < 1e-6)]
+            res = solve(s, fs, DcaSettings())
+            assert float(np.dot(c, res.tau_dl)) >= fs.r_min - 1e-6
+            small = res.tau_ul[(res.tau_ul > 0) & (res.tau_ul < 1e-6)]
             assert small.size == 0  # reporting snap removed the slivers
 
     def test_snap_that_would_miss_the_rate_keeps_the_row(self):
@@ -359,11 +364,11 @@ class TestViolation:
         assert got.tolist() == [np.inf, 0.0, np.inf]
 
 
-class TestKktResidual:
+class TestCertificateGap:
     def test_near_zero_at_verified_optimum(self):
         s = scenario_with_a([45.0], [1.5])
         fs = fs_for(s, 2.0)
-        res = dca_solve(s, fs, DcaSettings())
+        res = solve(s, fs, DcaSettings())
         assert res.gap_bits < 1e-4
 
     def test_large_at_initial_allocation(self):
@@ -371,7 +376,7 @@ class TestKktResidual:
         # a fixed strong-channel scenario
         s = scenario_with_a([150.0, 40.0], [2.0, 1.0])
         fs = fs_for(s, 1.0)
-        resid = kkt_residual(s, fs, initial_allocation(fs))
+        resid = gap_at(s, fs, *initial_allocation(fs))
         assert resid > 1e-2
 
     def test_corner_user_does_not_swamp_the_ul_gap(self):
@@ -381,19 +386,19 @@ class TestKktResidual:
         s = scenario_with_a([1e10, 100.0], [1.0, 1.0])
         fs = FeasibleSet(np.array([2.0, 1.0]), 2.0)
         delta = 1e-7
-        alloc = Allocation(np.array([1.0, 0.0]), np.array([0.0, 1.0 - delta]))
-        best = Allocation(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        gain = objective_value(s, best) - objective_value(s, alloc)
-        assert kkt_residual(s, fs, alloc) == pytest.approx(gain, rel=1e-6)
+        dl = np.array([1.0, 0.0])
+        ul, best = np.array([0.0, 1.0 - delta]), np.array([0.0, 1.0])
+        gain = objective_value(s.a_user(), s.a_eve(), dl, best) - objective_value(s.a_user(), s.a_eve(), dl, ul)
+        assert gap_at(s, fs, dl, ul) == pytest.approx(gain, rel=1e-6)
 
     def test_zero_share_without_eavesdropper_is_unbounded(self):
         # aE = 0: log2(a / aE) = inf is the UL gradient at a zero share with
         # DL time left, and inf * 0 in the UL block's g . x must not read nan
         s = scenario_with_a([100.0, 50.0], [0.0, 1.0])
         fs = fs_for(s)
-        alloc = Allocation(np.zeros(2), np.array([0.0, 1.0]))
-        assert kkt_residual(s, fs, alloc) == math.inf
-        assert dca_solve(s, fs, initial=alloc).status == "converged"
+        alloc = (np.zeros(2), np.array([0.0, 1.0]))
+        assert gap_at(s, fs, *alloc) == math.inf
+        assert solve(s, fs, start=alloc).converged
 
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
     def test_share_beyond_the_doubles_reads_as_zero(self, tiny):
@@ -401,7 +406,7 @@ class TestKktResidual:
         # gradient is the limit at tau_ul = 0, not inf - inf
         s = scenario_with_a([1e12, 1e3], [1e6, 1.0])
         fs = fs_for(s)
-        gaps = [kkt_residual(s, fs, Allocation(np.zeros(2), np.array([t, 0.5]))) for t in (tiny, 0.0)]
+        gaps = [gap_at(s, fs, np.zeros(2), np.array([t, 0.5])) for t in (tiny, 0.0)]
         assert math.isfinite(gaps[0]) and gaps[0] == gaps[1]
 
 
@@ -409,20 +414,19 @@ class TestSwitchedOffUsers:
     def test_switched_off_user_gets_no_uplink(self):
         # user 1 has a_k < aE_k: its term is <= 0 everywhere and 0 at tau_ul = 0
         s = scenario_with_a([40.0, 2.0], [3.0, 9.0])
-        fs = fs_for(s, 0.5 * float(dl_rate_coefficients(s).max()))
-        res = dca_solve(s, fs)
-        raw = res.raw_allocation
-        assert raw.tau_ul[1] == 0.0
-        assert res.allocation.tau_ul[1] == 0.0
-        active = secrecy_capacity_user(s, 0, float(raw.tau_dl[0]), float(raw.tau_ul[0]))
+        fs = fs_for(s, 0.5 * float(s.rate_coeffs().max()))
+        res = solve(s, fs)
+        assert res.raw_tau_ul[1] == 0.0
+        assert res.tau_ul[1] == 0.0
+        active = secrecy_capacity_user(s, 0, float(res.raw_tau_dl[0]), float(res.raw_tau_ul[0]))
         assert res.objective == active
 
     def test_every_user_switched_off(self):
         s = scenario_with_a([1.0, 2.0, 0.5], [30.0, 18.0, 0.5])
-        res = dca_solve(s, fs_for(s, 1.0))
+        res = solve(s, fs_for(s, 1.0))
         assert res.objective == 0.0
-        assert res.status == "converged"
-        assert np.all(res.raw_allocation.tau_ul == 0.0)
+        assert res.converged
+        assert np.all(res.raw_tau_ul == 0.0)
 
 
 class TestCertificate:
@@ -433,35 +437,35 @@ class TestCertificate:
         for _ in range(10):
             a = float(rng.uniform(2.0, 300.0))
             s = scenario_with_a([a], [float(rng.uniform(0.05, 0.9)) * a])
-            c = float(dl_rate_coefficients(s)[0])
+            c = float(s.rate_coeffs()[0])
             fs = fs_for(s, float(rng.uniform(0.0, 0.9)) * c)
             w = 1.0 - fs.r_min / c
             best = math.log2(1.0 + float(s.a_user()[0]) * w) - math.log2(1.0 + float(s.a_eve()[0]) * w)
-            start = dca_solve(s, fs, DcaSettings(epsilon=1e9))
-            res = dca_solve(s, fs)
+            start = solve(s, fs, DcaSettings(epsilon=1e9))
+            res = solve(s, fs)
             for out in (start, res):
                 assert best - out.objective <= out.gap_bits + 1e-12
-                assert kkt_residual(s, fs, out.raw_allocation) == out.gap_bits
-            assert res.status == "converged" and res.gap_bits <= 1e-8
+                assert gap_at(s, fs, out.raw_tau_dl, out.raw_tau_ul) == out.gap_bits
+            assert res.converged and res.gap_bits <= 1e-8
 
     def test_certified_start_returned_unchanged(self):
         s = scenario_with_a([60.0, 25.0], [2.0, 1.0])
         fs = fs_for(s, 1.5)
-        first = dca_solve(s, fs)
-        again = dca_solve(s, fs, initial=first.raw_allocation)
-        assert first.status == again.status == "converged"
+        first = solve(s, fs)
+        again = solve(s, fs, start=(first.raw_tau_dl, first.raw_tau_ul))
+        assert first.converged and again.converged
         assert again.iterations == 0
         assert again.objective == first.objective
-        assert np.array_equal(again.raw_allocation.tau_dl, first.raw_allocation.tau_dl)
+        assert np.array_equal(again.raw_tau_dl, first.raw_tau_dl)
 
 
 def _fig3_problem(users, trial, index):
-    """Scenario and feasible set of one fig3 sweep row, built as the sweep builds them."""
+    """(a, aE, feasible set) of one fig3 sweep row, built as the sweep builds them."""
     cfg = load_config(preset="fig3")
     sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
-    s, fs = generate_scenario(sub, trial)
+    block, fs = generate_scenario(sub, trial)
     c = fs.rate_coeffs
-    return s, FeasibleSet(c, cfg.sweep_values[index] * float(c.max()))
+    return block.a[0], block.a_e[0], FeasibleSet(c, cfg.sweep_values[index] * float(c.max()))
 
 
 class TestDualEngine:
@@ -472,9 +476,8 @@ class TestDualEngine:
         (4, 151, 10, 1.7553263014818),      # r_min at 0.5: a saturated user with no uplink
     ])
     def test_cold_fig3_solves_certified(self, users, trial, index, earlier):
-        s, fs = _fig3_problem(users, trial, index)
-        res = dca_solve(s, fs)
-        assert res.status == "converged"
+        res = solve_one(*_fig3_problem(users, trial, index))
+        assert res.converged
         assert res.gap_bits <= 1e-8
         assert res.objective >= earlier - 1e-12 * max(1.0, abs(earlier))
 
@@ -482,12 +485,12 @@ class TestDualEngine:
         # one active user of three, equal c: every switched-off user's DL time
         # is free, and the lowest index takes the whole rate target
         s = scenario_with_a([40.0, 2.0, 1.0], [3.0, 9.0, 5.0])
-        c = dl_rate_coefficients(s)
+        c = s.rate_coeffs()
         assert c[0] == c[1] == c[2]
         fs = fs_for(s, 0.4 * float(c[0]))
-        raw = dca_solve(s, fs).raw_allocation
-        assert raw.tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
-        assert raw.tau_ul.tolist() == [1.0, 0.0, 0.0]
+        res = solve(s, fs)
+        assert res.raw_tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
+        assert res.raw_tau_ul.tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_dl_tie_with_a_corner_user_certified(self, share):
@@ -495,39 +498,30 @@ class TestDualEngine:
         # uplink; user 0 (no eavesdropper) takes the whole UL frame.  At
         # r_min = max c user 1 sits at the corner tau_dl = 1, tau_ul = 0, where
         # the supergradient (-phi'(0), 0) would read a gap of 76,172 bits.
-        s = ScenarioChannels(
-            g=np.ones(2), h=np.array([1e-5, 2e-5]), h_e=np.array([0.0, 1e-5]),
-            sigma2_dl=np.full(2, 1e-14), sigma2_ul=np.full(2, 1e-14), sigma2_e=1e-14,
-            eta=0.44, i_d=2.0, p_led=1.0,
-        )
-        c = dl_rate_coefficients(s)
+        s = Channels(g=np.ones(2), h=np.array([1e-5, 2e-5]), h_e=np.array([0.0, 1e-5]))
+        c = s.rate_coeffs()
         fs = FeasibleSet(c, share * float(c.max()))
-        res = dca_solve(s, fs)
-        assert res.status == "converged" and res.gap_bits <= 1e-8
-        assert res.raw_allocation.tau_ul.tolist() == [1.0, 0.0]
+        res = solve(s, fs)
+        assert res.converged and res.gap_bits <= 1e-8
+        assert res.raw_tau_ul.tolist() == [1.0, 0.0]
         assert res.objective == pytest.approx(math.log2(1.0 + float(s.a_user()[0])), rel=1e-15)
 
     def test_single_user_closed_form(self):
         # K = 1: tau_dl = r_min / c and tau_ul = 1, with no search
         s = scenario_with_a([80.0], [3.0])
-        c = float(dl_rate_coefficients(s)[0])
+        c = float(s.rate_coeffs()[0])
         fs = fs_for(s, 0.5 * c)
-        res = dca_solve(s, fs)
-        assert res.raw_allocation.tau_ul.tolist() == [1.0]
-        assert res.raw_allocation.tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
-        assert res.status == "converged" and res.iterations == 1
+        res = solve(s, fs)
+        assert res.raw_tau_ul.tolist() == [1.0]
+        assert res.raw_tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
+        assert res.converged and res.iterations == 1
 
 
 def _adversarial_channels(a, a_e, g):
     """Channels with SNR constants a and aE at VLC gains g (some may be 0)."""
     # a = eta I^2 g^2 h^2 / sigma^2 with eta I^2 = 1.76 and sigma^2 = 1e-14
     safe_g = np.where(g > 0.0, g, 1.0)
-    k = g.size
-    return ScenarioChannels(
-        g=g, h=np.sqrt(a * 1e-14 / 1.76) / safe_g, h_e=np.sqrt(a_e * 1e-14 / 1.76) / safe_g,
-        sigma2_dl=np.full(k, 1e-14), sigma2_ul=np.full(k, 1e-14), sigma2_e=1e-14,
-        eta=0.44, i_d=2.0, p_led=1.0,
-    )
+    return Channels(g=g, h=np.sqrt(a * 1e-14 / 1.76) / safe_g, h_e=np.sqrt(a_e * 1e-14 / 1.76) / safe_g)
 
 
 @st.composite
@@ -543,15 +537,15 @@ def _adversarial_problem(draw):
     g = np.array([10.0 ** draw(st.floats(-7.5, -5.0)) for _ in range(k)])
     g[np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))] = 0.0
     s = _adversarial_channels(a, a_e, g)
-    c = dl_rate_coefficients(s)
+    c = s.rate_coeffs()
     share = draw(st.sampled_from([0.0, None, 1.0]))
     if share is None:
         share = draw(st.floats(0.01, 0.99))
-    return s, FeasibleSet(c, share * float(c.max()))
+    return s.a_user(), s.a_eve(), FeasibleSet(c, share * float(c.max()))
 
 
 def _adversarial_panel(seed, count, k_max):
-    """(s, fs) pairs of the kinds ``_adversarial_problem`` draws, from a seeded
+    """(a, aE, fs) problems of the kinds ``_adversarial_problem`` draws, from a seeded
     numpy stream: K from 1 to k_max, a quarter of the users tied and a
     quarter with zero gain, r_min cycling through 0, inside and max c."""
     rng = np.random.default_rng(seed)
@@ -563,60 +557,107 @@ def _adversarial_panel(seed, count, k_max):
         g = 10.0 ** rng.uniform(-7.5, -5.0, k)
         g[rng.random(k) < 0.25] = 0.0
         s = _adversarial_channels(a, a_e, g)
-        c = dl_rate_coefficients(s)
+        c = s.rate_coeffs()
         share = (0.0, float(rng.uniform(0.01, 0.99)), 1.0)[i % 3]
-        yield s, FeasibleSet(c, share * float(c.max()))
+        yield s.a_user(), s.a_eve(), FeasibleSet(c, share * float(c.max()))
 
 
-def _check_solver_invariants(s, fs, res):
-    assert allocation_violation(fs, res.raw_allocation) <= 1e-8
-    assert allocation_violation(fs, res.allocation) <= 1e-8
-    start = objective_value(s, initial_allocation(fs))
+def _check_solver_invariants(a, a_e, fs, res):
+    assert violation(fs, res.raw_tau_dl, res.raw_tau_ul) <= 1e-8
+    assert violation(fs, res.tau_dl, res.tau_ul) <= 1e-8
+    start = objective_value(a, a_e, *initial_allocation(fs))
     assert res.objective >= start - 1e-12 * max(1.0, abs(start))
     assert res.gap_bits >= -1e-12
-    if res.status == "converged":
+    if res.converged:
         assert res.gap_bits <= DcaSettings().epsilon
-    off = s.a_user() <= s.a_eve()
-    assert np.all(res.raw_allocation.tau_ul[off] == 0.0)
-    assert np.all(res.allocation.tau_ul[off] == 0.0)
+    off = a <= a_e
+    assert np.all(res.raw_tau_ul[off] == 0.0)
+    assert np.all(res.tau_ul[off] == 0.0)
 
 
 class TestAdversarialProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_adversarial_problem())
     def test_solver_invariants(self, problem):
-        s, fs = problem
-        _check_solver_invariants(s, fs, dca_solve(s, fs))
+        _check_solver_invariants(*problem, solve_one(*problem))
+
+
+@st.composite
+def _mixed_block(draw):
+    """(a, aE, c, r_min, warm) of an (N, K) block, N = 2..6 and K = 1..8.
+
+    SNR constants log-uniform in [1e-6, 1e12], with users tied at a = aE,
+    users without eavesdropper (aE = 0) and switched-off users (aE > a),
+    rate coefficients log-uniform in [1e-2, 10] and r_min at 0, inside the
+    range or at max c.  ``warm`` marks the rows that start from their own
+    answer, which certifies them at the start; row 0 is warm and row 1
+    cold, so every block holds both kinds.
+    """
+    k, n = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+
+    def rows(strategy):
+        return np.array(draw(st.lists(strategy, min_size=n * k, max_size=n * k))).reshape(n, k)
+
+    a = rows(st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e))
+    a_e = rows(st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e))
+    kind = rows(st.sampled_from(["drawn", "tie", "zero"]))
+    a_e = np.where(kind == "tie", a, np.where(kind == "zero", 0.0, a_e))
+    c = rows(st.floats(-2.0, 1.0).map(lambda e: 10.0 ** e))
+    share = np.array([draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)) for _ in range(n)])
+    warm = np.array([True, False] + draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2)))
+    return a, a_e, c, share * c.max(axis=1), warm
+
+
+class TestRowIndependence:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_mixed_block())
+    def test_every_row_is_its_solve_alone(self, block):
+        # the block's row reductions add each row as a block of that row alone
+        # would, so no field of a row depends on the rows solved beside it
+        a, a_e, c, r_min, warm = block
+        tau_dl, tau_ul = initial_rows(c, r_min)
+        for i in np.flatnonzero(warm):
+            first = solve_rows(a[i:i + 1], a_e[i:i + 1], c[i:i + 1], r_min[i:i + 1], tau_dl[i:i + 1], tau_ul[i:i + 1])
+            tau_dl[i], tau_ul[i] = first.raw_tau_dl[0], first.raw_tau_ul[0]
+            assert not first.converged[0] or solve_rows(
+                a[i:i + 1], a_e[i:i + 1], c[i:i + 1], r_min[i:i + 1], tau_dl[i:i + 1], tau_ul[i:i + 1]
+            ).iterations[0] == 0  # a warm row is a certified start
+        out = solve_rows(a, a_e, c, r_min, tau_dl, tau_ul)
+        for i in range(c.shape[0]):
+            alone = solve_rows(a[i:i + 1], a_e[i:i + 1], c[i:i + 1], r_min[i:i + 1], tau_dl[i:i + 1], tau_ul[i:i + 1])
+            for field in dataclasses.fields(out):
+                got, want = getattr(out, field.name)[i], getattr(alone, field.name)[0]
+                assert np.array_equal(got, want), (i, field.name, got, want)
 
 
 class TestAdversarialPanel:
     def test_every_solve_certifies(self):
         # a seeded panel: its problems stay put when src/ changes
-        for s, fs in _adversarial_panel(seed=41, count=400, k_max=64):
-            res = dca_solve(s, fs)
-            _check_solver_invariants(s, fs, res)
-            assert res.status == "converged", (fs.K, fs.r_min, res.gap_bits)
-            assert math.isfinite(kkt_residual(s, fs, res.raw_allocation))
+        for a, a_e, fs in _adversarial_panel(seed=41, count=400, k_max=64):
+            res = solve_one(a, a_e, fs)
+            _check_solver_invariants(a, a_e, fs, res)
+            assert res.converged, (fs.K, fs.r_min, res.gap_bits)
+            assert math.isfinite(certificate_gap(a, a_e, fs, res.raw_tau_dl, res.raw_tau_ul))
 
 
 def _dual_panel():
-    """(s, fs) pairs with K <= 8: an adversarial panel, fig3 draws, fig4 draws
-    and problems whose rate coefficients are drawn apart from the channels."""
+    """(a, aE, fs) problems with K <= 8: an adversarial panel, fig3 draws, fig4
+    draws and problems whose rate coefficients are drawn apart from the channels."""
     yield from _adversarial_panel(seed=43, count=90, k_max=8)
     rng = np.random.default_rng(44)
-    for s, _ in _adversarial_panel(seed=46, count=60, k_max=8):
+    for a, a_e, _ in _adversarial_panel(seed=46, count=60, k_max=8):
         # c log-uniform in [1e-3, 10] and r_min uniform in [0, max c]: the DL
         # optimum often lies on an edge, most of it on a low-rate user
-        c = 10.0 ** rng.uniform(-3.0, 1.0, s.K)
-        yield s, FeasibleSet(c, float(rng.uniform(0.0, c.max())))
+        c = 10.0 ** rng.uniform(-3.0, 1.0, a.size)
+        yield a, a_e, FeasibleSet(c, float(rng.uniform(0.0, c.max())))
     for name, counts in (("fig3", (1, 2, 4, 8)), ("fig4", (2, 4, 8))):
         cfg = load_config(preset=name)
         for i in range(30):
             sub = dataclasses.replace(cfg, users_count=counts[i % len(counts)], r_min=0.0, r_min_fraction=None)
-            s, fs = generate_scenario(sub, int(rng.integers(0, 1000)))
+            block, fs = generate_scenario(sub, int(rng.integers(0, 1000)))
             c = fs.rate_coeffs
             share = (0.0, float(rng.uniform(0.01, 0.99)), 1.0)[i % 3]
-            yield s, FeasibleSet(c, share * float(c.max()))
+            yield block.a[0], block.a_e[0], FeasibleSet(c, share * float(c.max()))
 
 
 class TestDualReference:
@@ -650,13 +691,13 @@ class TestDualReference:
         # at the solver's answer and at two starts it returns uncertified
         # (epsilon = 1e9): the default start and a random one.
         problems = list(_dual_panel())
-        _, values = dual_probes([(s.a_user(), s.a_eve(), fs.rate_coeffs, fs.r_min) for s, fs in problems])
+        _, values = dual_probes([(a, a_e, fs.rate_coeffs, fs.r_min) for a, a_e, fs in problems])
         rng = np.random.default_rng(45)
         loose = DcaSettings(epsilon=1e9)
-        for (s, fs), probes in zip(problems, values):
-            res = dca_solve(s, fs)
+        for (a, a_e, fs), probes in zip(problems, values):
+            res = solve_one(a, a_e, fs)
             f = res.objective
             assert np.all(f <= probes + 1e-12 * max(1.0, abs(f)))
-            random = Allocation(rng.dirichlet(np.ones(fs.K + 1))[: fs.K], rng.dirichlet(np.ones(fs.K + 1))[: fs.K])
-            for out in (res, dca_solve(s, fs, loose), dca_solve(s, fs, loose, initial=random)):
+            random = (rng.dirichlet(np.ones(fs.K + 1))[: fs.K], rng.dirichlet(np.ones(fs.K + 1))[: fs.K])
+            for out in (res, solve_one(a, a_e, fs, loose), solve_one(a, a_e, fs, loose, random)):
                 assert probes.min() - out.objective <= out.gap_bits + 1e-12 * max(1.0, abs(out.objective))

@@ -20,7 +20,7 @@ from numpy.lib.introspect import opt_func_info
 import vlcrf
 from vlcrf import cli, experiment
 from vlcrf.cli import main as cli_main
-from vlcrf.dc_solver import STATUS_INFEASIBLE, DcaSettings, FeasibleSet, allocation_violation, dca_solve
+from vlcrf.dc_solver import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITERATIONS, DcaSettings, FeasibleSet
 from vlcrf.experiment import (
     PRESETS,
     ConfigError,
@@ -32,10 +32,11 @@ from vlcrf.experiment import (
     run_solve,
     run_sweep,
 )
-from vlcrf.link_budget import Allocation, ScenarioChannels, clamped_secrecy_sum, dl_rate_coefficients, dl_sum_rate
+from model_reference import Channels, sample_rician_gain, solve_one, violation, vlc_channel_gain
+from vlcrf.link_budget import clamped_secrecy_rows
 from vlcrf.reference_oracle import GridSpec
-from vlcrf.rf_channel import RicianConfig, sample_rician_gain
-from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, UserTerminal, Vec3, vlc_channel_gain
+from vlcrf.rf_channel import RicianConfig
+from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, Vec3
 
 
 def read_rows(path):
@@ -281,9 +282,8 @@ class TestGenerateScenario:
         cfg = build_config({"seed": "77", "users.count": "3"})
         s1, fs1 = generate_scenario(cfg, 4)
         s2, fs2 = generate_scenario(cfg, 4)
-        assert np.array_equal(s1.g, s2.g)
-        assert np.array_equal(s1.h, s2.h)
-        assert np.array_equal(s1.h_e, s2.h_e)
+        for name in ("g", "h", "h_e", "a", "a_e", "c"):
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
         assert fs1.r_min == fs2.r_min
 
     def test_trials_differ(self):
@@ -306,8 +306,8 @@ class TestGenerateScenario:
         cfg = build_config({"seed": "1", "users.positions": "2.5,2.5,0.0"})
         s, _ = generate_scenario(cfg, 0)
         hand = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0
-        assert float(s.g[0]) == pytest.approx(hand, rel=1e-12)
-        assert float(s.g[0]) == pytest.approx(5.7296e-6, rel=1e-4)
+        assert float(s.g[0, 0]) == pytest.approx(hand, rel=1e-12)
+        assert float(s.g[0, 0]) == pytest.approx(5.7296e-6, rel=1e-4)
 
     def test_out_of_fov_user_has_zero_gain(self):
         # the placement is data: a zero gain, and no warning
@@ -317,20 +317,18 @@ class TestGenerateScenario:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s, _ = generate_scenario(cfg, 0)
-        assert s.g.tolist() == [0.0]
+        assert s.g.tolist() == [[0.0]]
 
     def test_rate_fraction_resolved_against_bound(self):
         cfg = build_config({"seed": "5", "users.count": "2", "rate.min_fraction": "0.5"})
         s, fs = generate_scenario(cfg, 0)
-        from vlcrf.link_budget import dl_rate_coefficients
-
-        assert fs.r_min == pytest.approx(0.5 * float(dl_rate_coefficients(s).max()), rel=1e-12)
+        assert fs.r_min == pytest.approx(0.5 * float(s.c.max()), rel=1e-12)
 
     def test_fixed_eve_position(self):
         cfg = build_config({"seed": "5", "eve.position": "1.0,1.0,1.0", "users.count": "1"})
         s1, _ = generate_scenario(cfg, 0)
         s2, _ = generate_scenario(cfg, 1)
-        assert s1.h_e.shape == (1,)
+        assert s1.h_e.shape == (1, 1)
         # same geometry for Eve but fading still varies by trial
         assert not np.array_equal(s1.h_e, s2.h_e)
 
@@ -338,8 +336,9 @@ class TestGenerateScenario:
 def _reference_scenario(cfg, trial):
     """One trial's scenario the way the sweeps drew it before the block
     generator: a ``Vec3`` per user, one ``vlc_channel_gain`` and two
-    ``sample_rician_gain`` calls per user.  Returns the scenario and how
-    many of its users are outside the LED field of view."""
+    ``sample_rician_gain`` calls per user (``model_reference``).  Returns
+    the scenario and how many of its users are outside the LED field of
+    view."""
     ss = np.random.SeedSequence([cfg.seed, trial])
     geom_rng, eve_rng, fading_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     width, depth, height = cfg.room
@@ -359,15 +358,13 @@ def _reference_scenario(cfg, trial):
 
     g = np.empty(len(positions))
     for k, pos in enumerate(positions):
-        g[k] = vlc_channel_gain(cfg.led, UserTerminal(id=k, position=pos, pd=cfg.pd), cfg.concentrator_model)
-    h = [sample_rician_gain(cfg.rician, distance(pos, cfg.ap_position), fading_rng, cfg.rf_mixing).h_mag
+        g[k] = vlc_channel_gain(cfg.led, pos, cfg.pd, cfg.concentrator_model)
+    h = [sample_rician_gain(cfg.rician, distance(pos, cfg.ap_position), fading_rng, cfg.rf_mixing)
          for pos in positions]
-    h_e = [sample_rician_gain(cfg.rician, distance(pos, eve), fading_rng, cfg.rf_mixing).h_mag
+    h_e = [sample_rician_gain(cfg.rician, distance(pos, eve), fading_rng, cfg.rf_mixing)
            for pos in positions]
-    scenario = ScenarioChannels(
-        g=g, h=h, h_e=h_e,
-        sigma2_dl=np.full(len(positions), cfg.noise_user_dl),
-        sigma2_ul=np.full(len(positions), cfg.noise_user_ul),
+    scenario = Channels(
+        g=g, h=h, h_e=h_e, sigma2_dl=cfg.noise_user_dl, sigma2_ul=cfg.noise_user_ul,
         sigma2_e=cfg.noise_eve_ul, eta=cfg.eta, i_d=cfg.led.dc_offset, p_led=cfg.led.p_led,
     )
     return scenario, sum(gain == 0.0 for gain in g.tolist())
@@ -398,7 +395,7 @@ class TestScenarioBlock:
                 s, out_of_view = _reference_scenario(cfg, trial)
                 want_dark += out_of_view
                 for name, want in (("g", s.g), ("h", s.h), ("h_e", s.h_e), ("a", s.a_user()),
-                                   ("a_e", s.a_eve()), ("c", dl_rate_coefficients(s))):
+                                   ("a_e", s.a_eve()), ("c", s.rate_coeffs())):
                     got = getattr(block, name)[n]
                     assert got.shape == want.shape and np.all(got == want), (k, trial, name)
             assert int((block.g == 0.0).sum()) == want_dark
@@ -410,8 +407,8 @@ class TestScenarioBlock:
         cfg = build_config({"seed": "5", "users.count": "5", "rate.min_fraction": "0.4"})
         block = experiment.scenario_block(cfg, [3, 7])
         s, fs = generate_scenario(cfg, 7)
-        for name in ("g", "h", "h_e"):
-            assert np.array_equal(getattr(s, name), getattr(block, name)[1])
+        for name in ("g", "h", "h_e", "a", "a_e", "c"):
+            assert np.array_equal(getattr(s, name), getattr(block, name)[1:])
         assert np.array_equal(fs.rate_coeffs, block.c[1])
         assert fs.r_min == 0.4 * float(np.max(block.c[1]))
 
@@ -433,10 +430,11 @@ class TestScenarioBlock:
     def test_non_finite_gain_rejected(self):
         # 1e-160 m beneath the LED, d^2 is subnormal and the gain overflows
         cfg = build_config({"seed": "3", "users.positions": "1.0,1.0,0.0", "led.position": "1.0,1.0,1e-160"})
-        with pytest.raises(ConfigError, match="ScenarioChannels.g entries must be finite"):
-            generate_scenario(cfg, 0)
-        with pytest.raises(ConfigError, match="ScenarioChannels.g entries must be finite"):
-            experiment.scenario_block(cfg, [0])
+        for make in (lambda: generate_scenario(cfg, 0), lambda: experiment.scenario_block(cfg, [0])):
+            with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+                warnings.simplefilter("error")  # refused before numpy warns
+                make()
+            assert str(err.value) == "user 0: the VLC gain g must be finite, got inf"
 
     def test_non_finite_uplink_amplitude_rejected(self):
         # 1e-160 m from the access point the LOS amplitude overflows, and the mix is nan
@@ -445,7 +443,7 @@ class TestScenarioBlock:
         with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
             warnings.simplefilter("error")  # refused before numpy warns
             experiment.scenario_block(cfg, [0])
-        assert str(err.value) == "FadingSample.h_mag must be finite and >= 0, got nan"
+        assert str(err.value) == "user 0: the uplink amplitude h must be finite, got nan"
 
     @pytest.mark.parametrize("extra, message", [
         # d ** (-3.9 / 2) at d = 1e-160 m leaves the float range
@@ -613,7 +611,7 @@ class TestRunSweep:
         assert [r["users"] for r in rows] == ["1", "2"]
 
     def test_emitted_allocations_revalidate(self, tmp_path):
-        # round-trip audit: rows parse back into Allocations that satisfy
+        # round-trip audit: rows parse back into allocations that satisfy
         # the budgets and the row's own minimum-rate column
         cfg = build_config(dict(SMALL_SWEEP))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
@@ -623,10 +621,9 @@ class TestRunSweep:
         for row in read_rows(info["rows_path"]):
             tau_dl = [float(x) for x in row["tau_dl"].split(",")]
             tau_ul = [float(x) for x in row["tau_ul"].split(",")]
-            alloc = Allocation(tau_dl, tau_ul)
             fs = FeasibleSet(base_fs.rate_coeffs, float(row["r_min"]))
             if row["trial"] == "0":
-                assert allocation_violation(fs, alloc) <= 1e-8
+                assert violation(fs, tau_dl, tau_ul) <= 1e-8
 
     @pytest.mark.parametrize("workers, cpus, affinity, want", [
         ("500", 2, True, 2),   # capped at the usable CPUs, not at the 12 tasks
@@ -735,29 +732,39 @@ def _cell(value) -> str:
 
 
 def _reference_row(value, users, trial, scenario, fs, result):
-    """A sweep row of one ``dca_solve`` answer: the dict the sweeps built row
-    by row before their rows became columns.  ``gap_bits`` is not written."""
+    """A sweep row of one problem solved alone (``solve_one``; None where r_min
+    exceeds every c_k): the dict the sweeps built row by row before their rows
+    became columns.  ``gap_bits`` is not written."""
     row = {"sweep_value": value, "users": users, "trial": trial, "r_min": fs.r_min,
-           "iterations": result.iterations, "status": result.status, "gap_bits": None}
+           "iterations": 0, "status": STATUS_INFEASIBLE, "gap_bits": None}
     for column in ("objective_bits", "clamped_secrecy_sum", "dl_rate_achieved", "tau_dl", "tau_ul"):
         row[column] = None
-    if result.status != STATUS_INFEASIBLE:
-        alloc = result.allocation
-        assert allocation_violation(fs, alloc) <= experiment.FEASIBILITY_AUDIT_TOL
+    if result is not None:
+        assert violation(fs, result.tau_dl, result.tau_ul) <= experiment.FEASIBILITY_AUDIT_TOL
         row.update({
+            "iterations": result.iterations,
+            "status": STATUS_CONVERGED if result.converged else STATUS_MAX_ITERATIONS,
             "objective_bits": result.objective,
-            "clamped_secrecy_sum": clamped_secrecy_sum(scenario, alloc),
-            "dl_rate_achieved": dl_sum_rate(scenario, alloc),
-            "tau_dl": ",".join(repr(float(v)) for v in alloc.tau_dl),
-            "tau_ul": ",".join(repr(float(v)) for v in alloc.tau_ul),
+            "clamped_secrecy_sum": clamped_secrecy_rows(scenario.a, scenario.a_e, result.tau_dl[None],
+                                                        result.tau_ul[None])[0],
+            "dl_rate_achieved": float(np.dot(fs.rate_coeffs, result.tau_dl)),
+            "tau_dl": ",".join(repr(float(v)) for v in result.tau_dl),
+            "tau_ul": ",".join(repr(float(v)) for v in result.tau_ul),
             "gap_bits": result.gap_bits,
         })
     return row
 
 
+def _solve_alone(scenario, fs, settings, start=None):
+    """``solve_one`` of the trial's scenario (a block of one trial), or None where r_min exceeds every c_k."""
+    if fs.r_min > float(np.max(fs.rate_coeffs)):
+        return None
+    return solve_one(scenario.a[0], scenario.a_e[0], fs, settings, start)
+
+
 def _reference_chain_rows(cfg, users, trial):
-    """One trial's r_min sweep rows, one ``dca_solve`` per row: the per-trial
-    chain that the block chain replaced, kept as its reference."""
+    """One trial's r_min sweep rows, each row's problem solved alone: the
+    per-trial chain that the block chain replaced, kept as its reference."""
     sub = dataclasses.replace(cfg, users_count=users, r_min=0.0, r_min_fraction=None)
     scenario, base_fs = generate_scenario(sub, trial)
     bound = float(np.max(base_fs.rate_coeffs))
@@ -767,19 +774,19 @@ def _reference_chain_rows(cfg, users, trial):
         value = cfg.sweep_values[idx]
         r_min = value * bound if cfg.sweep_kind == "rmin_fraction" else value
         fs = FeasibleSet(base_fs.rate_coeffs, r_min)
-        result = dca_solve(scenario, fs, cfg.solver, initial=chain)
-        if result.status != STATUS_INFEASIBLE:
-            chain = result.raw_allocation
+        result = _solve_alone(scenario, fs, cfg.solver, chain)
+        if result is not None:
+            chain = (result.raw_tau_dl, result.raw_tau_ul)
         rows[idx] = _reference_row(value, users, trial, scenario, fs, result)
     return [rows[i] for i in range(len(cfg.sweep_values))]
 
 
 def _users_rows(cfg, users, trial):
-    """One trial's users-sweep row, one ``dca_solve`` per row: the path the
+    """One trial's users-sweep row, its problem solved alone: the path the
     block chain replaced for the users sweep, kept as its reference."""
     sub = dataclasses.replace(cfg, users_count=users)
     scenario, fs = generate_scenario(sub, trial)
-    return [_reference_row(users, users, trial, scenario, fs, dca_solve(scenario, fs, cfg.solver))]
+    return [_reference_row(users, users, trial, scenario, fs, _solve_alone(scenario, fs, cfg.solver))]
 
 
 def _block_rows(cfg, users, block):
@@ -1305,10 +1312,10 @@ class TestCli:
     @pytest.mark.parametrize("command", ["solve", "report", "sweep"])
     @pytest.mark.parametrize("geometry, message", [
         ({"ap.position": "1.0,1.0,1e-160", "rf.los_reference_gain": "1e200"},
-         "FadingSample.h_mag must be finite and >= 0, got nan"),
+         "user 0: the uplink amplitude h must be finite, got nan"),
         ({"ap.position": "1.0,1.0,1e-160", "rf.path_loss_exponent": "3.9"},
          "user 0: the line-of-sight amplitude to the access point overflows at 9.99994433575849e-161 m"),
-        ({"led.position": "1.0,1.0,1e-160"}, "ScenarioChannels.g entries must be finite and >= 0"),
+        ({"led.position": "1.0,1.0,1e-160"}, "user 0: the VLC gain g must be finite, got inf"),
         ({"users.positions": "2.5,2.5,3.0"}, "user 0 coincides with the LED"),
         ({"ap.position": "1.0,1.0,1e-160"}, "user 0: the SNR constant a must be finite, got inf"),
     ])
@@ -1323,6 +1330,28 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert (code, *capfd.readouterr()) == (2, "", f"config error: {message}\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command, out, message", [
+        # the output directory is a file, or lies under one
+        ("sweep", "taken", "cannot create output directory '{out}': [Errno 17] File exists: '{out}'"),
+        ("report", "taken/sub", "cannot create output directory '{out}': [Errno 20] Not a directory: '{out}'"),
+        # the directory is fine, but the file to write is a directory
+        ("sweep", "o", "cannot write '{out}/sweep_rows.csv': [Errno 21] Is a directory: '{out}/sweep_rows.csv'"),
+        ("report", "o", "cannot write '{out}/allocation_report.csv': "
+                        "[Errno 21] Is a directory: '{out}/allocation_report.csv'"),
+    ])
+    def test_unusable_output_exit_two(self, tmp_path, capfd, command, out, message, workers):
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "o" / "sweep_rows.csv").mkdir(parents=True)
+        (tmp_path / "o" / "allocation_report.csv").mkdir()
+        path = tmp_path / "c.txt"
+        path.write_text(f"runtime.workers = {workers}\n")
+        out = str(tmp_path / out)
+        code = cli_main([command, "--preset", "fig3" if command == "sweep" else "fig4", "--trials", "2",
+                         "--config", str(path), "--out", out])
+        assert (code, *capfd.readouterr()) == (2, "", f"config error: {message.format(out=out)}\n")
         assert multiprocessing.active_children() == []
 
     # sha256 of the out-of-view config's stdout, with its output directory

@@ -8,28 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model_reference import (
+    Channels,
     fused_terms,
     harvested_energy,
     objective_value,
+    secrecy_capacity_user,
     split_grads,
     split_value,
     ul_energy,
     ul_power,
 )
 from step_forms import same_bits
-from vlcrf.link_budget import (
-    Allocation,
-    ScenarioChannels,
-    check_fractions,
-    clamped_secrecy_sum,
-    dl_rate_coefficients,
-    dl_sum_rate,
-    perspective_grads,
-    perspective_terms,
-    perspective_value,
-    secrecy_capacity_user,
-    secrecy_rows,
-)
+from vlcrf.link_budget import check_fractions, clamped_secrecy_rows, perspective_terms, perspective_value, secrecy_rows
 
 G_CENTER = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0  # Table-style device, 3 m beneath
 
@@ -37,17 +27,21 @@ G_CENTER = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0  # Table-style device
 def scenario(g, h, h_e, sigma2_ul=1e-14, sigma2_e=1e-14, eta=0.44, i_d=2.0):
     g = np.atleast_1d(np.asarray(g, dtype=float))
     k = g.shape[0]
-    return ScenarioChannels(
+    return Channels(
         g=g,
-        h=np.broadcast_to(np.asarray(h, dtype=float), (k,)).copy(),
-        h_e=np.broadcast_to(np.asarray(h_e, dtype=float), (k,)).copy(),
-        sigma2_dl=np.full(k, 1e-14),
-        sigma2_ul=np.full(k, sigma2_ul),
+        h=np.broadcast_to(np.asarray(h, dtype=float), (k,)),
+        h_e=np.broadcast_to(np.asarray(h_e, dtype=float), (k,)),
+        sigma2_ul=sigma2_ul,
         sigma2_e=sigma2_e,
         eta=eta,
         i_d=i_d,
-        p_led=1.0,
     )
+
+
+def clamped_sum(s, tau_dl, tau_ul):
+    """``clamped_secrecy_rows`` of one allocation, as a float."""
+    rows = [np.asarray(x, dtype=float)[None] for x in (s.a_user(), s.a_eve(), tau_dl, tau_ul)]
+    return float(clamped_secrecy_rows(*rows)[0])
 
 
 def scenario_with_a(a_values, ae_values):
@@ -59,7 +53,7 @@ def scenario_with_a(a_values, ae_values):
     return scenario(np.ones_like(a), h, h_e)
 
 
-class TestScenarioChannels:
+class TestSnrConstants:
     def test_snr_constants_match_hand_products(self):
         s = scenario([G_CENTER], 1e-3, 5e-4)
         a_hand = 0.44 * 2.0**2 * G_CENTER**2 * 1e-6 / 1e-14
@@ -67,52 +61,27 @@ class TestScenarioChannels:
         assert float(s.a_user()[0]) == pytest.approx(a_hand, rel=1e-12)
         assert float(s.a_eve()[0]) == pytest.approx(ae_hand, rel=1e-12)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scenario([], 1e-3, 1e-3)
-        with pytest.raises(ValueError):
-            scenario([-1e-6], 1e-3, 1e-3)
-        with pytest.raises(ValueError):
-            scenario([1e-6], 1e-3, 1e-3, sigma2_ul=0.0)
-        with pytest.raises(ValueError):
-            ScenarioChannels(
-                g=[1e-6], h=[1e-3, 1e-3], h_e=[1e-3],
-                sigma2_dl=[1e-14], sigma2_ul=[1e-14], sigma2_e=1e-14,
-                eta=0.44, i_d=2.0, p_led=1.0,
-            )
 
-    @pytest.mark.parametrize("field", ["sigma2_dl", "sigma2_ul", "sigma2_e", "eta", "i_d", "p_led"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_constants_rejected(self, field, value):
-        kwargs = dict(
-            g=[1e-6], h=[1e-3], h_e=[1e-3], sigma2_dl=[1e-14], sigma2_ul=[1e-14],
-            sigma2_e=1e-14, eta=0.44, i_d=2.0, p_led=1.0,
-        )
-        kwargs[field] = [value] if isinstance(kwargs[field], list) else value
-        with pytest.raises(ValueError, match=field):
-            ScenarioChannels(**kwargs)
-
-    def test_arrays_read_only(self):
-        s = scenario([1e-6], 1e-3, 1e-3)
-        with pytest.raises(ValueError):
-            s.g[0] = 2.0
+def check_one(tau_dl, tau_ul):
+    """``check_fractions`` of one allocation, as a row."""
+    check_fractions(np.array([tau_dl], dtype=float), np.array([tau_ul], dtype=float))
 
 
-class TestAllocation:
+class TestCheckFractions:
     def test_budget_slack(self):
-        Allocation([0.5, 0.5], [0.999999999, 0.0])
+        check_one([0.5, 0.5], [0.999999999, 0.0])
         with pytest.raises(ValueError):
-            Allocation([0.6, 0.6], [0.1, 0.1])
+            check_one([0.6, 0.6], [0.1, 0.1])
         with pytest.raises(ValueError):
-            Allocation([-0.1, 0.2], [0.1, 0.1])
+            check_one([-0.1, 0.2], [0.1, 0.1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fraction_refused(self, bad):
         # nan passes both < 0 and > 1 + slack, so it needs its own check
         with pytest.raises(ValueError):
-            Allocation([bad, 0.3], [0.5, 0.1])
+            check_one([bad, 0.3], [0.5, 0.1])
         with pytest.raises(ValueError):
-            Allocation([0.2, 0.3], [0.5, bad])
+            check_one([0.2, 0.3], [0.5, bad])
         rows = np.array([[0.2, 0.3], [0.1, 0.1]])
         with pytest.raises(ValueError):
             check_fractions(rows, np.where([[False, False], [True, False]], bad, rows))
@@ -183,30 +152,20 @@ class TestUlPower:
 class TestDlRate:
     def test_zero_gain_zero_rate(self):
         s = scenario([0.0], 1e-3, 1e-3)
-        assert dl_rate_coefficients(s)[0] == 0.0
+        assert s.rate_coeffs()[0] == 0.0
 
     def test_table_values_hand_evaluation(self):
         # log2(1 + (e/2pi) * 1 * g^2 / 1e-14) with the module-1 gain
         s = scenario([G_CENTER], 1e-3, 1e-3)
         hand = math.log2(1.0 + (math.e / (2.0 * math.pi)) * G_CENTER**2 / 1e-14)
-        assert float(dl_rate_coefficients(s)[0]) == pytest.approx(hand, rel=1e-12)
-        assert float(dl_rate_coefficients(s)[0]) == pytest.approx(10.472928302768029, rel=1e-10)
+        assert float(s.rate_coeffs()[0]) == pytest.approx(hand, rel=1e-12)
+        assert float(s.rate_coeffs()[0]) == pytest.approx(10.472928302768029, rel=1e-10)
 
     def test_unit_snr_anchor(self):
         g = 3e-6
         sigma2 = (math.e / (2.0 * math.pi)) * g * g
-        s = ScenarioChannels(
-            g=[g], h=[1e-3], h_e=[1e-3],
-            sigma2_dl=[sigma2], sigma2_ul=[1e-14], sigma2_e=1e-14,
-            eta=0.44, i_d=2.0, p_led=1.0,
-        )
-        assert float(dl_rate_coefficients(s)[0]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sum_rate_is_linear_form(self):
-        s = scenario([2e-6, 4e-6, 1e-6], 1e-3, 1e-3)
-        alloc = Allocation([0.1, 0.3, 0.2], [0.2, 0.2, 0.2])
-        c = dl_rate_coefficients(s)
-        assert dl_sum_rate(s, alloc) == pytest.approx(float(np.dot(c, alloc.tau_dl)), rel=1e-14)
+        s = Channels(g=[g], h=[1e-3], h_e=[1e-3], sigma2_dl=sigma2)
+        assert float(s.rate_coeffs()[0]) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSecrecyCapacity:
@@ -238,11 +197,11 @@ class TestSecrecyCapacity:
 
     def test_clamped_sum(self):
         s = scenario_with_a([10.0, 2.0], [1.0, 50.0])
-        alloc = Allocation([0.1, 0.1], [0.5, 0.5])
+        dl, ul = [0.1, 0.1], [0.5, 0.5]
         per_user = [secrecy_capacity_user(s, k, 0.1, 0.5) for k in range(2)]
         assert per_user[1] < 0
-        assert clamped_secrecy_sum(s, alloc) == pytest.approx(max(0.0, per_user[0]), rel=1e-12)
-        assert objective_value(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
+        assert clamped_sum(s, dl, ul) == pytest.approx(max(0.0, per_user[0]), rel=1e-12)
+        assert objective_value(s.a_user(), s.a_eve(), dl, ul) == pytest.approx(sum(per_user), rel=1e-12)
 
     def test_clamped_sum_matches_per_user_loop(self):
         # same arithmetic as summing max(0, secrecy_capacity_user) user by
@@ -254,14 +213,13 @@ class TestSecrecyCapacity:
             dl = rng.dirichlet(np.ones(k + 1))[:k]
             ul = rng.dirichlet(np.ones(k + 1))[:k]
             ul[rng.random(k) < 0.2] = 0.0
-            alloc = Allocation(dl, ul)
             per_user = [secrecy_capacity_user(s, j, float(dl[j]), float(ul[j])) for j in range(k)]
             rows = secrecy_rows(s.a_user()[None], s.a_eve()[None], dl[None], ul[None])
             assert rows.shape == (1, k) and rows[0].tolist() == per_user
             total = 0.0
             for value in per_user:
                 total += max(0.0, value)
-            assert clamped_secrecy_sum(s, alloc) == total
+            assert clamped_sum(s, dl, ul) == total
 
 
 class TestPerspectiveOverflow:
@@ -270,13 +228,13 @@ class TestPerspectiveOverflow:
     def test_tiny_share_gives_finite_secrecy(self):
         s = scenario_with_a([1e12, 1e3], [1e6, 1.0])
         a, ae = s.a_user(), s.a_eve()
-        alloc = Allocation([0.0, 0.0], [1e-300, 0.5])
-        per_user = [secrecy_capacity_user(s, k, 0.0, float(alloc.tau_ul[k])) for k in range(2)]
+        dl, ul = [0.0, 0.0], [1e-300, 0.5]
+        per_user = [secrecy_capacity_user(s, k, 0.0, ul[k]) for k in range(2)]
         # t log2(1 + a / t) - t log2(1 + aE / t) = t log2(a / aE) to double precision at t = 1e-300
         assert per_user[0] == pytest.approx(1e-300 * math.log2(a[0] / ae[0]), rel=1e-12)
         assert per_user[1] == pytest.approx(0.5 * math.log2((1 + 2 * a[1]) / (1 + 2 * ae[1])), rel=1e-12)
-        assert objective_value(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
-        assert clamped_secrecy_sum(s, alloc) == pytest.approx(sum(per_user), rel=1e-12)
+        assert objective_value(a, ae, dl, ul) == pytest.approx(sum(per_user), rel=1e-12)
+        assert clamped_sum(s, dl, ul) == pytest.approx(sum(per_user), rel=1e-12)
 
     def test_shares_beyond_the_doubles(self):
         for t in (1e-300, 1e-310, 5e-324):
@@ -323,7 +281,7 @@ class TestPerspectiveTerms:
         for x in (a, a_e):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 want = split_grads(x, w, t)
-            for got, want_one in zip(perspective_grads(x, w, t), want):
+            for got, want_one in zip(perspective_terms(x, w, t)[1:], want):
                 assert same_bits(got, want_one)
             assert same_bits(perspective_value(x, w, t), split_value(x, w, t))
             # the signal the gradient kernel reads: value and d/dtau_ul are
@@ -345,10 +303,10 @@ class TestPerspectiveTerms:
 
 def secrecy_gradient(s, tau_dl, tau_ul):
     """Gradient of sum_k (u_k - v_k), ordered [d/dtau_dl_1..K, d/dtau_ul_1..K]:
-    the u - v differences of ``perspective_grads``, as the solver forms them."""
+    the u - v differences of ``perspective_terms``' partials, as the solver forms them."""
     leftover = 1.0 - np.asarray(tau_dl, dtype=float)
-    du_dl, du_ul = perspective_grads(s.a_user(), leftover, np.asarray(tau_ul, dtype=float))
-    dv_dl, dv_ul = perspective_grads(s.a_eve(), leftover, np.asarray(tau_ul, dtype=float))
+    _, du_dl, du_ul = perspective_terms(s.a_user(), leftover, np.asarray(tau_ul, dtype=float))
+    _, dv_dl, dv_ul = perspective_terms(s.a_eve(), leftover, np.asarray(tau_ul, dtype=float))
     return np.concatenate([du_dl - dv_dl, du_ul - dv_ul])
 
 
@@ -374,8 +332,8 @@ class TestGradient:
                     ul_p[j - k] += h
                     ul_m[j - k] -= h
                 fd = (
-                    objective_value(s, Allocation(dl_p, ul_p))
-                    - objective_value(s, Allocation(dl_m, ul_m))
+                    objective_value(s.a_user(), s.a_eve(), dl_p, ul_p)
+                    - objective_value(s.a_user(), s.a_eve(), dl_m, ul_m)
                 ) / (2.0 * h)
                 scale = max(1.0, abs(grad[j]))
                 worst = max(worst, abs(grad[j] - fd) / scale)

@@ -1,14 +1,15 @@
 """Grid-oracle checks: accuracy against closed forms and the solver."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from vlcrf.dc_solver import DcaSettings, FeasibleSet, allocation_violation, dca_solve
+from model_reference import Channels, solve_one, violation
+from vlcrf.dc_solver import DcaSettings, FeasibleSet
 from vlcrf.experiment import PRESETS, build_config, generate_scenario
-from vlcrf.link_budget import Allocation, ScenarioChannels, dl_rate_coefficients
 from vlcrf import reference_oracle
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 
@@ -16,26 +17,21 @@ from vlcrf.reference_oracle import GridSpec, compare, grid_search
 def scenario_with_a(a_values, ae_values):
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
     ae = np.atleast_1d(np.asarray(ae_values, dtype=float))
-    return ScenarioChannels(
-        g=np.ones_like(a),
-        h=np.sqrt(a * 1e-14 / (0.44 * 4.0)),
-        h_e=np.sqrt(ae * 1e-14 / (0.44 * 4.0)),
-        sigma2_dl=np.full(a.shape, 1e-14),
-        sigma2_ul=np.full(a.shape, 1e-14),
-        sigma2_e=1e-14,
-        eta=0.44,
-        i_d=2.0,
-        p_led=1.0,
-    )
+    return Channels(g=np.ones_like(a), h=np.sqrt(a * 1e-14 / (0.44 * 4.0)), h_e=np.sqrt(ae * 1e-14 / (0.44 * 4.0)))
 
 
 def fs_for(s, r_min=0.0):
-    return FeasibleSet(dl_rate_coefficients(s), float(r_min))
+    return FeasibleSet(s.rate_coeffs(), float(r_min))
 
 
 def search(s, fs, spec):
     """``grid_search`` of the one problem (s, fs), passed as its row."""
     return grid_search(s.a_user(), s.a_eve(), fs.rate_coeffs, fs.r_min, spec)
+
+
+def panel_bits(panel):
+    """``_bits`` of the ``grid_search`` answer of each (a, aE, fs, spec) of ``panel``."""
+    return [_bits(*grid_search(a, a_e, fs.rate_coeffs, fs.r_min, spec)) for a, a_e, fs, spec in panel]
 
 
 FINE = GridSpec(resolution=1024, refine_rounds=3, refine_shrink=0.2)
@@ -65,7 +61,7 @@ class TestSingleUser:
 
     def test_forced_full_dl_slot(self):
         s = scenario_with_a([10.0], [1.0])
-        c = float(dl_rate_coefficients(s)[0])
+        c = float(s.rate_coeffs()[0])
         dl, _, obj = search(s, fs_for(s, c), GridSpec(resolution=64, refine_rounds=1))
         assert float(dl[0]) == 1.0
         assert obj == 0.0
@@ -85,7 +81,7 @@ class TestSingleUser:
             a = float(rng.uniform(2.0, 300.0))
             ae = float(rng.uniform(0.05, 0.5)) * a
             s = scenario_with_a([a], [ae])
-            c = float(dl_rate_coefficients(s)[0])
+            c = float(s.rate_coeffs()[0])
             r_min = float(rng.uniform(0.0, 0.9)) * c
             *_, obj = search(s, fs_for(s, r_min), FINE)
             a_act = float(s.a_user()[0])
@@ -107,7 +103,7 @@ class TestSingleUser:
         s = scenario_with_a([25.0], [2.0])
         fs = fs_for(s, 3.0)
         dl, ul, _ = search(s, fs, GridSpec(resolution=64, refine_rounds=1))
-        assert allocation_violation(fs, Allocation(dl, ul)) <= 1e-12
+        assert violation(fs, dl, ul) <= 1e-12
 
 
 class TestTwoUsers:
@@ -115,9 +111,9 @@ class TestTwoUsers:
         rng = np.random.default_rng(22)
         for _ in range(3):
             s = scenario_with_a(rng.uniform(1.0, 80.0, 2), rng.uniform(0.1, 20.0, 2))
-            c = dl_rate_coefficients(s)
+            c = s.rate_coeffs()
             fs = fs_for(s, float(rng.uniform(0.0, 0.7)) * float(c.max()))
-            res = dca_solve(s, fs, DcaSettings())
+            res = solve_one(s.a_user(), s.a_eve(), fs, DcaSettings())
             *_, oracle_obj = search(s, fs, GridSpec(resolution=64, refine_rounds=3))
             assert compare(res.objective, oracle_obj, rel_tol=1e-3).passed
             # two-sided sanity: the feasible grid point cannot beat the
@@ -131,7 +127,7 @@ class TestTwoUsers:
 
     def test_infeasible_rejected(self):
         s = scenario_with_a([5.0], [1.0])
-        c = float(dl_rate_coefficients(s)[0])
+        c = float(s.rate_coeffs()[0])
         with pytest.raises(ValueError):
             search(s, FeasibleSet(np.array([c]), c + 1.0), GridSpec(resolution=16))
 
@@ -253,8 +249,8 @@ def _equivalence_panel():
             raw = dict(PRESETS["fig4"], seed=str(seed))
             raw["users.count"] = "2"
             raw["rate.min_fraction"] = repr((0.0, 0.3, 0.6, 0.9, 0.99)[seed % 5])
-            s, fs = generate_scenario(build_config(raw), 0)
-            yield s, fs, GridSpec(resolution=(16, 24, 32)[seed % 3], refine_rounds=seed % 4)
+            block, fs = generate_scenario(build_config(raw), 0)
+            yield block.a[0], block.a_e[0], fs, GridSpec(resolution=(16, 24, 32)[seed % 3], refine_rounds=seed % 4)
     rng = np.random.default_rng(20261018)
     for case in range(200):
         a = 10.0 ** rng.uniform(-6.0, 12.0, 2)
@@ -266,25 +262,22 @@ def _equivalence_panel():
             ae[:] = a
         s = scenario_with_a(a, ae)
         if kind == 3:
-            s = ScenarioChannels(
-                g=np.array([1.0, 0.0]), h=s.h, h_e=s.h_e, sigma2_dl=s.sigma2_dl,
-                sigma2_ul=s.sigma2_ul, sigma2_e=s.sigma2_e, eta=s.eta, i_d=s.i_d, p_led=s.p_led,
-            )
-        c_max = float(dl_rate_coefficients(s).max())
+            s = dataclasses.replace(s, g=np.array([1.0, 0.0]))
+        c_max = float(s.rate_coeffs().max())
         r_min = (0.0, float(rng.uniform(0.0, 1.0)) * c_max, c_max)[case % 3]
         spec = GridSpec(resolution=int(rng.integers(16, 41)), refine_rounds=int(rng.integers(0, 4)))
-        yield s, fs_for(s, r_min), spec
+        yield s.a_user(), s.a_eve(), fs_for(s, r_min), spec
     s = scenario_with_a([6.5e-15, 2e-15], [2.2e-15, 1.7e-16])
-    yield s, fs_for(s, 0.65 * float(dl_rate_coefficients(s).max())), GridSpec(resolution=36, refine_rounds=1)
+    yield s.a_user(), s.a_eve(), fs_for(s, 0.65 * float(s.rate_coeffs().max())), GridSpec(resolution=36, refine_rounds=1)
 
 
 class TestPrefixMaxSearch:
     def test_matches_the_cross_product_bit_for_bit(self, monkeypatch):
         panel = list(_equivalence_panel())
         assert len(panel) >= 200
-        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        fast = panel_bits(panel)
         monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
-        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        slow = panel_bits(panel)
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
 
@@ -296,7 +289,8 @@ def _fig4_pair(seed, fraction=None):
         raw["rate.min_fraction"] = repr(fraction)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return generate_scenario(build_config(raw), 0)
+        block, fs = generate_scenario(build_config(raw), 0)
+    return block.a[0], block.a_e[0], fs
 
 
 def _scale_panel():
@@ -308,19 +302,18 @@ def _scale_panel():
     pass and in the windows that refinement narrows around the boundary.
     """
     for seed in range(3):
-        s, fs = _fig4_pair(seed)
+        a, a_e, fs = _fig4_pair(seed)
         for resolution in (128, 256):
-            yield s, fs, GridSpec(resolution=resolution)
+            yield a, a_e, fs, GridSpec(resolution=resolution)
     for seed, fraction in zip(range(3, 7), (0.9, 0.99, 0.999, 0.99999)):
-        s, fs = _fig4_pair(seed, fraction)
-        yield s, fs, GridSpec(resolution=96, refine_rounds=5)
+        yield *_fig4_pair(seed, fraction), GridSpec(resolution=96, refine_rounds=5)
     rng = np.random.default_rng(20261019)
     for case in range(12):
         s = scenario_with_a(10.0 ** rng.uniform(-2.0, 8.0, 2), 10.0 ** rng.uniform(-3.0, 6.0, 2))
-        c_max = float(dl_rate_coefficients(s).max())
+        c_max = float(s.rate_coeffs().max())
         r_min = c_max * (1.0 - 10.0 ** -float(rng.uniform(1.0, 9.0)))
         spec = GridSpec(resolution=int(rng.integers(48, 160)), refine_rounds=int(rng.integers(1, 6)))
-        yield s, fs_for(s, r_min), spec
+        yield s.a_user(), s.a_eve(), fs_for(s, r_min), spec
 
 
 class TestRangeMaxSearch:
@@ -334,10 +327,10 @@ class TestRangeMaxSearch:
             return masks[-1]
 
         monkeypatch.setattr(reference_oracle, "_dl_feasible", recording)
-        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        fast = panel_bits(panel)
         monkeypatch.undo()
         monkeypatch.setattr(reference_oracle, "_search_k2", prefix_max_search_k2)
-        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        slow = panel_bits(panel)
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
         # each user-1 DL level admits one run of user-2 levels, and the panel
@@ -367,10 +360,10 @@ class TestRangeMaxSearch:
         panel = []
         for case in range(40):
             s = scenario_with_a(10.0 ** rng.uniform(-1.0, 3.0, 2), 10.0 ** rng.uniform(-1.0, 3.0, 2))
-            c_max = float(dl_rate_coefficients(s).max())
+            c_max = float(s.rate_coeffs().max())
             r_min = (0.0, float(rng.uniform()) * c_max, c_max * (1.0 - 1e-3))[case % 3]
             spec = GridSpec(resolution=int(rng.integers(16, 33)), refine_rounds=int(rng.integers(0, 3)))
-            panel.append((s, fs_for(s, r_min), spec))
+            panel.append((s.a_user(), s.a_eve(), fs_for(s, r_min), spec))
         # the bonus makes columns rise and fall along the DL axis, so these
         # runs take the range-maximum fallback, not only the run ends
         calls = []
@@ -381,10 +374,10 @@ class TestRangeMaxSearch:
             return range_max(*args)
 
         monkeypatch.setattr(reference_oracle, "_range_max", counting)
-        fast = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        fast = panel_bits(panel)
         assert len(calls) > 0
         monkeypatch.setattr(reference_oracle, "_search_k2", cross_product_search_k2)
-        slow = [_bits(*search(s, fs, spec)) for s, fs, spec in panel]
+        slow = panel_bits(panel)
         for i, (got, want) in enumerate(zip(fast, slow)):
             assert got == want, f"problem {i}"
 
@@ -407,9 +400,10 @@ class TestCertificateCrossCheck:
                 raw["users.count"] = str(users)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    s, fs = generate_scenario(build_config(raw), 0)
-                *_, grid = search(s, fs, GridSpec(resolution=128, refine_rounds=3))
-                for res in (dca_solve(s, fs, DcaSettings(epsilon=1e9)), dca_solve(s, fs)):
+                    block, fs = generate_scenario(build_config(raw), 0)
+                a, a_e = block.a[0], block.a_e[0]
+                *_, grid = grid_search(a, a_e, fs.rate_coeffs, fs.r_min, GridSpec(resolution=128, refine_rounds=3))
+                for res in (solve_one(a, a_e, fs, DcaSettings(epsilon=1e9)), solve_one(a, a_e, fs)):
                     assert grid <= res.objective + res.gap_bits + 1e-12
 
 

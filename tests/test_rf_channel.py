@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from model_reference import sample_rician_gain
 from vlcrf.rf_channel import (
     MIXING_NORMALIZED,
     MIXING_UNNORMALIZED,
-    FadingSample,
     RicianConfig,
     los_component,
     mixing_weights,
     rician_mix,
-    sample_rician_gain,
 )
 
 
@@ -45,30 +44,30 @@ class TestLosComponent:
 class TestRicianSampling:
     def test_same_seed_identical(self):
         cfg = RicianConfig()
-        a = sample_rician_gain(cfg, 3.0, np.random.default_rng(99))
-        b = sample_rician_gain(cfg, 3.0, np.random.default_rng(99))
-        assert a.h_mag == b.h_mag
+        a = sample_rician_gains(cfg, 3.0, np.random.default_rng(99), 1)
+        b = sample_rician_gains(cfg, 3.0, np.random.default_rng(99), 1)
+        assert a[0] == b[0]
 
     def test_stream_order_determinism(self):
         cfg = RicianConfig()
         rng = np.random.default_rng(7)
-        seq = [sample_rician_gain(cfg, 2.0, rng).h_mag for _ in range(5)]
+        seq = [float(sample_rician_gains(cfg, 2.0, rng, 1)[0]) for _ in range(5)]
         rng2 = np.random.default_rng(7)
-        seq2 = [sample_rician_gain(cfg, 2.0, rng2).h_mag for _ in range(5)]
+        seq2 = [float(sample_rician_gains(cfg, 2.0, rng2, 1)[0]) for _ in range(5)]
         assert seq == seq2
 
     @pytest.mark.parametrize("mixing", [MIXING_NORMALIZED, MIXING_UNNORMALIZED])
     def test_single_draw_is_the_kernel_of_one(self, mixing):
-        # re, then im: the draw order of the scenario generator's stream
+        # re, then im: the draw order of the per-user reference stream
         cfg = RicianConfig(k_factor=3.0)
         rng, rng2 = np.random.default_rng(4), np.random.default_rng(4)
         for d in (0.5, 2.0, 7.0):
-            assert sample_rician_gain(cfg, d, rng, mixing).h_mag == sample_rician_gains(cfg, d, rng2, 1, mixing)[0]
+            assert sample_rician_gain(cfg, d, rng, mixing) == sample_rician_gains(cfg, d, rng2, 1, mixing)[0]
 
     def test_pure_los_limit(self):
         cfg = RicianConfig(k_factor=1e12, los_reference_gain=1e-3)
         los = los_component(cfg, 2.0)
-        h = sample_rician_gain(cfg, 2.0, np.random.default_rng(0)).h_mag
+        h = float(sample_rician_gains(cfg, 2.0, np.random.default_rng(0), 1)[0])
         assert h == pytest.approx(los, rel=1e-4)
 
     def test_rayleigh_mean_at_zero_k(self):
@@ -96,8 +95,8 @@ class TestRicianSampling:
 
     def test_unnormalized_mix_degenerates_at_zero_k(self):
         cfg = RicianConfig(k_factor=0.0)
-        h = sample_rician_gain(cfg, 2.0, np.random.default_rng(1), MIXING_UNNORMALIZED)
-        assert h.h_mag == 0.0
+        h = sample_rician_gains(cfg, 2.0, np.random.default_rng(1), 1, MIXING_UNNORMALIZED)
+        assert h[0] == 0.0
 
     def test_unnormalized_mix_inflates_power(self):
         # both terms weighted by sqrt(K/(1+K)): E[|h|^2] = 2K/(1+K) * los^2
@@ -108,7 +107,7 @@ class TestRicianSampling:
 
     def test_unknown_mixing_rejected(self):
         with pytest.raises(ValueError):
-            sample_rician_gain(RicianConfig(), 1.0, np.random.default_rng(0), "bogus")
+            mixing_weights(RicianConfig(), "bogus")
 
 
 class TestValidation:
@@ -119,9 +118,3 @@ class TestValidation:
             RicianConfig(los_reference_gain=0.0)
         with pytest.raises(ValueError):
             RicianConfig(path_loss_exponent=0.5)
-
-    def test_fading_sample_invariants(self):
-        with pytest.raises(ValueError):
-            FadingSample(-1e-9)
-        with pytest.raises(ValueError):
-            FadingSample(float("inf"))

@@ -10,19 +10,23 @@ from vlcrf.vlc_channel import (
     CONCENTRATOR_ANGLE_DEPENDENT,
     LedConfig,
     PhotodiodeConfig,
-    UserTerminal,
     Vec3,
     concentrator_gain,
     lambertian_order,
-    vlc_channel_gain,
+    ray_gain,
 )
 
 TABLE_LED = LedConfig(position=Vec3(2.5, 2.5, 3.0), p_led=1.0, dc_offset=2.0, semi_angle_half=60.0)
 TABLE_PD = PhotodiodeConfig(area=1e-4, responsivity=0.54, fov=60.0, filter_gain=1.0, refractive_index=1.5)
 
 
-def user_at(x, y, z, pd=TABLE_PD):
-    return UserTerminal(id=0, position=Vec3(x, y, z), pd=pd)
+def user_at(x, y, z):
+    return Vec3(x, y, z)
+
+
+def gain_at(x, y, z, led=TABLE_LED):
+    """``ray_gain`` of the table photodiode at (x, y, z), facing up."""
+    return ray_gain(x - led.position.x, y - led.position.y, z - led.position.z, led, TABLE_PD)
 
 
 class TestLambertianOrder:
@@ -104,22 +108,22 @@ class TestChannelGain:
     def test_table_device_directly_beneath(self):
         # hand evaluation: 2 * 1e-4 * 0.54 / (2 pi 9) * 3
         hand = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0
-        g = vlc_channel_gain(TABLE_LED, user_at(2.5, 2.5, 0.0))
+        g = gain_at(2.5, 2.5, 0.0)
         assert g == pytest.approx(hand, rel=1e-12)
         assert g == pytest.approx(5.7296e-6, rel=1e-4)
 
     def test_outside_fov_is_zero(self):
         # incidence angle atan(6/3) = 63.4deg exceeds the 60deg FOV
-        assert vlc_channel_gain(TABLE_LED, user_at(8.5, 2.5, 0.0)) == 0.0
+        assert gain_at(8.5, 2.5, 0.0) == 0.0
 
     def test_inverse_square_law(self):
-        g_near = vlc_channel_gain(TABLE_LED, user_at(2.5, 2.5, 1.5))
-        g_far = vlc_channel_gain(TABLE_LED, user_at(2.5, 2.5, 0.0))
+        g_near = gain_at(2.5, 2.5, 1.5)
+        g_far = gain_at(2.5, 2.5, 0.0)
         assert g_far == pytest.approx(g_near * (1.5 / 3.0) ** 2, rel=1e-12)
 
     def test_strictly_decreasing_along_fixed_ray(self):
         heights = np.linspace(2.4, 0.0, 9)
-        gains = [vlc_channel_gain(TABLE_LED, user_at(3.0, 3.0, h)) for h in heights]
+        gains = [gain_at(3.0, 3.0, h) for h in heights]
         assert all(gains[i] > gains[i + 1] > 0 for i in range(len(gains) - 1))
 
     def test_rotational_symmetry(self):
@@ -128,7 +132,7 @@ class TestChannelGain:
         for az in (0.0, 0.7, 2.1, 4.4):
             x = 2.5 + radius * math.cos(az)
             y = 2.5 + radius * math.sin(az)
-            gains.append(vlc_channel_gain(TABLE_LED, user_at(x, y, 0.0)))
+            gains.append(gain_at(x, y, 0.0))
         for g in gains[1:]:
             assert g == pytest.approx(gains[0], rel=1e-12)
 
@@ -139,13 +143,17 @@ class TestChannelGain:
             z = rng.uniform(-1, 4)
             if (x, y, z) == (2.5, 2.5, 3.0):
                 continue
-            assert vlc_channel_gain(TABLE_LED, user_at(x, y, z)) >= 0.0
+            assert gain_at(x, y, z) >= 0.0
 
     def test_behind_emission_hemisphere_is_zero(self):
-        # user above the plane of a downward LED, panel facing the LED
-        user = UserTerminal(id=0, position=Vec3(2.5, 2.5, 3.5), pd=TABLE_PD,
-                            surface_normal=Vec3(0.0, 0.0, -1.0))
-        assert vlc_channel_gain(TABLE_LED, user) == 0.0
+        # an LED facing +x and a user below it on the -x side: the incidence
+        # angle, 18.4 degrees, is inside the field of view, but the
+        # irradiance angle, 108.4 degrees, is behind the emission hemisphere
+        led = LedConfig(position=Vec3(2.5, 2.5, 3.0), orientation=Vec3(1.0, 0.0, 0.0))
+        phi, varphi, _ = link_angles(led, user_at(1.5, 2.5, 0.0))
+        assert phi > 90.0 and varphi < TABLE_PD.fov
+        assert gain_at(1.5, 2.5, 0.0, led) == 0.0
+        assert gain_at(3.5, 2.5, 0.0, led) > 0.0  # the mirror user, in front of it
 
 
 class TestConfigValidation:

@@ -231,6 +231,16 @@ class TestConfigParsing:
             build_config({"seed": "1", key: value})
         assert str(err.value).startswith(f"{key}: expected ") and str(err.value).count(key.split(".")[0]) == 1
 
+    @pytest.mark.parametrize("key", [
+        "noise.user_dl", "noise.user_ul", "noise.eve_ul", "harvest.efficiency", "led.dc_offset", "led.power",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constants_rejected(self, key, value):
+        # every constant the SNR constants and the DL rate coefficients read
+        with pytest.raises(ConfigError) as err:
+            build_config({"seed": "1", key: value})
+        assert str(err.value) == f"{key}: expected a finite number, got {value!r}"
+
     @pytest.mark.parametrize("value", ["3.5", "5", "-0.5"])
     def test_users_height_outside_the_room(self, value):
         with pytest.raises(ConfigError, match=r"^users\.height: must lie in \[0, room\.height = 3\.0\]"):

@@ -770,15 +770,16 @@ def _make_output_dir(path: str) -> None:
 
 
 def _write_csv(path: str, comment: str, columns, body: str) -> None:
-    """Write the comment line, the header and ``body``; a file that cannot be
-    written is a ``ConfigError``.  Lines join their cells with "," unquoted,
-    as no column name, ``_fmt`` number or empty cell holds a comma, quote or
-    line break."""
+    """Write the comment line, the header and ``body``; a path that cannot be
+    opened for writing is a ``ConfigError``, while a failing write raises as
+    it is.  Lines join their cells with "," unquoted, as no column name,
+    ``_fmt`` number or empty cell holds a comma, quote or line break."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as err:
         raise ConfigError(f"cannot write {path!r}: {err}") from None
+    with fh:
+        fh.write(comment + "\n" + ",".join(columns) + "\n" + body)
 
 
 def _process_pool(workers: int):

@@ -14,8 +14,9 @@ statement of the model's equations, one user or one problem at a time:
 - the angles of an LED-to-user link (``link_angles``);
 - the solver's deterministic start and its feasibility repairs for one
   problem (``initial_allocation``, ``project_onto_feasible``);
-- one problem solved as a block of one row, and the certificate gap and
-  the worst constraint violation of one allocation (``solve_one``,
+- whether one problem's rate target is reachable (``feasible``), that
+  problem solved as a block of one row, and the certificate gap and the
+  worst constraint violation of one allocation (``solve_one``,
   ``certificate_gap``, ``violation``);
 - the perspective term and its partials as the program wrote them before
   ``link_budget.perspective_terms`` stated them once: the lines the
@@ -164,9 +165,13 @@ def link_angles(led: LedConfig, position: Vec3) -> tuple[float, float, float]:
                        led.orientation)
 
 
-def _require_feasible(fs: FeasibleSet) -> None:
+def feasible(fs: FeasibleSet) -> bool:
     """The rate target is reachable iff it does not exceed the best single-user rate."""
-    if fs.r_min > float(np.max(fs.rate_coeffs)):
+    return fs.r_min <= float(np.max(fs.rate_coeffs))
+
+
+def _require_feasible(fs: FeasibleSet) -> None:
+    if not feasible(fs):
         raise ValueError(f"rate target {fs.r_min!r} is infeasible for these coefficients")
 
 

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -32,8 +34,8 @@ from vlcrf.experiment import (
     run_solve,
     run_sweep,
 )
-from model_reference import Channels, sample_rician_gain, solve_one, violation, vlc_channel_gain
-from vlcrf.link_budget import clamped_secrecy_rows
+from model_reference import Channels, feasible, sample_rician_gain, solve_one, violation, vlc_channel_gain
+from vlcrf.link_budget import check_fractions, clamped_secrecy_rows
 from vlcrf.reference_oracle import GridSpec
 from vlcrf.rf_channel import RicianConfig
 from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, Vec3
@@ -621,19 +623,21 @@ class TestRunSweep:
         assert [r["users"] for r in rows] == ["1", "2"]
 
     def test_emitted_allocations_revalidate(self, tmp_path):
-        # round-trip audit: rows parse back into allocations that satisfy
-        # the budgets and the row's own minimum-rate column
+        # round-trip audit: every row, of every trial, parses back into slot
+        # fractions that pass check_fractions and satisfy the budgets and the
+        # row's own minimum-rate column under its trial's rate coefficients
         cfg = build_config(dict(SMALL_SWEEP))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
-        scenario, base_fs = generate_scenario(
-            build_config({k: v for k, v in SMALL_SWEEP.items() if not k.startswith("sweep")}), 0
-        )
-        for row in read_rows(info["rows_path"]):
+        base = build_config({k: v for k, v in SMALL_SWEEP.items() if not k.startswith("sweep")})
+        coeffs = {str(t): generate_scenario(base, t)[1].rate_coeffs for t in range(base.trials)}
+        rows = read_rows(info["rows_path"])
+        assert sorted({row["trial"] for row in rows}) == sorted(coeffs)
+        for row in rows:
             tau_dl = [float(x) for x in row["tau_dl"].split(",")]
             tau_ul = [float(x) for x in row["tau_ul"].split(",")]
-            fs = FeasibleSet(base_fs.rate_coeffs, float(row["r_min"]))
-            if row["trial"] == "0":
-                assert violation(fs, tau_dl, tau_ul) <= 1e-8
+            check_fractions(np.array([tau_dl]), np.array([tau_ul]))
+            fs = FeasibleSet(coeffs[row["trial"]], float(row["r_min"]))
+            assert violation(fs, tau_dl, tau_ul) <= 1e-8
 
     @pytest.mark.parametrize("workers, cpus, affinity, want", [
         ("500", 2, True, 2),   # capped at the usable CPUs, not at the 12 tasks
@@ -767,7 +771,7 @@ def _reference_row(value, users, trial, scenario, fs, result):
 
 def _solve_alone(scenario, fs, settings, start=None):
     """``solve_one`` of the trial's scenario (a block of one trial), or None where r_min exceeds every c_k."""
-    if fs.r_min > float(np.max(fs.rate_coeffs)):
+    if not feasible(fs):
         return None
     return solve_one(scenario.a[0], scenario.a_e[0], fs, settings, start)
 
@@ -1363,6 +1367,18 @@ class TestCli:
                          "--config", str(path), "--out", out])
         assert (code, *capfd.readouterr()) == (2, "", f"config error: {message.format(out=out)}\n")
         assert multiprocessing.active_children() == []
+
+    def test_failing_write_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only a path that cannot be opened is refused as configuration; a
+        # write that fails on an opened file (a full disk) raises as it is
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(experiment, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        with pytest.raises(OSError) as info:
+            experiment._write_csv(str(tmp_path / "x.csv"), "# c", ["a"], "")
+        assert not isinstance(info.value, ConfigError) and info.value.errno == errno.ENOSPC
 
     # sha256 of the out-of-view config's stdout, with its output directory
     # written "OUT", then each output file's name and bytes; measured at

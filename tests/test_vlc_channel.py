@@ -20,10 +20,6 @@ TABLE_LED = LedConfig(position=Vec3(2.5, 2.5, 3.0), p_led=1.0, dc_offset=2.0, se
 TABLE_PD = PhotodiodeConfig(area=1e-4, responsivity=0.54, fov=60.0, filter_gain=1.0, refractive_index=1.5)
 
 
-def user_at(x, y, z):
-    return Vec3(x, y, z)
-
-
 def gain_at(x, y, z, led=TABLE_LED):
     """``ray_gain`` of the table photodiode at (x, y, z), facing up."""
     return ray_gain(x - led.position.x, y - led.position.y, z - led.position.z, led, TABLE_PD)
@@ -54,24 +50,24 @@ class TestLambertianOrder:
 
 class TestLinkAngles:
     def test_directly_beneath(self):
-        phi, varphi, d = link_angles(TABLE_LED, user_at(2.5, 2.5, 0.0))
+        phi, varphi, d = link_angles(TABLE_LED, Vec3(2.5, 2.5, 0.0))
         assert phi == pytest.approx(0.0, abs=1e-9)
         assert varphi == pytest.approx(0.0, abs=1e-9)
         assert d == pytest.approx(3.0, rel=1e-12)
 
     def test_offset_right_triangle(self):
-        phi, varphi, d = link_angles(TABLE_LED, user_at(5.5, 2.5, 0.0))
+        phi, varphi, d = link_angles(TABLE_LED, Vec3(5.5, 2.5, 0.0))
         assert phi == pytest.approx(45.0, rel=1e-12)
         assert varphi == pytest.approx(45.0, rel=1e-12)
         assert d == pytest.approx(math.hypot(3.0, 3.0), rel=1e-12)
 
     def test_user_above_downward_led(self):
-        phi, _, _ = link_angles(TABLE_LED, user_at(2.5, 2.5, 3.5))
+        phi, _, _ = link_angles(TABLE_LED, Vec3(2.5, 2.5, 3.5))
         assert phi == pytest.approx(180.0, rel=1e-12)
 
     def test_coincident_positions_error(self):
         with pytest.raises(ValueError):
-            link_angles(TABLE_LED, user_at(2.5, 2.5, 3.0))
+            link_angles(TABLE_LED, Vec3(2.5, 2.5, 3.0))
 
 
 class TestConcentratorGain:
@@ -150,7 +146,7 @@ class TestChannelGain:
         # angle, 18.4 degrees, is inside the field of view, but the
         # irradiance angle, 108.4 degrees, is behind the emission hemisphere
         led = LedConfig(position=Vec3(2.5, 2.5, 3.0), orientation=Vec3(1.0, 0.0, 0.0))
-        phi, varphi, _ = link_angles(led, user_at(1.5, 2.5, 0.0))
+        phi, varphi, _ = link_angles(led, Vec3(1.5, 2.5, 0.0))
         assert phi > 90.0 and varphi < TABLE_PD.fov
         assert gain_at(1.5, 2.5, 0.0, led) == 0.0
         assert gain_at(3.5, 2.5, 0.0, led) > 0.0  # the mirror user, in front of it

@@ -77,15 +77,18 @@ The kernels reduce plain (N, K) rows, to which a user without uplink adds
 exact zeros; a row-wise ``sum`` or ``np.vecdot`` of a C-contiguous block
 adds each row as it adds that row alone, so a row's answer does not depend
 on the rows solved beside it.
+``_secrecy_problem`` works out what the engine reads of the users' SNR
+constants once per problem, as (N, K) blocks (``_Concave``).
 Only the dual solve runs row by row, for the rows the gap does not
 certify, and mostly on Python floats: a row has a handful of users and DL
 vertices, where numpy's cost per call outweighs its arithmetic.  Floats
 round + - * / as numpy does, so the user responses, the tie set, the
 lambda bracket and the kink search run on them (``_respond``,
-``_dual_solve``).  numpy stays where its rounding is the answer: every
-exponential and logarithm (``math``'s differ in the last bit for some
-inputs), the vertex costs and uses as gemv calls on the F-ordered vertex
-block, and the sums whose order fixes their bits.
+``_dual_solve``), from the lists of the row's per-user constants.  numpy
+stays where its rounding is the answer: every exponential and logarithm
+(``math``'s differ in the last bit for some inputs), the vertex costs and
+uses as gemv calls on the F-ordered vertex block, and the sums whose order
+fixes their bits.
 
 Back on the polytope.  The start and the dual solve's point are put back on
 the polytope block by block, each by a feasibility repair that is not a
@@ -115,6 +118,8 @@ SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
+AUDIT_SUM_SLACK = 1e-9      # an emitted row's budget sums may exceed 1 by this
+AUDIT_RATE_TOL = 1e-8       # and its DL rate fall short of r_min by this, relative to max(1, r_min)
 
 # Stubs: bench/tracing.py wraps these names on this module by getattr, and no
 # code calls them; they go when the tracer is repointed (ROADMAP item 1).
@@ -163,8 +168,8 @@ class DcaSettings:
 class RowSolutions:
     """Certified answers of N problems: (N, K) and (N,) arrays, row i for problem i.
 
-    A caller that emits the fractions runs ``link_budget.check_fractions``
-    on them.
+    A caller that emits the fractions, or starts from the raw ones, runs
+    ``audit_rows`` on them.
     """
 
     tau_dl: np.ndarray        # reported fractions, snapped
@@ -255,6 +260,28 @@ def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarra
     return np.where(np.isnan(dl_sum + ul_sum + rate), np.inf, viol)
 
 
+def audit_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> None:
+    """Refuse rows that are not a valid allocation of their problem: RuntimeError.
+
+    (N, K) rate coefficients and fractions, (N,) rate targets.  A row is
+    refused for a nan or negative fraction, a DL or UL budget sum over
+    1 + ``AUDIT_SUM_SLACK``, or a DL rate short of r_min by more than
+    ``AUDIT_RATE_TOL`` max(1, r_min); the message names the first failing
+    check and its first failing row.  Every test fails on a nan.
+    """
+    rate = np.vecdot(rate_coeffs, tau_dl)
+    for bad, what in (
+        (~((tau_dl >= 0.0) & (tau_ul >= 0.0)).all(axis=1), "a nan or negative slot fraction"),
+        (~(tau_dl.sum(axis=1) <= 1.0 + AUDIT_SUM_SLACK), "sum(tau_dl) over the unit frame"),
+        (~(tau_ul.sum(axis=1) <= 1.0 + AUDIT_SUM_SLACK), "sum(tau_ul) over the unit frame"),
+        (~((r_min - rate) / np.maximum(1.0, r_min) <= AUDIT_RATE_TOL), "a DL rate short of r_min"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise RuntimeError(f"invalid allocation, {what}: tau_dl = {tau_dl[i].tolist()}, "
+                               f"tau_ul = {tau_ul[i].tolist()}, r_min = {float(r_min[i])!r}")
+
+
 # ---------------------------------------------------------------------------
 # the engine: certified solves of the concave programme
 # ---------------------------------------------------------------------------
@@ -313,18 +340,35 @@ def _dl_best(c: np.ndarray, r_min: np.ndarray, g: np.ndarray) -> np.ndarray:
 class _Concave:
     """Per row, max sum_{k on} (u_k - v_k) over the polytope, tau_ul = 0 off ``on``.
 
-    ``a``, ``a_e``, ``on`` and the rate coefficients ``c`` are (N, K),
-    ``r_min`` is (N,): one problem per row.
+    One problem per row: ``on``, the rate coefficients ``c`` and ``limit``
+    are (N, K), ``r_min`` is (N,).  ``_secrecy_problem`` works out, once per
+    problem, all the engine reads of the SNR constants a and aE: ``pair``
+    is (a, aE) stacked, (2, N, K); ``limit`` is log2(a / aE), the UL
+    gradient at tau_ul = 0 (inf where aE = 0); and ``users`` stacks what
+    ``_respond`` reads of a user, (5, N, K): a, rho = aE / a,
+    y_max = -ln rho (inf where aE = 0), the Newton start offset
+    (1 - sqrt rho) / (1 + sqrt rho) and 1 - rho, each one numpy expression
+    over the block, so a row's entries have the bits of that row alone.
     """
 
-    a: np.ndarray
-    a_e: np.ndarray
+    pair: np.ndarray
     on: np.ndarray
     c: np.ndarray
     r_min: np.ndarray
+    limit: np.ndarray
+    users: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.pair[0]
+
+    @property
+    def a_e(self) -> np.ndarray:
+        return self.pair[1]
 
     def take(self, rows: np.ndarray) -> "_Concave":
-        return _Concave(self.a[rows], self.a_e[rows], self.on[rows], self.c[rows], self.r_min[rows])
+        return _Concave(self.pair[:, rows], self.on[rows], self.c[rows], self.r_min[rows],
+                        self.limit[rows], self.users[:, rows])
 
     def repair(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both repairs; ``ul`` is read at the active users only."""
@@ -347,17 +391,16 @@ class _Concave:
         gradient at a positive share (so it raises no UL vertex), else
         (-phi'(0), 0) = (-(a - aE) / ln2, 0).
         """
-        on, a, a_e = self.on, self.a, self.a_e
+        on, limit = self.on, self.limit
         w = 1.0 - dl
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value, g_dl, g_ul = (x[0] - x[1] for x in perspective_terms(np.array((a, a_e)), w, ul))
-            limit = np.log2(a / a_e)  # inf where aE = 0
+            value, g_dl, g_ul = (x[0] - x[1] for x in perspective_terms(self.pair, w, ul))
         share = on & np.isfinite(g_ul)
         zero = on & ~share
         lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
         corner = zero & (w <= 0.0) & (limit > lam)
         g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
-        g_dl = np.where(share, g_dl, np.where(corner, (a_e - a) / LN2, 0.0))
+        g_dl = np.where(share, g_dl, np.where(corner, (self.a_e - self.a) / LN2, 0.0))
         return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
@@ -380,28 +423,15 @@ def _quotient(x: float, y: float) -> float:
         return float(np.divide(x, y))
 
 
-def _user_constants(a: np.ndarray, rho: np.ndarray) -> tuple[list, ...]:
-    """What ``_respond`` needs of a row's active users, once per row, as lists.
-
-    (a, rho, y_max = -ln rho, the start offset (1 - sqrt rho) / (1 + sqrt rho),
-    1 - rho), each from one numpy expression over the users: the bits of
-    the elementwise numpy terms they stand for.
-    """
-    with np.errstate(divide="ignore"):
-        y_max = -np.log(rho)                 # inf where aE = 0: never saturated
-    root = np.sqrt(rho)
-    return a.tolist(), rho.tolist(), y_max.tolist(), ((1.0 - root) / (1.0 + root)).tolist(), (1.0 - rho).tolist()
-
-
-def _respond(users: tuple[list, ...], lam: float, y_right: list) -> tuple[list, list, list, list]:
+def _respond(users: list[list], lam: float, y_right: list) -> tuple[list, list, list, list]:
     """The active users' responses to the UL price ``lam`` (nats, > 0).
 
-    ``users`` is ``_user_constants`` of their SNR constants a and
-    rho = aE / a.  Returns the lists (y, 1/s, q, d(1/s)/dlam), with
-    q = phi'(s) in nats.  Newton's method solves F(y) = lam for
-    F(y) = y - (1 + rho - e^-y - rho e^y) / (1 - rho), the nats form of psi in
-    y = ln((1 + a s) / (1 + aE s)).  F is convex and increasing on
-    [0, y_max], y_max = ln(1 / rho), and
+    ``users`` is the lists (a, rho = aE / a, y_max, start offset, 1 - rho)
+    of their constants, a row of ``_Concave.users``.  Returns the lists
+    (y, 1/s, q, d(1/s)/dlam), with q = phi'(s) in nats.  Newton's method
+    solves F(y) = lam for F(y) = y - (1 + rho - e^-y - rho e^y) / (1 - rho),
+    the nats form of psi in y = ln((1 + a s) / (1 + aE s)).  F is convex and
+    increasing on [0, y_max], y_max = ln(1 / rho), and
     y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
     right of the root and descends to it; ``y_right`` is the response at a
     larger price, or inf.  It stops once no free user's step exceeds
@@ -475,7 +505,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     there, when lambda stalls, or after ``max_steps`` steps; the caller
     repairs and certifies the answer.
 
-    The users' constants are taken once per row (``_user_constants``); the
+    The row's user constants come from ``prob.users`` as lists; the
     responses, the tie set, the bracket and the kink search run on Python
     floats.  numpy stays where its rounding is the answer: the costs
     ``v_on @ q`` and uses ``v_on @ (1/s)`` are gemv calls on the
@@ -493,17 +523,15 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
         # one active user: the whole UL frame, and the least of its DL time
         out[on] = 1.0
         return vertices[int(np.argmin(v_on[:, 0]))], out
-    a = prob.a[row, on]
-    rho = prob.a_e[row, on] / a
-    users = _user_constants(a, rho)
-    with np.errstate(divide="ignore"):
-        lo, hi = 0.0, float(-np.log(rho.min()))    # above hi every user is saturated
+    users = prob.users[:, row, on].tolist()
+    rho, y_max = users[1], users[2]
+    lo, hi = 0.0, y_max[rho.index(min(rho))]        # above hi every user is saturated
     lam *= LN2
     if not 0.0 < lam < hi:
         lam = 0.5 * hi if math.isfinite(hi) else 1.0
     w_on = 1.0 - v_on                                # F-ordered, as v_on
     w_rows = w_on.tolist()
-    y_right = [math.inf] * a.size
+    y_right = [math.inf] * len(rho)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_steps):
             y, inv_s, q, d_inv_s = _respond(users, lam, y_right)
@@ -583,7 +611,13 @@ def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndar
 
 def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
     """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
-    return _Concave(a, a_e, a > a_e, c, r_min)
+    with np.errstate(divide="ignore", invalid="ignore"):  # aE = 0, and a = aE = 0 (switched off)
+        rho = a_e / a
+        y_max = -np.log(rho)
+        root = np.sqrt(rho)
+        limit = np.log2(a / a_e)
+        users = np.array((a, rho, y_max, (1.0 - root) / (1.0 + root), 1.0 - rho))
+    return _Concave(np.array((a, a_e)), a > a_e, c, r_min, limit, users)
 
 
 def solve_rows(

@@ -36,7 +36,9 @@ The block path is column-wise from the channel draws to the CSV bytes.
 ``scenario_block`` draws a block's scenarios straight into (N, K) arrays,
 the chain keeps each target's results as arrays, and each worker formats
 its own rows' CSV text a column at a time; the parent joins the text and
-computes the aggregates from the concatenated arrays.
+computes the aggregates from the concatenated arrays.  No row is made
+that ``dc_solver.audit_rows``, the one rule of a valid allocation,
+refuses: the chain stops with its error instead.
 
 Scenario generation is pure data: a user placement outside the LED field of
 view is a zero VLC gain, and each ``run_*`` returns how many such placements
@@ -61,11 +63,11 @@ from vlcrf.dc_solver import (
     STATUS_MAX_ITERATIONS,
     DcaSettings,
     FeasibleSet,
+    audit_rows,
     initial_rows,
     solve_rows,
-    violation_rows,
 )
-from vlcrf.link_budget import check_fractions, clamped_secrecy_rows, rate_coefficients, secrecy_rows, snr_constants
+from vlcrf.link_budget import clamped_secrecy_rows, rate_coefficients, secrecy_rows, snr_constants
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 from vlcrf.rf_channel import (
     MIXING_NORMALIZED,
@@ -96,8 +98,6 @@ SWEEP_USERS = "users"
 ROWS_FILE = "sweep_rows.csv"
 AGG_FILE = "sweep_agg.csv"
 REPORT_FILE = "allocation_report.csv"
-
-FEASIBILITY_AUDIT_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -597,14 +597,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _audit_row(viol: float, r_min: float) -> None:
-    """Refuse to emit an allocation that violates its feasible set beyond FEASIBILITY_AUDIT_TOL, or by nan."""
-    if not viol <= FEASIBILITY_AUDIT_TOL:
-        raise RuntimeError(
-            f"emitted allocation violates the feasible set by {viol!r} (r_min = {r_min!r})"
-        )
-
-
 def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, bool]:
     """(row labels, rate targets, whether the targets are fractions of each trial's best rate).
 
@@ -652,10 +644,10 @@ def _rmin_chain_block(
     previous raw answer (the first from ``initial_rows``); a target
     beyond a trial's best rate gives an infeasible row and leaves its chain
     as it was.  One ``solve_rows`` call per target solves the block's
-    feasible trials together.  Every reported fraction gets
-    ``check_fractions`` and the feasibility audit, for the whole block
-    after its chain, and a row is what the chain of its trial alone gives,
-    byte for byte.
+    feasible trials together.  ``dc_solver.audit_rows`` checks each
+    target's raw answers, the next target's starts, against that target,
+    and every reported row, for the whole block after its chain; a row is
+    what the chain of its trial alone gives, byte for byte.
     """
     labels, targets, fraction = _chain_targets(cfg, users)
     if block is None:
@@ -687,7 +679,7 @@ def _rmin_chain_block(
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
         out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
-        check_fractions(out.raw_tau_dl, out.raw_tau_ul)  # the next target's start
+        audit_rows(c[live], r_min[live], out.raw_tau_dl, out.raw_tau_ul)  # the next target's start
         chain_dl[live], chain_ul[live] = out.raw_tau_dl, out.raw_tau_ul
         feasible[idx, live] = True
         objective[idx, live] = out.objective
@@ -699,11 +691,7 @@ def _rmin_chain_block(
     # row-wise, so no row's bits depend on the rows beside it
     at = np.nonzero(feasible)[1]             # each reported row's trial in the block
     dl, ul, r_rep = tau_dl[feasible], tau_ul[feasible], r_min_t[feasible]
-    check_fractions(dl, ul)
-    if at.size:
-        viol = violation_rows(c[at], r_rep, dl, ul)
-        worst = int(np.argmax(viol))
-        _audit_row(float(viol[worst]), float(r_rep[worst]))
+    audit_rows(c[at], r_rep, dl, ul)
     clamped[feasible] = clamped_secrecy_rows(a[at], a_e[at], dl, ul)
     dl_rate[feasible] = np.vecdot(c[at], dl)  # the DL sum rate, the linear form c . tau_dl
     return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,

@@ -19,8 +19,6 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-SUM_SLACK = 1e-9  # accepted slack on the two unit time budgets
-
 
 def snr_constants(eta: float, i_d: float, g: np.ndarray, h: np.ndarray, sigma2) -> np.ndarray:
     """eta I_D^2 g^2 h^2 / sigma2, elementwise on arrays of any shape.
@@ -30,25 +28,6 @@ def snr_constants(eta: float, i_d: float, g: np.ndarray, h: np.ndarray, sigma2) 
     scenarios.
     """
     return eta * i_d**2 * g**2 * h**2 / sigma2
-
-
-def check_fractions(tau_dl: np.ndarray, tau_ul: np.ndarray) -> None:
-    """Checks on rows of slot fractions, (N, K) each.
-
-    Every fraction is finite and >= 0, and each row's DL and UL fractions
-    sum to at most 1 + SUM_SLACK; ValueError names the first failing sum.
-    A nan passes every comparison, so it is refused by name: a row holding
-    one sums to nan.
-    """
-    if (tau_dl < 0).any() or (tau_ul < 0).any():
-        raise ValueError("slot fractions must be componentwise >= 0")
-    for name, taus in (("tau_dl", tau_dl), ("tau_ul", tau_ul)):
-        total = taus.sum(axis=1)
-        if np.isnan(total).any():
-            raise ValueError(f"{name} holds a nan fraction")
-        over = total > 1.0 + SUM_SLACK
-        if over.any():
-            raise ValueError(f"sum({name}) = {float(total[over][0])!r} exceeds the unit frame")
 
 
 def rate_coefficients(p_led: float, g: np.ndarray, sigma2_dl) -> np.ndarray:

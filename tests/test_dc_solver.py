@@ -16,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vlcrf.dc_solver import SNAP_THRESHOLD, DcaSettings, FeasibleSet, initial_rows, solve_rows, violation_rows
+from vlcrf.dc_solver import (
+    SNAP_THRESHOLD,
+    DcaSettings,
+    FeasibleSet,
+    audit_rows,
+    initial_rows,
+    solve_rows,
+    violation_rows,
+)
 from vlcrf import experiment
 from vlcrf.experiment import ScenarioBlock, build_config, generate_scenario, load_config
 from dual_reference import dl_leftovers, dual_probes
@@ -362,6 +370,47 @@ class TestViolation:
                              np.array([[np.nan, 0.3], [0.2, 0.3], [0.2, 0.3]]),
                              np.array([[0.5, np.nan], [0.5, 0.1], [np.nan, 0.1]]))
         assert got.tolist() == [np.inf, 0.0, np.inf]
+
+
+def audit_one(tau_dl, tau_ul, c=(1.0, 2.0), r_min=0.0):
+    """``audit_rows`` of one allocation, as a row."""
+    audit_rows(*(np.array([x], dtype=float) for x in (c, r_min, tau_dl, tau_ul)))
+
+
+class TestAudit:
+    def test_valid_rows_pass(self):
+        audit_one([0.5, 0.5], [0.999999999, 0.0])            # within the budget slack
+        audit_one([0.5, 0.5], [1.0 + 1e-9, 0.0])
+        audit_one([1.0 - 0.5e-8, 0.0], [0.0, 0.0], r_min=1.0)  # rate short by half the tolerance
+        audit_one([0.5 * (1.0 - 0.5e-8), 0.0], [0.0, 0.0], c=(200.0, 1.0), r_min=100.0)
+        audit_rows(np.ones((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("tau_dl, tau_ul, c, r_min, what", [
+        pytest.param([-0.1, 0.2], [0.1, 0.1], (1.0, 2.0), 0.0, "nan or negative", id="negative-dl"),
+        pytest.param([0.1, 0.2], [0.1, -1e-300], (1.0, 2.0), 0.0, "nan or negative", id="negative-ul"),
+        pytest.param([0.6, 0.6], [0.1, 0.1], (1.0, 2.0), 0.0, "sum\\(tau_dl\\) over", id="dl-budget"),
+        pytest.param([0.1, 0.1], [0.5, 0.5 + 2e-9], (1.0, 2.0), 0.0, "sum\\(tau_ul\\) over", id="ul-budget"),
+        pytest.param([1.0 - 2e-8, 0.0], [0.0, 0.0], (1.0, 2.0), 1.0, "short of r_min", id="rate"),
+        pytest.param([0.5 * (1.0 - 2e-8), 0.0], [0.0, 0.0], (200.0, 1.0), 100.0, "short of r_min", id="rate-relative"),
+        pytest.param([0.0, 0.0], [0.0, 0.0], (1.0, math.nan), 0.5, "short of r_min", id="nan-rate"),
+    ])
+    def test_each_refusal(self, tau_dl, tau_ul, c, r_min, what):
+        with pytest.raises(RuntimeError, match=what):
+            audit_one(tau_dl, tau_ul, c, r_min)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_refused(self, bad):
+        # nan passes both < 0 and > 1 + slack, so each test is written to fail on it
+        for tau_dl, tau_ul in (([bad, 0.3], [0.5, 0.1]), ([0.2, 0.3], [0.5, bad])):
+            with pytest.raises(RuntimeError, match="invalid allocation"):
+                audit_one(tau_dl, tau_ul)
+
+    def test_refused_row_inside_a_block(self):
+        # the first failing row of a block is named, whatever row it is
+        rows = np.array([[0.2, 0.3], [0.1, 0.1], [0.3, 0.1]])
+        bad = np.where([[False, False], [False, False], [True, False]], math.nan, rows)
+        with pytest.raises(RuntimeError, match=r"tau_ul = \[nan, 0.1\]"):
+            audit_rows(np.ones((3, 2)), np.zeros(3), rows, bad)
 
 
 class TestCertificateGap:

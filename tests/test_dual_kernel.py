@@ -12,7 +12,7 @@ import pytest
 
 import dual_numpy
 from vlcrf import dc_solver, experiment
-from vlcrf.dc_solver import _dual_solve, _respond, _secrecy_problem, _user_constants
+from vlcrf.dc_solver import _dual_solve, _respond, _secrecy_problem
 from vlcrf.experiment import load_config
 
 
@@ -26,9 +26,10 @@ def _check_responses(a, a_e, lams) -> int:
     ``lams`` (nats), walked from the largest down with the previous response
     as ``y_right``, as the dual search's falling steps pass it.  Returns the
     number of saturated responses seen."""
-    on = a > a_e
+    prob = _secrecy_problem(a[None], a_e[None], np.ones((1, a.size)), np.zeros(1))
+    on = prob.on[0]
+    users = prob.users[:, 0, on].tolist()
     a, rho = a[on], a_e[on] / a[on]
-    users = _user_constants(a, rho)
     y_new, y_ref = [np.inf] * a.size, np.full(a.size, np.inf)
     saturated = 0
     with np.errstate(all="ignore"):

@@ -22,7 +22,14 @@ from numpy.lib.introspect import opt_func_info
 import vlcrf
 from vlcrf import cli, experiment
 from vlcrf.cli import main as cli_main
-from vlcrf.dc_solver import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITERATIONS, DcaSettings, FeasibleSet
+from vlcrf.dc_solver import (
+    STATUS_CONVERGED,
+    STATUS_INFEASIBLE,
+    STATUS_MAX_ITERATIONS,
+    DcaSettings,
+    FeasibleSet,
+    audit_rows,
+)
 from vlcrf.experiment import (
     PRESETS,
     ConfigError,
@@ -35,7 +42,7 @@ from vlcrf.experiment import (
     run_sweep,
 )
 from model_reference import Channels, feasible, sample_rician_gain, solve_one, violation, vlc_channel_gain
-from vlcrf.link_budget import check_fractions, clamped_secrecy_rows
+from vlcrf.link_budget import clamped_secrecy_rows
 from vlcrf.reference_oracle import GridSpec
 from vlcrf.rf_channel import RicianConfig
 from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, Vec3
@@ -624,7 +631,7 @@ class TestRunSweep:
 
     def test_emitted_allocations_revalidate(self, tmp_path):
         # round-trip audit: every row, of every trial, parses back into slot
-        # fractions that pass check_fractions and satisfy the budgets and the
+        # fractions that pass audit_rows and satisfy the budgets and the
         # row's own minimum-rate column under its trial's rate coefficients
         cfg = build_config(dict(SMALL_SWEEP))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
@@ -635,8 +642,8 @@ class TestRunSweep:
         for row in rows:
             tau_dl = [float(x) for x in row["tau_dl"].split(",")]
             tau_ul = [float(x) for x in row["tau_ul"].split(",")]
-            check_fractions(np.array([tau_dl]), np.array([tau_ul]))
             fs = FeasibleSet(coeffs[row["trial"]], float(row["r_min"]))
+            audit_rows(fs.rate_coeffs[None], np.array([fs.r_min]), np.array([tau_dl]), np.array([tau_ul]))
             assert violation(fs, tau_dl, tau_ul) <= 1e-8
 
     @pytest.mark.parametrize("workers, cpus, affinity, want", [
@@ -754,7 +761,7 @@ def _reference_row(value, users, trial, scenario, fs, result):
     for column in ("objective_bits", "clamped_secrecy_sum", "dl_rate_achieved", "tau_dl", "tau_ul"):
         row[column] = None
     if result is not None:
-        assert violation(fs, result.tau_dl, result.tau_ul) <= experiment.FEASIBILITY_AUDIT_TOL
+        audit_rows(fs.rate_coeffs[None], np.array([fs.r_min]), result.tau_dl[None], result.tau_ul[None])
         row.update({
             "iterations": result.iterations,
             "status": STATUS_CONVERGED if result.converged else STATUS_MAX_ITERATIONS,
@@ -1074,38 +1081,32 @@ class TestBlockChain:
 
 
 class TestAudit:
-    def test_nan_violation_refused(self):
-        with pytest.raises(RuntimeError):
-            experiment._audit_row(math.nan, 1.0)
-        with pytest.raises(RuntimeError):
-            experiment._audit_row(2.0 * experiment.FEASIBILITY_AUDIT_TOL, 1.0)
-        experiment._audit_row(experiment.FEASIBILITY_AUDIT_TOL, 1.0)
-
     @pytest.mark.parametrize("command, fault", [
-        pytest.param("sweep", fault, id=fault) for fault in ("tau_dl", "tau_ul", "rate")
+        pytest.param("sweep", fault, id=fault) for fault in ("tau_dl", "tau_ul", "rate", "start")
     ] + [
         pytest.param(command, fault, id=f"{command}-{fault}")
-        for command in ("solve", "report") for fault in ("tau_dl", "tau_ul", "rate")
+        for command in ("solve", "report") for fault in ("tau_dl", "tau_ul", "rate", "start")
     ])
     def test_nan_answer_never_reaches_the_rows(self, command, fault, tmp_path, monkeypatch):
-        # a solver that returned a nan fraction, or fractions short of the
-        # rate target, would be refused before any row or text is made, by
-        # every command
+        # a solver that returned a nan fraction, reported fractions short of
+        # the rate target, or a raw answer (the next target's start) short of
+        # it, would be refused before any row or text is made, by every command
         solve_rows = experiment.solve_rows
 
         def faulty(*args):
             out = solve_rows(*args)
-            if fault == "rate":
-                return dataclasses.replace(out, tau_dl=0.5 * out.tau_dl)
+            if fault in ("rate", "start"):
+                name = "tau_dl" if fault == "rate" else "raw_tau_dl"
+                return dataclasses.replace(out, **{name: 0.5 * getattr(out, name)})
             taus = getattr(out, fault).copy()
             taus[-1, 0] = math.nan
             return dataclasses.replace(out, **{fault: taus})
 
         monkeypatch.setattr(experiment, "solve_rows", faulty)
-        error, match = (RuntimeError, "violates the feasible set") if fault == "rate" else (ValueError, "nan")
+        match = "short of r_min" if fault in ("rate", "start") else "nan or negative"
         cfg = load_config(overrides={"trials": "3", "output.dir": str(tmp_path)},
                           preset="fig3" if command == "sweep" else "fig4")
-        with warnings.catch_warnings(), pytest.raises(error, match=match):
+        with warnings.catch_warnings(), pytest.raises(RuntimeError, match=match):
             warnings.simplefilter("ignore")
             if command == "sweep":
                 experiment._rmin_chain_block(cfg, 2, range(3))

@@ -19,7 +19,7 @@ from model_reference import (
     ul_power,
 )
 from step_forms import same_bits
-from vlcrf.link_budget import check_fractions, clamped_secrecy_rows, perspective_terms, perspective_value, secrecy_rows
+from vlcrf.link_budget import clamped_secrecy_rows, perspective_terms, perspective_value, secrecy_rows
 
 G_CENTER = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0  # Table-style device, 3 m beneath
 
@@ -60,31 +60,6 @@ class TestSnrConstants:
         ae_hand = 0.44 * 2.0**2 * G_CENTER**2 * 25e-8 / 1e-14
         assert float(s.a_user()[0]) == pytest.approx(a_hand, rel=1e-12)
         assert float(s.a_eve()[0]) == pytest.approx(ae_hand, rel=1e-12)
-
-
-def check_one(tau_dl, tau_ul):
-    """``check_fractions`` of one allocation, as a row."""
-    check_fractions(np.array([tau_dl], dtype=float), np.array([tau_ul], dtype=float))
-
-
-class TestCheckFractions:
-    def test_budget_slack(self):
-        check_one([0.5, 0.5], [0.999999999, 0.0])
-        with pytest.raises(ValueError):
-            check_one([0.6, 0.6], [0.1, 0.1])
-        with pytest.raises(ValueError):
-            check_one([-0.1, 0.2], [0.1, 0.1])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fraction_refused(self, bad):
-        # nan passes both < 0 and > 1 + slack, so it needs its own check
-        with pytest.raises(ValueError):
-            check_one([bad, 0.3], [0.5, 0.1])
-        with pytest.raises(ValueError):
-            check_one([0.2, 0.3], [0.5, bad])
-        rows = np.array([[0.2, 0.3], [0.1, 0.1]])
-        with pytest.raises(ValueError):
-            check_fractions(rows, np.where([[False, False], [True, False]], bad, rows))
 
 
 class TestHarvestedEnergy:

@@ -434,8 +434,11 @@ def _respond(users: list[list], lam: float, y_right: list) -> tuple[list, list, 
     increasing on [0, y_max], y_max = ln(1 / rho), and
     y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
     right of the root and descends to it; ``y_right`` is the response at a
-    larger price, or inf.  It stops once no free user's step exceeds
-    1e-15 z, or after ``RESPONSE_STEPS`` steps.  Saturated users
+    larger price, or inf.  A free user is still moving while its step
+    exceeds 1e-15 z and, once the step is at most 1e-12 z, is shorter than
+    its previous step: with rho near 1, F is nearly flat at the root and
+    the iterate swings there by rounding alone.  The loop stops once no
+    free user moves, or after ``RESPONSE_STEPS`` steps.  Saturated users
     (lam >= y_max) get y = inf and 1/s = q = 0: their best share is 0.
 
     The arithmetic runs on Python floats, whose + - * / round as numpy's
@@ -456,6 +459,7 @@ def _respond(users: list[list], lam: float, y_right: list) -> tuple[list, list, 
         zk = zk if zk < x or zk != zk else x
         x = y_max[k]
         z.append(zk if zk < x or zk != zk else x)
+    last = [math.inf] * len(z)
     for _ in range(RESPONSE_STEPS):
         e = np.expm1(np.array(z + [-x for x in z])).tolist()
         moving = False
@@ -463,7 +467,9 @@ def _respond(users: list[list], lam: float, y_right: list) -> tuple[list, list, 
             num, slope = zi + (e_m + r * e_p) / omr - lam, (r * e_p - e_m) / omr
             step = num / slope if slope else _quotient(num, slope)
             z[i] = zi = zi - step
-            moving = moving or abs(step) > 1e-15 * zi
+            size = abs(step)
+            moving = moving or (size > 1e-15 * zi and (size > 1e-12 * zi or size < last[i]))
+            last[i] = size
         if not moving:
             break
     e = np.expm1(np.array(z + [-x for x in z])).tolist()

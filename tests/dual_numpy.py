@@ -25,8 +25,10 @@ def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
     increasing on [0, y_max], y_max = ln(1 / rho), and
     y - (1 - sqrt(rho)) / (1 + sqrt(rho)) <= F(y) <= y, so Newton starts
     right of the root and descends to it; ``y_right`` is the response at a
-    larger price, or inf.  Saturated users (lam >= y_max) get y = inf and
-    1/s = q = 0: their best share is 0.
+    larger price, or inf.  A user moves while its step exceeds 1e-15 z and,
+    once the step is at most 1e-12 z, is shorter than its previous step.
+    Saturated users (lam >= y_max) get y = inf and 1/s = q = 0: their best
+    share is 0.
     """
     y = np.full(a.size, np.inf)
     inv_s, q, d_inv_s = np.zeros(a.size), np.zeros(a.size), np.zeros(a.size)
@@ -35,13 +37,16 @@ def _respond(a: np.ndarray, rho: np.ndarray, lam: float, y_right: np.ndarray):
     free = lam < y_max
     a, rho, root = a[free], rho[free], np.sqrt(rho[free])
     z = np.minimum(np.minimum(y_right[free], lam + (1.0 - root) / (1.0 + root)), y_max[free])
+    last = np.full(z.size, np.inf)
     for _ in range(RESPONSE_STEPS):
         e_p, e_m = np.expm1(z), np.expm1(-z)
         slope = (rho * e_p - e_m) / (1.0 - rho)
         step = (z + (e_m + rho * e_p) / (1.0 - rho) - lam) / slope
         z = z - step
-        if not np.any(np.abs(step) > 1e-15 * z):
+        size = np.abs(step)
+        if not np.any((size > 1e-15 * z) & ((size > 1e-12 * z) | (size < last))):
             break
+        last = size
     e_p = np.expm1(z)
     slope = (rho * e_p - np.expm1(-z)) / (1.0 - rho)
     share = 1.0 - rho - rho * e_p            # 1 - rho e^y

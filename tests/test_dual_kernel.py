@@ -81,6 +81,22 @@ def test_quotient_matches_numpy():
 
 
 class TestResponses:
+    def test_newton_stops_in_rounding_noise(self, monkeypatch):
+        # with aE / a near 1, F is nearly flat at the root and the iterate
+        # swings by about 1e-16 once it gets there: the loop must stop on the
+        # swing, not run out its RESPONSE_STEPS
+        a = np.ones(2)
+        a_e = np.array([0.8671597294808296, 0.9919232097835802])
+        lam = 0.005170110247949786
+        prob = _secrecy_problem(a[None], a_e[None], np.ones((1, 2)), np.zeros(1))
+        calls = []
+        expm1 = np.expm1
+        monkeypatch.setattr(np, "expm1", lambda x: calls.append(x) or expm1(x))
+        _respond(prob.users[:, 0].tolist(), lam, [np.inf, np.inf])
+        assert len(calls) < 10
+        monkeypatch.undo()
+        _check_responses(a, a_e, [lam])
+
     def test_snr_constants_across_the_range(self):
         rng = np.random.default_rng(5)
         saturated = 0

@@ -868,13 +868,13 @@ def _pinned(table: dict):
 # sha256 of (sweep_rows.csv, sweep_agg.csv); see the pinned tests for their history
 USERS_SWEEP_DIGESTS = {
     "fraction": {
-        AVX512_TARGETS: ["e77f3ca4c3fab40c66fe9694aae4083d6080d26b0f796d730b4ea5c03cd0e04b",
+        AVX512_TARGETS: ["45f17fac807a35050f9540fbe6c588c3d33e32192db3bd191450536c528dd1ed",
                          "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"],
-        AVX2_TARGETS: ["0e680145b560ec628b9944bd18187cb7cc017681bbc5455f5c600decb07d4235",
+        AVX2_TARGETS: ["580cf643d57409b636375fce3d7e3025951c7076b2530b686310c00bdf5c9349",
                        "72d553530f317bb2caf750a348d78bb4e1a3643f19d574db6c74237cfd03f25e"],
     },
     "absolute": {
-        AVX512_TARGETS: ["08b584f644410ce13696493de8c24a8ecb74db8b770f459c11e6a0c22a051086",
+        AVX512_TARGETS: ["8fc96abb343734c9516d1f1f6d99153b301333bad2421d0bb131ae613b9e433a",
                          "732f4acfcbf53e9e11079243c083718e1bb601ce56d71be7542aeb0fdd8e17cf"],
         AVX2_TARGETS: ["fdf8b3f5a6b48805833c18a5df3b29293bc43fc3f662634938b68cd7f6d4c9b6",
                        "c525d2e200e3862833c359ce0ad82931737567e5cedcb4938ddc54f5efc3a19a"],
@@ -975,8 +975,11 @@ class TestBlockChain:
         one ``dca_solve`` per row, and re-measured when zero uplink shares
         replaced the 1e-9 floor (41 of the fraction sweep's 100 rows and 4 of
         the absolute sweep's 32 solved rows moved: 43 objectives rose, by at
-        most 7.1e-9 bits, and one fell by 3.3e-16 relative), with numpy 2.4.6
-        on x86_64; another numpy or BLAS may round differently.
+        most 7.1e-9 bits, and one fell by 3.3e-16 relative), and again when
+        the per-user Newton response stopped on its rounding swing (one row
+        of each sweep moved; both objectives fell, by 8.3e-17 and 2.8e-17
+        bits), with numpy 2.4.6 on x86_64; another numpy or BLAS may round
+        differently.
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))

@@ -243,23 +243,6 @@ def _repair_dl(d: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> np.ndarray:
     return d
 
 
-def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """Worst constraint violation of each row's allocation (0 when feasible).
-
-    (N, K) rate coefficients and fractions, (N,) rate targets.  The
-    minimum-rate slack is normalized by max(1, r_min) so the measure is
-    comparable across rate scales.  A row holding a nan violates by inf.
-    """
-    rate = np.vecdot(rate_coeffs, tau_dl)
-    dl_sum, ul_sum = tau_dl.sum(axis=1), tau_ul.sum(axis=1)
-    viol = np.fmax.reduce([
-        np.zeros(r_min.shape), -tau_dl.min(axis=1), -tau_ul.min(axis=1),
-        dl_sum - 1.0, ul_sum - 1.0, (r_min - rate) / np.maximum(1.0, r_min),
-    ])
-    # fmax skips nan, which every comparison passes: a nan reads in the sums
-    return np.where(np.isnan(dl_sum + ul_sum + rate), np.inf, viol)
-
-
 def audit_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> None:
     """Refuse rows that are not a valid allocation of their problem: RuntimeError.
 

@@ -15,9 +15,11 @@ statement of the model's equations, one user or one problem at a time:
 - the solver's deterministic start and its feasibility repairs for one
   problem (``initial_allocation``, ``project_onto_feasible``);
 - whether one problem's rate target is reachable (``feasible``), that
-  problem solved as a block of one row, and the certificate gap and the
-  worst constraint violation of one allocation (``solve_one``,
-  ``certificate_gap``, ``violation``);
+  problem solved as a block of one row, and the certificate gap of one
+  allocation (``solve_one``, ``certificate_gap``);
+- the worst constraint violation of rows of allocations and of one
+  (``violation_rows``, ``violation``): a measure, where the program's rule
+  of a valid allocation is ``dc_solver.audit_rows``;
 - the perspective term and its partials as the program wrote them before
   ``link_budget.perspective_terms`` stated them once: the lines the
   solver's gradient kernel fused over the (2, N, K) pair of user and
@@ -38,7 +40,6 @@ from vlcrf.dc_solver import (
     _secrecy_problem,
     initial_rows,
     solve_rows,
-    violation_rows,
 )
 from vlcrf.link_budget import LN2, perspective_value, rate_coefficients, snr_constants
 from vlcrf.rf_channel import MIXING_NORMALIZED, RicianConfig, los_component, mixing_weights, rician_mix
@@ -231,6 +232,23 @@ def certificate_gap(a, a_e, fs: FeasibleSet, tau_dl, tau_ul) -> float:
     dl, ul = _row(tau_dl), _row(tau_ul)
     _, g_dl, g_ul = prob.value_and_grad(dl, ul)
     return float(prob.gap(dl, ul, g_dl, g_ul)[0])
+
+
+def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """Worst constraint violation of each row's allocation (0 when feasible).
+
+    (N, K) rate coefficients and fractions, (N,) rate targets.  The
+    minimum-rate slack is normalized by max(1, r_min) so the measure is
+    comparable across rate scales.  A row holding a nan violates by inf.
+    """
+    rate = np.vecdot(rate_coeffs, tau_dl)
+    dl_sum, ul_sum = tau_dl.sum(axis=1), tau_ul.sum(axis=1)
+    viol = np.fmax.reduce([
+        np.zeros(r_min.shape), -tau_dl.min(axis=1), -tau_ul.min(axis=1),
+        dl_sum - 1.0, ul_sum - 1.0, (r_min - rate) / np.maximum(1.0, r_min),
+    ])
+    # fmax skips nan, which every comparison passes: a nan reads in the sums
+    return np.where(np.isnan(dl_sum + ul_sum + rate), np.inf, viol)
 
 
 def violation(fs: FeasibleSet, tau_dl, tau_ul) -> float:

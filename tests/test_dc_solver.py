@@ -23,7 +23,6 @@ from vlcrf.dc_solver import (
     audit_rows,
     initial_rows,
     solve_rows,
-    violation_rows,
 )
 from vlcrf import experiment
 from vlcrf.experiment import ScenarioBlock, build_config, generate_scenario, load_config
@@ -37,6 +36,7 @@ from model_reference import (
     secrecy_capacity_user,
     solve_one,
     violation,
+    violation_rows,
 )
 
 

@@ -716,6 +716,23 @@ def _assert_monotone_and_concave(chain, points):
 
 
 class TestChainConcavity:
+    def test_full_fig3_preset(self, tmp_path):
+        # the preset as the paper's figure runs it, 200 trials at K = 1, 2, 4
+        # (12,000 rows), where the pinned sweeps take 20: every row solved
+        # and certified, and every chain's objective non-increasing in the target
+        cfg = load_config(overrides={"runtime.workers": "1", "output.dir": str(tmp_path)}, preset="fig3")
+        rows = read_rows(run_sweep(cfg)["rows_path"])
+        assert len(rows) == 3 * 200 * 20
+        assert {row["status"] for row in rows} == {STATUS_CONVERGED}
+        chains = {}
+        for row in rows:
+            chains.setdefault((row["users"], row["trial"]), []).append(
+                (float(row["sweep_value"]), float(row["objective_bits"])))
+        assert len(chains) == 3 * 200
+        for key, chain in chains.items():
+            f = [obj for _, obj in sorted(chain)]
+            assert all(f[i + 1] <= f[i] for i in range(len(f) - 1)), key
+
     def test_fig3_chains_are_monotone_and_concave(self):
         cfg = load_config(overrides={"trials": "10"}, preset="fig3")
         for users in (2, 4):

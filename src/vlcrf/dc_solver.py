@@ -250,7 +250,8 @@ def audit_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarray, t
     refused for a nan or negative fraction, a DL or UL budget sum over
     1 + ``AUDIT_SUM_SLACK``, or a DL rate short of r_min by more than
     ``AUDIT_RATE_TOL`` max(1, r_min); the message names the first failing
-    check and its first failing row.  Every test fails on a nan.
+    check and its first failing row.  Each check is written so that a
+    nan fails it.
     """
     rate = np.vecdot(rate_coeffs, tau_dl)
     for bad, what in (
@@ -600,7 +601,7 @@ def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndar
 
 def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
     """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # aE = 0, and a = aE = 0 (switched off)
+    with np.errstate(divide="ignore", invalid="ignore"):  # aE = 0; a = 0 (switched off) gives inf or nan
         rho = a_e / a
         y_max = -np.log(rho)
         root = np.sqrt(rho)

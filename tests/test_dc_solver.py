@@ -380,7 +380,7 @@ def audit_one(tau_dl, tau_ul, c=(1.0, 2.0), r_min=0.0):
 class TestAudit:
     def test_valid_rows_pass(self):
         audit_one([0.5, 0.5], [0.999999999, 0.0])            # within the budget slack
-        audit_one([0.5, 0.5], [1.0 + 1e-9, 0.0])
+        audit_one([0.5, 0.5], [1.0 + 1e-9, 0.0])                # at the slack
         audit_one([1.0 - 0.5e-8, 0.0], [0.0, 0.0], r_min=1.0)  # rate short by half the tolerance
         audit_one([0.5 * (1.0 - 0.5e-8), 0.0], [0.0, 0.0], c=(200.0, 1.0), r_min=100.0)
         audit_rows(np.ones((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)))
@@ -400,7 +400,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_fraction_refused(self, bad):
-        # nan passes both < 0 and > 1 + slack, so each test is written to fail on it
+        # nan passes both < 0 and > 1 + slack, so each check is written to fail on it
         for tau_dl, tau_ul in (([bad, 0.3], [0.5, 0.1]), ([0.2, 0.3], [0.5, bad])):
             with pytest.raises(RuntimeError, match="invalid allocation"):
                 audit_one(tau_dl, tau_ul)

@@ -87,7 +87,7 @@ class TestResponses:
         # swing, not run out its RESPONSE_STEPS
         a = np.ones(2)
         a_e = np.array([0.8671597294808296, 0.9919232097835802])
-        lam = 0.005170110247949786
+        lam = 0.005170110247949786  # nats
         prob = _secrecy_problem(a[None], a_e[None], np.ones((1, 2)), np.zeros(1))
         calls = []
         expm1 = np.expm1

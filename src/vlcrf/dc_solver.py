@@ -66,9 +66,9 @@ the engine's only exit test: a start whose gap is at most ``epsilon`` is
 returned as it is, and a solve ends ``converged`` iff the gap of its answer
 is at most ``epsilon``.
 
-Rows.  The certificate kernels (both repairs, value and gradient, gap and
-the reporting snap) are row-batched: they take (N, K) arrays, one problem
-with its own channels, rate coefficients and r_min per row.
+Rows.  The certificate kernels (both repairs, value and gradient, and the
+gap) are row-batched: they take (N, K) arrays, one problem with its own
+channels, rate coefficients and r_min per row.
 ``solve_rows`` is the one entry: every command (both sweep kinds,
 ``report`` and ``solve``) runs it through the experiment's block chain,
 one call per rate target for a block of trials, and one problem is a
@@ -114,7 +114,6 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 
-SNAP_THRESHOLD = 1e-6       # reported fractions below this collapse to 0
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
@@ -168,14 +167,14 @@ class DcaSettings:
 class RowSolutions:
     """Certified answers of N problems: (N, K) and (N,) arrays, row i for problem i.
 
-    A caller that emits the fractions, or starts from the raw ones, runs
-    ``audit_rows`` on them.
+    The fractions are the certified point itself: ``objective`` and
+    ``gap_bits`` are its value and gap, and it is both what a caller emits
+    and the next warm start.  A caller that does either runs ``audit_rows``
+    on them.
     """
 
-    tau_dl: np.ndarray        # reported fractions, snapped
+    tau_dl: np.ndarray
     tau_ul: np.ndarray
-    raw_tau_dl: np.ndarray    # the solver's point before snapping: the next warm start
-    raw_tau_ul: np.ndarray
     objective: np.ndarray
     gap_bits: np.ndarray      # certificate: objective >= optimum - gap_bits
     iterations: np.ndarray    # engine passes: 0 (certified start) or 1 (dual solve)
@@ -584,21 +583,6 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     return dl, out
 
 
-def _snap_reported(dl: np.ndarray, ul: np.ndarray, c: np.ndarray, r_min: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero out fractions below the reporting threshold, row by row.
-
-    A row's downlink snapping is skipped wholesale if it would break the
-    minimum rate; uplink snapping only removes the slivers that users near
-    saturation keep, and is safe.
-    """
-    ul_s = np.where(ul < SNAP_THRESHOLD, 0.0, ul)
-    dl_s = np.where(dl < SNAP_THRESHOLD, 0.0, dl)
-    keep = (r_min > 0.0) & (np.vecdot(c, dl_s) < r_min - 1e-9)
-    if keep.any():
-        dl_s[keep] = dl[keep]
-    return dl_s, ul_s
-
-
 def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
     """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
     with np.errstate(divide="ignore", invalid="ignore"):  # aE = 0; a = 0 (switched off) gives inf or nan
@@ -633,6 +617,8 @@ def solve_rows(
     runs once, warm-started from the start's largest active UL gradient,
     and its point, put back on the polytope, replaces the start when its
     objective is at least as high, so no answer falls below its start.
+    The returned fractions are the point whose objective and gap are
+    returned, bit for bit.
     """
     prob = _secrecy_problem(a, a_e, rate_coeffs, r_min)
     dl, ul = prob.repair(tau_dl, tau_ul)
@@ -651,5 +637,4 @@ def solve_rows(
         rows = todo[better]
         dl[rows], ul[rows], f[rows], gap[rows] = n_dl[better], n_ul[better], f_n[better], gap_n[better]
         passes[todo] = 1
-    dl_s, ul_s = _snap_reported(dl, ul, rate_coeffs, r_min)
-    return RowSolutions(dl_s, ul_s, dl, ul, f, gap, passes, gap <= settings.epsilon)
+    return RowSolutions(dl, ul, f, gap, passes, gap <= settings.epsilon)

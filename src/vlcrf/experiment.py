@@ -611,6 +611,15 @@ def _chain_targets(cfg: ExperimentConfig, users: int) -> tuple[tuple, tuple, boo
     return (users,), (cfg.r_min,), False
 
 
+def _chain_rates(cfg: ExperimentConfig, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) rate targets of a block's trials, row t for target t of ``_chain_targets``,
+    and where each is feasible: at most the trial's largest rate coefficient."""
+    _, targets, fraction = _chain_targets(cfg, c.shape[1])
+    bound = c.max(axis=1)
+    r_min = np.array([t * bound if fraction else np.full(bound.size, t) for t in targets])
+    return r_min, r_min <= bound
+
+
 @dataclass(frozen=True)
 class ChainBlock:
     """A block's sweep rows as columns: entry [t, n] is target t's row of the n-th trial.
@@ -624,51 +633,46 @@ class ChainBlock:
     objective: np.ndarray     # (T, N)
     clamped: np.ndarray       # (T, N) clamped secrecy sum
     dl_rate: np.ndarray       # (T, N) achieved DL sum rate
-    tau_dl: np.ndarray        # (T, N, K) reported fractions
+    tau_dl: np.ndarray        # (T, N, K) certified fractions
     tau_ul: np.ndarray        # (T, N, K)
     iterations: np.ndarray    # (T, N) int
     converged: np.ndarray     # (T, N) bool
     gap_bits: np.ndarray      # (T, N)
 
+    def status(self, idx: int) -> list[str]:
+        """Target ``idx``'s row statuses, in trial order."""
+        return [STATUS_INFEASIBLE if not ok else STATUS_CONVERGED if conv else STATUS_MAX_ITERATIONS
+                for ok, conv in zip(self.feasible[idx].tolist(), self.converged[idx].tolist())]
 
-def _rmin_chain_block(
-    cfg: ExperimentConfig, users: int, trials: range | list[int], block: ScenarioBlock | None = None,
-) -> ChainBlock:
-    """The rows of ``users`` users for a block of trials, as per-target arrays.
 
-    Every command runs here, with the targets of ``_chain_targets``: an
-    r_min sweep's whole chain, and a chain of one for a users sweep and for
-    ``report`` and ``solve``.  ``block`` is the trials' ``scenario_block``
-    at ``users`` users, drawn here when not given.  Every trial walks the
+def _rmin_chain_block(cfg: ExperimentConfig, block: ScenarioBlock) -> ChainBlock:
+    """The rows of a block of trials (``scenario_block``), as per-target arrays.
+
+    Every command runs here, with the targets of ``_chain_targets`` at the
+    block's user count: an r_min sweep's whole chain, and a chain of one for
+    a users sweep and for ``report`` and ``solve``.  Every trial walks the
     targets tightest first, each solve warm-started from the trial's
-    previous raw answer (the first from ``initial_rows``); a target
-    beyond a trial's best rate gives an infeasible row and leaves its chain
-    as it was.  One ``solve_rows`` call per target solves the block's
-    feasible trials together.  ``dc_solver.audit_rows`` checks each
-    target's raw answers, the next target's starts, against that target,
-    and every reported row, for the whole block after its chain; a row is
-    what the chain of its trial alone gives, byte for byte.
+    previous answer (the first from ``initial_rows``); a target beyond a
+    trial's best rate gives an infeasible row and leaves its chain as it
+    was.  One ``solve_rows`` call per target solves the block's feasible
+    trials together, and ``dc_solver.audit_rows`` checks its answers, which
+    are both that target's rows and the next target's starts, once; a row
+    is what the chain of its trial alone gives, byte for byte.
     """
-    labels, targets, fraction = _chain_targets(cfg, users)
-    if block is None:
-        block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
     a, a_e, c = block.a, block.a_e, block.c
     n, k = c.shape
-    shape = (len(targets), n)
-    r_min_t = np.empty(shape)
-    feasible = np.zeros(shape, dtype=bool)
+    targets = _chain_targets(cfg, k)[1]
+    r_min_t, feasible = _chain_rates(cfg, c)
+    shape = feasible.shape
     objective, clamped, dl_rate, gap_bits = (np.full(shape, np.nan) for _ in range(4))
     tau_dl, tau_ul = np.zeros(shape + (k,)), np.zeros(shape + (k,))
     iterations = np.zeros(shape, dtype=np.int64)
     converged = np.zeros(shape, dtype=bool)
 
-    bound = c.max(axis=1)
     chain_dl, chain_ul = np.zeros_like(c), np.zeros_like(c)
     chained = np.zeros(n, dtype=bool)
     for idx in sorted(range(len(targets)), key=lambda i: -targets[i]):
-        r_min = targets[idx] * bound if fraction else np.full(n, targets[idx])
-        r_min_t[idx] = r_min
-        fits = r_min <= bound
+        r_min, fits = r_min_t[idx], feasible[idx]
         if not fits.any():
             continue
         live = slice(None) if fits.all() else fits  # every trial: the whole arrays, not gathers of them
@@ -679,19 +683,17 @@ def _rmin_chain_block(
         # relaxed targets continue from the previous optimum, which both
         # guarantees the per-trial monotone curve and keeps the sweep cheap
         out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
-        audit_rows(c[live], r_min[live], out.raw_tau_dl, out.raw_tau_ul)  # the next target's start
-        chain_dl[live], chain_ul[live] = out.raw_tau_dl, out.raw_tau_ul
-        feasible[idx, live] = True
+        audit_rows(c[live], r_min[live], out.tau_dl, out.tau_ul)
+        chain_dl[live], chain_ul[live] = out.tau_dl, out.tau_ul
         objective[idx, live] = out.objective
         tau_dl[idx, live], tau_ul[idx, live] = out.tau_dl, out.tau_ul
         iterations[idx, live] = out.iterations
         converged[idx, live] = out.converged
         gap_bits[idx, live] = out.gap_bits
-    # the reported rows' checks and metrics, once for the block: each is
-    # row-wise, so no row's bits depend on the rows beside it
-    at = np.nonzero(feasible)[1]             # each reported row's trial in the block
-    dl, ul, r_rep = tau_dl[feasible], tau_ul[feasible], r_min_t[feasible]
-    audit_rows(c[at], r_rep, dl, ul)
+    # the rows' metrics, once for the block: each is row-wise, so no row's
+    # bits depend on the rows beside it
+    at = np.nonzero(feasible)[1]             # each solved row's trial in the block
+    dl, ul = tau_dl[feasible], tau_ul[feasible]
     clamped[feasible] = clamped_secrecy_rows(a[at], a_e[at], dl, ul)
     dl_rate[feasible] = np.vecdot(c[at], dl)  # the DL sum rate, the linear form c . tau_dl
     return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,
@@ -724,15 +726,14 @@ def _chain_csv(label, users: int, trials: range | list[int], chain: ChainBlock, 
         cell = f'"{cell}"'
     prefix = f"{_fmt(label)},{users},"
     solved = prefix + f"%d,%r,%r,%r,%r,{cell},{cell},%d,%s\n"
-    unsolved = prefix + f"%d,%r,,,,,,%d,{STATUS_INFEASIBLE}\n"
-    status = [STATUS_CONVERGED if conv else STATUS_MAX_ITERATIONS for conv in chain.converged[idx].tolist()]
+    unsolved = prefix + "%d,%r,,,,,,%d,%s\n"
     rows = zip(
         trials, chain.r_min[idx].tolist(), chain.objective[idx].tolist(), chain.clamped[idx].tolist(),
         chain.dl_rate[idx].tolist(), *chain.tau_dl[idx].T.tolist(), *chain.tau_ul[idx].T.tolist(),
-        chain.iterations[idx].tolist(), status,
+        chain.iterations[idx].tolist(), chain.status(idx),
     )
     return "".join(
-        solved % row if ok else unsolved % (row[0], row[1], row[-2])
+        solved % row if ok else unsolved % (row[0], row[1], *row[-2:])
         for row, ok in zip(rows, chain.feasible[idx].tolist())
     )
 
@@ -743,7 +744,7 @@ def _sweep_task(payload) -> tuple[int, list[str], np.ndarray, np.ndarray, np.nda
     the (T, N) feasible mask and objective, clamped and DL rate columns."""
     cfg, users, trials = payload
     block = scenario_block(dataclasses.replace(cfg, users_count=users), trials)
-    chain = _rmin_chain_block(cfg, users, trials, block)
+    chain = _rmin_chain_block(cfg, block)
     labels = _chain_targets(cfg, users)[0]
     text = [_chain_csv(label, users, trials, chain, idx) for idx, label in enumerate(labels)]
     return int((block.g == 0.0).sum()), text, chain.feasible, chain.objective, chain.clamped, chain.dl_rate
@@ -898,13 +899,10 @@ def run_solve(cfg: ExperimentConfig, oracle: bool = False) -> dict:
     cfg = dataclasses.replace(cfg, sweep_kind=None)
     block = scenario_block(cfg, [0])
     # an infeasible target skips the oracle, so only a feasible one is refused
-    if oracle and cfg.users_count > 2 and (cfg.r_min_fraction is not None or cfg.r_min <= block.c.max()):
+    if oracle and cfg.users_count > 2 and _chain_rates(cfg, block.c)[1][0, 0]:
         raise ConfigError("--oracle supports K <= 2 only (grid search dimensionality)")
-    chain = _rmin_chain_block(cfg, cfg.users_count, [0], block)
-    if not chain.feasible[0, 0]:
-        status = STATUS_INFEASIBLE
-    else:
-        status = STATUS_CONVERGED if chain.converged[0, 0] else STATUS_MAX_ITERATIONS
+    chain = _rmin_chain_block(cfg, block)
+    status = chain.status(0)[0]
     out = {"block": block, "chain": chain, "status": status, "r_min": float(chain.r_min[0, 0]),
            "dark": (int((block.g == 0.0).sum()), block.g.size)}
     if oracle and status != STATUS_INFEASIBLE:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vlcrf.dc_solver import (
-    SNAP_THRESHOLD,
     DcaSettings,
     FeasibleSet,
+    _dl_best,
+    _dl_vertices,
+    _secrecy_problem,
     audit_rows,
     initial_rows,
     solve_rows,
@@ -68,7 +70,7 @@ def chain_row(c, r_min):
     cfg = build_config({"seed": "1", "users.count": str(c.shape[1]), "rate.min": repr(r_min)})
     block = ScenarioBlock(g=np.ones_like(c), h=np.ones_like(c), h_e=np.ones_like(c), a=np.full_like(c, 10.0),
                           a_e=np.ones_like(c), c=c)
-    return experiment._rmin_chain_block(cfg, c.shape[1], [0], block)
+    return experiment._rmin_chain_block(cfg, block)
 
 
 class TestFeasibility:
@@ -337,7 +339,7 @@ class TestSolveOneRow:
         res = solve(s, fs_for(s, 0.5), DcaSettings())
         assert res.objective <= 1e-9
 
-    def test_snapping_keeps_rate_feasible(self):
+    def test_answer_keeps_rate_feasible(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             k = int(rng.integers(2, 6))
@@ -346,19 +348,15 @@ class TestSolveOneRow:
             fs = fs_for(s, rng.uniform(0.3, 0.9) * c.max())
             res = solve(s, fs, DcaSettings())
             assert float(np.dot(c, res.tau_dl)) >= fs.r_min - 1e-6
-            small = res.tau_ul[(res.tau_ul > 0) & (res.tau_ul < 1e-6)]
-            assert small.size == 0  # reporting snap removed the slivers
 
-    def test_snap_that_would_miss_the_rate_keeps_the_row(self):
+    def test_tiny_dl_share_emitted_as_certified(self):
         # user 1 is switched off (a <= aE) and carries r_min alone in a DL
-        # share of 1e-7: snapping it to 0 would drop the DL rate to 0, so the
-        # row reports its unsnapped DL fractions
+        # share of 1e-7: the emitted row keeps that share, meets the rate and
+        # is the certified point
         c, r_min = np.array([[1.0, 1e7]]), np.array([1.0])
         start = initial_rows(c, r_min)
         out = solve_rows(np.array([[10.0, 1.0]]), np.array([[1.0, 10.0]]), c, r_min, *start)
-        assert 0.0 < out.raw_tau_dl[0, 1] < SNAP_THRESHOLD
-        assert np.vecdot(c, np.where(out.raw_tau_dl < SNAP_THRESHOLD, 0.0, out.raw_tau_dl))[0] < r_min[0] - 1e-9
-        assert np.array_equal(out.tau_dl, out.raw_tau_dl)
+        assert out.tau_dl[0, 1] == pytest.approx(1e-7, rel=1e-12)
         assert np.vecdot(c, out.tau_dl)[0] >= r_min[0]
         assert out.converged[0]
 
@@ -449,6 +447,23 @@ class TestCertificateGap:
         assert gap_at(s, fs, *alloc) == math.inf
         assert solve(s, fs, start=alloc).converged
 
+    def test_dl_block_closed_form_matches_the_vertices(self):
+        # the gap's DL block (_dl_best) against the largest g . v over the
+        # vertices _dl_vertices lists: r_min at 0, at a drawn c_k (a tie),
+        # at max c and inside the range, with some c_k = 0 and g of either sign
+        rng = np.random.default_rng(48)
+        for k in range(1, 17):
+            c = 10.0 ** rng.uniform(-2.0, 1.0, (400, k))
+            c[rng.random((400, k)) < 0.2] = 0.0
+            top = c.max(axis=1)
+            r_min = np.stack([np.zeros(100), c[np.arange(100, 200), rng.integers(0, k, 100)], top[200:300],
+                              rng.uniform(0.0, 1.0, 100) * top[300:]]).ravel()
+            g = rng.choice([-1.0, 1.0], (400, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (400, k))
+            got = _dl_best(c, r_min, g)
+            for i in range(400):
+                want = float((_dl_vertices(c[i], float(r_min[i])) @ g[i]).max())
+                assert abs(got[i] - want) <= 4.0 * np.spacing(max(1.0, abs(want))), (k, i, got[i], want)
+
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
     def test_share_beyond_the_doubles_reads_as_zero(self, tiny):
         # a w / tau_ul overflows: the term is 0 to within the doubles, and its
@@ -465,9 +480,8 @@ class TestSwitchedOffUsers:
         s = scenario_with_a([40.0, 2.0], [3.0, 9.0])
         fs = fs_for(s, 0.5 * float(s.rate_coeffs().max()))
         res = solve(s, fs)
-        assert res.raw_tau_ul[1] == 0.0
         assert res.tau_ul[1] == 0.0
-        active = secrecy_capacity_user(s, 0, float(res.raw_tau_dl[0]), float(res.raw_tau_ul[0]))
+        active = secrecy_capacity_user(s, 0, float(res.tau_dl[0]), float(res.tau_ul[0]))
         assert res.objective == active
 
     def test_every_user_switched_off(self):
@@ -475,7 +489,7 @@ class TestSwitchedOffUsers:
         res = solve(s, fs_for(s, 1.0))
         assert res.objective == 0.0
         assert res.converged
-        assert np.all(res.raw_tau_ul == 0.0)
+        assert np.all(res.tau_ul == 0.0)
 
 
 class TestCertificate:
@@ -494,18 +508,18 @@ class TestCertificate:
             res = solve(s, fs)
             for out in (start, res):
                 assert best - out.objective <= out.gap_bits + 1e-12
-                assert gap_at(s, fs, out.raw_tau_dl, out.raw_tau_ul) == out.gap_bits
+                assert gap_at(s, fs, out.tau_dl, out.tau_ul) == out.gap_bits
             assert res.converged and res.gap_bits <= 1e-8
 
     def test_certified_start_returned_unchanged(self):
         s = scenario_with_a([60.0, 25.0], [2.0, 1.0])
         fs = fs_for(s, 1.5)
         first = solve(s, fs)
-        again = solve(s, fs, start=(first.raw_tau_dl, first.raw_tau_ul))
+        again = solve(s, fs, start=(first.tau_dl, first.tau_ul))
         assert first.converged and again.converged
         assert again.iterations == 0
         assert again.objective == first.objective
-        assert np.array_equal(again.raw_tau_dl, first.raw_tau_dl)
+        assert np.array_equal(again.tau_dl, first.tau_dl)
 
 
 def _fig3_problem(users, trial, index):
@@ -538,8 +552,8 @@ class TestDualEngine:
         assert c[0] == c[1] == c[2]
         fs = fs_for(s, 0.4 * float(c[0]))
         res = solve(s, fs)
-        assert res.raw_tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
-        assert res.raw_tau_ul.tolist() == [1.0, 0.0, 0.0]
+        assert res.tau_dl.tolist() == [0.0, fs.r_min / float(c[1]), 0.0]
+        assert res.tau_ul.tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     def test_dl_tie_with_a_corner_user_certified(self, share):
@@ -552,7 +566,7 @@ class TestDualEngine:
         fs = FeasibleSet(c, share * float(c.max()))
         res = solve(s, fs)
         assert res.converged and res.gap_bits <= 1e-8
-        assert res.raw_tau_ul.tolist() == [1.0, 0.0]
+        assert res.tau_ul.tolist() == [1.0, 0.0]
         assert res.objective == pytest.approx(math.log2(1.0 + float(s.a_user()[0])), rel=1e-15)
 
     def test_single_user_closed_form(self):
@@ -561,8 +575,8 @@ class TestDualEngine:
         c = float(s.rate_coeffs()[0])
         fs = fs_for(s, 0.5 * c)
         res = solve(s, fs)
-        assert res.raw_tau_ul.tolist() == [1.0]
-        assert res.raw_tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
+        assert res.tau_ul.tolist() == [1.0]
+        assert res.tau_dl[0] == pytest.approx(fs.r_min / c, rel=1e-15)
         assert res.converged and res.iterations == 1
 
 
@@ -612,7 +626,6 @@ def _adversarial_panel(seed, count, k_max):
 
 
 def _check_solver_invariants(a, a_e, fs, res):
-    assert violation(fs, res.raw_tau_dl, res.raw_tau_ul) <= 1e-8
     assert violation(fs, res.tau_dl, res.tau_ul) <= 1e-8
     start = objective_value(a, a_e, *initial_allocation(fs))
     assert res.objective >= start - 1e-12 * max(1.0, abs(start))
@@ -620,8 +633,12 @@ def _check_solver_invariants(a, a_e, fs, res):
     if res.converged:
         assert res.gap_bits <= DcaSettings().epsilon
     off = a <= a_e
-    assert np.all(res.raw_tau_ul[off] == 0.0)
     assert np.all(res.tau_ul[off] == 0.0)
+    # the emitted fractions are the certified point: its value and gap are the reported ones
+    prob = _secrecy_problem(a[None], a_e[None], fs.rate_coeffs[None], np.array([fs.r_min]))
+    dl, ul = res.tau_dl[None], res.tau_ul[None]
+    f, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    assert (f[0], prob.gap(dl, ul, g_dl, g_ul)[0]) == (res.objective, res.gap_bits)
 
 
 class TestAdversarialProperties:
@@ -667,7 +684,7 @@ class TestRowIndependence:
         tau_dl, tau_ul = initial_rows(c, r_min)
         for i in np.flatnonzero(warm):
             first = solve_rows(a[i:i + 1], a_e[i:i + 1], c[i:i + 1], r_min[i:i + 1], tau_dl[i:i + 1], tau_ul[i:i + 1])
-            tau_dl[i], tau_ul[i] = first.raw_tau_dl[0], first.raw_tau_ul[0]
+            tau_dl[i], tau_ul[i] = first.tau_dl[0], first.tau_ul[0]
             assert not first.converged[0] or solve_rows(
                 a[i:i + 1], a_e[i:i + 1], c[i:i + 1], r_min[i:i + 1], tau_dl[i:i + 1], tau_ul[i:i + 1]
             ).iterations[0] == 0  # a warm row is a certified start
@@ -686,7 +703,18 @@ class TestAdversarialPanel:
             res = solve_one(a, a_e, fs)
             _check_solver_invariants(a, a_e, fs, res)
             assert res.converged, (fs.K, fs.r_min, res.gap_bits)
-            assert math.isfinite(certificate_gap(a, a_e, fs, res.raw_tau_dl, res.raw_tau_ul))
+            assert math.isfinite(certificate_gap(a, a_e, fs, res.tau_dl, res.tau_ul))
+
+    def test_ul_sliver_emitted_as_certified(self):
+        # a panel row where user 0 keeps a UL share of 2.5e-8: zeroed, the
+        # point would be worth 9.65e-7 bits less, with a gap of 0.78 bits
+        a = np.array([1570283.745097474, 606286551168.2555])
+        a_e = np.array([4.115269602712459e-06, 0.11360380231564239])
+        fs = FeasibleSet(np.array([0.9134405588603909, 1.0972290998321415]), 0.8967401686015)
+        res = solve_one(a, a_e, fs)
+        _check_solver_invariants(a, a_e, fs, res)
+        assert res.converged and res.objective == 38.985972831201174
+        assert 0.0 < res.tau_ul[0] < 1e-6
 
 
 def _dual_panel():

@@ -5,6 +5,7 @@ responses (y, 1/s, q, d(1/s)/dlambda) at many prices, and the (tau_dl,
 tau_ul) each dual solve returns, or the error it raises.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -223,5 +224,6 @@ class TestDualSolves:
         monkeypatch.setattr(dc_solver, "_dual_solve", both)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            experiment._rmin_chain_block(load_config(overrides={"trials": "12"}, preset="fig3"), users, range(12))
+            cfg = dataclasses.replace(load_config(overrides={"trials": "12"}, preset="fig3"), users_count=users)
+            experiment._rmin_chain_block(cfg, experiment.scenario_block(cfg, range(12)))
         assert sum(k >= 2 for k in seen) >= 5

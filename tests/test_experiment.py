@@ -698,7 +698,8 @@ def _chain(cfg, users, trial):
     """(r_min, objective, gap_bits) of every row of one r_min chain, by r_min."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        chain = experiment._rmin_chain_block(cfg, users, [trial])
+        block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), [trial])
+        chain = experiment._rmin_chain_block(cfg, block)
     return sorted(zip(chain.r_min[:, 0].tolist(), chain.objective[:, 0].tolist(), chain.gap_bits[:, 0].tolist()))
 
 
@@ -814,7 +815,7 @@ def _reference_chain_rows(cfg, users, trial):
         fs = FeasibleSet(base_fs.rate_coeffs, r_min)
         result = _solve_alone(scenario, fs, cfg.solver, chain)
         if result is not None:
-            chain = (result.raw_tau_dl, result.raw_tau_ul)
+            chain = (result.tau_dl, result.tau_ul)
         rows[idx] = _reference_row(value, users, trial, scenario, fs, result)
     return [rows[i] for i in range(len(cfg.sweep_values))]
 
@@ -830,7 +831,8 @@ def _users_rows(cfg, users, trial):
 def _block_rows(cfg, users, block):
     """Per trial of the block, its rows as the sweep emits them: every CSV cell
     as ``_sweep_task`` formats it, and ``gap_bits`` read off the columns."""
-    chain = experiment._rmin_chain_block(cfg, users, block)
+    scenarios = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), block)
+    chain = experiment._rmin_chain_block(cfg, scenarios)
     labels = experiment._chain_targets(cfg, users)[0]
     lines = [list(csv.reader(experiment._chain_csv(label, users, block, chain, idx).splitlines()))
              for idx, label in enumerate(labels)]
@@ -885,10 +887,10 @@ def _pinned(table: dict):
 # sha256 of (sweep_rows.csv, sweep_agg.csv); see the pinned tests for their history
 USERS_SWEEP_DIGESTS = {
     "fraction": {
-        AVX512_TARGETS: ["45f17fac807a35050f9540fbe6c588c3d33e32192db3bd191450536c528dd1ed",
-                         "1ba2074cecbe4c01a7a4d1b3395b93c426b86cb4901902c6913ee5a1b801f020"],
-        AVX2_TARGETS: ["580cf643d57409b636375fce3d7e3025951c7076b2530b686310c00bdf5c9349",
-                       "72d553530f317bb2caf750a348d78bb4e1a3643f19d574db6c74237cfd03f25e"],
+        AVX512_TARGETS: ["9f2347206c435948fe93630046fddad287f2caf8a09792d1f95fa119a56b05b4",
+                         "72e2b3462806d95154343373b24c4ca68a0e87af765654e0ec195b9e95fcb9ca"],
+        AVX2_TARGETS: ["4882219cb0877607237f6032ed940aed2c9144d06708074fa9332fadcfbd9aa8",
+                       "b774339de5e8fa37be54b4008d1af95a38360f7f0fc3d054053df95afb6af365"],
     },
     "absolute": {
         AVX512_TARGETS: ["8fc96abb343734c9516d1f1f6d99153b301333bad2421d0bb131ae613b9e433a",
@@ -995,8 +997,13 @@ class TestBlockChain:
         most 7.1e-9 bits, and one fell by 3.3e-16 relative), and again when
         the per-user Newton response stopped on its rounding swing (one row
         of each sweep moved; both objectives fell, by 8.3e-17 and 2.8e-17
-        bits), with numpy 2.4.6 on x86_64; another numpy or BLAS may round
-        differently.
+        bits), and the fraction sweep's again when the rows became the
+        certified point, without the reporting snap (2 of its rows moved under
+        AVX-512, K = 4 trials 11 and 18, and 3 under AVX2, those and K = 2
+        trial 7: each keeps a DL share of about 2.2e-16 that the snap
+        zeroed, and its DL rate and clamped sum rise to r_min and its
+        objective, or their last bit; no objective or status moved), with
+        numpy 2.4.6 on x86_64; another numpy or BLAS may round differently.
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
@@ -1102,34 +1109,34 @@ class TestBlockChain:
 
 class TestAudit:
     @pytest.mark.parametrize("command, fault", [
-        pytest.param("sweep", fault, id=fault) for fault in ("tau_dl", "tau_ul", "rate", "start")
+        pytest.param("sweep", fault, id=fault) for fault in ("tau_dl", "tau_ul", "rate")
     ] + [
         pytest.param(command, fault, id=f"{command}-{fault}")
-        for command in ("solve", "report") for fault in ("tau_dl", "tau_ul", "rate", "start")
+        for command in ("solve", "report") for fault in ("tau_dl", "tau_ul", "rate")
     ])
     def test_nan_answer_never_reaches_the_rows(self, command, fault, tmp_path, monkeypatch):
-        # a solver that returned a nan fraction, reported fractions short of
-        # the rate target, or a raw answer (the next target's start) short of
-        # it, would be refused before any row or text is made, by every command
+        # a solver that returned a nan fraction, or fractions (each row and
+        # the next target's start) short of the rate target, would be refused
+        # before any row or text is made, by every command
         solve_rows = experiment.solve_rows
 
         def faulty(*args):
             out = solve_rows(*args)
-            if fault in ("rate", "start"):
-                name = "tau_dl" if fault == "rate" else "raw_tau_dl"
-                return dataclasses.replace(out, **{name: 0.5 * getattr(out, name)})
+            if fault == "rate":
+                return dataclasses.replace(out, tau_dl=0.5 * out.tau_dl)
             taus = getattr(out, fault).copy()
             taus[-1, 0] = math.nan
             return dataclasses.replace(out, **{fault: taus})
 
         monkeypatch.setattr(experiment, "solve_rows", faulty)
-        match = "short of r_min" if fault in ("rate", "start") else "nan or negative"
+        match = "short of r_min" if fault == "rate" else "nan or negative"
         cfg = load_config(overrides={"trials": "3", "output.dir": str(tmp_path)},
                           preset="fig3" if command == "sweep" else "fig4")
         with warnings.catch_warnings(), pytest.raises(RuntimeError, match=match):
             warnings.simplefilter("ignore")
             if command == "sweep":
-                experiment._rmin_chain_block(cfg, 2, range(3))
+                block = experiment.scenario_block(dataclasses.replace(cfg, users_count=2), range(3))
+                experiment._rmin_chain_block(cfg, block)
             else:
                 (run_solve if command == "solve" else run_report)(cfg)
         assert not os.listdir(tmp_path)  # no report written

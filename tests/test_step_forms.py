@@ -25,7 +25,8 @@ from vlcrf.link_budget import LN2
 def _chain(cfg, users, trials):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return experiment._rmin_chain_block(cfg, users, trials)
+        block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), trials)
+        return experiment._rmin_chain_block(cfg, block)
 
 
 def _check_csv(cfg, users, trials) -> str:

@@ -28,6 +28,7 @@ from vlcrf.dc_solver import (
     STATUS_MAX_ITERATIONS,
     DcaSettings,
     FeasibleSet,
+    _secrecy_problem,
     audit_rows,
 )
 from vlcrf.experiment import (
@@ -734,6 +735,27 @@ class TestChainConcavity:
             f = [obj for _, obj in sorted(chain)]
             assert all(f[i + 1] <= f[i] for i in range(len(f) - 1)), key
 
+    def test_full_fig3_preset_emits_the_certified_point(self):
+        # on every solved row of the preset's 12,000, the value and gap of the
+        # secrecy problem at the emitted fractions are the row's objective and
+        # gap_bits, bit for bit
+        cfg = load_config(preset="fig3")
+        solved = 0
+        for users in cfg.users_list:
+            block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), range(cfg.trials))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                chain = experiment._rmin_chain_block(cfg, block)
+            for idx in range(chain.r_min.shape[0]):
+                ok = chain.feasible[idx]
+                prob = _secrecy_problem(block.a[ok], block.a_e[ok], block.c[ok], chain.r_min[idx][ok])
+                dl, ul = chain.tau_dl[idx][ok], chain.tau_ul[idx][ok]
+                f, g_dl, g_ul = prob.value_and_grad(dl, ul)
+                assert np.array_equal(f, chain.objective[idx][ok]), (users, idx)
+                assert np.array_equal(prob.gap(dl, ul, g_dl, g_ul), chain.gap_bits[idx][ok]), (users, idx)
+                solved += int(ok.sum())
+        assert solved == 3 * 200 * 20
+
     def test_fig3_chains_are_monotone_and_concave(self):
         cfg = load_config(overrides={"trials": "10"}, preset="fig3")
         for users in (2, 4):
@@ -1140,6 +1162,24 @@ class TestAudit:
             else:
                 (run_solve if command == "solve" else run_report)(cfg)
         assert not os.listdir(tmp_path)  # no report written
+
+    def test_short_answer_refused_before_it_starts_the_next_target(self, monkeypatch):
+        # only the tightest target's answers fall short of the rate: the chain
+        # refuses them before the next target's solve starts from them
+        solve_rows, calls = experiment.solve_rows, []
+
+        def faulty(*args):
+            out = solve_rows(*args)
+            calls.append(len(calls))
+            return dataclasses.replace(out, tau_dl=0.5 * out.tau_dl) if len(calls) == 1 else out
+
+        monkeypatch.setattr(experiment, "solve_rows", faulty)
+        cfg = load_config(overrides={"trials": "3"}, preset="fig3")
+        block = experiment.scenario_block(dataclasses.replace(cfg, users_count=2), range(3))
+        with warnings.catch_warnings(), pytest.raises(RuntimeError, match="short of r_min"):
+            warnings.simplefilter("ignore")
+            experiment._rmin_chain_block(cfg, block)
+        assert calls == [0]
 
 
 REPORT_DIGEST = {

@@ -170,12 +170,14 @@ class RowSolutions:
     The fractions are the certified point itself: ``objective`` and
     ``gap_bits`` are its value and gap, and it is both what a caller emits
     and the next warm start.  A caller that does either runs ``audit_rows``
-    on them.
+    on them.  ``objective`` is the row sum of ``secrecy``, the certificate
+    kernel's own terms (``_Concave.value_and_grad``), the one source of every reported secrecy value.
     """
 
     tau_dl: np.ndarray
     tau_ul: np.ndarray
     objective: np.ndarray
+    secrecy: np.ndarray       # (N, K) per-user terms, 0 off the active users and at tau_ul = 0
     gap_bits: np.ndarray      # certificate: objective >= optimum - gap_bits
     iterations: np.ndarray    # engine passes: 0 (certified start) or 1 (dual solve)
     converged: np.ndarray     # gap_bits <= epsilon: status "converged", else "max_iterations"
@@ -358,12 +360,14 @@ class _Concave:
         return _repair_dl(dl, self.c, self.r_min), _repair_ul(ul, self.on)
 
     def value_and_grad(self, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Objective per row and a supergradient of it, 0 off ``on``.
+        """The per-user terms u_k - v_k, (N, K), whose row sum is the objective,
+        and a supergradient of it; all three are 0 off ``on``.
 
         The user's and the eavesdropper's terms are one (2, N, K) pass of
         ``perspective_terms``, one logarithm per term.  Where tau_ul = 0 or
         a w / tau_ul overflows, a term's value and UL gradient are not
-        finite, and the term is dropped.
+        finite, and the term is dropped (it is 0; where a w / tau_ul
+        overflows, the closure's value would be below 6e-306 a w bits).
 
         There a term is 0, and its superdifferential is that of the
         perspective's closure: with w = 1 - tau_dl > 0 the limit
@@ -384,7 +388,7 @@ class _Concave:
         corner = zero & (w <= 0.0) & (limit > lam)
         g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
         g_dl = np.where(share, g_dl, np.where(corner, (self.a_e - self.a) / LN2, 0.0))
-        return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
+        return np.where(share, value, 0.0), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
         """Frank-Wolfe gap per row: the UL block's best vertex is 0 or one active user's e_k.
@@ -617,24 +621,24 @@ def solve_rows(
     runs once, warm-started from the start's largest active UL gradient,
     and its point, put back on the polytope, replaces the start when its
     objective is at least as high, so no answer falls below its start.
-    The returned fractions are the point whose objective and gap are
-    returned, bit for bit.
+    The returned fractions are the point whose objective, per-user terms
+    and gap are returned, bit for bit.
     """
     prob = _secrecy_problem(a, a_e, rate_coeffs, r_min)
     dl, ul = prob.repair(tau_dl, tau_ul)
-    f, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    terms, g_dl, g_ul = prob.value_and_grad(dl, ul)
     gap = prob.gap(dl, ul, g_dl, g_ul)
-    passes = np.zeros(f.size, dtype=np.int64)
+    passes = np.zeros(gap.size, dtype=np.int64)
     todo = np.flatnonzero(~(gap <= settings.epsilon))
     if todo.size:
         sub = prob.take(todo)
         lam = np.where(sub.on, g_ul[todo], -np.inf).max(axis=1)
         points = [_dual_solve(sub, i, float(lam[i]), settings.max_iterations) for i in range(todo.size)]
         n_dl, n_ul = sub.repair(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
-        f_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
+        terms_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
         gap_n = sub.gap(n_dl, n_ul, gn_dl, gn_ul)
-        better = f_n >= f[todo]
+        better = terms_n.sum(axis=1) >= terms[todo].sum(axis=1)
         rows = todo[better]
-        dl[rows], ul[rows], f[rows], gap[rows] = n_dl[better], n_ul[better], f_n[better], gap_n[better]
+        dl[rows], ul[rows], terms[rows], gap[rows] = n_dl[better], n_ul[better], terms_n[better], gap_n[better]
         passes[todo] = 1
-    return RowSolutions(dl, ul, f, gap, passes, gap <= settings.epsilon)
+    return RowSolutions(dl, ul, terms.sum(axis=1), terms, gap, passes, gap <= settings.epsilon)

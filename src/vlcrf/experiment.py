@@ -67,7 +67,7 @@ from vlcrf.dc_solver import (
     initial_rows,
     solve_rows,
 )
-from vlcrf.link_budget import clamped_secrecy_rows, rate_coefficients, secrecy_rows, snr_constants
+from vlcrf.link_budget import rate_coefficients, snr_constants
 from vlcrf.reference_oracle import GridSpec, compare, grid_search
 from vlcrf.rf_channel import (
     MIXING_NORMALIZED,
@@ -631,6 +631,7 @@ class ChainBlock:
     r_min: np.ndarray         # (T, N)
     feasible: np.ndarray      # (T, N) bool
     objective: np.ndarray     # (T, N)
+    secrecy: np.ndarray       # (T, N, K) per-user secrecy terms u_k - v_k (``RowSolutions.secrecy``)
     clamped: np.ndarray       # (T, N) clamped secrecy sum
     dl_rate: np.ndarray       # (T, N) achieved DL sum rate
     tau_dl: np.ndarray        # (T, N, K) certified fractions
@@ -656,8 +657,9 @@ def _rmin_chain_block(cfg: ExperimentConfig, block: ScenarioBlock) -> ChainBlock
     trial's best rate gives an infeasible row and leaves its chain as it
     was.  One ``solve_rows`` call per target solves the block's feasible
     trials together, and ``dc_solver.audit_rows`` checks its answers, which
-    are both that target's rows and the next target's starts, once; a row
-    is what the chain of its trial alone gives, byte for byte.
+    are both that target's rows and the next target's starts, once; its
+    metrics (the solver's secrecy terms, their ``_clamped_sum``, c . tau_dl)
+    come per target.  A row is what the chain of its trial alone gives, byte for byte.
     """
     a, a_e, c = block.a, block.a_e, block.c
     n, k = c.shape
@@ -665,6 +667,7 @@ def _rmin_chain_block(cfg: ExperimentConfig, block: ScenarioBlock) -> ChainBlock
     r_min_t, feasible = _chain_rates(cfg, c)
     shape = feasible.shape
     objective, clamped, dl_rate, gap_bits = (np.full(shape, np.nan) for _ in range(4))
+    secrecy = np.full(shape + (k,), np.nan)
     tau_dl, tau_ul = np.zeros(shape + (k,)), np.zeros(shape + (k,))
     iterations = np.zeros(shape, dtype=np.int64)
     converged = np.zeros(shape, dtype=bool)
@@ -685,19 +688,23 @@ def _rmin_chain_block(cfg: ExperimentConfig, block: ScenarioBlock) -> ChainBlock
         out = solve_rows(a[live], a_e[live], c[live], r_min[live], chain_dl[live], chain_ul[live], cfg.solver)
         audit_rows(c[live], r_min[live], out.tau_dl, out.tau_ul)
         chain_dl[live], chain_ul[live] = out.tau_dl, out.tau_ul
-        objective[idx, live] = out.objective
+        objective[idx, live], secrecy[idx, live] = out.objective, out.secrecy
+        clamped[idx, live] = _clamped_sum(out.secrecy)
+        dl_rate[idx, live] = np.vecdot(c[live], out.tau_dl)  # the DL sum rate, the linear form c . tau_dl
         tau_dl[idx, live], tau_ul[idx, live] = out.tau_dl, out.tau_ul
         iterations[idx, live] = out.iterations
         converged[idx, live] = out.converged
         gap_bits[idx, live] = out.gap_bits
-    # the rows' metrics, once for the block: each is row-wise, so no row's
-    # bits depend on the rows beside it
-    at = np.nonzero(feasible)[1]             # each solved row's trial in the block
-    dl, ul = tau_dl[feasible], tau_ul[feasible]
-    clamped[feasible] = clamped_secrecy_rows(a[at], a_e[at], dl, ul)
-    dl_rate[feasible] = np.vecdot(c[at], dl)  # the DL sum rate, the linear form c . tau_dl
-    return ChainBlock(r_min_t, feasible, objective, clamped, dl_rate, tau_dl, tau_ul,
+    return ChainBlock(r_min_t, feasible, objective, secrecy, clamped, dl_rate, tau_dl, tau_ul,
                       iterations, converged, gap_bits)
+
+
+def _clamped_sum(secrecy: np.ndarray) -> np.ndarray:
+    """Per row, the sum of max(u_k - v_k, 0), added in user order (the CSV bytes depend on it)."""
+    total = np.zeros(secrecy.shape[0])
+    for term in np.maximum(secrecy, 0.0).T:
+        total += term
+    return total
 
 
 ROW_COLUMNS = (
@@ -867,7 +874,8 @@ REPORT_COLUMNS = (
 
 def run_report(cfg: ExperimentConfig) -> dict:
     """Solve the seeded scenario as ``run_solve`` does and emit the per-user slot
-    report; returns its "report_path", and ``run_solve``'s "status", "r_min" and "dark"."""
+    report; returns its "report_path", and ``run_solve``'s "status", "r_min" and "dark".
+    ``secrecy_bits`` are trial 0's terms of the chain (``ChainBlock.secrecy``), which sum to ``objective_bits``."""
     _make_output_dir(cfg.output_dir)
     out = run_solve(cfg)
     block, chain, status, r_min = out["block"], out["chain"], out["status"], out["r_min"]
@@ -876,9 +884,8 @@ def run_report(cfg: ExperimentConfig) -> dict:
     if status == STATUS_INFEASIBLE:
         _write_csv(path, f"# infeasible: r_min = {_fmt(r_min)}", REPORT_COLUMNS, "")
         return info
-    tau_dl, tau_ul = chain.tau_dl[0], chain.tau_ul[0]
-    secrecy = secrecy_rows(block.a, block.a_e, tau_dl, tau_ul)[0].tolist()
-    columns = zip(tau_dl[0].tolist(), tau_ul[0].tolist(), block.g[0].tolist(), block.c[0].tolist(), secrecy)
+    columns = zip(chain.tau_dl[0, 0].tolist(), chain.tau_ul[0, 0].tolist(), block.g[0].tolist(),
+                  block.c[0].tolist(), chain.secrecy[0, 0].tolist())
     rows = [",".join(_fmt(v) for v in (k, dl, ul, g, c, s, max(0.0, s))) + "\n"
             for k, (dl, ul, g, c, s) in enumerate(columns)]
     comment = (

@@ -9,6 +9,8 @@ perspective terms
 with a_k = eta I_D^2 g_k^2 h_k^2 / sigma_ul^2 and aE_k the analogous
 eavesdropper constant.  Both terms are concave with rank-one Hessians and
 extend continuously to 0 at tau_ul = 0.  Rates are in bits (log base 2).
+``perspective_terms`` states a term and its partials once, for the solver's
+certificate kernel, whose per-user terms are every reported secrecy value.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def rate_coefficients(p_led: float, g: np.ndarray, sigma2_dl) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the perspective-term kernel: ``perspective_terms`` is its one statement,
-# read by the solver's gradient kernel and by ``perspective_value``
+# read by the solver's certificate kernel
 # ---------------------------------------------------------------------------
 
 def perspective_terms(a, leftover, tau_ul):
@@ -56,8 +58,9 @@ def perspective_terms(a, leftover, tau_ul):
         d/dtau_ul = log2(1 + a w / t) - a w / (ln2 (t + a w))
 
     No closure: the value and d/dtau_ul are not finite at t = 0 and where
-    a w / t overflows, the signal ``perspective_value`` and the solver's
-    gradient kernel read.  Scalars or broadcastable arrays; no warnings.
+    a w / t overflows, the signal on which the solver's certificate kernel
+    (``dc_solver._Concave.value_and_grad``) drops a term.  Scalars or
+    broadcastable arrays; no warnings.
     """
     t = np.asarray(tau_ul, dtype=np.float64)
     prod = a * leftover
@@ -65,47 +68,3 @@ def perspective_terms(a, leftover, tau_ul):
         log_term = np.log1p(prod / t)
         scaled = LN2 * (t + prod)
         return t * log_term / LN2, -a * t / scaled, log_term / LN2 - prod / scaled
-
-
-def perspective_value(a, leftover, tau_ul):
-    """tau_ul * log2(1 + a * leftover / tau_ul), extended with 0 at tau_ul = 0.
-
-    ``perspective_terms``' value, with its closure: 0 at tau_ul = 0, and
-    where a * leftover / tau_ul overflows (a tiny positive share, where the
-    value reads inf) the log is taken as ln(a * leftover) - ln(tau_ul):
-    there log1p(x) and ln(x) agree to double precision.
-    Scalars or broadcastable arrays; a scalar result is a numpy float.
-    """
-    t = np.asarray(tau_ul, dtype=np.float64)
-    value = perspective_terms(a, leftover, t)[0]
-    over = value == np.inf
-    if over.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(over, t * (np.log(a * leftover) - np.log(t)) / LN2, value)
-    return np.where(t > 0.0, value, 0.0)[()]
-
-
-def secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """Secrecy capacity u_k - v_k of every user of N allocations: (N, K), signed, bits/s/Hz.
-
-    (N, K) SNR constants a and aE (``snr_constants``) and fractions; at
-    tau_ul = 0 a term takes its continuous extension 0.  The values are not
-    clamped at zero: the solver maximizes the unclamped sum, which is
-    concave once the users with a_k <= aE_k are switched off; only the
-    reporting side clamps (``clamped_secrecy_rows``).
-    """
-    if np.any(tau_dl > 1.0):
-        raise ValueError("tau_dl entries must lie in [0, 1]")
-    leftover = 1.0 - tau_dl
-    return perspective_value(a, leftover, tau_ul) - perspective_value(a_e, leftover, tau_ul)
-
-
-def clamped_secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
-    """Reporting-side sum of max(C_S_k, 0) of N allocations: ``secrecy_rows``
-    clamped at 0, one sum per row, added user by user in user order (the
-    CSV bytes depend on it); the optimizer never clamps."""
-    terms = np.maximum(secrecy_rows(a, a_e, tau_dl, tau_ul), 0.0)
-    total = np.zeros(terms.shape[0])
-    for k in range(terms.shape[1]):
-        total += terms[:, k]
-    return total

@@ -1,7 +1,7 @@
 """The paper's per-user model as scalar functions, the tests' reference.
 
 No command calls these: the program works on (N, K) rows (``scenario_block``,
-``solve_rows``, ``secrecy_rows``).  The tests keep them as a readable
+``solve_rows``).  The tests keep them as a readable
 statement of the model's equations, one user or one problem at a time:
 
 - one scenario's channel state and its SNR constants and rate coefficients
@@ -10,7 +10,11 @@ statement of the model's equations, one user or one problem at a time:
 - the energy a user harvests while it does not receive, and its uplink
   power and energy (``harvested_energy``, ``ul_power``, ``ul_energy``);
 - the secrecy capacity of one user and the objective of an allocation
-  (``secrecy_capacity_user``, ``objective_value``);
+  (``secrecy_capacity_user``, ``objective_value``), and the signed and
+  clamped secrecy of rows of allocations (``secrecy_rows``,
+  ``clamped_secrecy_rows``): the reporting closure the program evaluated
+  after each solve until the certificate kernel's own per-user terms
+  (``RowSolutions.secrecy``) became the reported ones;
 - the angles of an LED-to-user link (``link_angles``);
 - the solver's deterministic start and its feasibility repairs for one
   problem (``initial_allocation``, ``project_onto_feasible``);
@@ -23,8 +27,9 @@ statement of the model's equations, one user or one problem at a time:
 - the perspective term and its partials as the program wrote them before
   ``link_budget.perspective_terms`` stated them once: the lines the
   solver's gradient kernel fused over the (2, N, K) pair of user and
-  eavesdropper (``fused_terms``), and the bodies of ``perspective_value``
-  and ``perspective_grads`` (``split_value``, ``split_grads``).
+  eavesdropper (``fused_terms``), the term with its closure
+  (``perspective_value``: 0 at tau_ul = 0, the ln form where a w / tau_ul
+  overflows) and the partials (``split_grads``).
 """
 
 import dataclasses
@@ -41,7 +46,7 @@ from vlcrf.dc_solver import (
     initial_rows,
     solve_rows,
 )
-from vlcrf.link_budget import LN2, perspective_value, rate_coefficients, snr_constants
+from vlcrf.link_budget import LN2, rate_coefficients, snr_constants
 from vlcrf.rf_channel import MIXING_NORMALIZED, RicianConfig, los_component, mixing_weights, rician_mix
 from vlcrf.vlc_channel import CONCENTRATOR_CONSTANT, LedConfig, PhotodiodeConfig, Vec3, _ray_angles, ray_gain
 
@@ -144,6 +149,28 @@ def secrecy_capacity_user(s: Channels, k: int, tau_dl_k: float, tau_ul_k: float)
     a = float(s.a_user()[k])
     a_e = float(s.a_eve()[k])
     return perspective_value(a, leftover, tau_ul_k) - perspective_value(a_e, leftover, tau_ul_k)
+
+
+def secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """Secrecy capacity u_k - v_k of every user of N allocations: (N, K), signed, bits/s/Hz.
+
+    (N, K) SNR constants and fractions; at tau_ul = 0 a term takes its
+    continuous extension 0, and where a w / tau_ul overflows its ln form.
+    """
+    if np.any(tau_dl > 1.0):
+        raise ValueError("tau_dl entries must lie in [0, 1]")
+    leftover = 1.0 - tau_dl
+    return perspective_value(a, leftover, tau_ul) - perspective_value(a_e, leftover, tau_ul)
+
+
+def clamped_secrecy_rows(a: np.ndarray, a_e: np.ndarray, tau_dl: np.ndarray, tau_ul: np.ndarray) -> np.ndarray:
+    """Sum of max(C_S_k, 0) of N allocations: ``secrecy_rows`` clamped at 0,
+    one sum per row, added user by user in user order."""
+    terms = np.maximum(secrecy_rows(a, a_e, tau_dl, tau_ul), 0.0)
+    total = np.zeros(terms.shape[0])
+    for k in range(terms.shape[1]):
+        total += terms[:, k]
+    return total
 
 
 def objective_value(a, a_e, tau_dl, tau_ul) -> float:
@@ -268,7 +295,7 @@ def fused_terms(pair: np.ndarray, w: np.ndarray, ul: np.ndarray) -> tuple[np.nda
     return value, d_dl, d_ul
 
 
-def split_value(a, leftover, tau_ul):
+def perspective_value(a, leftover, tau_ul):
     """tau_ul * log2(1 + a * leftover / tau_ul), 0 at tau_ul = 0, the ln form on overflow."""
     t = np.asarray(tau_ul, dtype=np.float64)
     positive = t > 0.0

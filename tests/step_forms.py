@@ -2,9 +2,9 @@
 
 ``chain_csv`` is ``experiment._chain_csv`` as it went through
 ``csv.writer``, and ``value_and_grad`` is ``dc_solver._Concave.value_and_grad``
-as it called ``perspective_value`` and ``perspective_grads`` (the partials
-of ``perspective_terms``) once per term, each taking log1p(a w / tau_ul) on
-its own.  The fused forms must give
+as it called ``perspective_value`` (now ``model_reference``'s) and
+``perspective_grads`` (the partials of ``perspective_terms``) once per term,
+each taking log1p(a w / tau_ul) on its own.  The fused forms must give
 these bytes and bits exactly.  Both kernels now read
 ``link_budget.perspective_terms``; ``model_reference`` keeps the expressions
 it replaced, and ``test_link_budget`` compares them.
@@ -18,7 +18,8 @@ import numpy as np
 
 from vlcrf.dc_solver import STATUS_CONVERGED, STATUS_INFEASIBLE, STATUS_MAX_ITERATIONS
 from vlcrf.experiment import _fmt
-from vlcrf.link_budget import LN2, perspective_terms, perspective_value
+from model_reference import perspective_value
+from vlcrf.link_budget import LN2, perspective_terms
 
 
 def chain_csv(label, users: int, trials, chain, idx: int) -> str:
@@ -53,7 +54,7 @@ def same_bits(got, want) -> bool:
 
 
 def value_and_grad(prob, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective per row of the ``_Concave`` ``prob`` and a supergradient of it, 0 off ``on``."""
+    """Per-user terms of the ``_Concave`` ``prob`` and a supergradient of their sum, 0 off ``on``."""
     on, a, a_e = prob.on, prob.a, prob.a_e
     w = 1.0 - dl
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -68,4 +69,4 @@ def value_and_grad(prob, dl: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np
     corner = zero & (w <= 0.0) & (limit > lam)
     g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
     g_dl = np.where(share, g_dl, np.where(corner, (a_e - a) / LN2, 0.0))
-    return np.where(share, value, 0.0).sum(axis=1), g_dl, g_ul
+    return np.where(share, value, 0.0), g_dl, g_ul

@@ -637,8 +637,9 @@ def _check_solver_invariants(a, a_e, fs, res):
     # the emitted fractions are the certified point: its value and gap are the reported ones
     prob = _secrecy_problem(a[None], a_e[None], fs.rate_coeffs[None], np.array([fs.r_min]))
     dl, ul = res.tau_dl[None], res.tau_ul[None]
-    f, g_dl, g_ul = prob.value_and_grad(dl, ul)
-    assert (f[0], prob.gap(dl, ul, g_dl, g_ul)[0]) == (res.objective, res.gap_bits)
+    terms, g_dl, g_ul = prob.value_and_grad(dl, ul)
+    assert (terms.sum(axis=1)[0], prob.gap(dl, ul, g_dl, g_ul)[0]) == (res.objective, res.gap_bits)
+    assert terms[0].tolist() == res.secrecy.tolist()
 
 
 class TestAdversarialProperties:

@@ -30,6 +30,7 @@ from vlcrf.dc_solver import (
     FeasibleSet,
     _secrecy_problem,
     audit_rows,
+    solve_rows,
 )
 from vlcrf.experiment import (
     PRESETS,
@@ -42,8 +43,16 @@ from vlcrf.experiment import (
     run_solve,
     run_sweep,
 )
-from model_reference import Channels, feasible, sample_rician_gain, solve_one, violation, vlc_channel_gain
-from vlcrf.link_budget import clamped_secrecy_rows
+from model_reference import (
+    Channels,
+    clamped_secrecy_rows,
+    feasible,
+    sample_rician_gain,
+    secrecy_rows,
+    solve_one,
+    violation,
+    vlc_channel_gain,
+)
 from vlcrf.reference_oracle import GridSpec
 from vlcrf.rf_channel import RicianConfig
 from vlcrf.vlc_channel import LedConfig, PhotodiodeConfig, Vec3
@@ -750,11 +759,50 @@ class TestChainConcavity:
                 ok = chain.feasible[idx]
                 prob = _secrecy_problem(block.a[ok], block.a_e[ok], block.c[ok], chain.r_min[idx][ok])
                 dl, ul = chain.tau_dl[idx][ok], chain.tau_ul[idx][ok]
-                f, g_dl, g_ul = prob.value_and_grad(dl, ul)
-                assert np.array_equal(f, chain.objective[idx][ok]), (users, idx)
+                terms, g_dl, g_ul = prob.value_and_grad(dl, ul)
+                assert np.array_equal(terms.sum(axis=1), chain.objective[idx][ok]), (users, idx)
                 assert np.array_equal(prob.gap(dl, ul, g_dl, g_ul), chain.gap_bits[idx][ok]), (users, idx)
                 solved += int(ok.sum())
         assert solved == 3 * 200 * 20
+
+    def test_full_fig3_preset_reports_the_kernel_terms(self, tmp_path, monkeypatch):
+        # every row of the preset's 12,000 that the sweep writes: its
+        # clamped_secrecy_sum is the user-order sum of max(term, 0) over the
+        # secrecy terms solve_rows returned for it, and those terms add up to
+        # its objective and are the reporting closure's (model_reference), bit
+        # for bit
+        solved = {}
+
+        def recording(a, a_e, c, r_min, *args):
+            out = solve_rows(a, a_e, c, r_min, *args)
+            for n, (r, terms) in enumerate(zip(r_min.tolist(), out.secrecy.tolist())):
+                total = 0.0
+                for term in terms:
+                    total += max(term, 0.0)
+                solved[(a.shape[1], n, r)] = total, out.objective[n], terms, out.tau_dl[n], out.tau_ul[n], a[n], a_e[n]
+            return out
+
+        monkeypatch.setattr(experiment, "solve_rows", recording)
+        cfg = load_config(overrides={"output.dir": str(tmp_path), "runtime.workers": "1"}, preset="fig3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = read_rows(run_sweep(cfg)["rows_path"])
+        assert len(rows) == len(solved) == 3 * 200 * 20
+        for row in rows:
+            total, objective, terms, dl, ul, a, a_e = solved[(int(row["users"]), int(row["trial"]), float(row["r_min"]))]
+            assert row["clamped_secrecy_sum"] == repr(total) and row["objective_bits"] == repr(float(objective))
+            assert np.sum(terms) == objective
+            assert secrecy_rows(a[None], a_e[None], dl[None], ul[None])[0].tolist() == terms, row
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4"])
+    def test_report_secrecy_is_the_kernel_terms(self, tmp_path, preset):
+        # the report's secrecy_bits are trial 0's secrecy terms as the chain
+        # holds them from solve_rows, and clamped_secrecy_bits those clamped at 0
+        cfg = load_config(overrides={"output.dir": str(tmp_path)}, preset=preset)
+        rows = read_rows(run_report(cfg)["report_path"])
+        terms = run_solve(cfg)["chain"].secrecy[0, 0].tolist()
+        assert [r["secrecy_bits"] for r in rows] == [repr(t) for t in terms]
+        assert [r["clamped_secrecy_bits"] for r in rows] == [repr(max(0.0, t)) for t in terms]
 
     def test_fig3_chains_are_monotone_and_concave(self):
         cfg = load_config(overrides={"trials": "10"}, preset="fig3")

@@ -12,14 +12,16 @@ from model_reference import (
     fused_terms,
     harvested_energy,
     objective_value,
+    perspective_value,
     secrecy_capacity_user,
     split_grads,
-    split_value,
     ul_energy,
     ul_power,
 )
 from step_forms import same_bits
-from vlcrf.link_budget import clamped_secrecy_rows, perspective_terms, perspective_value, secrecy_rows
+from vlcrf.dc_solver import _secrecy_problem
+from vlcrf.experiment import _clamped_sum
+from vlcrf.link_budget import perspective_terms
 
 G_CENTER = 2.0 * 1e-4 * 0.54 / (2.0 * math.pi * 9.0) * 3.0  # Table-style device, 3 m beneath
 
@@ -38,10 +40,15 @@ def scenario(g, h, h_e, sigma2_ul=1e-14, sigma2_e=1e-14, eta=0.44, i_d=2.0):
     )
 
 
+def kernel_terms(a, a_e, tau_dl, tau_ul):
+    """The certificate kernel's per-user secrecy terms (``_Concave.value_and_grad``) of rows of allocations."""
+    a, a_e, dl, ul = (np.array(x, dtype=float, ndmin=2) for x in (a, a_e, tau_dl, tau_ul))
+    return _secrecy_problem(a, a_e, np.ones_like(a), np.zeros(a.shape[0])).value_and_grad(dl, ul)[0]
+
+
 def clamped_sum(s, tau_dl, tau_ul):
-    """``clamped_secrecy_rows`` of one allocation, as a float."""
-    rows = [np.asarray(x, dtype=float)[None] for x in (s.a_user(), s.a_eve(), tau_dl, tau_ul)]
-    return float(clamped_secrecy_rows(*rows)[0])
+    """The sweep rows' clamped secrecy sum of one allocation, from the kernel's terms, as a float."""
+    return float(_clamped_sum(kernel_terms(s.a_user(), s.a_eve(), tau_dl, tau_ul))[0])
 
 
 def scenario_with_a(a_values, ae_values):
@@ -180,7 +187,9 @@ class TestSecrecyCapacity:
 
     def test_clamped_sum_matches_per_user_loop(self):
         # same arithmetic as summing max(0, secrecy_capacity_user) user by
-        # user, and secrecy_rows gives each user's signed term with its bits
+        # user, and the kernel gives each active user's signed term with its
+        # bits (a switched-off user, a <= aE, reads 0: the solver gives it no
+        # uplink, where its term is 0)
         rng = np.random.default_rng(21)
         for _ in range(200):
             k = int(rng.integers(1, 9))
@@ -189,8 +198,9 @@ class TestSecrecyCapacity:
             ul = rng.dirichlet(np.ones(k + 1))[:k]
             ul[rng.random(k) < 0.2] = 0.0
             per_user = [secrecy_capacity_user(s, j, float(dl[j]), float(ul[j])) for j in range(k)]
-            rows = secrecy_rows(s.a_user()[None], s.a_eve()[None], dl[None], ul[None])
-            assert rows.shape == (1, k) and rows[0].tolist() == per_user
+            rows = kernel_terms(s.a_user(), s.a_eve(), dl, ul)
+            on = s.a_user() > s.a_eve()
+            assert rows.shape == (1, k) and rows[0].tolist() == np.where(on, per_user, 0.0).tolist()
             total = 0.0
             for value in per_user:
                 total += max(0.0, value)
@@ -207,6 +217,8 @@ class TestPerspectiveOverflow:
         per_user = [secrecy_capacity_user(s, k, 0.0, ul[k]) for k in range(2)]
         # t log2(1 + a / t) - t log2(1 + aE / t) = t log2(a / aE) to double precision at t = 1e-300
         assert per_user[0] == pytest.approx(1e-300 * math.log2(a[0] / ae[0]), rel=1e-12)
+        # the kernel drops that term, 2e-299 bits, and keeps the other one bit for bit
+        assert kernel_terms(a, ae, dl, ul).tolist() == [[0.0, per_user[1]]]
         assert per_user[1] == pytest.approx(0.5 * math.log2((1 + 2 * a[1]) / (1 + 2 * ae[1])), rel=1e-12)
         assert objective_value(a, ae, dl, ul) == pytest.approx(sum(per_user), rel=1e-12)
         assert clamped_sum(s, dl, ul) == pytest.approx(sum(per_user), rel=1e-12)
@@ -258,7 +270,6 @@ class TestPerspectiveTerms:
                 want = split_grads(x, w, t)
             for got, want_one in zip(perspective_terms(x, w, t)[1:], want):
                 assert same_bits(got, want_one)
-            assert same_bits(perspective_value(x, w, t), split_value(x, w, t))
             # the signal the gradient kernel reads: value and d/dtau_ul are
             # not finite exactly at t = 0 and where a w / t overflows
             value, d_dl, d_ul = perspective_terms(x, w, t)
@@ -267,6 +278,12 @@ class TestPerspectiveTerms:
             assert np.array_equal(~np.isfinite(value), closure)
             assert np.array_equal(~np.isfinite(d_ul), closure)
             assert np.isfinite(d_dl[t > 0.0]).all()
+            # elsewhere the value is the closed term's, bit for bit; where the
+            # kernel drops it, the closure reads 0 (t = 0) or, on overflow,
+            # t log2(a w / t) <= a w 1024 / 2**1024, below 6e-306 a w
+            closed = perspective_value(x, w, t)
+            assert same_bits(value[~closure], closed[~closure])
+            assert ((closed[closure] >= 0.0) & (closed[closure] <= 6e-306 * (x * w)[closure])).all()
 
     def test_closure_entries(self):
         # t = 0: 0 * inf and 0 / 0; a w / t beyond the doubles: inf

@@ -1,7 +1,7 @@
 """The fused CSV lines and gradient kernel against their earlier forms (``step_forms``).
 
 Every comparison is ==: the CSV text of a target's rows must be the bytes
-``csv.writer`` wrote, and the objective and supergradient of
+``csv.writer`` wrote, and the per-user terms and supergradient of
 ``_Concave.value_and_grad`` the bits of the two-pass kernel, nan where it
 had nan and each zero with its sign.
 """
@@ -84,7 +84,8 @@ class TestChainCsv:
             return np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))).reshape(1, rows)
 
         chain = ChainBlock(
-            r_min=column(1, rows), feasible=flags(), objective=column(1, rows), clamped=column(1, rows),
+            r_min=column(1, rows), feasible=flags(), objective=column(1, rows),
+            secrecy=column(1, rows, users), clamped=column(1, rows),
             dl_rate=column(1, rows), tau_dl=column(1, rows, users), tau_ul=column(1, rows, users),
             iterations=np.array([data.draw(st.lists(st.integers(0, 10**6), min_size=rows, max_size=rows))]),
             converged=flags(), gap_bits=column(1, rows),
@@ -116,12 +117,12 @@ class TestValueAndGrad:
     def test_overflowing_ratio(self):
         # a w / tau_ul is 1e312: the term is dropped as at tau_ul = 0
         value, _, g_ul = _check_kernel([1e12, 1e3], [1e6, 1.0], [0.0, 0.5], [1e-300, 0.5])
-        assert math.isfinite(value[0]) and g_ul[0, 0] == np.log2(1e6)
+        assert value[0, 0] == 0.0 and math.isfinite(value[0, 1]) and g_ul[0, 0] == np.log2(1e6)
 
     def test_eavesdropper_without_gain(self):
         value, _, g_ul = _check_kernel([[5.0, 2.0], [5.0, 2.0]], [[0.0, 0.0], [0.0, 1.0]],
                                        [[0.2, 0.3], [0.2, 0.3]], [[0.0, 0.4], [0.6, 0.4]])
-        assert g_ul[0, 0] == np.inf and math.isfinite(value[1])
+        assert g_ul[0, 0] == np.inf and np.isfinite(value[1]).all()
 
     @pytest.mark.parametrize("a0, takes_slope", [(1e9, True), (1.5, False)])
     def test_corner_without_leftover(self, a0, takes_slope):

@@ -117,6 +117,7 @@ STATUS_INFEASIBLE = "infeasible"
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
+LAM_MAX = 708.0             # the lambda search (nats) stays below it: every e^(lam + 1) is finite
 AUDIT_SUM_SLACK = 1e-9      # an emitted row's budget sums may exceed 1 by this
 AUDIT_RATE_TOL = 1e-8       # and its DL rate fall short of r_min by this, relative to max(1, r_min)
 
@@ -380,14 +381,14 @@ class _Concave:
         """
         on, limit = self.on, self.limit
         w = 1.0 - dl
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # (aE - a) / ln2 may overflow too
             value, g_dl, g_ul = (x[0] - x[1] for x in perspective_terms(self.pair, w, ul))
-        share = on & np.isfinite(g_ul)
-        zero = on & ~share
-        lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
-        corner = zero & (w <= 0.0) & (limit > lam)
-        g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
-        g_dl = np.where(share, g_dl, np.where(corner, (self.a_e - self.a) / LN2, 0.0))
+            share = on & np.isfinite(g_ul)
+            zero = on & ~share
+            lam = np.where(share, g_ul, -np.inf).max(axis=1, keepdims=True)
+            corner = zero & (w <= 0.0) & (limit > lam)
+            g_ul = np.where(share, g_ul, np.where(zero & ~corner, limit, 0.0))
+            g_dl = np.where(share, g_dl, np.where(corner, (self.a_e - self.a) / LN2, 0.0))
         return np.where(share, value, 0.0), g_dl, g_ul
 
     def gap(self, dl: np.ndarray, ul: np.ndarray, g_dl: np.ndarray, g_ul: np.ndarray) -> np.ndarray:
@@ -519,12 +520,14 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     users = prob.users[:, row, on].tolist()
     rho, y_max = users[1], users[2]
     lo, hi = 0.0, y_max[rho.index(min(rho))]        # above hi every user is saturated
-    lam *= LN2
+    lam = min(lam * LN2, LAM_MAX)
     if not 0.0 < lam < hi:
         lam = 0.5 * hi if math.isfinite(hi) else 1.0
     w_on = 1.0 - v_on                                # F-ordered, as v_on
     w_rows = w_on.tolist()
     y_right = [math.inf] * len(rho)
+    # a, aE near the doubles' limits give inf or nan shares, which the
+    # caller's keep-better test and certificate refuse
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_steps):
             y, inv_s, q, d_inv_s = _respond(users, lam, y_right)
@@ -564,32 +567,34 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
                         if nxt < cross < lam:
                             nxt = cross
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
+                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else min(2.0 * lam, LAM_MAX)
             if nxt == lam or not lo < nxt < hi:
                 break
             lam = nxt
-    if U[big] > U[small]:
-        theta = min(1.0, max(0.0, (1.0 - U[small]) / (U[big] - U[small])))
-    else:
-        theta = 1.0
-    dl = theta * vertices[big] + (1.0 - theta) * vertices[small]
-    w = 1.0 - dl[on]
-    ul, d_ul = w * np.array(inv_s), w * np.array(d_inv_s)
-    # Near saturation tau_ul moves by 1e-6 and more per ulp of lambda, so
-    # sum(tau_ul) = 1 may lie between two doubles.  One linearised lambda
-    # step, taken on the shares themselves, closes the budget: it goes to
-    # the users whose shares move fastest, whose UL gradients are flat.
-    free = ul > 0.0
-    slope = d_ul[free].sum()
-    if slope < 0.0:
-        ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, 0.0).sum()) / slope)
+        if U[big] > U[small]:
+            theta = min(1.0, max(0.0, (1.0 - U[small]) / (U[big] - U[small])))
+        else:
+            theta = 1.0
+        dl = theta * vertices[big] + (1.0 - theta) * vertices[small]
+        w = 1.0 - dl[on]
+        ul, d_ul = w * np.array(inv_s), w * np.array(d_inv_s)
+        # Near saturation tau_ul moves by 1e-6 and more per ulp of lambda, so
+        # sum(tau_ul) = 1 may lie between two doubles.  One linearised lambda
+        # step, taken on the shares themselves, closes the budget: it goes to
+        # the users whose shares move fastest, whose UL gradients are flat.
+        free = ul > 0.0
+        slope = d_ul[free].sum()
+        if slope < 0.0:
+            ul[free] += d_ul[free] * ((1.0 - np.maximum(ul, 0.0).sum()) / slope)
     out[on] = ul
     return dl, out
 
 
 def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
     """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # aE = 0; a = 0 (switched off) gives inf or nan
+    # aE = 0, a = 0 (switched off) and a subnormal a or aE give inf or nan: a
+    # switched-off user's, or an aE that reads as 0 (limit = inf), as aE = 0 does
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = a_e / a
         y_max = -np.log(rho)
         root = np.sqrt(rho)
@@ -637,7 +642,8 @@ def solve_rows(
         n_dl, n_ul = sub.repair(np.array([p[0] for p in points]), np.array([p[1] for p in points]))
         terms_n, gn_dl, gn_ul = sub.value_and_grad(n_dl, n_ul)
         gap_n = sub.gap(n_dl, n_ul, gn_dl, gn_ul)
-        better = terms_n.sum(axis=1) >= terms[todo].sum(axis=1)
+        # a nan share is dropped as a term and reads 0, but its gap reads nan
+        better = (terms_n.sum(axis=1) >= terms[todo].sum(axis=1)) & ~np.isnan(gap_n)
         rows = todo[better]
         dl[rows], ul[rows], terms[rows], gap[rows] = n_dl[better], n_ul[better], terms_n[better], gap_n[better]
         passes[todo] = 1

@@ -488,8 +488,15 @@ class ScenarioBlock:
     c: np.ndarray      # DL rate coefficients (``rate_coefficients``)
 
 
-def _distance(x: float, y: float, z: float, q: Vec3) -> float:
-    return math.sqrt((x - q.x) ** 2 + (y - q.y) ** 2 + (z - q.z) ** 2)
+def _distance(x: float, y: float, z: float, q: Vec3, j: int, what: str) -> float:
+    """|(x, y, z) - q|; user ``j`` at ``what`` (q), or so far that a square overflows, is a ``ConfigError``."""
+    try:
+        d = math.sqrt((x - q.x) ** 2 + (y - q.y) ** 2 + (z - q.z) ** 2)
+    except OverflowError:  # float ** raises where x * x would read inf
+        raise ConfigError(f"user {j}: the distance to {what} overflows") from None
+    if d <= 0.0:
+        raise ConfigError(f"user {j} coincides with {what}")
+    return d
 
 
 def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> ScenarioBlock:
@@ -507,11 +514,12 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
     users.
 
     A scenario the model cannot evaluate raises ``ConfigError``: a user at
-    the LED, the access point or the eavesdropper position; a user at normal
-    incidence under the angle-dependent concentrator; a line-of-sight power
-    law that overflows; or, checked once per block in this order, a
-    non-finite VLC gain g, uplink amplitude h or hE, SNR constant a or aE,
-    or rate coefficient c.  No numpy warning prints before the refusal.
+    the LED, the access point or the eavesdropper position, or at a distance
+    from one whose square overflows; a user at normal incidence under the
+    angle-dependent concentrator; a concentrator gain, a line-of-sight power
+    law or an I_D^2 that overflows; or, checked once per block in this
+    order, a non-finite VLC gain g, uplink amplitude h or hE, SNR constant a
+    or aE, or rate coefficient c.  No numpy warning prints before the refusal.
     """
     k = cfg.users_count
     width, depth, height = cfg.room
@@ -538,18 +546,17 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
             eve = Vec3(*(float(eve_rng.uniform(0.0, side)) for side in (width, depth, height)))
 
         for j, (x, y, z) in enumerate(positions):
-            if _distance(x, y, z, led.position) <= 0.0:
-                raise ConfigError(f"user {j} coincides with the LED")
+            _distance(x, y, z, led.position, j, "the LED")
             try:
                 g[n, j] = ray_gain(x - led.position.x, y - led.position.y, z - led.position.z,
                                    led, cfg.pd, cfg.concentrator_model)
             except ValueError as err:  # the angle-dependent concentrator diverges at normal incidence
                 raise ConfigError(f"user {j}: {err}") from None
+            except (OverflowError, ZeroDivisionError):  # refractive_index ** 2, or a sin ** 2 that underflows
+                raise ConfigError(f"user {j}: the concentrator gain overflows") from None
         for offset, point, what in ((0, ap, "the access point"), (k, eve, "the eavesdropper position")):
             for j, (x, y, z) in enumerate(positions):
-                d = _distance(x, y, z, point)
-                if d <= 0.0:
-                    raise ConfigError(f"user {j} coincides with {what}")
+                d = _distance(x, y, z, point, j, what)
                 try:
                     los[n, offset + j] = los_component(cfg.rician, d)
                 except OverflowError:  # the power law's float ** overflows
@@ -561,14 +568,12 @@ def scenario_block(cfg: ExperimentConfig, trials: range | list[int]) -> Scenario
         mag = rician_mix(los, draws[..., 0], draws[..., 1], mixing_weights(cfg.rician, cfg.rf_mixing))
         h, h_e = np.ascontiguousarray(mag[:, :k]), np.ascontiguousarray(mag[:, k:])
         i_d = cfg.led.dc_offset
-        block = ScenarioBlock(
-            g=g,
-            h=h,
-            h_e=h_e,
-            a=snr_constants(cfg.eta, i_d, g, h, cfg.noise_user_ul),
-            a_e=snr_constants(cfg.eta, i_d, g, h_e, cfg.noise_eve_ul),
-            c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl),
-        )
+        try:
+            a, a_e = (snr_constants(cfg.eta, i_d, g, amp, noise)
+                      for amp, noise in ((h, cfg.noise_user_ul), (h_e, cfg.noise_eve_ul)))
+        except OverflowError:  # the float i_d ** 2
+            raise ConfigError(f"the SNR constants overflow: I_D^2 at led.dc_offset = {i_d!r}") from None
+        block = ScenarioBlock(g=g, h=h, h_e=h_e, a=a, a_e=a_e, c=rate_coefficients(cfg.led.p_led, g, cfg.noise_user_dl))
     for name, values in (("the VLC gain g", g), ("the uplink amplitude h", h), ("the uplink amplitude hE", h_e),
                          ("the SNR constant a", block.a), ("the SNR constant aE", block.a_e),
                          ("the rate coefficient c", block.c)):

@@ -67,6 +67,9 @@ class LedConfig:
             raise ValueError(
                 f"LedConfig.semi_angle_half must lie in (0, 90) degrees, got {self.semi_angle_half!r}"
             )
+        if math.cos(math.radians(self.semi_angle_half)) == 1.0:  # log2(cos) = 0: no Lambertian order
+            raise ValueError(f"LedConfig.semi_angle_half is too narrow for a Lambertian order "
+                             f"(its cosine rounds to 1), got {self.semi_angle_half!r}")
         _require_unit(self.orientation, "LedConfig.orientation")
 
 

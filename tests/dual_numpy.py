@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from vlcrf.dc_solver import BUDGET_TOL, RESPONSE_STEPS, TIE_TOL, _Concave, _dl_vertices
+from vlcrf.dc_solver import BUDGET_TOL, LAM_MAX, RESPONSE_STEPS, TIE_TOL, _Concave, _dl_vertices
 from vlcrf.link_budget import LN2
 
 
@@ -85,7 +85,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
     rho = prob.a_e[row, on] / a
     with np.errstate(divide="ignore"):
         lo, hi = 0.0, float(-np.log(rho.min()))    # above hi every user is saturated
-    lam *= LN2
+    lam = min(lam * LN2, LAM_MAX)
     if not 0.0 < lam < hi:
         lam = 0.5 * hi if math.isfinite(hi) else 1.0
     y_right = np.full(a.size, np.inf)
@@ -114,7 +114,7 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
             if ahead.size:
                 nxt = min(nxt, ahead.min()) if rising else max(nxt, ahead.max())
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
+                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else min(2.0 * lam, LAM_MAX)
             if nxt == lam or not lo < nxt < hi:
                 break
             lam = nxt

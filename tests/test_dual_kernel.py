@@ -13,7 +13,7 @@ import pytest
 
 import dual_numpy
 from vlcrf import dc_solver, experiment
-from vlcrf.dc_solver import _dual_solve, _respond, _secrecy_problem
+from vlcrf.dc_solver import _dual_solve, _respond, _secrecy_problem, initial_rows, solve_rows
 from vlcrf.experiment import load_config
 
 
@@ -195,17 +195,20 @@ class TestDualSolves:
             _check_dual(a, a_e, c, float(rng.uniform(0.0, c.max())), [0.999999 * hi, hi * 0.5 + 1e-9])
 
     def test_prices_past_the_doubles(self):
-        # no eavesdropper and a beyond 1e250: the search doubles lambda until
-        # e^y overflows and the prices read nan, where numpy's ties (an empty
-        # tie set, and its error) must come out
-        failed = 0
+        # no eavesdropper and a from 1e200 to 1e300: the root lambda lies near
+        # ln a, up to 691 nats, where a doubled lambda would pass e^709 and
+        # read nan prices.  The search stays at or below LAM_MAX, so both
+        # kernels find the root from every start, one past LAM_MAX included,
+        # and every solve certifies
+        c = np.array([[1.0, 2.0]])
         for a0 in (1e200, 1e250, 1e300):
             for r_min in (0.0, 0.5, 2.0):
                 a = np.array([a0, a0 / 3.0])
-                prob = _secrecy_problem(a[None], np.zeros((1, 2)), np.array([[1.0, 2.0]]), np.array([r_min]))
-                failed += isinstance(_solve(dual_numpy._dual_solve, prob, 1.0), str)
-                _check_dual(a, np.zeros(2), np.array([1.0, 2.0]), r_min, [1.0, 600.0])
-        assert failed >= 3
+                prob = _secrecy_problem(a[None], np.zeros((1, 2)), c, np.array([r_min]))
+                assert not isinstance(_solve(dual_numpy._dual_solve, prob, 1.0), str)
+                _check_dual(a, np.zeros(2), c[0], r_min, [1.0, 600.0, 1100.0])
+                start = initial_rows(c, np.array([r_min]))
+                assert solve_rows(a[None], np.zeros((1, 2)), c, np.array([r_min]), *start).converged[0]
 
     @pytest.mark.parametrize("users", [2, 4, 8])
     def test_fig3_block_dual_rows(self, users, monkeypatch):

@@ -1,5 +1,6 @@
 """Config parsing, scenario generation, sweeps, CSV output and the CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -789,7 +791,8 @@ class TestChainConcavity:
             rows = read_rows(run_sweep(cfg)["rows_path"])
         assert len(rows) == len(solved) == 3 * 200 * 20
         for row in rows:
-            total, objective, terms, dl, ul, a, a_e = solved[(int(row["users"]), int(row["trial"]), float(row["r_min"]))]
+            key = (int(row["users"]), int(row["trial"]), float(row["r_min"]))
+            total, objective, terms, dl, ul, a, a_e = solved[key]
             assert row["clamped_secrecy_sum"] == repr(total) and row["objective_bits"] == repr(float(objective))
             assert np.sum(terms) == objective
             assert secrecy_rows(a[None], a_e[None], dl[None], ul[None])[0].tolist() == terms, row
@@ -1448,6 +1451,18 @@ class TestCli:
         ({"led.position": "1.0,1.0,1e-160"}, "user 0: the VLC gain g must be finite, got inf"),
         ({"users.positions": "2.5,2.5,3.0"}, "user 0 coincides with the LED"),
         ({"ap.position": "1.0,1.0,1e-160"}, "user 0: the SNR constant a must be finite, got inf"),
+        # a Python float ** that overflows, a sin ** 2 that underflows, or a
+        # cosine that rounds to 1, each caught where it happens
+        ({"led.dc_offset": "1.9e273"}, "the SNR constants overflow: I_D^2 at led.dc_offset = 1.9e+273"),
+        ({"pd.refractive_index": "1e160"}, "user 0: the concentrator gain overflows"),
+        ({"pd.fov": "1e-200", "led.position": "1.0,1.0,3.0"}, "user 0: the concentrator gain overflows"),
+        ({"room.width": "1e200", "room.depth": "1e200"}, "user 0: the distance to the LED overflows"),
+        ({"room.height": "1e200"}, "user 0: the distance to the LED overflows"),
+        ({"led.position": "1e155,0,3"}, "user 0: the distance to the LED overflows"),
+        ({"ap.position": "1e200,0,0"}, "user 0: the distance to the access point overflows"),
+        ({"eve.position": "1e200,0,0"}, "user 0: the distance to the eavesdropper position overflows"),
+        ({"led.semi_angle": "5e-7"},
+         "led: LedConfig.semi_angle_half is too narrow for a Lambertian order (its cosine rounds to 1), got 5e-07"),
     ])
     def test_unevaluable_scenario_exit_two(self, tmp_path, capfd, geometry, message, command, workers):
         # the one line on stderr is the refusal: no traceback, and no numpy
@@ -1461,6 +1476,66 @@ class TestCli:
             code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert (code, *capfd.readouterr()) == (2, "", f"config error: {message}\n")
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["solve", "report", "sweep", "oracle"])
+    @pytest.mark.parametrize("key", ["noise.user_ul", "noise.eve_ul"])
+    def test_huge_noise_exits_zero(self, tmp_path, capfd, key, command):
+        # noise 1e300 makes a (or aE) subnormal, and aE / a (or a / aE)
+        # overflows: a switched-off user's constants, or an aE that reads as 0
+        raw = {"seed": "3", "users.count": "2", "trials": "2", key: "1e300", "runtime.workers": "1",
+               "sweep.kind": "rmin_fraction", "sweep.values": "0.2,0.6"}
+        path = tmp_path / "c.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        argv = ["solve", "--oracle"] if command == "oracle" else [command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(argv + ["--config", str(path), "--out", str(tmp_path / "o")])
+        printed = capfd.readouterr()
+        assert (code, printed.err) == (0, "") and printed.out
+
+    # each numeric key's accepted finite range, as (least, largest) base-10
+    # exponents of a log-uniform draw, and the open or closed upper ends
+    NUMERIC_KEYS = {
+        **{key: (-323.3, 308.25) for key in (
+            "noise.user_dl", "noise.user_ul", "noise.eve_dl", "noise.eve_ul", "led.power", "led.dc_offset",
+            "pd.area", "pd.responsivity", "pd.filter_gain", "rf.k_factor", "rf.los_reference_gain",
+            "room.width", "room.depth", "room.height")},
+        "led.semi_angle": (-323.3, math.log10(90.0)),
+        "pd.fov": (-323.3, math.log10(90.0)),
+        "pd.refractive_index": (0.0, 308.25),
+        "rf.path_loss_exponent": (0.0, 308.25),
+        "harvest.efficiency": (-323.3, 0.0),
+    }
+    CEILINGS = {"led.semi_angle": math.nextafter(90.0, 0.0), "pd.fov": 90.0, "harvest.efficiency": 1.0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_numeric_keys_never_raise(self, data):
+        """Any values of 1-6 numeric keys, each log-uniform over its accepted
+        finite range: ``solve`` and ``report`` return 0, 2 or 3, raise
+        nothing (a warning included), print only ``config error:`` and
+        ``warning:`` lines on stderr, and a config error as its one line with
+        empty stdout."""
+        keys = data.draw(st.lists(st.sampled_from(sorted(self.NUMERIC_KEYS)), min_size=1, max_size=6, unique=True))
+        raw = {"seed": str(data.draw(st.integers(0, 99))), "users.count": str(data.draw(st.integers(1, 4))),
+               "trials": "1", "rate.min_fraction": "0.5", "runtime.workers": "1"}
+        for key in keys:
+            value = 10.0 ** data.draw(st.floats(*self.NUMERIC_KEYS[key]))
+            raw[key] = repr(min(value, self.CEILINGS.get(key, math.inf)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{key} = {value}\n" for key, value in raw.items()))
+            for command in ("solve", "report"):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = cli_main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 2, 3), (command, raw, lines)
+                assert all(line.startswith(("config error: ", "warning: ")) for line in lines), (command, raw, lines)
+                if code == 2:
+                    assert (out.getvalue(), len(lines)) == ("", 1), (command, raw, lines)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("command, out, message", [

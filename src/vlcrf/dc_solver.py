@@ -282,7 +282,7 @@ def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
     the point of the edge [e_i, e_j] with c_i > r_min > c_j on the rate
     face.  A cost q >= 0 is never lower at e_k than at (r_min / c_k) e_k, so
     taking the first of the cheapest rows prefers the rate face and then the
-    lowest user index.
+    lowest user index.  Every row's ``np.vecdot`` with c is at least r_min.
     """
     K = c.size
     if r_min <= 0.0:
@@ -299,6 +299,15 @@ def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
     for row, (i, j, lam) in enumerate(edges, 2 * n):
         out[row, i] = lam
         out[row, j] = 1.0 - lam
+    # c . v may round short of r_min on a rate-face row: move the row's mass
+    # toward its user of the larger c (the face user, an edge's i) by ulps,
+    # inside its own support, until it meets the rate in floating point
+    for row in np.flatnonzero(np.vecdot(c, out) < r_min).tolist():
+        i, j = (reach[row], None) if row < n else edges[row - 2 * n][:2]
+        while np.vecdot(c, out[row]) < r_min:
+            out[row, i] = math.nextafter(out[row, i], 1.0)
+            if j is not None:
+                out[row, j] = 1.0 - out[row, i]
     return out
 
 

@@ -797,6 +797,18 @@ class TestChainConcavity:
             assert np.sum(terms) == objective
             assert secrecy_rows(a[None], a_e[None], dl[None], ul[None])[0].tolist() == terms, row
 
+    def test_full_fig3_preset_meets_every_rate(self):
+        # no row of the preset's 12,000 emits a DL rate short of its r_min,
+        # not even by an ulp (the audit would allow 1e-8 relative)
+        cfg = load_config(preset="fig3")
+        for users in cfg.users_list:
+            block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), range(cfg.trials))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                chain = experiment._rmin_chain_block(cfg, block)
+            assert chain.feasible.all()
+            assert (chain.dl_rate >= chain.r_min).all(), (users, np.argwhere(chain.dl_rate < chain.r_min).tolist())
+
     @pytest.mark.parametrize("preset", ["fig3", "fig4"])
     def test_report_secrecy_is_the_kernel_terms(self, tmp_path, preset):
         # the report's secrecy_bits are trial 0's secrecy terms as the chain
@@ -960,9 +972,9 @@ def _pinned(table: dict):
 # sha256 of (sweep_rows.csv, sweep_agg.csv); see the pinned tests for their history
 USERS_SWEEP_DIGESTS = {
     "fraction": {
-        AVX512_TARGETS: ["9f2347206c435948fe93630046fddad287f2caf8a09792d1f95fa119a56b05b4",
-                         "72e2b3462806d95154343373b24c4ca68a0e87af765654e0ec195b9e95fcb9ca"],
-        AVX2_TARGETS: ["4882219cb0877607237f6032ed940aed2c9144d06708074fa9332fadcfbd9aa8",
+        AVX512_TARGETS: ["bd00456ca59269363b0ee61b8b3f07407a128c07f54827c9f6d90b1099a2cc3f",
+                         "4b6162774aa125e6430d81d5b583a1c87345651e2b7a1d77944044aa6046e5ac"],
+        AVX2_TARGETS: ["b9eef1f18deb1ab88a285069f82712f636ae71f5825852bc4699824a178afe09",
                        "b774339de5e8fa37be54b4008d1af95a38360f7f0fc3d054053df95afb6af365"],
     },
     "absolute": {
@@ -973,10 +985,10 @@ USERS_SWEEP_DIGESTS = {
     },
 }
 FIG3_DIGESTS = {  # fig3 preset at 20 trials
-    AVX512_TARGETS: ["169cf29cb74ff31bddc641a503f61dad52ad8376d2eef963becfa5be42e8f3af",
-                     "83f1f89349d364bba15135f7cd30df9c5c8b9e38e0634ac7b91a5af9eed85f02"],
-    AVX2_TARGETS: ["55675fa24291a5d50c64b50a15c0d2232143e51f61015ddda7d4df14dab4a8cc",
-                   "7cba8e13d5c21688d56357c48881bc4a2aa9736895201a874cbc3bef6bde2cd9"],
+    AVX512_TARGETS: ["6fc94e5e1185c668eb60bb378063f8536d5656d2ab51255bbf6599b05f9b6e61",
+                     "b16c538e2d3d127f4c867ab33c3ce6ae60b4f6b5f8b1f2441f44aa21576dd8ce"],
+    AVX2_TARGETS: ["1ce8ebf14e3c5e748ad51be081b46e3b07811342cb1a4007a28cc5c308d4ce2b",
+                   "32f6026a46b753dfa1c7a7c94572b1723ca34da2657c304effe6a803d86314be"],
 }
 
 
@@ -1075,8 +1087,13 @@ class TestBlockChain:
         AVX-512, K = 4 trials 11 and 18, and 3 under AVX2, those and K = 2
         trial 7: each keeps a DL share of about 2.2e-16 that the snap
         zeroed, and its DL rate and clamped sum rise to r_min and its
-        objective, or their last bit; no objective or status moved), with
-        numpy 2.4.6 on x86_64; another numpy or BLAS may round differently.
+        objective, or their last bit; no objective or status moved), and the
+        fraction sweep's again when every DL vertex met its rate in floating
+        point (K = 4 trials 11 and 18, and under AVX2 K = 2 trial 7: each
+        share of about 2.2e-16 outside the face user's support is gone, the
+        face share rises by an ulp or two, and trial 18's objective falls by
+        4.4e-16 bits; no status moved), with numpy 2.4.6 on x86_64; another
+        numpy or BLAS may round differently.
         """
         cfg = build_config(dict(USERS_SWEEPS[name], **{"runtime.workers": workers}))
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))
@@ -1123,8 +1140,11 @@ class TestBlockChain:
         ``dca_solve`` per row, and re-measured when zero uplink shares
         replaced the 1e-9 floor (117 of 1,200 rows moved: 96 objectives rose,
         by at most 1.7e-9 bits, and 21 fell by at most 3.3e-16 relative),
-        with numpy 2.4.6 on x86_64; another numpy or BLAS may round
-        differently.
+        and again when every DL vertex met its rate in floating point (K = 2
+        trial 16 at 0.85 moves an edge vertex's mass toward its larger-c
+        user and rises by 6.7e-16 bits, and under AVX-512 its 0.8 row moves
+        in tau_ul), with numpy 2.4.6 on x86_64; another numpy or BLAS may
+        round differently.
         """
         cfg = load_config(overrides={"trials": "20", "runtime.workers": workers}, preset="fig3")
         info = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path)))

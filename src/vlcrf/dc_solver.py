@@ -601,8 +601,8 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
 
 def _secrecy_problem(a, a_e, c, r_min) -> _Concave:
     """The secrecy objective, row by row, with the users a_k <= aE_k switched off."""
-    # aE = 0, a = 0 (switched off) and a subnormal a or aE give inf or nan: a
-    # switched-off user's, or an aE that reads as 0 (limit = inf), as aE = 0 does
+    # aE = 0, a = 0 and a subnormal a or aE give inf or nan, each of a switched-off
+    # user or of an aE that reads as 0 (limit = inf), as aE = 0 does
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho = a_e / a
         y_max = -np.log(rho)

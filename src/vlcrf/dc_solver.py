@@ -293,21 +293,23 @@ def _dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
              for j, cj in enumerate(cs) if cj < r_min]
     n = len(reach)
     out = np.zeros((2 * n + len(edges), K))
+    # c . v may round short of r_min on a rate-face row: move the row's mass
+    # toward its user of the larger c (the face user, an edge's i) by ulps,
+    # inside its own support, until it meets the rate in floating point.  A
+    # face row's np.vecdot is its one product; an edge row's is left to numpy,
+    # which may fuse its multiply-adds
     for row, k in enumerate(reach):
-        out[row, k] = r_min / cs[k]
+        share = r_min / cs[k]
+        while cs[k] * share < r_min:
+            share = math.nextafter(share, 1.0)
+        out[row, k] = share
         out[n + row, k] = 1.0
     for row, (i, j, lam) in enumerate(edges, 2 * n):
         out[row, i] = lam
         out[row, j] = 1.0 - lam
-    # c . v may round short of r_min on a rate-face row: move the row's mass
-    # toward its user of the larger c (the face user, an edge's i) by ulps,
-    # inside its own support, until it meets the rate in floating point
-    for row in np.flatnonzero(np.vecdot(c, out) < r_min).tolist():
-        i, j = (reach[row], None) if row < n else edges[row - 2 * n][:2]
         while np.vecdot(c, out[row]) < r_min:
-            out[row, i] = math.nextafter(out[row, i], 1.0)
-            if j is not None:
-                out[row, j] = 1.0 - out[row, i]
+            out[row, i] = lam = math.nextafter(lam, 1.0)
+            out[row, j] = 1.0 - lam
     return out
 
 

@@ -117,7 +117,7 @@ STATUS_INFEASIBLE = "infeasible"
 BUDGET_TOL = 1e-14          # the dual search stops once sum(tau_ul) is this close to 1
 TIE_TOL = 1e-12             # DL vertex costs this close (relative to max q) tie
 RESPONSE_STEPS = 60         # cap on the Newton steps of one per-user response
-LAM_MAX = 708.0             # the lambda search (nats) stays below it: every e^(lam + 1) is finite
+LAM_MAX = 708.0             # every lambda step (nats) is capped at it: every e^(lam + 1) is finite
 AUDIT_SUM_SLACK = 1e-9      # an emitted row's budget sums may exceed 1 by this
 AUDIT_RATE_TOL = 1e-8       # and its DL rate fall short of r_min by this, relative to max(1, r_min)
 
@@ -578,7 +578,8 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
                         if nxt < cross < lam:
                             nxt = cross
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else min(2.0 * lam, LAM_MAX)
+                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
+            nxt = min(nxt, LAM_MAX)
             if nxt == lam or not lo < nxt < hi:
                 break
             lam = nxt

@@ -114,7 +114,8 @@ def _dual_solve(prob: _Concave, row: int, lam: float, max_steps: int) -> tuple[n
             if ahead.size:
                 nxt = min(nxt, ahead.min()) if rising else max(nxt, ahead.max())
             if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else min(2.0 * lam, LAM_MAX)
+                nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam
+            nxt = min(nxt, LAM_MAX)
             if nxt == lam or not lo < nxt < hi:
                 break
             lam = nxt

@@ -24,6 +24,9 @@ statement of the model's equations, one user or one problem at a time:
 - the worst constraint violation of rows of allocations and of one
   (``violation_rows``, ``violation``): a measure, where the program's rule
   of a valid allocation is ``dc_solver.audit_rows``;
+- the DL vertices of one problem as their formulas give them
+  (``formula_dl_vertices``), before ``dc_solver._dl_vertices`` moves a row
+  by ulps to meet its rate in floating point;
 - the perspective term and its partials as the program wrote them before
   ``link_budget.perspective_terms`` stated them once: the lines the
   solver's gradient kernel fused over the (2, N, K) pair of user and
@@ -281,6 +284,27 @@ def violation_rows(rate_coeffs: np.ndarray, r_min: np.ndarray, tau_dl: np.ndarra
 def violation(fs: FeasibleSet, tau_dl, tau_ul) -> float:
     """Worst constraint violation of one allocation (0 when feasible): ``violation_rows`` of its row."""
     return float(violation_rows(fs.rate_coeffs[None], np.array([fs.r_min]), _row(tau_dl), _row(tau_ul))[0])
+
+
+def formula_dl_vertices(c: np.ndarray, r_min: float) -> np.ndarray:
+    """The rows of ``_dl_vertices(c, r_min)``, in its order, at their formulas'
+    points: (r_min / c_k) e_k, e_k, and lam e_i + (1 - lam) e_j on each edge,
+    lam = (r_min - c_j) / (c_i - c_j); the origin and each e_k at r_min = 0."""
+    K = c.size
+    if r_min <= 0.0:
+        return np.eye(K + 1, K, -1)
+    cs = c.tolist()
+    reach = [k for k, ck in enumerate(cs) if ck >= r_min]
+    edges = [(i, j, (r_min - cj) / (ci - cj)) for i, ci in enumerate(cs) if ci > r_min
+             for j, cj in enumerate(cs) if cj < r_min]
+    n = len(reach)
+    out = np.zeros((2 * n + len(edges), K))
+    for row, k in enumerate(reach):
+        out[row, k] = r_min / cs[k]
+        out[n + row, k] = 1.0
+    for row, (i, j, lam) in enumerate(edges, 2 * n):
+        out[row, i], out[row, j] = lam, 1.0 - lam
+    return out
 
 
 def fused_terms(pair: np.ndarray, w: np.ndarray, ul: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

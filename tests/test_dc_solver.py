@@ -32,6 +32,7 @@ from dual_reference import dl_leftovers, dual_probes
 from model_reference import (
     Channels,
     certificate_gap,
+    formula_dl_vertices,
     initial_allocation,
     objective_value,
     project_onto_feasible,
@@ -449,11 +450,10 @@ class TestCertificateGap:
 
     def test_dl_block_closed_form_matches_the_vertices(self):
         # the gap's DL block (_dl_best) against the largest g . v over the
-        # vertices _dl_vertices lists: r_min at 0, at a drawn c_k (a tie),
-        # at max c and inside the range, with some c_k = 0 and g of either sign.
-        # A listed vertex may sit up to 4 ulps per share from the closed
-        # form's point, to meet its rate (test_every_vertex_meets_its_rate),
-        # which moves g . v by at most 4 eps sum|g| more
+        # vertices _dl_vertices lists, at their formulas' points (how far a
+        # listed vertex may move from them is test_every_vertex_meets_its_rate's):
+        # r_min at 0, at a drawn c_k (a tie), at max c and inside the range,
+        # with some c_k = 0 and g of either sign
         rng = np.random.default_rng(48)
         for k in range(1, 17):
             c = 10.0 ** rng.uniform(-2.0, 1.0, (400, k))
@@ -464,16 +464,15 @@ class TestCertificateGap:
             g = rng.choice([-1.0, 1.0], (400, k)) * 10.0 ** rng.uniform(-3.0, 3.0, (400, k))
             got = _dl_best(c, r_min, g)
             for i in range(400):
-                want = float((_dl_vertices(c[i], float(r_min[i])) @ g[i]).max())
-                tol = 4.0 * np.spacing(max(1.0, abs(want))) + 4.0 * np.spacing(1.0) * np.abs(g[i]).sum()
-                assert abs(got[i] - want) <= tol, (k, i, got[i], want)
+                want = float((formula_dl_vertices(c[i], float(r_min[i])) @ g[i]).max())
+                assert abs(got[i] - want) <= 4.0 * np.spacing(max(1.0, abs(want))), (k, i, got[i], want)
 
     def test_every_vertex_meets_its_rate(self):
         # each listed DL vertex has np.vecdot(c, v) >= r_min in floating point,
         # stays within the budget and its own support (one face user, or an
-        # edge's two users), and lies within 4 ulps of the formula's point;
-        # the formula's own points round short on some rows: r_min at a
-        # drawn c_k, at max c and inside the range, some c_k = 0
+        # edge's two users), and lies within 4 ulps per share of its
+        # formula's point; the formulas' own points round short on some rows:
+        # r_min at a drawn c_k, at max c and inside the range, some c_k = 0
         rng = np.random.default_rng(49)
         short = 0
         for k in range(1, 17):
@@ -484,25 +483,12 @@ class TestCertificateGap:
                                     rng.uniform(0.0, 1.0, 200) * top[200:]])
             for i in range(400):
                 ci, r = c[i], float(r_min[i])
-                vertices = _dl_vertices(ci, r)
-                if r <= 0.0:
-                    continue
+                vertices, formula = _dl_vertices(ci, r), formula_dl_vertices(ci, r)
                 assert (np.vecdot(ci, vertices) >= r).all() and (vertices >= 0.0).all(), (k, i)
                 assert (vertices.sum(axis=1) <= 1.0 + 2.0 ** -52).all(), (k, i)
-                for v in vertices:
-                    support = np.flatnonzero(v).tolist()
-                    if len(support) == 1:
-                        (j,) = support
-                        formula = v.copy()
-                        formula[j] = 1.0 if v[j] == 1.0 else r / ci[j]
-                    else:
-                        hi, lo = sorted(support, key=lambda j: -ci[j])
-                        assert len(support) == 2 and ci[hi] > r > ci[lo], (k, i, v)
-                        formula = v.copy()
-                        formula[hi] = (r - ci[lo]) / (ci[hi] - ci[lo])
-                        formula[lo] = 1.0 - formula[hi]
-                    assert (np.abs(v - formula) <= 4.0 * np.spacing(1.0)).all(), (k, i, v, formula)
-                    short += bool(np.vecdot(ci, formula) < r)
+                assert vertices.shape == formula.shape and (vertices[formula == 0.0] == 0.0).all(), (k, i)
+                assert (np.abs(vertices - formula) <= 4.0 * np.spacing(1.0)).all(), (k, i, vertices, formula)
+                short += int((np.vecdot(ci, formula) < r).sum())
         assert short >= 100
 
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])

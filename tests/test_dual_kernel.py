@@ -210,6 +210,28 @@ class TestDualSolves:
                 start = initial_rows(c, np.array([r_min]))
                 assert solve_rows(a[None], np.zeros((1, 2)), c, np.array([r_min]), *start).converged[0]
 
+    @pytest.mark.parametrize("a, a_e, c, r_min", [
+        ((5.5e304, 1.6e300), (1e-18, 2.7e-11), (1.95, 0.1), 1.27),
+        ((2e208, 2.4e303), (2.5e-49, 3.6e-20), (0.48, 0.14), 0.0),
+        ((3.4e215, 4.2e305), (3.3e-59, 5e-17), (1.4, 6.8), 0.24),
+    ])
+    def test_newton_step_capped_at_lam_max(self, a, a_e, c, r_min, monkeypatch):
+        # a near 1e300 and a tiny nonzero aE: the bracket's top ln(a / aE)
+        # lies past 709 nats, and from these starts a Newton step or kink cut
+        # inside the bracket overshoots past e^709, where the prices would
+        # read nan and the tie set be empty.  Every step is capped at
+        # LAM_MAX, and neither kernel errors
+        a, a_e, c = np.array(a), np.array(a_e), np.array(c)
+        prob = _secrecy_problem(a[None], a_e[None], c[None], np.array([r_min]))
+        assert float(np.max(np.log(a) - np.log(a_e))) > dc_solver.LAM_MAX
+        seen = []
+        respond = dc_solver._respond
+        monkeypatch.setattr(dc_solver, "_respond", lambda users, lam, y: seen.append(lam) or respond(users, lam, y))
+        for lam in (1.0, 900.0):
+            assert not isinstance(_solve(dual_numpy._dual_solve, prob, lam), str)
+        _check_dual(a, a_e, c, r_min, [1.0, 100.0, 900.0])
+        assert max(seen) == dc_solver.LAM_MAX
+
     @pytest.mark.parametrize("users", [2, 4, 8])
     def test_fig3_block_dual_rows(self, users, monkeypatch):
         # every row a seeded fig3 chain sends to the dual solve, compared

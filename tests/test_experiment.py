@@ -729,50 +729,14 @@ def _assert_monotone_and_concave(chain, points):
 
 
 class TestChainConcavity:
-    def test_full_fig3_preset(self, tmp_path):
+    def test_full_fig3_preset(self, tmp_path, monkeypatch):
         # the preset as the paper's figure runs it, 200 trials at K = 1, 2, 4
         # (12,000 rows), where the pinned sweeps take 20: every row solved
-        # and certified, and every chain's objective non-increasing in the target
-        cfg = load_config(overrides={"runtime.workers": "1", "output.dir": str(tmp_path)}, preset="fig3")
-        rows = read_rows(run_sweep(cfg)["rows_path"])
-        assert len(rows) == 3 * 200 * 20
-        assert {row["status"] for row in rows} == {STATUS_CONVERGED}
-        chains = {}
-        for row in rows:
-            chains.setdefault((row["users"], row["trial"]), []).append(
-                (float(row["sweep_value"]), float(row["objective_bits"])))
-        assert len(chains) == 3 * 200
-        for key, chain in chains.items():
-            f = [obj for _, obj in sorted(chain)]
-            assert all(f[i + 1] <= f[i] for i in range(len(f) - 1)), key
-
-    def test_full_fig3_preset_emits_the_certified_point(self):
-        # on every solved row of the preset's 12,000, the value and gap of the
-        # secrecy problem at the emitted fractions are the row's objective and
-        # gap_bits, bit for bit
-        cfg = load_config(preset="fig3")
-        solved = 0
-        for users in cfg.users_list:
-            block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), range(cfg.trials))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                chain = experiment._rmin_chain_block(cfg, block)
-            for idx in range(chain.r_min.shape[0]):
-                ok = chain.feasible[idx]
-                prob = _secrecy_problem(block.a[ok], block.a_e[ok], block.c[ok], chain.r_min[idx][ok])
-                dl, ul = chain.tau_dl[idx][ok], chain.tau_ul[idx][ok]
-                terms, g_dl, g_ul = prob.value_and_grad(dl, ul)
-                assert np.array_equal(terms.sum(axis=1), chain.objective[idx][ok]), (users, idx)
-                assert np.array_equal(prob.gap(dl, ul, g_dl, g_ul), chain.gap_bits[idx][ok]), (users, idx)
-                solved += int(ok.sum())
-        assert solved == 3 * 200 * 20
-
-    def test_full_fig3_preset_reports_the_kernel_terms(self, tmp_path, monkeypatch):
-        # every row of the preset's 12,000 that the sweep writes: its
-        # clamped_secrecy_sum is the user-order sum of max(term, 0) over the
-        # secrecy terms solve_rows returned for it, and those terms add up to
-        # its objective and are the reporting closure's (model_reference), bit
-        # for bit
+        # and certified, every chain's objective non-increasing in the target,
+        # and every row's clamped_secrecy_sum the user-order sum of
+        # max(term, 0) over the secrecy terms solve_rows returned for it, those
+        # terms adding up to its objective and equal to the reporting
+        # closure's (model_reference), bit for bit
         solved = {}
 
         def recording(a, a_e, c, r_min, *args):
@@ -785,22 +749,31 @@ class TestChainConcavity:
             return out
 
         monkeypatch.setattr(experiment, "solve_rows", recording)
-        cfg = load_config(overrides={"output.dir": str(tmp_path), "runtime.workers": "1"}, preset="fig3")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = read_rows(run_sweep(cfg)["rows_path"])
+        cfg = load_config(overrides={"runtime.workers": "1", "output.dir": str(tmp_path)}, preset="fig3")
+        rows = read_rows(run_sweep(cfg)["rows_path"])
         assert len(rows) == len(solved) == 3 * 200 * 20
+        assert {row["status"] for row in rows} == {STATUS_CONVERGED}
+        chains = {}
         for row in rows:
-            key = (int(row["users"]), int(row["trial"]), float(row["r_min"]))
-            total, objective, terms, dl, ul, a, a_e = solved[key]
+            chains.setdefault((row["users"], row["trial"]), []).append(
+                (float(row["sweep_value"]), float(row["objective_bits"])))
+            total, objective, terms, dl, ul, a, a_e = solved[(int(row["users"]), int(row["trial"]), float(row["r_min"]))]
             assert row["clamped_secrecy_sum"] == repr(total) and row["objective_bits"] == repr(float(objective))
             assert np.sum(terms) == objective
             assert secrecy_rows(a[None], a_e[None], dl[None], ul[None])[0].tolist() == terms, row
+        assert len(chains) == 3 * 200
+        for key, chain in chains.items():
+            f = [obj for _, obj in sorted(chain)]
+            assert all(f[i + 1] <= f[i] for i in range(len(f) - 1)), key
 
-    def test_full_fig3_preset_meets_every_rate(self):
-        # no row of the preset's 12,000 emits a DL rate short of its r_min,
-        # not even by an ulp (the audit would allow 1e-8 relative)
+    def test_full_fig3_preset_emits_the_certified_point(self):
+        # on every solved row of the preset's 12,000, the value, per-user
+        # terms and gap of the secrecy problem at the emitted fractions are the
+        # row's objective, secrecy and gap_bits, bit for bit, and no row emits
+        # a DL rate short of its r_min, not even by an ulp (the audit would
+        # allow 1e-8 relative)
         cfg = load_config(preset="fig3")
+        solved = 0
         for users in cfg.users_list:
             block = experiment.scenario_block(dataclasses.replace(cfg, users_count=users), range(cfg.trials))
             with warnings.catch_warnings():
@@ -808,6 +781,16 @@ class TestChainConcavity:
                 chain = experiment._rmin_chain_block(cfg, block)
             assert chain.feasible.all()
             assert (chain.dl_rate >= chain.r_min).all(), (users, np.argwhere(chain.dl_rate < chain.r_min).tolist())
+            for idx in range(chain.r_min.shape[0]):
+                ok = chain.feasible[idx]
+                prob = _secrecy_problem(block.a[ok], block.a_e[ok], block.c[ok], chain.r_min[idx][ok])
+                dl, ul = chain.tau_dl[idx][ok], chain.tau_ul[idx][ok]
+                terms, g_dl, g_ul = prob.value_and_grad(dl, ul)
+                assert np.array_equal(terms, chain.secrecy[idx][ok]), (users, idx)
+                assert np.array_equal(terms.sum(axis=1), chain.objective[idx][ok]), (users, idx)
+                assert np.array_equal(prob.gap(dl, ul, g_dl, g_ul), chain.gap_bits[idx][ok]), (users, idx)
+                solved += int(ok.sum())
+        assert solved == 3 * 200 * 20
 
     @pytest.mark.parametrize("preset", ["fig3", "fig4"])
     def test_report_secrecy_is_the_kernel_terms(self, tmp_path, preset):
